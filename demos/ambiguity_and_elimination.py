@@ -21,13 +21,7 @@ def obs(index, deltas, visitors, window=1800.0):
             VisitLogEntry(timestamp=index * window + 10.0 * (i + 1), network_id=nid, page_id="landing")
             for i in range(count)
         )
-    return WindowObservation(
-        window_index=index,
-        window_start=index * window,
-        window_end=(index + 1) * window,
-        deltas=deltas,
-        visits=tuple(visits),
-    )
+    return WindowObservation(window_index=index, deltas=deltas, visits=tuple(visits))
 
 
 def describe(result):

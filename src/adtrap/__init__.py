@@ -53,7 +53,7 @@ from .marketplace import (
     reports_to_rows,
     window_index,
 )
-from .gdn import VisitLogEntry, Website, log_to_rows, serve_page, visitor_log
+from .gdn import VisitLogEntry, Website, log_to_rows, serve_page
 from .scenario import (
     AttackSpec,
     AttackVisit,
@@ -68,7 +68,6 @@ from .simulation import (
     RunTrace,
     SimulationEngine,
     attacker_view_reports,
-    poisson_visit_times,
     run_attack,
     run_scenario,
     sweep,
@@ -81,13 +80,11 @@ from .trap import (
     GroupStats,
     TrapConfig,
     WindowObservation,
-    assign_per_victim_sites,
     build_trap_campaign,
     collect_observations,
     group_statistics,
     infer_audiences,
     replay_exact,
-    resolve_tracked_visits,
     score_attribution,
     summary_line,
 )

@@ -22,17 +22,21 @@ from pathlib import Path
 from .errors import AdtrapError, ValidationError
 from .gdn import log_to_rows
 from .marketplace import reports_to_rows
-from .scenario import Scenario, load_scenario_document, read_scenario_file
+from .scenario import load_scenario_document, read_scenario_file
 from .simulation import run_attack, run_scenario, sweep, trace_to_json
-from .trap import AttributionResult, render_value, summary_line
+from .trap import AttributionResult, render_value, summary_counts, summary_line
 from . import scenarios as bundled
 
 
 @dataclass
 class RunOutput:
-    summary: dict
+    result: AttributionResult
     artifacts: list[str]
     out_dir: Path
+
+    @property
+    def summary(self) -> dict:
+        return {**summary_counts(self.result), "inconsistent": self.result.inconsistent}
 
 
 def _setup_logging() -> None:
@@ -70,11 +74,7 @@ def _write_json(path: Path, document) -> None:
         fh.write("\n")
 
 
-def _attribution_rows(scenario: Scenario, result: AttributionResult) -> list[dict]:
-    probed = set(scenario.attack.audiences) if scenario.attack else set()
-    truth_by_network = {}
-    for user in scenario.users:
-        truth_by_network[user.network_id] = user
+def _attribution_rows(result: AttributionResult) -> list[dict]:
     rows = []
     for nid in sorted(result.assignments):
         assignment = result.assignments[nid]
@@ -109,17 +109,8 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     output = run_to_directory(args.scenario, seed=args.seed, out_dir=args.out)
-    print(summary_from_dict(output.summary))
+    print(summary_line(output.result))
     return 0
-
-
-def summary_from_dict(summary: dict) -> str:
-    accuracy = summary["accuracy"]
-    shown = "undefined" if accuracy is None else f"{accuracy:.4f}"
-    return (
-        f"exact={summary['exact']} ambiguous={summary['ambiguous']} "
-        f"unknown={summary['unknown']} accuracy={shown}"
-    )
 
 
 def run_to_directory(scenario_arg: str, seed: int | None, out_dir: str) -> RunOutput:
@@ -159,28 +150,17 @@ def run_to_directory(scenario_arg: str, seed: int | None, out_dir: str) -> RunOu
     _write_csv(
         out / "attribution.csv",
         ["network_id", "status", "audience_or_set", "correct"],
-        _attribution_rows(scenario, result),
+        _attribution_rows(result),
     )
     artifacts.append("attribution.csv")
 
-    counts = result.counts()
-    summary = {
-        "exact": counts["exact"],
-        "ambiguous": counts["ambiguous"],
-        "unknown": counts["unknown"],
-        "accuracy": result.accuracy,
-        "inconsistent": result.inconsistent,
-    }
     artifacts.append("run_output.json")
+    output = RunOutput(result=result, artifacts=sorted(artifacts), out_dir=out)
     _write_json(
         out / "run_output.json",
-        {
-            "seed": scenario.seed,
-            "summary": summary,
-            "artifacts": sorted(artifacts),
-        },
+        {"seed": scenario.seed, "summary": output.summary, "artifacts": output.artifacts},
     )
-    return RunOutput(summary=summary, artifacts=sorted(artifacts), out_dir=out)
+    return output
 
 
 def _parse_grid(args_grid: list[str]) -> dict[str, list]:

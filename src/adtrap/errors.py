@@ -18,6 +18,15 @@ class ValidationError(AdtrapError):
         super().__init__(f"{pointer}: {message}" if pointer else message)
 
 
+def reject_unknown_keys(node: dict, known: frozenset, pointer: str) -> None:
+    """Raise on the first key of ``node`` outside ``known``, pointing at it."""
+    if node.keys() <= known:
+        return
+    key = next(k for k in node if k not in known)
+    escaped = key.replace("~", "~0").replace("/", "~1")
+    raise ValidationError(f"unknown field {key!r}", f"{pointer}/{escaped}")
+
+
 class UnknownIdError(AdtrapError):
     """A cross-reference named an id that does not exist."""
 

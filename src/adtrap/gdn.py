@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import AdtrapError, SimulationError, UnknownIdError, ValidationError
+from .errors import SimulationError, UnknownIdError, ValidationError
 from .marketplace import ImpressionRecord, Marketplace
 from .profile import (
     AdUserProfile,
@@ -110,26 +110,6 @@ def serve_page(
         )
         website.log.append(entry)
     return impression, entry
-
-
-def visitor_log(
-    website: Website,
-    start: float | None = None,
-    end: float | None = None,
-) -> list[VisitLogEntry]:
-    """Entries with ``start <= timestamp < end``; full log by default.
-
-    Raises when the site never enabled logging: there is nothing to return
-    and pretending otherwise would hide a configuration mistake.
-    """
-    if not website.logging:
-        raise AdtrapError(f"no log for this site: {website.id!r}")
-    entries = website.log
-    if start is not None:
-        entries = [e for e in entries if e.timestamp >= start]
-    if end is not None:
-        entries = [e for e in entries if e.timestamp < end]
-    return list(entries)
 
 
 def log_to_rows(entries) -> list[dict]:

@@ -226,7 +226,6 @@ class Marketplace:
         self,
         website_id: str,
         profile: AdUserProfile,
-        time: float,
         geo: str | None = None,
     ) -> list[Candidate]:
         """Candidates allowed to compete for one slot on one page view.
@@ -324,7 +323,7 @@ class Marketplace:
         geo: str | None = None,
     ) -> ImpressionRecord | None:
         """One page view, one slot: eligibility, auction, impression."""
-        outcome = self.run_auction(self.eligible_ads(website_id, profile, time, geo))
+        outcome = self.run_auction(self.eligible_ads(website_id, profile, geo))
         if outcome is None:
             return None
         return self.record_impression(outcome, profile, page, website_id, time)
@@ -347,7 +346,7 @@ class Marketplace:
         """Reports for every window elapsed by ``up_to_time``."""
         if audience_ids is None:
             audience_ids = self.target_audience_universe()
-        num_windows = math.ceil(up_to_time / window_length) if up_to_time > 0 else 0
+        num_windows = window_count(up_to_time, window_length)
         return build_reports(
             self.impressions, window_length, num_windows, audience_ids, campaign_id
         )
@@ -359,6 +358,11 @@ def window_index(timestamp: float, window_length: float) -> int:
     A timestamp exactly on a boundary belongs to the later window.
     """
     return math.floor(timestamp / window_length)
+
+
+def window_count(up_to_time: float, window_length: float) -> int:
+    """Number of windows elapsed by ``up_to_time``, the last one partial."""
+    return math.ceil(up_to_time / window_length) if up_to_time > 0 else 0
 
 
 def build_reports(

@@ -6,16 +6,18 @@ and ``seed``.  Everything the engine does is determined by this document
 plus the seed; there is no hidden configuration.
 
 Validation errors carry JSON-pointer locations into the document, e.g.
-``/users/3/attack_visits/0/site``.
+``/users/3/attack_visits/0/site``.  Every object accepts exactly the keys
+this module reads; any other key is rejected at its own pointer, so a
+misspelt field cannot silently fall back to its default.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NotEligibleError, ValidationError
+from .errors import NotEligibleError, ValidationError, reject_unknown_keys
 from .gdn import Website
 from .marketplace import (
     Ad,
@@ -34,6 +36,29 @@ from .profile import (
 from .taxonomy import Taxonomy, load_taxonomy
 
 SPEC_VERSION = 1
+
+# The keys each kind of object in a scenario document may carry.
+_KEYS = {
+    "document": frozenset({
+        "spec_version", "seed", "window_length_s", "horizon_s", "taxonomy", "websites",
+        "campaigns", "users", "attack", "profile_config", "market_config",
+    }),
+    "website": frozenset({"id", "domain", "owner", "logging", "pages"}),
+    "page": frozenset({"id", "topics"}),
+    "campaign": frozenset({"id", "name", "total_budget", "ad_groups"}),
+    "ad_group": frozenset({"id", "name", "ads", "target_audiences", "placement", "demographics", "geo", "bid"}),
+    "ad": frozenset({"id", "landing_url", "creative"}),
+    "bid": frozenset({"kind", "amount"}),
+    "demographics": frozenset({"gender", "age_band", "languages"}),
+    "user": frozenset({
+        "id", "cookie_id", "network_id", "consent", "demographics", "geo", "warmup_plan", "attack_visits",
+    }),
+    "warmup_visit": frozenset({"page", "repeat", "dwell"}),
+    "attack_visit": frozenset({"site", "t", "page", "tracking_arg", "referral"}),
+    "attack": frozenset({"sites", "audiences", "cpm", "budget", "extra_placement_sites"}),
+    "profile_config": frozenset({"score_mode", "interest_threshold"}),
+    "market_config": frozenset({"auction_mode", "click_through_rate", "acquisition_rate"}),
+}
 
 
 @dataclass(frozen=True)
@@ -69,7 +94,7 @@ class AttackSpec:
     """The probing side of a scenario.
 
     ``sites`` lists the attacker sites carrying probe ads (one campaign is
-    built per site; several sites express the one-site-per-victim layout).
+    built per site; one site per victim is expressed by listing several).
     ``extra_placement_sites`` widens every probe ad group's placement
     beyond the attacker sites; that is a deliberate foot-gun used to study
     what happens when placement exclusivity is broken.
@@ -79,8 +104,6 @@ class AttackSpec:
     audiences: tuple[str, ...]
     cpm: float
     budget: float = 1_000_000.0
-    one_site_per_victim: bool = False
-    tracking_args: dict[str, str] = field(default_factory=dict)
     extra_placement_sites: tuple[str, ...] = ()
 
 
@@ -141,6 +164,7 @@ def _load_demographics(node, pointer: str) -> Demographics | None:
     if node is None:
         return None
     _expect(isinstance(node, dict), "demographics must be an object", pointer)
+    reject_unknown_keys(node, _KEYS["demographics"], pointer)
     languages = node.get("languages", [])
     _expect(
         isinstance(languages, list) and all(isinstance(x, str) for x in languages),
@@ -164,6 +188,7 @@ def _load_websites(doc_sites: list, taxonomy: Taxonomy) -> dict[str, Website]:
     for i, node in enumerate(doc_sites):
         p = f"/websites/{i}"
         _expect(isinstance(node, dict), "website must be an object", p)
+        reject_unknown_keys(node, _KEYS["website"], p)
         wid = _get_str(node, "id", p)
         _expect(wid not in websites, f"duplicate website id {wid!r}", f"{p}/id")
         domain = _get_str(node, "domain", p)
@@ -181,6 +206,7 @@ def _load_websites(doc_sites: list, taxonomy: Taxonomy) -> dict[str, Website]:
         for j, page_node in enumerate(page_nodes):
             pp = f"{p}/pages/{j}"
             _expect(isinstance(page_node, dict), "page must be an object", pp)
+            reject_unknown_keys(page_node, _KEYS["page"], pp)
             pid = _get_str(page_node, "id", pp)
             _expect(
                 pid not in page_owner,
@@ -201,6 +227,7 @@ def _load_websites(doc_sites: list, taxonomy: Taxonomy) -> dict[str, Website]:
 
 def _load_bid(node, pointer: str) -> Bid:
     _expect(isinstance(node, dict), "bid must be an object", pointer)
+    reject_unknown_keys(node, _KEYS["bid"], pointer)
     kind = _get_str(node, "kind", pointer)
     amount = _get_number(node, "amount", pointer)
     try:
@@ -217,6 +244,7 @@ def _load_campaigns(
     for i, node in enumerate(doc_campaigns):
         p = f"/campaigns/{i}"
         _expect(isinstance(node, dict), "campaign must be an object", p)
+        reject_unknown_keys(node, _KEYS["campaign"], p)
         cid = _get_str(node, "id", p)
         _expect(cid not in seen, f"duplicate campaign id {cid!r}", f"{p}/id")
         _expect(
@@ -234,6 +262,7 @@ def _load_campaigns(
         for j, gnode in enumerate(group_nodes):
             gp = f"{p}/ad_groups/{j}"
             _expect(isinstance(gnode, dict), "ad group must be an object", gp)
+            reject_unknown_keys(gnode, _KEYS["ad_group"], gp)
             gid = _get_str(gnode, "id", gp)
             gname = _get_str(gnode, "name", gp, default=gid)
             ad_nodes = _get_list(gnode, "ads", gp)
@@ -242,6 +271,7 @@ def _load_campaigns(
             for k, anode in enumerate(ad_nodes):
                 ap = f"{gp}/ads/{k}"
                 _expect(isinstance(anode, dict), "ad must be an object", ap)
+                reject_unknown_keys(anode, _KEYS["ad"], ap)
                 ads.append(
                     Ad(
                         id=_get_str(anode, "id", ap),
@@ -264,6 +294,7 @@ def _load_campaigns(
             demographics: tuple = ()
             if demo_node is not None:
                 _expect(isinstance(demo_node, dict), "demographics filter must be an object", f"{gp}/demographics")
+                reject_unknown_keys(demo_node, _KEYS["demographics"], f"{gp}/demographics")
                 pairs = []
                 for fieldname in sorted(demo_node):
                     accepted = demo_node[fieldname]
@@ -319,6 +350,7 @@ def _load_users(
     for i, node in enumerate(doc_users):
         p = f"/users/{i}"
         _expect(isinstance(node, dict), "user must be an object", p)
+        reject_unknown_keys(node, _KEYS["user"], p)
         uid = _get_str(node, "id", p)
         _expect(uid not in user_ids, f"duplicate user id {uid!r}", f"{p}/id")
         user_ids.add(uid)
@@ -345,6 +377,7 @@ def _load_users(
         for j, wnode in enumerate(_get_list(node, "warmup_plan", p)):
             wp = f"{p}/warmup_plan/{j}"
             _expect(isinstance(wnode, dict), "warm-up visit must be an object", wp)
+            reject_unknown_keys(wnode, _KEYS["warmup_visit"], wp)
             page = _get_str(wnode, "page", wp)
             _expect(page in pages, f"unknown page {page!r}", f"{wp}/page")
             repeat = wnode.get("repeat", 1)
@@ -361,6 +394,7 @@ def _load_users(
         for j, vnode in enumerate(_get_list(node, "attack_visits", p)):
             vp = f"{p}/attack_visits/{j}"
             _expect(isinstance(vnode, dict), "attack visit must be an object", vp)
+            reject_unknown_keys(vnode, _KEYS["attack_visit"], vp)
             site = _get_str(vnode, "site", vp)
             _expect(site in websites, f"unknown website {site!r}", f"{vp}/site")
             t = _get_number(vnode, "t", vp)
@@ -423,6 +457,7 @@ def _load_attack(
         return None
     p = "/attack"
     _expect(isinstance(node, dict), "attack must be an object or null", p)
+    reject_unknown_keys(node, _KEYS["attack"], p)
     sites = _get_list(node, "sites", p)
     _expect(bool(sites), "attack must name at least one site", f"{p}/sites")
     for i, s in enumerate(sites):
@@ -449,25 +484,6 @@ def _load_attack(
     )
     cpm = _get_number(node, "cpm", p, positive=True)
     budget = _get_number(node, "budget", p, default=1_000_000.0, positive=True)
-    one_site = node.get("one_site_per_victim", False)
-    _expect(
-        isinstance(one_site, bool),
-        "field 'one_site_per_victim' must be a boolean",
-        f"{p}/one_site_per_victim",
-    )
-    args_node = node.get("tracking_args", {})
-    _expect(
-        isinstance(args_node, dict)
-        and all(isinstance(v, str) for v in args_node.values()),
-        "field 'tracking_args' must map identities to strings",
-        f"{p}/tracking_args",
-    )
-    values = list(args_node.values())
-    _expect(
-        len(set(values)) == len(values),
-        "tracking_args must be injective (duplicate argument)",
-        f"{p}/tracking_args",
-    )
     extra = _get_list(node, "extra_placement_sites", p)
     for i, s in enumerate(extra):
         _expect(s in websites, f"unknown website {s!r}", f"{p}/extra_placement_sites/{i}")
@@ -476,8 +492,6 @@ def _load_attack(
         audiences=tuple(audiences),
         cpm=cpm,
         budget=budget,
-        one_site_per_victim=one_site,
-        tracking_args=dict(args_node),
         extra_placement_sites=tuple(extra),
     )
 
@@ -487,6 +501,7 @@ def _load_profile_config(node) -> ProfileConfig:
         return DEFAULT_PROFILE_CONFIG
     p = "/profile_config"
     _expect(isinstance(node, dict), "profile_config must be an object", p)
+    reject_unknown_keys(node, _KEYS["profile_config"], p)
     mode = node.get("score_mode", "count")
     threshold = _get_number(node, "interest_threshold", p, default=1.0)
     try:
@@ -500,6 +515,7 @@ def _load_market_config(node) -> MarketConfig:
         return DEFAULT_MARKET_CONFIG
     p = "/market_config"
     _expect(isinstance(node, dict), "market_config must be an object", p)
+    reject_unknown_keys(node, _KEYS["market_config"], p)
     try:
         return MarketConfig(
             auction_mode=node.get("auction_mode", "first_price"),
@@ -519,6 +535,7 @@ def load_scenario_document(document: dict) -> Scenario:
         f"spec_version must be {SPEC_VERSION}, got {version!r}",
         "/spec_version",
     )
+    reject_unknown_keys(document, _KEYS["document"], "")
     window_length = _get_number(document, "window_length_s", "", default=1800, positive=True)
     horizon = _get_number(document, "horizon_s", "", positive=True)
     seed = document.get("seed", 0)

@@ -18,15 +18,12 @@ import copy
 import itertools
 import json
 import logging
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import InconsistentObservationsError, ValidationError
 from .gdn import Website, serve_page
 from .marketplace import (
-    Ad,
-    AdGroup,
     AudienceCounterReport,
     Bid,
     Campaign,
@@ -34,6 +31,7 @@ from .marketplace import (
     Marketplace,
     build_reports,
     fresh_campaign,
+    window_count,
 )
 from .profile import AdUserProfile, NavigationEvent, record_visit
 from .scenario import Scenario, load_scenario_document
@@ -81,8 +79,6 @@ def _build_attack_campaigns(scenario: Scenario) -> list[Campaign]:
             site_id=site_id,
             audiences_to_probe=attack.audiences,
             bid=Bid(kind="CPM", amount=attack.cpm),
-            one_site_per_victim=attack.one_site_per_victim,
-            tracking_args=attack.tracking_args,
             total_budget=attack.budget,
         )
         campaign = build_trap_campaign(config, website)
@@ -91,21 +87,9 @@ def _build_attack_campaigns(scenario: Scenario) -> list[Campaign]:
             # extra sites to study a misconfigured probe.  This is the one
             # path that escapes the exclusivity the builder enforces.
             widened = frozenset({site_id, *attack.extra_placement_sites})
-            campaign = Campaign(
-                id=campaign.id,
-                name=campaign.name,
-                ad_groups=tuple(
-                    AdGroup(
-                        id=g.id,
-                        name=g.name,
-                        ads=g.ads,
-                        target_audiences=g.target_audiences,
-                        bid=g.bid,
-                        placement=widened,
-                    )
-                    for g in campaign.ad_groups
-                ),
-                total_budget=campaign.total_budget,
+            campaign = replace(
+                campaign,
+                ad_groups=tuple(replace(g, placement=widened) for g in campaign.ad_groups),
             )
         campaigns.append(campaign)
     return campaigns
@@ -245,11 +229,10 @@ def attacker_view_reports(
     attack = scenario.attack
     if attack is None:
         raise ValidationError("scenario has no attack section")
-    num_windows = math.ceil(scenario.horizon / scenario.window_length)
     return build_reports(
         trace.impressions,
         scenario.window_length,
-        num_windows,
+        window_count(scenario.horizon, scenario.window_length),
         sorted(attack.audiences),
         campaign_id=trap_campaign_id(site_id),
     )
@@ -272,6 +255,7 @@ def run_attack(scenario: Scenario, trace: RunTrace) -> AttributionResult:
             collect_observations(
                 attacker_view_reports(trace, scenario, site_id),
                 trace.logs.get(site_id, []),
+                scenario.window_length,
             )
         )
     try:
@@ -346,25 +330,6 @@ def trace_to_json(trace: RunTrace) -> str:
     return json.dumps(trace_to_document(trace), indent=2, sort_keys=True) + "\n"
 
 
-def poisson_visit_times(
-    rate_per_s: float, start: float, end: float, rng: random.Random
-) -> list[float]:
-    """Homogeneous Poisson arrival times in [start, end).
-
-    Scenario files always carry explicit visit times; this helper is for
-    programmatic scenario builders (sweeps, randomised tests, demos).
-    """
-    if rate_per_s <= 0:
-        return []
-    times = []
-    t = start
-    while True:
-        t += rng.expovariate(rate_per_s)
-        if t >= end:
-            return times
-        times.append(t)
-
-
 def apply_grid_value(document: dict, key: str, value) -> None:
     """Set one swept parameter inside a scenario document.
 
@@ -375,26 +340,20 @@ def apply_grid_value(document: dict, key: str, value) -> None:
     """
     parts = key.split("/")
     node = document
-    for part in parts[:-1]:
+    for depth, part in enumerate(parts):
+        last = depth == len(parts) - 1
         if isinstance(node, list):
             if not part.lstrip("-").isdigit() or not -len(node) <= int(part) < len(node):
                 raise ValidationError(f"unknown grid key {key!r}")
-            node = node[int(part)]
-        elif isinstance(node, dict) and part in node:
-            node = node[part]
+            part = int(part)
+        elif not isinstance(node, dict) or not (
+            part in node or (last and node is document and part in _SWEEPABLE_TOP_LEVEL)
+        ):
+            raise ValidationError(f"unknown grid key {key!r}")
+        if last:
+            node[part] = value
         else:
-            raise ValidationError(f"unknown grid key {key!r}")
-    last = parts[-1]
-    if isinstance(node, list):
-        if not last.lstrip("-").isdigit() or not -len(node) <= int(last) < len(node):
-            raise ValidationError(f"unknown grid key {key!r}")
-        node[int(last)] = value
-    elif isinstance(node, dict):
-        if last not in node and not (node is document and last in _SWEEPABLE_TOP_LEVEL):
-            raise ValidationError(f"unknown grid key {key!r}")
-        node[last] = value
-    else:
-        raise ValidationError(f"unknown grid key {key!r}")
+            node = node[part]
 
 
 def sweep(

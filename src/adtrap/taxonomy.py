@@ -14,6 +14,9 @@ mapping edges are data, not code: scenario files declare which topics feed
 which interests and which interests qualify which audiences, so the same
 engine serves any taxonomy.
 
+Taxonomy documents are strict: a key :func:`load_taxonomy` does not read is
+rejected with its JSON pointer.
+
 Topic and interest ids live in separate namespaces even when their display
 names coincide ("Acting & Theater" exists both as a topic and as an
 interest; they are different objects).
@@ -23,7 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ValidationError, UnknownIdError
+from .errors import ValidationError, UnknownIdError, reject_unknown_keys
+
+_TOPIC_KEYS = frozenset({"id", "name", "parent"})
+_INTEREST_KEYS = frozenset({"id", "name", "source_topics"})
+_AUDIENCE_KEYS = frozenset({"id", "name", "qualifying_interests", "qualify_rule"})
 
 
 @dataclass(frozen=True)
@@ -111,12 +118,14 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
     """
     if not isinstance(document, dict):
         raise ValidationError("taxonomy must be an object", pointer)
+    reject_unknown_keys(document, frozenset({"topics", "interests", "audiences"}), pointer)
 
     topics: dict[str, Topic] = {}
     for i, node in enumerate(_section(document, "topics", pointer)):
         p = f"{pointer}/topics/{i}"
         if not isinstance(node, dict):
             raise ValidationError("topic must be an object", p)
+        reject_unknown_keys(node, _TOPIC_KEYS, p)
         tid = _require_str(node, "id", p)
         name = _require_str(node, "name", p)
         parent = node.get("parent")
@@ -138,6 +147,7 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
         p = f"{pointer}/interests/{i}"
         if not isinstance(node, dict):
             raise ValidationError("interest must be an object", p)
+        reject_unknown_keys(node, _INTEREST_KEYS, p)
         iid = _require_str(node, "id", p)
         name = _require_str(node, "name", p)
         sources = node.get("source_topics")
@@ -159,6 +169,7 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
         p = f"{pointer}/audiences/{i}"
         if not isinstance(node, dict):
             raise ValidationError("audience must be an object", p)
+        reject_unknown_keys(node, _AUDIENCE_KEYS, p)
         aid = _require_str(node, "id", p)
         name = _require_str(node, "name", p)
         qualifying = node.get("qualifying_interests")

@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import InconsistentObservationsError, UnknownIdError, ValidationError
 from .gdn import VisitLogEntry, Website
-from .marketplace import Ad, AdGroup, AudienceCounterReport, Bid, Campaign
+from .marketplace import Ad, AdGroup, AudienceCounterReport, Bid, Campaign, window_index
 
 # Sentinel meaning "this visitor matched no probed audience".  Kept as
 # Python None internally; rendered as the string "none" at the edges.
@@ -44,18 +44,11 @@ NO_AUDIENCE = None
 
 @dataclass(frozen=True)
 class TrapConfig:
-    """Configuration of one probing campaign.
-
-    ``tracking_args`` maps an invited identity to the unique query argument
-    embedded in her invitation link; arguments must be distinct or the
-    reverse lookup in :func:`resolve_tracked_visits` would be meaningless.
-    """
+    """Configuration of one probing campaign."""
 
     site_id: str
     audiences_to_probe: tuple[str, ...]
     bid: Bid
-    one_site_per_victim: bool = False
-    tracking_args: dict[str, str] = field(default_factory=dict)
     total_budget: float = 1_000_000.0
 
     def __post_init__(self):
@@ -65,9 +58,6 @@ class TrapConfig:
             raise ValidationError("audiences_to_probe contains duplicates")
         if self.bid.kind != "CPM":
             raise ValidationError("probing campaigns bid CPM; pay per view, not per click")
-        args = list(self.tracking_args.values())
-        if len(set(args)) != len(args):
-            raise ValidationError("tracking_args must be injective (duplicate argument)")
 
 
 @dataclass(frozen=True)
@@ -75,8 +65,6 @@ class WindowObservation:
     """Attacker-side join of one reporting window with the matching log slice."""
 
     window_index: int
-    window_start: float
-    window_end: float
     deltas: dict[str, int]
     visits: tuple[VisitLogEntry, ...]
 
@@ -158,54 +146,32 @@ def build_trap_campaign(config: TrapConfig, website: Website) -> Campaign:
     )
 
 
-def assign_per_victim_sites(
-    victims: list[str],
-    config: TrapConfig,
-    site_factory,
-) -> dict[str, tuple[Website, Campaign]]:
-    """One dedicated attacker site and campaign clone per victim.
-
-    ``site_factory(victim_id)`` must return an attacker-owned, logging
-    :class:`Website`.  With one victim per site, every window observation
-    on that site is a singleton and inference cannot be confounded by
-    co-visitors, whatever the visit timing.
-    """
-    out: dict[str, tuple[Website, Campaign]] = {}
-    for victim in victims:
-        site = site_factory(victim)
-        campaign = build_trap_campaign(replace(config, site_id=site.id), site)
-        out[victim] = (site, campaign)
-    return out
-
-
 def collect_observations(
     reports: list[AudienceCounterReport],
     log_entries: list[VisitLogEntry],
+    window_length: float,
 ) -> list[WindowObservation]:
     """Join counter reports with log entries window by window.
 
-    Windows are half-open: an entry stamped exactly on a boundary belongs
-    to the later window.  Entries outside every reported window are
-    dropped.  Duplicate window indices in the reports are rejected.
+    Each entry goes to the window :func:`~adtrap.marketplace.window_index`
+    gives its timestamp, the same rule the platform batches impressions
+    by.  Entries outside every reported window are dropped.  Duplicate
+    window indices in the reports are rejected.
     """
+    buckets: dict[int, list[VisitLogEntry]] = {}
+    for entry in log_entries:
+        buckets.setdefault(window_index(entry.timestamp, window_length), []).append(entry)
     seen: set[int] = set()
     observations = []
     for report in sorted(reports, key=lambda r: r.window_index):
         if report.window_index in seen:
             raise ValidationError(f"duplicate report window index {report.window_index}")
         seen.add(report.window_index)
-        visits = tuple(
-            e
-            for e in log_entries
-            if report.window_start <= e.timestamp < report.window_end
-        )
         observations.append(
             WindowObservation(
                 window_index=report.window_index,
-                window_start=report.window_start,
-                window_end=report.window_end,
                 deltas=dict(report.deltas),
-                visits=visits,
+                visits=tuple(buckets.get(report.window_index, ())),
             )
         )
     return observations
@@ -422,30 +388,6 @@ def score_attribution(
         correct=correct,
         inconsistent=result.inconsistent,
     )
-
-
-def resolve_tracked_visits(
-    entries: list[VisitLogEntry],
-    invitation_map: dict[str, str],
-) -> dict[str, str]:
-    """Bind network ids to invited identities via unique invitation args.
-
-    ``invitation_map`` maps identity -> argument and must be injective.
-    The first entry carrying a known argument binds that network id; later
-    entries never rebind it.
-    """
-    reverse: dict[str, str] = {}
-    for identity, arg in invitation_map.items():
-        if arg in reverse:
-            raise ValidationError(
-                f"tracking argument {arg!r} is used by more than one identity"
-            )
-        reverse[arg] = identity
-    resolved: dict[str, str] = {}
-    for entry in sorted(entries, key=lambda e: e.timestamp):
-        if entry.tracking_arg in reverse:
-            resolved.setdefault(entry.network_id, reverse[entry.tracking_arg])
-    return resolved
 
 
 @dataclass(frozen=True)

@@ -70,10 +70,4 @@ def make_observation(index, deltas, visitors, window_length=100.0):
                     page_id="landing",
                 )
             )
-    return WindowObservation(
-        window_index=index,
-        window_start=start,
-        window_end=start + window_length,
-        deltas=dict(deltas),
-        visits=tuple(visits),
-    )
+    return WindowObservation(window_index=index, deltas=dict(deltas), visits=tuple(visits))

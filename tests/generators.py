@@ -64,7 +64,6 @@ def random_observations(rng, perturb_probability=0.2):
     observations = []
     for k in range(n_windows):
         start = k * WINDOW_LEN
-        end = start + WINDOW_LEN
         entries = []
         deltas = {a: 0 for a in audiences}
         for v in visitors:
@@ -79,13 +78,7 @@ def random_observations(rng, perturb_probability=0.2):
             if truth[v] is not None:
                 deltas[truth[v]] += visits[v][k]
         observations.append(
-            WindowObservation(
-                window_index=k,
-                window_start=start,
-                window_end=end,
-                deltas=deltas,
-                visits=tuple(entries),
-            )
+            WindowObservation(window_index=k, deltas=deltas, visits=tuple(entries))
         )
 
     if rng.random() < perturb_probability:
@@ -94,11 +87,7 @@ def random_observations(rng, perturb_probability=0.2):
         bumped = dict(obs.deltas)
         bumped[target] = max(0, bumped[target] + rng.choice([-1, 1]))
         observations[obs.window_index] = WindowObservation(
-            window_index=obs.window_index,
-            window_start=obs.window_start,
-            window_end=obs.window_end,
-            deltas=bumped,
-            visits=obs.visits,
+            window_index=obs.window_index, deltas=bumped, visits=obs.visits
         )
 
     return observations, truth
@@ -171,7 +160,6 @@ def random_scenario_document(rng):
         campaigns.append(
             {
                 "id": f"rival{i}",
-                "advertiser": f"adv{i}",
                 "total_budget": round(rng.uniform(0.5, 50.0), 2),
                 "ad_groups": [
                     {
@@ -223,7 +211,7 @@ def random_scenario_document(rng):
             "sites": ["atk"],
             "audiences": probe,
             "cpm": round(rng.uniform(10.0, 90.0), 2),
-            "total_budget": 1000.0,
+            "budget": 1000.0,
         }
 
     return {

@@ -180,6 +180,7 @@ def test_group_statistics_split_is_exact():
         observations = collect_observations(
             attacker_view_reports(trace, scenario, "monads"),
             trace.logs["monads"],
+            scenario.window_length,
         )
         stats = group_statistics(observations, "a_family_focused", "a_travel_buffs")
         assert stats.count_x == 15

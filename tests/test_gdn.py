@@ -2,8 +2,8 @@
 
 import pytest
 
-from adtrap.errors import AdtrapError, UnknownIdError, ValidationError
-from adtrap.gdn import Website, log_to_rows, serve_page, visitor_log
+from adtrap.errors import UnknownIdError, ValidationError
+from adtrap.gdn import Website, log_to_rows, serve_page
 from adtrap.marketplace import Ad, AdGroup, Bid, Campaign, Marketplace
 from adtrap.profile import AdUserProfile, PageProfile
 
@@ -96,9 +96,7 @@ def test_non_logging_site_never_logs(market, small_taxonomy):
     )
     assert impression is not None
     assert entry is None
-    with pytest.raises(AdtrapError) as err:
-        visitor_log(quiet)
-    assert "no log for this site" in str(err.value)
+    assert quiet.log == []
 
 
 def test_unknown_page_rejected(site, market, small_taxonomy):
@@ -123,15 +121,6 @@ def test_log_preserves_arrival_order_and_fields(site, market, small_taxonomy):
     assert [e.network_id for e in site.log] == ["203.0.113.1", "203.0.113.2"]
     assert site.log[0].tracking_arg == "x1"
     assert site.log[1].referral == "news"
-
-
-def test_visitor_log_half_open_range(site, market, small_taxonomy):
-    profile = AdUserProfile(cookie_id="ck")
-    for t in (0.0, 10.0, 20.0, 30.0):
-        serve(site, market, small_taxonomy, profile, t=t)
-    window = visitor_log(site, start=10.0, end=30.0)
-    assert [e.timestamp for e in window] == [10.0, 20.0]
-    assert len(visitor_log(site)) == 4
 
 
 def test_website_owner_validation():

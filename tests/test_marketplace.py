@@ -105,7 +105,7 @@ def test_auction_prefers_higher_value():
         [make_campaign("low", 10.0), make_campaign("high", 60.0)]
     )
     outcome = market.run_auction(
-        market.eligible_ads("site", sports_profile(), time=0.0)
+        market.eligible_ads("site", sports_profile())
     )
     assert outcome.candidate.campaign.id == "high"
     assert outcome.price_micros == 60_000
@@ -119,7 +119,7 @@ def test_equal_value_tie_breaks_on_ad_id():
         ]
     )
     outcome = market.run_auction(
-        market.eligible_ads("site", sports_profile(), time=0.0)
+        market.eligible_ads("site", sports_profile())
     )
     assert outcome.candidate.ad.id == "aa_ad"
 
@@ -128,7 +128,7 @@ def test_cpc_and_cpm_compete_on_effective_value():
     # CPC 2.0 at ctr 0.05 is worth 100_000 micros, beating CPM 50 (50_000).
     market = Marketplace([make_campaign("m", 50.0), make_campaign("c", 2.0, kind="CPC")])
     outcome = market.run_auction(
-        market.eligible_ads("site", sports_profile(), time=0.0)
+        market.eligible_ads("site", sports_profile())
     )
     assert outcome.candidate.campaign.id == "c"
 
@@ -166,7 +166,7 @@ def test_overspend_refused_outright():
     campaign = make_campaign("c", 50.0, budget=0.1)
     market = Marketplace([campaign])
     outcome = market.run_auction(
-        market.eligible_ads("site", sports_profile(), time=0.0)
+        market.eligible_ads("site", sports_profile())
     )
     campaign.spent_micros = campaign.total_budget_micros - 1
     with pytest.raises(BudgetError):
@@ -187,21 +187,21 @@ def test_empty_placement_serves_anywhere():
 
 def test_audience_targeting_gates_eligibility():
     market = Marketplace([make_campaign("c", 50.0, audiences=("a_pets",))])
-    assert market.eligible_ads("site", sports_profile(), time=0.0) == []
+    assert market.eligible_ads("site", sports_profile()) == []
     pets = sports_profile(audiences=("a_pets", "a_sports"))
-    assert len(market.eligible_ads("site", pets, time=0.0)) == 1
+    assert len(market.eligible_ads("site", pets)) == 1
 
 
 def test_demographic_filter():
     demo_filter = (("gender", ("female",)),)
     market = Marketplace([make_campaign("c", 50.0, demographics=demo_filter)])
     anonymous = sports_profile()
-    assert market.eligible_ads("site", anonymous, time=0.0) == []
+    assert market.eligible_ads("site", anonymous) == []
     p = sports_profile()
     p.demographics = Demographics(gender="female")
-    assert len(market.eligible_ads("site", p, time=0.0)) == 1
+    assert len(market.eligible_ads("site", p)) == 1
     p.demographics = Demographics(gender="male")
-    assert market.eligible_ads("site", p, time=0.0) == []
+    assert market.eligible_ads("site", p) == []
 
 
 def test_language_filter_matches_any_overlap():
@@ -209,16 +209,16 @@ def test_language_filter_matches_any_overlap():
     market = Marketplace([make_campaign("c", 50.0, demographics=demo_filter)])
     p = sports_profile()
     p.demographics = Demographics(languages=("en", "it"))
-    assert len(market.eligible_ads("site", p, time=0.0)) == 1
+    assert len(market.eligible_ads("site", p)) == 1
     p.demographics = Demographics(languages=("de",))
-    assert market.eligible_ads("site", p, time=0.0) == []
+    assert market.eligible_ads("site", p) == []
 
 
 def test_geo_filter():
     market = Marketplace([make_campaign("c", 50.0, geo=frozenset({"IT"}))])
-    assert market.eligible_ads("site", sports_profile(), time=0.0, geo="IT")
-    assert market.eligible_ads("site", sports_profile(), time=0.0, geo="DE") == []
-    assert market.eligible_ads("site", sports_profile(), time=0.0, geo=None) == []
+    assert market.eligible_ads("site", sports_profile(), geo="IT")
+    assert market.eligible_ads("site", sports_profile(), geo="DE") == []
+    assert market.eligible_ads("site", sports_profile(), geo=None) == []
 
 
 def test_impression_attributed_to_smallest_matched_audience():

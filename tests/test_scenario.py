@@ -288,10 +288,57 @@ def test_attack_cpm_must_be_positive():
     reject(doc, "/attack/cpm")
 
 
-def test_attack_tracking_args_injective():
+def document_with_every_object():
     doc = base_document()
-    doc["attack"]["tracking_args"] = {"alice": "x1", "bob": "x1"}
-    reject(doc, "/attack/tracking_args")
+    doc["users"][0]["demographics"] = {"gender": "f"}
+    doc["campaigns"][0]["ad_groups"][0]["demographics"] = {"gender": ["f"]}
+    doc["profile_config"] = {}
+    doc["market_config"] = {}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, key",
+    [
+        ("", "surplus"),
+        ("/taxonomy", "surplus"),
+        ("/taxonomy/topics/0", "surplus"),
+        ("/taxonomy/interests/0", "surplus"),
+        ("/taxonomy/audiences/0", "surplus"),
+        ("/websites/0", "surplus"),
+        ("/websites/0/pages/0", "surplus"),
+        ("/campaigns/0", "surplus"),
+        ("/campaigns/0/ad_groups/0", "surplus"),
+        ("/campaigns/0/ad_groups/0/ads/0", "surplus"),
+        ("/campaigns/0/ad_groups/0/bid", "surplus"),
+        ("/campaigns/0/ad_groups/0/demographics", "surplus"),
+        ("/users/0", "surplus"),
+        ("/users/0/demographics", "surplus"),
+        ("/users/0/warmup_plan/0", "surplus"),
+        ("/users/0/attack_visits/0", "surplus"),
+        ("/attack", "surplus"),
+        ("/attack", "one_site_per_victim"),
+        ("/attack", "tracking_args"),
+        ("/attack", "total_budget"),
+        ("/profile_config", "surplus"),
+        ("/market_config", "surplus"),
+    ],
+)
+def test_unknown_keys_rejected_at_their_pointer(path, key):
+    doc = document_with_every_object()
+    load_scenario_document(copy.deepcopy(doc))
+    node = doc
+    for part in path.split("/")[1:]:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    node[key] = 1
+    error = reject(doc, f"{path}/{key}")
+    assert f"unknown field {key!r}" in str(error)
+
+
+def test_unknown_key_pointer_is_escaped():
+    doc = base_document()
+    doc["attack"]["a/b~c"] = 1
+    reject(doc, "/attack/a~1b~0c")
 
 
 def test_attack_extra_placement_sites_must_exist():

@@ -4,15 +4,16 @@ import copy
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adtrap import scenarios
 from adtrap.errors import ValidationError
+from adtrap.marketplace import window_index
 from adtrap.scenario import load_scenario, load_scenario_document
 from adtrap.simulation import (
     SimulationEngine,
     apply_grid_value,
     attacker_view_reports,
-    poisson_visit_times,
     run_attack,
     run_scenario,
     sweep,
@@ -20,6 +21,7 @@ from adtrap.simulation import (
     trace_to_json,
     trap_campaign_id,
 )
+from adtrap.trap import collect_observations
 
 from conftest import SMALL_TAXONOMY_DOC
 from generators import random_scenario_document
@@ -242,14 +244,60 @@ def test_impressions_respect_placement_and_horizon():
             assert 0 <= campaign.spent_micros <= campaign.total_budget_micros
 
 
-def test_poisson_times_are_seeded_sorted_and_bounded():
-    a = poisson_visit_times(0.01, 0.0, 5000.0, random.Random(3))
-    b = poisson_visit_times(0.01, 0.0, 5000.0, random.Random(3))
-    assert a == b
-    assert a == sorted(a)
-    assert all(0.0 <= t < 5000.0 for t in a)
-    assert poisson_visit_times(0.0, 0.0, 5000.0, random.Random(3)) == []
-    assert len(a) > 10  # expectation is 50
+# --- window membership ------------------------------------------------------
+
+
+def test_float_windows_join_logs_where_reports_count_impressions():
+    # Visits on multiples of 0.1 s from 1.7 s: at t=1.7 the platform's
+    # floor(t / W) says window 17 while [k*W, (k+1)*W) says 16, and a join
+    # by the latter makes the whole run inconsistent.  Thirty windows cover
+    # every visit.
+    doc = scenarios.load("table2_experiment")
+    doc["window_length_s"] = 0.1
+    doc["horizon_s"] = 3.0
+    for i, user in enumerate(doc["users"]):
+        (visit,) = user["attack_visits"]
+        visit["t"] = (17 + i) / 10
+    scenario = load_scenario_document(doc)
+    result = run_attack(scenario, run_scenario(scenario))
+    assert not result.inconsistent
+    assert result.counts() == {"exact": 6, "ambiguous": 4, "unknown": 0}
+    exact = [nid for nid, a in result.assignments.items() if a.status == "exact"]
+    assert all(result.correct[nid] for nid in exact)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    window=st.sampled_from([0.1, 0.2, 0.3, 1.1, 300.0]),
+    windows=st.integers(2, 40),
+    data=st.data(),
+)
+def test_probe_impressions_share_the_window_of_their_log_entry(seed, window, windows, data):
+    # Generated scenarios with their visits moved onto a half-window grid,
+    # so every other visit sits exactly on a window boundary.
+    doc = random_scenario_document(random.Random(seed))
+    doc["window_length_s"] = window
+    doc["horizon_s"] = windows * window
+    for user in doc["users"]:
+        n = len(user["attack_visits"])
+        slots = data.draw(st.lists(st.integers(0, 2 * windows - 1), min_size=n, max_size=n, unique=True))
+        for visit, slot in zip(user["attack_visits"], sorted(slots)):
+            visit["t"] = round(slot * window / 2, 10)
+    scenario = load_scenario_document(doc)
+    trace = run_scenario(scenario)
+    if scenario.attack is None:
+        return
+    observations = collect_observations(
+        attacker_view_reports(trace, scenario, "atk"), trace.logs["atk"], window
+    )
+    holder = {(e.network_id, e.timestamp): o.window_index for o in observations for e in o.visits}
+    users = {user.cookie_id: user for user in scenario.users}
+    for record in trace.impressions:
+        user = users[record.cookie_id]
+        if record.campaign_id == trap_campaign_id("atk") and user.consent:
+            key = (user.network_id, record.timestamp)
+            assert holder[key] == window_index(record.timestamp, window)
 
 
 # --- parameter sweeps -------------------------------------------------------

@@ -118,6 +118,8 @@ def test_topic_parent_links_accepted():
             lambda d: d["audiences"][0].update(qualify_rule=True),
             "/audiences/0",
         ),
+        (lambda d: d["topics"][0].update(label="x"), "/topics/0/label"),
+        (lambda d: d.update(categories=[]), "/categories"),
     ],
 )
 def test_malformed_documents_report_pointer(mutate, pointer_part):

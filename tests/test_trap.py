@@ -14,21 +14,19 @@ from adtrap.errors import (
     ValidationError,
 )
 from adtrap.gdn import VisitLogEntry, Website
-from adtrap.marketplace import AudienceCounterReport, Bid
+from adtrap.marketplace import AudienceCounterReport, Bid, window_index
 from adtrap.profile import PageProfile
 from adtrap.trap import (
     AttributionResult,
     Assignment,
     TrapConfig,
     WindowObservation,
-    assign_per_victim_sites,
     build_trap_campaign,
     collect_observations,
     group_statistics,
     infer_audiences,
     render_value,
     replay_exact,
-    resolve_tracked_visits,
     score_attribution,
     summary_counts,
     summary_line,
@@ -57,13 +55,6 @@ def test_trap_config_validation():
         TrapConfig(site_id="s", audiences_to_probe=("a", "a"), bid=CPM)
     with pytest.raises(ValidationError):
         TrapConfig(site_id="s", audiences_to_probe=("a",), bid=Bid("CPC", 1.0))
-    with pytest.raises(ValidationError):
-        TrapConfig(
-            site_id="s",
-            audiences_to_probe=("a",),
-            bid=CPM,
-            tracking_args={"alice": "x1", "bob": "x1"},
-        )
 
 
 def test_build_trap_campaign_structure():
@@ -97,26 +88,6 @@ def test_build_trap_campaign_refuses_wrong_sites():
         build_trap_campaign(config, attacker_site("other"))
 
 
-def test_assign_per_victim_sites_builds_isolated_pairs():
-    config = TrapConfig(
-        site_id="template",
-        audiences_to_probe=("a_pets",),
-        bid=CPM,
-        one_site_per_victim=True,
-    )
-    victims = ["203.0.113.1", "203.0.113.2", "203.0.113.3"]
-    built = assign_per_victim_sites(
-        victims, config, lambda v: attacker_site(f"monads_{v.split('.')[-1]}")
-    )
-    assert set(built) == set(victims)
-    site_ids = {site.id for site, _ in built.values()}
-    assert len(site_ids) == 3
-    for victim, (site, campaign) in built.items():
-        assert campaign.id == f"trap_{site.id}"
-        for group in campaign.ad_groups:
-            assert group.placement == frozenset({site.id})
-
-
 # --- joining reports with logs ---------------------------------------------
 
 
@@ -137,21 +108,27 @@ def report(index, deltas, window=100.0):
 def test_collect_observations_buckets_by_window():
     reports = [report(1, {"a": 1}), report(0, {"a": 0})]
     log = [entry(5.0), entry(105.0, "203.0.113.2"), entry(100.0)]
-    observations = collect_observations(reports, log)
+    observations = collect_observations(reports, log, 100.0)
     assert [o.window_index for o in observations] == [0, 1]
     assert [e.timestamp for e in observations[0].visits] == [5.0]
-    # boundary entry at t=100.0 belongs to the later window
-    assert sorted(e.timestamp for e in observations[1].visits) == [100.0, 105.0]
+    # boundary entry at t=100.0 belongs to the later window, in log order
+    assert [e.timestamp for e in observations[1].visits] == [105.0, 100.0]
+    # 17 * 0.1 rounds above 1.7, so [k*W, (k+1)*W) would say window 16;
+    # the platform's floor(t / W) says 17, and the join must agree with it.
+    reports = [report(16, {"a": 0}, window=0.1), report(17, {"a": 1}, window=0.1)]
+    observations = collect_observations(reports, [entry(1.7)], 0.1)
+    assert window_index(1.7, 0.1) == 17
+    assert [len(o.visits) for o in observations] == [0, 1]
 
 
 def test_collect_observations_drops_out_of_range_entries():
-    observations = collect_observations([report(0, {"a": 0})], [entry(250.0)])
+    observations = collect_observations([report(0, {"a": 0})], [entry(250.0), entry(-1.0)], 100.0)
     assert observations[0].visits == ()
 
 
 def test_collect_observations_rejects_duplicate_windows():
     with pytest.raises(ValidationError):
-        collect_observations([report(0, {"a": 0}), report(0, {"a": 1})], [])
+        collect_observations([report(0, {"a": 0}), report(0, {"a": 1})], [], 100.0)
 
 
 def test_negative_delta_rejected():
@@ -404,28 +381,6 @@ def test_summary_line_format():
 def test_render_value():
     assert render_value("a_sports") == "a_sports"
     assert render_value(None) == "none"
-
-
-# --- invitation links -------------------------------------------------------
-
-
-def test_resolve_tracked_visits_binds_first_seen():
-    entries = [
-        entry(3.0, "203.0.113.2", arg="x_bob"),
-        entry(1.0, "203.0.113.1", arg="x_alice"),
-        entry(5.0, "203.0.113.1", arg="x_bob"),  # later arg never rebinds
-        entry(6.0, "203.0.113.3", arg=None),
-        entry(7.0, "203.0.113.4", arg="x_stranger"),  # unknown arg ignored
-    ]
-    resolved = resolve_tracked_visits(
-        entries, {"alice": "x_alice", "bob": "x_bob"}
-    )
-    assert resolved == {"203.0.113.1": "alice", "203.0.113.2": "bob"}
-
-
-def test_resolve_tracked_visits_rejects_duplicate_args():
-    with pytest.raises(ValidationError):
-        resolve_tracked_visits([], {"alice": "x", "bob": "x"})
 
 
 # --- group statistics -------------------------------------------------------
