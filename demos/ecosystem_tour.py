@@ -9,7 +9,7 @@ slot, and the winning campaign's counters tick in windowed reports.
 import random
 
 from adtrap.taxonomy import load_taxonomy
-from adtrap.profile import AdUserProfile, NavigationEvent, analyze_page, record_visit
+from adtrap.profile import AdUserProfile, analyze_page, record_visit
 from adtrap.marketplace import Ad, AdGroup, Bid, Campaign, Marketplace
 
 TAXONOMY = {
@@ -63,8 +63,7 @@ def main():
     }
     user = AdUserProfile(cookie_id="dc-tour")
     for t, pid in enumerate(["match_report", "gym_plans", "match_report"]):
-        event = NavigationEvent(cookie_id="dc-tour", page_id=pid, timestamp=float(t))
-        record_visit(user, pages[pid], event, tax)
+        record_visit(user, pages[pid], float(t), tax)
         print(f"\nafter visiting {pid!r}:")
         show_profile(user, tax)
     # 'Sporty Shoppers' needs BOTH qualifying interests (qualify_rule=2),

@@ -29,12 +29,9 @@ from .taxonomy import (
 from .profile import (
     AdUserProfile,
     Demographics,
-    NavigationEvent,
     PageProfile,
     ProfileConfig,
     analyze_page,
-    derive_audiences,
-    derive_interests,
     record_visit,
 )
 from .marketplace import (

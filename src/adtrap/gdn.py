@@ -18,7 +18,6 @@ from .errors import SimulationError, UnknownIdError, ValidationError
 from .marketplace import ImpressionRecord, Marketplace
 from .profile import (
     AdUserProfile,
-    NavigationEvent,
     PageProfile,
     ProfileConfig,
     DEFAULT_PROFILE_CONFIG,
@@ -70,7 +69,6 @@ def serve_page(
     marketplace: Marketplace,
     taxonomy: Taxonomy,
     profile_config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
-    dwell: float = 0.0,
     referral: str | None = None,
     tracking_arg: str | None = None,
     geo: str | None = None,
@@ -85,15 +83,7 @@ def serve_page(
     if page_id not in website.pages:
         raise UnknownIdError(f"website {website.id!r} has no page {page_id!r}")
     page = website.pages[page_id]
-    event = NavigationEvent(
-        cookie_id=profile.cookie_id,
-        page_id=page_id,
-        timestamp=time,
-        dwell=dwell,
-        referral=referral,
-        geo=geo,
-    )
-    record_visit(profile, page, event, taxonomy, profile_config)
+    record_visit(profile, page, time, taxonomy, profile_config)
     impression = marketplace.serve(website.id, page, profile, time, geo=geo)
     entry = None
     if website.logging and consent:

@@ -337,18 +337,14 @@ class Marketplace:
         return sorted(universe)
 
     def publish_reports(
-        self,
-        window_length: float,
-        up_to_time: float,
-        audience_ids: list[str] | None = None,
-        campaign_id: str | None = None,
+        self, window_length: float, up_to_time: float
     ) -> list[AudienceCounterReport]:
         """Reports for every window elapsed by ``up_to_time``."""
-        if audience_ids is None:
-            audience_ids = self.target_audience_universe()
-        num_windows = window_count(up_to_time, window_length)
         return build_reports(
-            self.impressions, window_length, num_windows, audience_ids, campaign_id
+            self.impressions,
+            window_length,
+            window_count(up_to_time, window_length),
+            self.target_audience_universe(),
         )
 
 

@@ -2,9 +2,16 @@
 
 The network watches navigation through its embedded ad slots and keeps one
 profile per tracking cookie: topic scores accumulated from visited pages,
-plus the interests and audiences re-derived from those scores after every
-visit.  Scores never decay; a derived interest can only be lost by raising
-the threshold, never by further browsing.
+plus the interests and audiences those scores qualify for.
+
+Interests are extended, not re-derived: a visit can only raise the scores
+of the page's own topics, so only the interests those topics feed
+(:attr:`Taxonomy.interests_by_topic`) can join.  This is exact because
+scores never fall (increments are non-negative) and a profile's threshold
+is fixed and positive, so an empty profile holds no interest and every
+interest, once reached, stays.  The invariant: ``interests`` is the set
+of interests with a source topic scoring at least the threshold, and
+``audiences`` is :func:`audiences_for_interests` of ``interests``.
 """
 
 from __future__ import annotations
@@ -34,16 +41,6 @@ class PageProfile:
 
 
 @dataclass(frozen=True)
-class NavigationEvent:
-    cookie_id: str
-    page_id: str
-    timestamp: float
-    dwell: float = 0.0
-    referral: str | None = None
-    geo: str | None = None
-
-
-@dataclass(frozen=True)
 class Demographics:
     gender: str | None = None
     age_band: str | None = None
@@ -57,7 +54,8 @@ class ProfileConfig:
     ``score_mode`` is ``"count"`` (one point per visit per topic, the
     default) or ``"dwell"`` (dwell seconds / 60 per topic).
     ``interest_threshold`` is the minimum topic score that activates an
-    interest; the boundary is inclusive.
+    interest; the boundary is inclusive and the threshold must be
+    positive, or every interest would hold before any visit.
     """
 
     score_mode: str = "count"
@@ -67,6 +65,10 @@ class ProfileConfig:
         if self.score_mode not in ("count", "dwell"):
             raise ValidationError(
                 f"score_mode must be 'count' or 'dwell', got {self.score_mode!r}"
+            )
+        if not self.interest_threshold > 0:
+            raise ValidationError(
+                f"interest_threshold must be positive, got {self.interest_threshold!r}"
             )
 
 
@@ -82,7 +84,6 @@ class AdUserProfile:
     topic_scores: dict[str, float] = field(default_factory=dict)
     interests: set[str] = field(default_factory=set)
     audiences: set[str] = field(default_factory=set)
-    visit_counts: dict[str, int] = field(default_factory=dict)
     last_timestamp: float | None = None
 
 
@@ -93,75 +94,44 @@ def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfi
     :class:`ValidationError` when a topic is not in the taxonomy.
     """
     topics = frozenset(declared_topics)
-    if not topics:
-        raise NotEligibleError(
-            f"page {page_id!r} has no topics: page not eligible for display network"
-        )
     for t in topics:
         if t not in taxonomy.topics:
             raise ValidationError(f"page {page_id!r} declares unknown topic {t!r}")
     return PageProfile(page_id, topics)
 
 
-def _score_increment(event: NavigationEvent, config: ProfileConfig) -> float:
-    if config.score_mode == "dwell":
-        return event.dwell / 60.0
-    return 1.0
-
-
 def record_visit(
     profile: AdUserProfile,
     page: PageProfile,
-    event: NavigationEvent,
+    time: float,
     taxonomy: Taxonomy,
     config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
+    dwell: float = 0.0,
 ) -> AdUserProfile:
-    """Fold one page view into the profile and re-derive interests/audiences.
+    """Fold one page view into the profile and extend interests/audiences.
 
-    Mutates ``profile`` in place and returns it.  Visit counts and topic
-    scores only ever grow, so derivation is monotone over a browsing
-    session.  Timestamps must be non-decreasing per cookie.
+    Mutates ``profile`` in place and returns it.  ``interests`` and
+    ``audiences`` are replaced by new sets when the visit adds an
+    interest, never mutated, so a caller holding the old sets sees no
+    change.  Timestamps must be non-decreasing per cookie and ``dwell``
+    non-negative.
     """
-    if event.page_id != page.page_id:
-        raise SimulationError(
-            f"event page {event.page_id!r} does not match page {page.page_id!r}"
-        )
-    if profile.last_timestamp is not None and event.timestamp < profile.last_timestamp:
+    if not dwell >= 0:
+        raise ValidationError(f"dwell must be non-negative, got {dwell!r}")
+    if profile.last_timestamp is not None and time < profile.last_timestamp:
         raise SimulationError(
             f"navigation timestamps for {profile.cookie_id!r} went backwards "
-            f"({event.timestamp} after {profile.last_timestamp})"
+            f"({time} after {profile.last_timestamp})"
         )
-    profile.last_timestamp = event.timestamp
-    profile.visit_counts[page.page_id] = profile.visit_counts.get(page.page_id, 0) + 1
-    increment = _score_increment(event, config)
+    profile.last_timestamp = time
+    increment = dwell / 60.0 if config.score_mode == "dwell" else 1.0
+    scores = profile.topic_scores
+    gained: set[str] = set()
     for topic in page.topics:
-        profile.topic_scores[topic] = profile.topic_scores.get(topic, 0.0) + increment
-    profile.interests = derive_interests(profile, taxonomy, config)
-    profile.audiences = derive_audiences(profile, taxonomy)
+        scores[topic] = scores.get(topic, 0.0) + increment
+        if scores[topic] >= config.interest_threshold:
+            gained.update(taxonomy.interests_by_topic.get(topic, ()))
+    if not gained <= profile.interests:
+        profile.interests = profile.interests | gained
+        profile.audiences = audiences_for_interests(taxonomy, profile.interests)
     return profile
-
-
-def derive_interests(
-    profile: AdUserProfile,
-    taxonomy: Taxonomy,
-    config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
-) -> set[str]:
-    """Interest ids whose source topics reached the activation threshold.
-
-    Pure function of the current topic scores; calling it twice in a row
-    gives the same answer.
-    """
-    threshold = config.interest_threshold
-    return {
-        interest.id
-        for interest in taxonomy.interests.values()
-        if any(
-            profile.topic_scores.get(t, 0.0) >= threshold
-            for t in interest.source_topics
-        )
-    }
-
-
-def derive_audiences(profile: AdUserProfile, taxonomy: Taxonomy) -> set[str]:
-    """Affinity audiences the profile currently qualifies for."""
-    return audiences_for_interests(taxonomy, profile.interests)

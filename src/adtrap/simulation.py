@@ -33,7 +33,7 @@ from .marketplace import (
     fresh_campaign,
     window_count,
 )
-from .profile import AdUserProfile, NavigationEvent, record_visit
+from .profile import AdUserProfile, PageProfile, record_visit
 from .scenario import Scenario, load_scenario_document
 from .trap import (
     Assignment,
@@ -42,6 +42,7 @@ from .trap import (
     build_trap_campaign,
     collect_observations,
     infer_audiences,
+    probe_campaign_id,
     score_attribution,
 )
 
@@ -62,10 +63,6 @@ class RunTrace:
     reports: list[AudienceCounterReport]
     logs: dict[str, list]
     ground_truth: dict[str, set[str]] = field(default_factory=dict)
-
-
-def trap_campaign_id(site_id: str) -> str:
-    return f"trap_{site_id}"
 
 
 def _build_attack_campaigns(scenario: Scenario) -> list[Campaign]:
@@ -116,8 +113,8 @@ class SimulationEngine:
             )
             for wid, site in scenario.websites.items()
         }
-        self.page_site: dict[str, str] = {
-            pid: wid for wid, site in self.websites.items() for pid in site.pages
+        self.pages: dict[str, PageProfile] = {
+            pid: page for site in self.websites.values() for pid, page in site.pages.items()
         }
         campaigns = [fresh_campaign(c) for c in scenario.campaigns]
         campaigns.extend(_build_attack_campaigns(scenario))
@@ -140,21 +137,10 @@ class SimulationEngine:
         config = self.scenario.profile_config
         for user in self.scenario.users:
             profile = self.profiles[user.cookie_id]
-            flat = [
-                visit
-                for visit in user.warmup_plan
-                for _ in range(visit.repeat)
-            ]
-            for i, visit in enumerate(flat):
-                site = self.websites[self.page_site[visit.page]]
-                event = NavigationEvent(
-                    cookie_id=user.cookie_id,
-                    page_id=visit.page,
-                    timestamp=float(i - len(flat)),
-                    dwell=visit.dwell,
-                    geo=user.geo,
-                )
-                record_visit(profile, site.pages[visit.page], event, taxonomy, config)
+            flat = [visit for visit in user.warmup_plan for _ in range(visit.repeat)]
+            for i, visit in enumerate(flat, -len(flat)):
+                page = self.pages[visit.page]
+                record_visit(profile, page, float(i), taxonomy, config, visit.dwell)
         self.ground_truth = {
             user.id: set(self.profiles[user.cookie_id].audiences)
             for user in self.scenario.users
@@ -234,7 +220,7 @@ def attacker_view_reports(
         scenario.window_length,
         window_count(scenario.horizon, scenario.window_length),
         sorted(attack.audiences),
-        campaign_id=trap_campaign_id(site_id),
+        campaign_id=probe_campaign_id(site_id),
     )
 
 

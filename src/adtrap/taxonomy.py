@@ -25,6 +25,7 @@ interest; they are different objects).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ValidationError, UnknownIdError, reject_unknown_keys
 
@@ -66,6 +67,15 @@ class Taxonomy:
     topics: dict[str, Topic] = field(default_factory=dict)
     interests: dict[str, InterestCategory] = field(default_factory=dict)
     audiences: dict[str, AffinityAudience] = field(default_factory=dict)
+
+    @cached_property
+    def interests_by_topic(self) -> dict[str, frozenset[str]]:
+        """Interest ids each topic feeds, built once per taxonomy."""
+        index: dict[str, set[str]] = {}
+        for interest in self.interests.values():
+            for topic in interest.source_topics:
+                index.setdefault(topic, set()).add(interest.id)
+        return {topic: frozenset(ids) for topic, ids in index.items()}
 
     def topic_name(self, topic_id: str) -> str:
         return self.topics[topic_id].name

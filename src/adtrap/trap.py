@@ -106,6 +106,11 @@ class AttributionResult:
         return tally
 
 
+def probe_campaign_id(site_id: str) -> str:
+    """Id of the probing campaign :func:`build_trap_campaign` builds for a site."""
+    return f"trap_{site_id}"
+
+
 def build_trap_campaign(config: TrapConfig, website: Website) -> Campaign:
     """One campaign, one ad group per probed audience, attacker site only.
 
@@ -139,7 +144,7 @@ def build_trap_campaign(config: TrapConfig, website: Website) -> Campaign:
             )
         )
     return Campaign(
-        id=f"trap_{config.site_id}",
+        id=probe_campaign_id(config.site_id),
         name=f"probing campaign on {config.site_id}",
         ad_groups=tuple(groups),
         total_budget=config.total_budget,

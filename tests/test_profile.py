@@ -6,24 +6,25 @@ from hypothesis import given, strategies as st
 from adtrap.errors import NotEligibleError, SimulationError, ValidationError
 from adtrap.profile import (
     AdUserProfile,
-    NavigationEvent,
     PageProfile,
     ProfileConfig,
     analyze_page,
-    derive_audiences,
-    derive_interests,
     record_visit,
 )
-from adtrap.taxonomy import load_taxonomy
+from adtrap.taxonomy import (
+    AffinityAudience,
+    InterestCategory,
+    Taxonomy,
+    Topic,
+    audiences_for_interests,
+    load_taxonomy,
+)
 
 from conftest import SMALL_TAXONOMY_DOC
 
 
 def visit(profile, page, tax, t, dwell=0.0, config=ProfileConfig()):
-    event = NavigationEvent(
-        cookie_id=profile.cookie_id, page_id=page.page_id, timestamp=t, dwell=dwell
-    )
-    return record_visit(profile, page, event, tax, config)
+    return record_visit(profile, page, t, tax, config, dwell)
 
 
 def test_topicless_page_not_admitted(small_taxonomy):
@@ -46,7 +47,6 @@ def test_one_visit_activates_interest_and_audience(small_taxonomy):
     assert profile.topic_scores == {"t_soccer": 1.0}
     assert profile.interests == {"i_soccer"}
     assert profile.audiences == {"a_sports"}
-    assert profile.visit_counts == {"pg": 1}
 
 
 def test_count_mode_scores_one_per_visit_per_topic(small_taxonomy):
@@ -55,7 +55,6 @@ def test_count_mode_scores_one_per_visit_per_topic(small_taxonomy):
     for i in range(3):
         visit(profile, page, small_taxonomy, t=float(i))
     assert profile.topic_scores == {"t_soccer": 3.0, "t_dogs": 3.0}
-    assert profile.visit_counts == {"pg": 3}
     assert profile.audiences == {"a_sports", "a_pets"}
 
 
@@ -92,16 +91,6 @@ def test_raised_threshold_requires_more_visits(small_taxonomy):
     assert profile.audiences == {"a_sports"}
 
 
-def test_derivation_is_idempotent(small_taxonomy):
-    page = analyze_page("pg", ["t_soccer"], small_taxonomy)
-    profile = AdUserProfile(cookie_id="ck")
-    visit(profile, page, small_taxonomy, t=0.0)
-    first = derive_interests(profile, small_taxonomy)
-    second = derive_interests(profile, small_taxonomy)
-    assert first == second == profile.interests
-    assert derive_audiences(profile, small_taxonomy) == profile.audiences
-
-
 def test_timestamps_must_not_go_backwards(small_taxonomy):
     page = analyze_page("pg", ["t_soccer"], small_taxonomy)
     profile = AdUserProfile(cookie_id="ck")
@@ -112,16 +101,25 @@ def test_timestamps_must_not_go_backwards(small_taxonomy):
     visit(profile, page, small_taxonomy, t=10.0)
 
 
-def test_event_page_must_match_page_profile(small_taxonomy):
+def test_negative_dwell_rejected(small_taxonomy):
     page = analyze_page("pg", ["t_soccer"], small_taxonomy)
-    event = NavigationEvent(cookie_id="ck", page_id="other", timestamp=0.0)
-    with pytest.raises(SimulationError):
-        record_visit(AdUserProfile(cookie_id="ck"), page, event, small_taxonomy)
+    profile = AdUserProfile(cookie_id="ck")
+    for dwell in (-1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            visit(profile, page, small_taxonomy, t=0.0, dwell=dwell)
+    assert profile.topic_scores == {}
+    assert profile.last_timestamp is None
 
 
 def test_bad_score_mode_rejected():
     with pytest.raises(ValidationError):
         ProfileConfig(score_mode="weird")
+
+
+@pytest.mark.parametrize("threshold", [0, -1.0, float("nan")])
+def test_non_positive_threshold_rejected(threshold):
+    with pytest.raises(ValidationError):
+        ProfileConfig(interest_threshold=threshold)
 
 
 page_ids = ["pg_soccer", "pg_tennis", "pg_dogs", "pg_recipes"]
@@ -146,3 +144,60 @@ def test_interests_and_audiences_grow_monotonically(sequence):
         assert seen_audiences <= profile.audiences
         seen_interests = set(profile.interests)
         seen_audiences = set(profile.audiences)
+
+
+# Built directly, not through load_taxonomy: interests fed by several
+# topics, topics feeding several interests, a topic feeding none, and an
+# audience needing two of its interests.
+MULTI_TOPIC_TAXONOMY = Taxonomy(
+    topics={t: Topic(t, t) for t in ("t_a", "t_b", "t_c", "t_d", "t_e")},
+    interests={
+        "i_ab": InterestCategory("i_ab", "AB", frozenset({"t_a", "t_b"})),
+        "i_bd": InterestCategory("i_bd", "BD", frozenset({"t_b", "t_d"})),
+        "i_c": InterestCategory("i_c", "C", frozenset({"t_c"})),
+        "i_d": InterestCategory("i_d", "D", frozenset({"t_d"})),
+    },
+    audiences={
+        "a_two": AffinityAudience("a_two", "Two", frozenset({"i_ab", "i_c", "i_d"}), 2),
+        "a_one": AffinityAudience("a_one", "One", frozenset({"i_bd"})),
+        "a_three": AffinityAudience(
+            "a_three", "Three", frozenset({"i_ab", "i_bd", "i_c", "i_d"}), 3
+        ),
+    },
+)
+
+page_strategy = st.frozensets(
+    st.sampled_from(sorted(MULTI_TOPIC_TAXONOMY.topics)), min_size=1
+)
+
+
+@given(
+    score_mode=st.sampled_from(["count", "dwell"]),
+    threshold=st.sampled_from([0.25, 0.5, 1.0, 1.5, 2.0, 2.75]),
+    visits=st.lists(
+        st.tuples(page_strategy, st.sampled_from([0.0, 15.0, 30.0, 45.0, 90.0])),
+        max_size=15,
+    ),
+)
+def test_incremental_profile_matches_derivation_from_scratch(score_mode, threshold, visits):
+    tax = MULTI_TOPIC_TAXONOMY
+    config = ProfileConfig(score_mode=score_mode, interest_threshold=threshold)
+    profile = AdUserProfile(cookie_id="ck")
+    scores: dict[str, float] = {}
+    for t, (topics, dwell) in enumerate(visits):
+        held_interests, held_audiences = profile.interests, profile.audiences
+        before = (set(held_interests), set(held_audiences))
+        visit(profile, PageProfile(f"pg{t}", topics), tax, float(t), dwell, config)
+        for topic in topics:
+            scores[topic] = scores.get(topic, 0.0) + (
+                dwell / 60.0 if score_mode == "dwell" else 1.0
+            )
+        interests = {
+            interest.id
+            for interest in tax.interests.values()
+            if any(scores.get(s, 0.0) >= threshold for s in interest.source_topics)
+        }
+        assert profile.topic_scores == scores
+        assert profile.interests == interests
+        assert profile.audiences == audiences_for_interests(tax, interests)
+        assert (held_interests, held_audiences) == before

@@ -358,6 +358,8 @@ def test_profile_and_market_config_sections():
     assert scenario.market_config.click_through_rate == 0.1
     doc["profile_config"] = {"score_mode": "nonsense"}
     reject(doc, "/profile_config")
+    doc["profile_config"] = {"interest_threshold": 0}
+    reject(doc, "/profile_config")
 
 
 def test_read_scenario_file_rejects_bad_json(tmp_path):

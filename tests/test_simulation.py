@@ -19,9 +19,8 @@ from adtrap.simulation import (
     sweep,
     trace_to_document,
     trace_to_json,
-    trap_campaign_id,
 )
-from adtrap.trap import collect_observations
+from adtrap.trap import collect_observations, probe_campaign_id
 
 from conftest import SMALL_TAXONOMY_DOC
 from generators import random_scenario_document
@@ -180,7 +179,7 @@ def test_attacker_view_is_probe_campaign_only():
     reports = attacker_view_reports(trace, scenario, "monads")
     assert len(reports) == 1
     assert set(reports[0].deltas) == {"a_pets", "a_sports"}
-    own = trap_campaign_id("monads")
+    own = probe_campaign_id("monads")
     counted = [r for r in trace.impressions if r.campaign_id == own]
     assert sum(reports[0].deltas.values()) == len(counted)
 
@@ -295,7 +294,7 @@ def test_probe_impressions_share_the_window_of_their_log_entry(seed, window, win
     users = {user.cookie_id: user for user in scenario.users}
     for record in trace.impressions:
         user = users[record.cookie_id]
-        if record.campaign_id == trap_campaign_id("atk") and user.consent:
+        if record.campaign_id == probe_campaign_id("atk") and user.consent:
             key = (user.network_id, record.timestamp)
             assert holder[key] == window_index(record.timestamp, window)
 
