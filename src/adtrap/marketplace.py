@@ -40,8 +40,8 @@ class Bid:
     def __post_init__(self):
         if self.kind not in BID_KINDS:
             raise ValidationError(f"bid kind must be one of {BID_KINDS}, got {self.kind!r}")
-        if not self.amount > 0:
-            raise ValidationError(f"bid amount must be positive, got {self.amount!r}")
+        if not 0 < self.amount < math.inf:
+            raise ValidationError(f"bid amount must be positive and finite, got {self.amount!r}")
 
 
 @dataclass(frozen=True)
@@ -84,22 +84,16 @@ class Campaign:
     ad_groups: tuple[AdGroup, ...]
     total_budget: float
     spent_micros: int = 0
+    total_budget_micros: int = field(init=False)
 
     def __post_init__(self):
-        if self.total_budget < 0:
-            raise ValidationError(f"campaign {self.id!r} budget must be >= 0")
-
-    @property
-    def total_budget_micros(self) -> int:
-        return to_micros(self.total_budget)
+        if not 0 <= self.total_budget < math.inf:
+            raise ValidationError(f"campaign {self.id!r} budget must be finite and >= 0")
+        self.total_budget_micros = to_micros(self.total_budget)
 
     @property
     def spent(self) -> float:
         return self.spent_micros / MICROS
-
-    @property
-    def remaining_micros(self) -> int:
-        return self.total_budget_micros - self.spent_micros
 
 
 @dataclass(frozen=True)
@@ -140,8 +134,8 @@ class AudienceCounterReport:
 class MarketConfig:
     """Marketplace-wide serving parameters.
 
-    ``click_through_rate`` and ``acquisition_rate`` convert CPC and CPA
-    bids into expected per-impression values; ``auction_mode`` is
+    ``click_through_rate`` and ``acquisition_rate``, both in [0, 1], convert
+    CPC and CPA bids into expected per-impression values; ``auction_mode`` is
     ``"first_price"`` (winner pays own value, the default) or
     ``"second_price"`` (winner pays the runner-up value).
     """
@@ -155,6 +149,10 @@ class MarketConfig:
             raise ValidationError(
                 f"auction_mode must be 'first_price' or 'second_price', got {self.auction_mode!r}"
             )
+        for name in ("click_through_rate", "acquisition_rate"):
+            rate = getattr(self, name)
+            if not 0 <= rate <= 1:
+                raise ValidationError(f"{name} must lie in [0, 1], got {rate!r}")
 
 
 DEFAULT_MARKET_CONFIG = MarketConfig()
@@ -164,7 +162,7 @@ class Candidate(NamedTuple):
     campaign: Campaign
     ad_group: AdGroup
     ad: Ad
-    matched_audiences: frozenset[str]
+    value_micros: int
 
 
 class AuctionOutcome(NamedTuple):
@@ -205,7 +203,12 @@ def _demographics_match(ad_group: AdGroup, profile: AdUserProfile) -> bool:
 
 
 class Marketplace:
-    """Holds campaigns and the impression stream for one simulated run."""
+    """Holds campaigns and the impression stream for one simulated run.
+
+    Campaigns and config are read once, at construction, which prices every
+    ad group into one ``(campaign, group, value_micros)`` table in campaign
+    then group order; page views scan it.  Prices and budgets stay fixed.
+    """
 
     def __init__(
         self,
@@ -221,6 +224,11 @@ class Marketplace:
         self.config = config
         self.rng = rng if rng is not None else random.Random(0)
         self.impressions: list[ImpressionRecord] = []
+        self._priced_groups = [
+            (campaign, group, effective_value_micros(group.bid, config))
+            for campaign in self.campaigns.values()
+            for group in campaign.ad_groups
+        ]
 
     def eligible_ads(
         self,
@@ -235,41 +243,35 @@ class Marketplace:
         filters pass, and the campaign can still pay for the impression.
         """
         candidates: list[Candidate] = []
-        for campaign in self.campaigns.values():
-            for group in campaign.ad_groups:
-                if group.placement and website_id not in group.placement:
-                    continue
-                matched = group.target_audiences & profile.audiences
-                if not matched:
-                    continue
-                if not _demographics_match(group, profile):
-                    continue
-                if group.geo is not None and (geo is None or geo not in group.geo):
-                    continue
-                value = effective_value_micros(group.bid, self.config)
-                if campaign.remaining_micros < value:
-                    continue
-                for ad in group.ads:
-                    candidates.append(Candidate(campaign, group, ad, matched))
+        for campaign, group, value in self._priced_groups:
+            if group.placement and website_id not in group.placement:
+                continue
+            if group.target_audiences.isdisjoint(profile.audiences):
+                continue
+            if not _demographics_match(group, profile):
+                continue
+            if group.geo is not None and (geo is None or geo not in group.geo):
+                continue
+            if campaign.total_budget_micros - campaign.spent_micros < value:
+                continue
+            for ad in group.ads:
+                candidates.append(Candidate(campaign, group, ad, value))
         return candidates
 
     def run_auction(self, candidates: list[Candidate]) -> AuctionOutcome | None:
-        """Pick the winner by effective per-impression value.
+        """Pick the winner by the candidates' per-impression values.
 
-        Ties break on lexicographic ad id, so the outcome is reproducible
-        without consuming randomness.  Returns None iff there are no
-        candidates.
+        Ties break on lexicographic ad id, then on candidate order, so the
+        outcome is reproducible without consuming randomness.  Returns None
+        iff there are no candidates.
         """
         if not candidates:
             return None
-        scored = [
-            (effective_value_micros(c.ad_group.bid, self.config), c) for c in candidates
-        ]
-        winner_value, winner = min(scored, key=lambda vc: (-vc[0], vc[1].ad.id))
-        if self.config.auction_mode == "second_price" and len(scored) > 1:
-            price = max(value for value, c in scored if c is not winner)
+        winner = min(candidates, key=lambda c: (-c.value_micros, c.ad.id))
+        if self.config.auction_mode == "second_price" and len(candidates) > 1:
+            price = max(c.value_micros for c in candidates if c is not winner)
         else:
-            price = winner_value
+            price = winner.value_micros
         return AuctionOutcome(winner, price)
 
     def record_impression(
@@ -329,11 +331,10 @@ class Marketplace:
         return self.record_impression(outcome, profile, page, website_id, time)
 
     def target_audience_universe(self) -> list[str]:
-        """Sorted union of every campaign's targeted audiences."""
+        """Sorted union of every ad group's targeted audiences."""
         universe: set[str] = set()
-        for campaign in self.campaigns.values():
-            for group in campaign.ad_groups:
-                universe |= group.target_audiences
+        for _, group, _ in self._priced_groups:
+            universe |= group.target_audiences
         return sorted(universe)
 
     def publish_reports(

@@ -14,6 +14,7 @@ misspelt field cannot silently fall back to its default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,6 +134,7 @@ def _get_number(node: dict, key: str, pointer: str, default=None, positive=False
         f"field {key!r} must be a number",
         f"{pointer}/{key}",
     )
+    _expect(-math.inf < value < math.inf, f"field {key!r} must be finite", f"{pointer}/{key}")
     if positive:
         _expect(value > 0, f"field {key!r} must be positive", f"{pointer}/{key}")
     return value
@@ -315,21 +317,18 @@ def _load_campaigns(
                 )
                 geo = frozenset(geo_node)
             bid = _load_bid(gnode.get("bid"), f"{gp}/bid")
-            try:
-                groups.append(
-                    AdGroup(
-                        id=gid,
-                        name=gname,
-                        ads=tuple(ads),
-                        target_audiences=frozenset(targets),
-                        bid=bid,
-                        placement=frozenset(placement),
-                        demographics=demographics,
-                        geo=geo,
-                    )
+            groups.append(
+                AdGroup(
+                    id=gid,
+                    name=gname,
+                    ads=tuple(ads),
+                    target_audiences=frozenset(targets),
+                    bid=bid,
+                    placement=frozenset(placement),
+                    demographics=demographics,
+                    geo=geo,
                 )
-            except ValidationError as exc:
-                raise ValidationError(exc.message, gp) from exc
+            )
         campaigns.append(
             Campaign(id=cid, name=name, ad_groups=tuple(groups), total_budget=budget)
         )
@@ -516,12 +515,11 @@ def _load_market_config(node) -> MarketConfig:
     p = "/market_config"
     _expect(isinstance(node, dict), "market_config must be an object", p)
     reject_unknown_keys(node, _KEYS["market_config"], p)
+    mode = node.get("auction_mode", "first_price")
+    ctr = _get_number(node, "click_through_rate", p, default=0.05)
+    acquisition = _get_number(node, "acquisition_rate", p, default=0.01)
     try:
-        return MarketConfig(
-            auction_mode=node.get("auction_mode", "first_price"),
-            click_through_rate=_get_number(node, "click_through_rate", p, default=0.05),
-            acquisition_rate=_get_number(node, "acquisition_rate", p, default=0.01),
-        )
+        return MarketConfig(auction_mode=mode, click_through_rate=ctr, acquisition_rate=acquisition)
     except ValidationError as exc:
         raise ValidationError(str(exc), p) from exc
 

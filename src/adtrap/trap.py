@@ -329,20 +329,20 @@ def _solve_component(
     for nid in members:
         for w in visitor_windows[nid]:
             component_windows[w.index] = w
-    window_list = list(component_windows.values())
+    targets = [(w, Counter(w.resid)) for w in component_windows.values()]
 
     survivors: list[set] = [set() for _ in members]
     position = {nid: i for i, nid in enumerate(members)}
     any_consistent = False
     for combo in itertools.product(*domains):
         ok = True
-        for w in window_list:
+        for w, expected in targets:
             produced: Counter = Counter()
             for nid, k in w.counts.items():
                 value = combo[position[nid]]
                 if value is not NO_AUDIENCE:
                     produced[value] += k
-            if produced != Counter(w.resid):
+            if produced != expected:
                 ok = False
                 break
         if ok:

@@ -23,11 +23,15 @@ def solve(observations):
     visitors = sorted({v.network_id for obs in observations for v in obs.visits})
     audiences = sorted({a for obs in observations for a in obs.deltas})
     values = [None] + audiences
+    expected = [Counter({a: n for a, n in obs.deltas.items() if n > 0}) for obs in observations]
     seen = {nid: set() for nid in visitors}
     found_any = False
     for combo in product(values, repeat=len(visitors)):
         assignment = dict(zip(visitors, combo))
-        if all(_window_matches(obs, assignment) for obs in observations):
+        if all(
+            _window_matches(obs, counts, assignment)
+            for obs, counts in zip(observations, expected)
+        ):
             found_any = True
             for nid, value in assignment.items():
                 seen[nid].add(value)
@@ -36,13 +40,12 @@ def solve(observations):
     return "ok", seen
 
 
-def _window_matches(obs, assignment):
+def _window_matches(obs, expected, assignment):
     produced = Counter()
     for visit in obs.visits:
         value = assignment[visit.network_id]
         if value is not None:
             produced[value] += 1
-    expected = Counter({a: n for a, n in obs.deltas.items() if n > 0})
     return produced == expected
 
 

@@ -1,5 +1,6 @@
 """Auctions, exact budget arithmetic and counter reports."""
 
+import math
 import random
 
 import pytest
@@ -63,6 +64,9 @@ def test_bid_validation():
         Bid("CPM", 0.0)
     with pytest.raises(ValidationError):
         Bid("CPC", -3.0)
+    for amount in (math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            Bid("CPM", amount)
 
 
 def test_ad_group_needs_ads_and_targets():
@@ -124,6 +128,20 @@ def test_equal_value_tie_breaks_on_ad_id():
     assert outcome.candidate.ad.id == "aa_ad"
 
 
+@pytest.mark.parametrize("mode", ["first_price", "second_price"])
+def test_equal_value_and_ad_id_tie_goes_to_first_listed(mode):
+    market = Marketplace(
+        [
+            make_campaign("zeta", 50.0, ad_id="same_ad"),
+            make_campaign("alpha", 50.0, ad_id="same_ad"),
+        ],
+        config=MarketConfig(auction_mode=mode),
+    )
+    outcome = market.run_auction(market.eligible_ads("site", sports_profile()))
+    assert outcome.candidate.campaign.id == "zeta"
+    assert outcome.price_micros == 50_000
+
+
 def test_cpc_and_cpm_compete_on_effective_value():
     # CPC 2.0 at ctr 0.05 is worth 100_000 micros, beating CPM 50 (50_000).
     market = Marketplace([make_campaign("m", 50.0), make_campaign("c", 2.0, kind="CPC")])
@@ -159,7 +177,8 @@ def test_exhausted_budget_drops_out_of_eligibility():
     assert market.serve("site", PAGE, profile, time=0.0) is not None
     assert market.serve("site", PAGE, profile, time=1.0) is not None
     assert market.serve("site", PAGE, profile, time=2.0) is None
-    assert market.campaigns["c"].remaining_micros == 0
+    campaign = market.campaigns["c"]
+    assert campaign.spent_micros == campaign.total_budget_micros
 
 
 def test_overspend_refused_outright():
@@ -352,13 +371,21 @@ def test_duplicate_campaign_ids_rejected():
 
 
 def test_negative_budget_rejected():
-    with pytest.raises(ValidationError):
-        make_campaign("c", 1.0, budget=-1.0)
+    for budget in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            make_campaign("c", 1.0, budget=budget)
 
 
 def test_bad_auction_mode_rejected():
     with pytest.raises(ValidationError):
         MarketConfig(auction_mode="third_price")
+
+
+@pytest.mark.parametrize("key", ["click_through_rate", "acquisition_rate"])
+@pytest.mark.parametrize("rate", [-0.05, 1.5, math.nan, math.inf])
+def test_rates_outside_unit_interval_rejected(key, rate):
+    with pytest.raises(ValidationError):
+        MarketConfig(**{key: rate})
 
 
 @given(
@@ -386,3 +413,115 @@ def test_micros_conversion_rounds_half_up_at_micro_scale():
     assert to_micros(50.0) == 50_000_000
     assert to_micros(0.000001) == 1
     assert to_micros(1.5) == 1_500_000
+
+
+SITES = ("s1", "s2", "s3")
+AUDIENCES = ("a1", "a2", "a3")
+BIDS = [("CPM", 0.5), ("CPM", 1.0), ("CPM", 2.0), ("CPC", 0.02), ("CPC", 0.04), ("CPA", 0.1)]
+DEMOGRAPHIC_FILTERS = [(), (), (("gender", ("f",)),), (("languages", ("it", "fr")),)]
+
+
+def subsets(items, min_size=0):
+    return st.frozensets(st.sampled_from(items), min_size=min_size)
+
+
+@st.composite
+def ad_groups(draw, cid, j):
+    kind, amount = draw(st.sampled_from(BIDS))
+    ad_ids = draw(st.lists(st.sampled_from(["ad_a", "ad_b"]), min_size=1, max_size=2))
+    return AdGroup(
+        id=f"{cid}_g{j}",
+        name=f"{cid}_g{j}",
+        ads=tuple(Ad(id=ad_id, landing_url="") for ad_id in ad_ids),
+        target_audiences=draw(subsets(AUDIENCES, min_size=1)),
+        bid=Bid(kind, amount),
+        placement=draw(st.just(frozenset()) | subsets(SITES, min_size=1)),
+        demographics=draw(st.sampled_from(DEMOGRAPHIC_FILTERS)),
+        geo=draw(st.none() | subsets(("IT", "DE"), min_size=1)),
+    )
+
+
+@st.composite
+def campaign_lists(draw):
+    campaigns = []
+    for i in range(draw(st.integers(1, 5))):
+        cid = f"c{i}"
+        groups = tuple(draw(ad_groups(cid, j)) for j in range(draw(st.integers(1, 3))))
+        budget = draw(st.sampled_from([0.0, 0.0005, 0.001, 0.0025, 0.005, 1.0, 1.0]))
+        campaign = Campaign(id=cid, name=cid, ad_groups=groups, total_budget=budget)
+        campaign.spent_micros = draw(st.integers(0, campaign.total_budget_micros))
+        campaigns.append(campaign)
+    return campaigns
+
+
+page_views = st.tuples(
+    st.sampled_from(SITES),
+    subsets(AUDIENCES, min_size=1),
+    st.sampled_from([None, Demographics(gender="f"), Demographics(languages=("en", "it"))]),
+    st.sampled_from([None, "IT", "DE"]),
+)
+
+
+def demographics_pass(filters, demographics):
+    for name, accepted in filters:
+        value = getattr(demographics, name, None)
+        tags = value if isinstance(value, tuple) else (value,)
+        if not set(tags) & set(accepted):
+            return False
+    return True
+
+
+def scan_from_scratch(campaigns, config, website_id, profile, geo):
+    """Every campaign and group priced again for one page view: the winner
+    and its price as (campaign id, group id, ad id, price), or None, plus
+    the eligible (campaign id, group id, ad id, value) in scan order."""
+    eligible = []
+    for campaign in campaigns:
+        for group in campaign.ad_groups:
+            if group.placement and website_id not in group.placement:
+                continue
+            if not group.target_audiences & profile.audiences:
+                continue
+            if not demographics_pass(group.demographics, profile.demographics):
+                continue
+            if group.geo is not None and geo not in group.geo:
+                continue
+            value = effective_value_micros(group.bid, config)
+            if to_micros(campaign.total_budget) - campaign.spent_micros < value:
+                continue
+            eligible += [(campaign.id, group.id, ad.id, value) for ad in group.ads]
+    if not eligible:
+        return None, eligible
+    best = 0
+    for i, (_, _, ad_id, value) in enumerate(eligible):
+        if (-value, ad_id) < (-eligible[best][3], eligible[best][2]):
+            best = i
+    price = eligible[best][3]
+    if config.auction_mode == "second_price" and len(eligible) > 1:
+        price = max(e[3] for i, e in enumerate(eligible) if i != best)
+    return eligible[best][:3] + (price,), eligible
+
+
+@given(
+    campaigns=campaign_lists(),
+    mode=st.sampled_from(["first_price", "second_price"]),
+    ctr=st.sampled_from([0.05, 0.5]),
+    views=st.lists(page_views, min_size=1, max_size=12),
+)
+def test_priced_table_matches_scan_from_scratch(campaigns, mode, ctr, views):
+    config = MarketConfig(auction_mode=mode, click_through_rate=ctr)
+    market = Marketplace(campaigns, config=config)
+    for t, (site, audiences, demographics, geo) in enumerate(views):
+        profile = AdUserProfile(cookie_id="ck", demographics=demographics, audiences=set(audiences))
+        expected, expected_eligible = scan_from_scratch(campaigns, config, site, profile, geo)
+        candidates = market.eligible_ads(site, profile, geo)
+        assert [
+            (c.campaign.id, c.ad_group.id, c.ad.id, c.value_micros) for c in candidates
+        ] == expected_eligible
+        outcome = market.run_auction(candidates)
+        if expected is None:
+            assert outcome is None
+            continue
+        got = outcome.candidate
+        assert (got.campaign.id, got.ad_group.id, got.ad.id, outcome.price_micros) == expected
+        market.record_impression(outcome, profile, PAGE, site, float(t))

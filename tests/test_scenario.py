@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import random
 
 import pytest
@@ -193,6 +194,9 @@ def test_zero_bid_amount_rejected():
     doc = base_document()
     doc["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPM", "amount": 0}
     reject(doc, "/campaigns/0/ad_groups/0/bid")
+    for amount in (math.inf, math.nan):
+        doc["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPM", "amount": amount}
+        reject(doc, "/campaigns/0/ad_groups/0/bid/amount")
 
 
 def test_duplicate_user_cookie_and_network_ids():
@@ -286,6 +290,12 @@ def test_attack_cpm_must_be_positive():
     doc = base_document()
     doc["attack"]["cpm"] = 0
     reject(doc, "/attack/cpm")
+    for cpm in (math.nan, math.inf):
+        doc["attack"]["cpm"] = cpm
+        reject(doc, "/attack/cpm")
+    doc["attack"]["cpm"] = 50.0
+    doc["attack"]["budget"] = math.inf
+    reject(doc, "/attack/budget")
 
 
 def document_with_every_object():
@@ -360,6 +370,13 @@ def test_profile_and_market_config_sections():
     reject(doc, "/profile_config")
     doc["profile_config"] = {"interest_threshold": 0}
     reject(doc, "/profile_config")
+    doc["profile_config"] = {}
+    for rate in (math.nan, math.inf, -math.inf):
+        doc["market_config"] = {"click_through_rate": rate}
+        reject(doc, "/market_config/click_through_rate")
+    for key, rate in (("click_through_rate", -0.05), ("acquisition_rate", 1.5)):
+        doc["market_config"] = {key: rate}
+        reject(doc, "/market_config")
 
 
 def test_read_scenario_file_rejects_bad_json(tmp_path):
