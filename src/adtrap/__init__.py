@@ -45,12 +45,13 @@ from .marketplace import (
     ImpressionRecord,
     MarketConfig,
     Marketplace,
+    REPORT_COLUMNS,
     build_reports,
     effective_value_micros,
     reports_to_rows,
     window_index,
 )
-from .gdn import VisitLogEntry, Website, log_to_rows, serve_page
+from .gdn import VisitLogEntry, Website, serve_page
 from .scenario import (
     AttackSpec,
     AttackVisit,
@@ -68,7 +69,6 @@ from .simulation import (
     run_attack,
     run_scenario,
     sweep,
-    trace_to_document,
     trace_to_json,
 )
 from .trap import (

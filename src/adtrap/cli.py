@@ -16,12 +16,13 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import AdtrapError, ValidationError
-from .gdn import log_to_rows
-from .marketplace import reports_to_rows
+from .gdn import VisitLogEntry
+from .marketplace import REPORT_COLUMNS, reports_to_rows
 from .scenario import load_scenario_document, read_scenario_file
 from .simulation import run_attack, run_scenario, sweep, trace_to_json
 from .trap import AttributionResult, render_value, summary_counts, summary_line
@@ -61,10 +62,10 @@ def _resolve_scenario(arg: str) -> Path:
     raise FileNotFoundError(f"no such scenario file or bundled scenario: {arg}")
 
 
-def _write_csv(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
+def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
         writer.writerows(rows)
 
 
@@ -74,7 +75,10 @@ def _write_json(path: Path, document) -> None:
         fh.write("\n")
 
 
-def _attribution_rows(result: AttributionResult) -> list[dict]:
+_ATTRIBUTION_COLUMNS = ("network_id", "status", "audience_or_set", "correct")
+
+
+def _attribution_rows(result: AttributionResult) -> list[tuple]:
     rows = []
     for nid in sorted(result.assignments):
         assignment = result.assignments[nid]
@@ -84,14 +88,8 @@ def _attribution_rows(result: AttributionResult) -> list[dict]:
             shown = "|".join(sorted(render_value(v) for v in assignment.candidates))
         else:
             shown = ""
-        rows.append(
-            {
-                "network_id": nid,
-                "status": assignment.status,
-                "audience_or_set": shown,
-                "correct": str(result.correct.get(nid, False)).lower(),
-            }
-        )
+        correct = str(result.correct.get(nid, False)).lower()
+        rows.append((nid, assignment.status, shown, correct))
     return rows
 
 
@@ -131,27 +129,17 @@ def run_to_directory(scenario_arg: str, seed: int | None, out_dir: str) -> RunOu
         fh.write(trace_to_json(trace))
     artifacts.append("trace.json")
 
-    _write_csv(
-        out / "reports.csv",
-        ["window_index", "window_start", "window_end", "audience_id", "delta", "cumulative"],
-        reports_to_rows(trace.reports),
-    )
+    _write_csv(out / "reports.csv", REPORT_COLUMNS, reports_to_rows(trace.reports))
     artifacts.append("reports.csv")
 
+    visit_columns = [f.name for f in fields(VisitLogEntry)]
+    visit_row = attrgetter(*visit_columns)
     for site_id in sorted(trace.logs):
         name = f"visits_{site_id}.csv"
-        _write_csv(
-            out / name,
-            ["timestamp", "network_id", "page_id", "referral", "tracking_arg"],
-            log_to_rows(trace.logs[site_id]),
-        )
+        _write_csv(out / name, visit_columns, map(visit_row, trace.logs[site_id]))
         artifacts.append(name)
 
-    _write_csv(
-        out / "attribution.csv",
-        ["network_id", "status", "audience_or_set", "correct"],
-        _attribution_rows(result),
-    )
+    _write_csv(out / "attribution.csv", _ATTRIBUTION_COLUMNS, _attribution_rows(result))
     artifacts.append("attribution.csv")
 
     artifacts.append("run_output.json")
@@ -205,15 +193,13 @@ def cmd_sweep(args) -> int:
         "accuracy",
         "impressions",
     ]
-    printable = [
-        {k: ("" if v is None else v) for k, v in row.items()} for row in rows
-    ]
+    table = [[row[k] for k in fieldnames] for row in rows]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", fieldnames, printable)
+    _write_csv(out / "sweep.csv", fieldnames, table)
     print("\t".join(fieldnames))
-    for row in printable:
-        print("\t".join(str(row[k]) for k in fieldnames))
+    for values in table:
+        print("\t".join("" if v is None else str(v) for v in values))
     return 0
 
 

@@ -101,16 +101,3 @@ def serve_page(
         website.log.append(entry)
     return impression, entry
 
-
-def log_to_rows(entries) -> list[dict]:
-    """Flatten log entries for CSV export."""
-    return [
-        {
-            "timestamp": e.timestamp,
-            "network_id": e.network_id,
-            "page_id": e.page_id,
-            "referral": e.referral if e.referral is not None else "",
-            "tracking_arg": e.tracking_arg if e.tracking_arg is not None else "",
-        }
-        for e in entries
-    ]

@@ -30,6 +30,18 @@ def to_micros(amount: float) -> int:
     return round(amount * MICROS)
 
 
+def finite_in_micros(amount: float) -> bool:
+    """Whether ``amount`` and ``amount * MICROS`` are finite as floats.
+
+    Float arithmetic on purpose: Python compares a huge int with ``inf``
+    exactly, so ``10**400 < math.inf`` holds and would overflow later.
+    """
+    try:
+        return math.isfinite(float(amount) * MICROS)
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class Bid:
     """Price attached to an ad group: kind is one of CPC, CPM or CPA."""
@@ -40,7 +52,7 @@ class Bid:
     def __post_init__(self):
         if self.kind not in BID_KINDS:
             raise ValidationError(f"bid kind must be one of {BID_KINDS}, got {self.kind!r}")
-        if not 0 < self.amount < math.inf:
+        if not (self.amount > 0 and finite_in_micros(self.amount)):
             raise ValidationError(f"bid amount must be positive and finite, got {self.amount!r}")
 
 
@@ -87,7 +99,7 @@ class Campaign:
     total_budget_micros: int = field(init=False)
 
     def __post_init__(self):
-        if not 0 <= self.total_budget < math.inf:
+        if not (self.total_budget >= 0 and finite_in_micros(self.total_budget)):
             raise ValidationError(f"campaign {self.id!r} budget must be finite and >= 0")
         self.total_budget_micros = to_micros(self.total_budget)
 
@@ -403,22 +415,18 @@ def build_reports(
     return reports
 
 
-def reports_to_rows(reports: Iterable[AudienceCounterReport]) -> list[dict]:
-    """Flatten reports for CSV export, one row per window and audience."""
-    rows = []
-    for report in reports:
-        for audience_id in sorted(report.deltas):
-            rows.append(
-                {
-                    "window_index": report.window_index,
-                    "window_start": report.window_start,
-                    "window_end": report.window_end,
-                    "audience_id": audience_id,
-                    "delta": report.deltas[audience_id],
-                    "cumulative": report.cumulative[audience_id],
-                }
-            )
-    return rows
+REPORT_COLUMNS = (
+    "window_index", "window_start", "window_end", "audience_id", "delta", "cumulative"
+)
+
+
+def reports_to_rows(reports: Iterable[AudienceCounterReport]) -> list[tuple]:
+    """Flatten reports for CSV export: one ``REPORT_COLUMNS`` row per window and audience."""
+    return [
+        (r.window_index, r.window_start, r.window_end, a, r.deltas[a], r.cumulative[a])
+        for r in reports
+        for a in sorted(r.deltas)
+    ]
 
 
 def fresh_campaign(campaign: Campaign) -> Campaign:

@@ -14,7 +14,6 @@ misspelt field cannot silently fall back to its default.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,6 +26,7 @@ from .marketplace import (
     Campaign,
     MarketConfig,
     DEFAULT_MARKET_CONFIG,
+    finite_in_micros,
 )
 from .profile import (
     Demographics,
@@ -134,7 +134,11 @@ def _get_number(node: dict, key: str, pointer: str, default=None, positive=False
         f"field {key!r} must be a number",
         f"{pointer}/{key}",
     )
-    _expect(-math.inf < value < math.inf, f"field {key!r} must be finite", f"{pointer}/{key}")
+    _expect(
+        finite_in_micros(value),
+        f"field {key!r} must be finite, also in micros",
+        f"{pointer}/{key}",
+    )
     if positive:
         _expect(value > 0, f"field {key!r} must be positive", f"{pointer}/{key}")
     return value

@@ -52,7 +52,7 @@ TRACE_SCHEMA_VERSION = 1
 
 # Top-level scenario fields a sweep may introduce even when the template
 # relies on their defaults.
-_SWEEPABLE_TOP_LEVEL = {"window_length_s", "horizon_s", "seed"}
+_SWEEPABLE_TOP_LEVEL = {"window_length_s", "horizon_s"}
 
 
 @dataclass
@@ -103,15 +103,7 @@ class SimulationEngine:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.websites: dict[str, Website] = {
-            wid: Website(
-                id=site.id,
-                domain=site.domain,
-                pages=site.pages,
-                owner=site.owner,
-                logging=site.logging,
-                log=[],
-            )
-            for wid, site in scenario.websites.items()
+            wid: replace(site, log=[]) for wid, site in scenario.websites.items()
         }
         self.pages: dict[str, PageProfile] = {
             pid: page for site in self.websites.values() for pid, page in site.pages.items()
@@ -264,56 +256,24 @@ def run_attack(scenario: Scenario, trace: RunTrace) -> AttributionResult:
     return score_attribution(result, truth_by_network, attack.audiences)
 
 
-def trace_to_document(trace: RunTrace) -> dict:
-    """Plain-JSON form of a trace, stable across runs of the same seed."""
-    return {
+def trace_to_json(trace: RunTrace) -> str:
+    """Plain-JSON form of a trace, stable across runs of the same seed.
+
+    Every impression, report and log entry is written as exactly its
+    record's fields; ``sort_keys`` orders every mapping.
+    """
+    document = {
         "schema_version": TRACE_SCHEMA_VERSION,
-        "impressions": [
-            {
-                "ad_id": r.ad_id,
-                "campaign_id": r.campaign_id,
-                "ad_group_id": r.ad_group_id,
-                "website_id": r.website_id,
-                "page_id": r.page_id,
-                "audience_id": r.audience_id,
-                "cookie_id": r.cookie_id,
-                "timestamp": r.timestamp,
-                "clicked": r.clicked,
-            }
-            for r in trace.impressions
-        ],
-        "reports": [
-            {
-                "window_index": r.window_index,
-                "window_start": r.window_start,
-                "window_end": r.window_end,
-                "deltas": dict(sorted(r.deltas.items())),
-                "cumulative": dict(sorted(r.cumulative.items())),
-            }
-            for r in trace.reports
-        ],
+        "impressions": [vars(r) for r in trace.impressions],
+        "reports": [vars(r) for r in trace.reports],
         "logs": {
-            site_id: [
-                {
-                    "timestamp": e.timestamp,
-                    "network_id": e.network_id,
-                    "page_id": e.page_id,
-                    "referral": e.referral,
-                    "tracking_arg": e.tracking_arg,
-                }
-                for e in entries
-            ]
-            for site_id, entries in sorted(trace.logs.items())
+            site_id: [vars(e) for e in entries] for site_id, entries in trace.logs.items()
         },
         "ground_truth": {
-            user_id: sorted(audiences)
-            for user_id, audiences in sorted(trace.ground_truth.items())
+            user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
         },
     }
-
-
-def trace_to_json(trace: RunTrace) -> str:
-    return json.dumps(trace_to_document(trace), indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
 def apply_grid_value(document: dict, key: str, value) -> None:
@@ -351,10 +311,15 @@ def sweep(
 
     Cells iterate in sorted-key order with values in the given order, then
     seeds in the given order, so the row sequence is reproducible.  An
-    empty grid yields no rows; an empty seed list is an error.
+    empty grid yields no rows; an empty seed list is an error, and so is a
+    ``seed`` grid key, since ``seeds`` sets every run's seed.
     """
     if not seeds:
         raise ValidationError("no seeds")
+    if "seed" in grid:
+        raise ValidationError(
+            "grid key 'seed' is not sweepable: seeds come from the seed list (--seeds)"
+        )
     if not grid:
         return []
     keys = sorted(grid)

@@ -98,6 +98,21 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert visits[0]["network_id"].startswith("203.0.113.")
 
 
+def test_visits_csv_blanks_absent_optional_fields(tmp_path):
+    doc = json.loads(scenarios.path("table2_experiment").read_text(encoding="utf-8"))
+    doc["users"][0]["attack_visits"][0].update(referral="feed", tracking_arg="x2")
+    path = tmp_path / "tagged.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    lines = (out / "visits_monads.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "timestamp,network_id,page_id,referral,tracking_arg"
+    tagged = [line for line in lines[1:] if not line.endswith(",,")]
+    assert len(tagged) == 1 and tagged[0].endswith(",feed,x2")
+    assert tagged[0].startswith("300,203.0.113.11,")
+    assert len(lines) == 11
+
+
 def test_rerun_overwrites_byte_for_byte(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "table2_experiment", "--out", str(out)]) == 0
@@ -191,6 +206,16 @@ def test_sweep_rejects_unknown_grid_key(capsys):
     )
     assert code == 1
     assert "unknown grid key" in capsys.readouterr().err
+
+
+def test_sweep_rejects_seed_grid_key(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        ["sweep", "table2_experiment", "--grid", "seed=1,2", "--seeds", "5,6", "--out", str(out)]
+    )
+    assert code == 1
+    assert "grid key 'seed'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_console_script_runs_with_debug_logging(tmp_path):

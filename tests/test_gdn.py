@@ -3,7 +3,7 @@
 import pytest
 
 from adtrap.errors import UnknownIdError, ValidationError
-from adtrap.gdn import Website, log_to_rows, serve_page
+from adtrap.gdn import Website, serve_page
 from adtrap.marketplace import Ad, AdGroup, Bid, Campaign, Marketplace
 from adtrap.profile import AdUserProfile, PageProfile
 
@@ -132,28 +132,3 @@ def test_first_page_of_empty_site_rejected():
     empty = Website(id="w", domain="w.example", pages={}, owner="attacker")
     with pytest.raises(ValidationError):
         empty.first_page_id()
-
-
-def test_log_to_rows_blanks_optional_fields(site, market, small_taxonomy):
-    profile = AdUserProfile(cookie_id="ck")
-    serve(site, market, small_taxonomy, profile, t=0.0, nid="203.0.113.1")
-    serve(
-        site,
-        market,
-        small_taxonomy,
-        profile,
-        t=1.0,
-        nid="203.0.113.1",
-        referral="feed",
-        tracking_arg="x2",
-    )
-    rows = log_to_rows(site.log)
-    assert rows[0] == {
-        "timestamp": 0.0,
-        "network_id": "203.0.113.1",
-        "page_id": "landing",
-        "referral": "",
-        "tracking_arg": "",
-    }
-    assert rows[1]["referral"] == "feed"
-    assert rows[1]["tracking_arg"] == "x2"

@@ -15,6 +15,7 @@ from adtrap.marketplace import (
     ImpressionRecord,
     MarketConfig,
     Marketplace,
+    REPORT_COLUMNS,
     build_reports,
     effective_value_micros,
     fresh_campaign,
@@ -64,7 +65,7 @@ def test_bid_validation():
         Bid("CPM", 0.0)
     with pytest.raises(ValidationError):
         Bid("CPC", -3.0)
-    for amount in (math.inf, math.nan):
+    for amount in (math.inf, math.nan, 10**400, 1e303):
         with pytest.raises(ValidationError):
             Bid("CPM", amount)
 
@@ -335,23 +336,17 @@ def test_publish_reports_covers_elapsed_windows():
 def test_reports_to_rows_shape():
     reports = build_reports([imp(10.0)], 100.0, 1, ["a_sports", "a_pets"])
     rows = reports_to_rows(reports)
+    assert REPORT_COLUMNS == (
+        "window_index",
+        "window_start",
+        "window_end",
+        "audience_id",
+        "delta",
+        "cumulative",
+    )
     assert rows == [
-        {
-            "window_index": 0,
-            "window_start": 0.0,
-            "window_end": 100.0,
-            "audience_id": "a_pets",
-            "delta": 0,
-            "cumulative": 0,
-        },
-        {
-            "window_index": 0,
-            "window_start": 0.0,
-            "window_end": 100.0,
-            "audience_id": "a_sports",
-            "delta": 1,
-            "cumulative": 1,
-        },
+        (0, 0.0, 100.0, "a_pets", 0, 0),
+        (0, 0.0, 100.0, "a_sports", 1, 1),
     ]
 
 
@@ -371,7 +366,7 @@ def test_duplicate_campaign_ids_rejected():
 
 
 def test_negative_budget_rejected():
-    for budget in (-1.0, math.inf, math.nan):
+    for budget in (-1.0, math.inf, math.nan, 10**400, 1e303):
         with pytest.raises(ValidationError):
             make_campaign("c", 1.0, budget=budget)
 

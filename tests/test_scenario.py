@@ -117,6 +117,8 @@ def test_horizon_required_and_positive():
     doc = base_document()
     doc["horizon_s"] = 0
     reject(doc, "/horizon_s")
+    doc["horizon_s"] = 10**400
+    reject(doc, "/horizon_s")
 
 
 def test_seed_must_fit_64_bits():
@@ -194,8 +196,8 @@ def test_zero_bid_amount_rejected():
     doc = base_document()
     doc["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPM", "amount": 0}
     reject(doc, "/campaigns/0/ad_groups/0/bid")
-    for amount in (math.inf, math.nan):
-        doc["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPM", "amount": amount}
+    for amount in (math.inf, math.nan, 10**400, 1e303):
+        doc["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPC", "amount": amount}
         reject(doc, "/campaigns/0/ad_groups/0/bid/amount")
 
 
@@ -290,12 +292,13 @@ def test_attack_cpm_must_be_positive():
     doc = base_document()
     doc["attack"]["cpm"] = 0
     reject(doc, "/attack/cpm")
-    for cpm in (math.nan, math.inf):
+    for cpm in (math.nan, math.inf, 10**400, 1e303):
         doc["attack"]["cpm"] = cpm
         reject(doc, "/attack/cpm")
     doc["attack"]["cpm"] = 50.0
-    doc["attack"]["budget"] = math.inf
-    reject(doc, "/attack/budget")
+    for budget in (math.inf, 1e303):
+        doc["attack"]["budget"] = budget
+        reject(doc, "/attack/budget")
 
 
 def document_with_every_object():

@@ -1,14 +1,17 @@
 """End-to-end runs: phases, determinism, scoring, sweeps."""
 
 import copy
+import json
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from adtrap import scenarios
 from adtrap.errors import ValidationError
-from adtrap.marketplace import window_index
+from adtrap.gdn import VisitLogEntry
+from adtrap.marketplace import AudienceCounterReport, ImpressionRecord, window_index
 from adtrap.scenario import load_scenario, load_scenario_document
 from adtrap.simulation import (
     SimulationEngine,
@@ -17,7 +20,6 @@ from adtrap.simulation import (
     run_attack,
     run_scenario,
     sweep,
-    trace_to_document,
     trace_to_json,
 )
 from adtrap.trap import collect_observations, probe_campaign_id
@@ -142,7 +144,7 @@ def test_equal_seeds_give_byte_identical_traces():
 
 def test_trace_document_shape():
     scenario = load_scenario(scenarios.path("two_visitor_ambiguity"))
-    doc = trace_to_document(run_scenario(scenario))
+    doc = json.loads(trace_to_json(run_scenario(scenario)))
     assert doc["schema_version"] == 1
     assert set(doc) == {
         "schema_version",
@@ -151,9 +153,16 @@ def test_trace_document_shape():
         "logs",
         "ground_truth",
     }
+    assert doc["impressions"] and doc["reports"] and doc["logs"]
+    impression_keys = {f.name for f in fields(ImpressionRecord)}
+    report_keys = {f.name for f in fields(AudienceCounterReport)}
+    entry_keys = {f.name for f in fields(VisitLogEntry)}
+    assert all(set(imp) == impression_keys for imp in doc["impressions"])
     assert all("cookie_id" in imp for imp in doc["impressions"])
+    assert all(set(rep) == report_keys for rep in doc["reports"])
     for site_log in doc["logs"].values():
         for entry in site_log:
+            assert set(entry) == entry_keys
             assert "cookie_id" not in entry
 
 
