@@ -159,6 +159,8 @@ def _parse_grid(args_grid: list[str]) -> dict[str, list]:
         key, _, raw = item.partition("=")
         if not key or not raw:
             raise ValidationError(f"grid item {item!r} must look like key=v1,v2,...")
+        if key in grid:
+            raise ValidationError(f"grid key {key!r} is repeated; give all its values in one item")
         values = []
         for token in raw.split(","):
             try:

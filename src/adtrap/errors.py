@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+from collections.abc import Set
+
 
 class AdtrapError(Exception):
     """Base class for every error raised by this package."""
@@ -18,7 +20,7 @@ class ValidationError(AdtrapError):
         super().__init__(f"{pointer}: {message}" if pointer else message)
 
 
-def reject_unknown_keys(node: dict, known: frozenset, pointer: str) -> None:
+def reject_unknown_keys(node: dict, known: Set[str], pointer: str) -> None:
     """Raise on the first key of ``node`` outside ``known``, pointing at it."""
     if node.keys() <= known:
         return

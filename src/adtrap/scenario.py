@@ -6,9 +6,12 @@ and ``seed``.  Everything the engine does is determined by this document
 plus the seed; there is no hidden configuration.
 
 Validation errors carry JSON-pointer locations into the document, e.g.
-``/users/3/attack_visits/0/site``.  Every object accepts exactly the keys
-this module reads; any other key is rejected at its own pointer, so a
-misspelt field cannot silently fall back to its default.
+``/users/3/attack_visits/0/site``.  ``_SCHEMA`` gives every key each kind
+of object accepts and the rule its value must meet; any other key is
+rejected at its own pointer, so a misspelt field cannot silently fall
+back to its default.  Keys are the field names of the records built from
+them, so an absent optional key keeps its dataclass default.  The
+loaders add the rules that relate objects to each other.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import NotEligibleError, ValidationError, reject_unknown_keys
-from .gdn import Website
+from .gdn import OWNERS, Website
 from .marketplace import (
     Ad,
     AdGroup,
@@ -37,29 +40,6 @@ from .profile import (
 from .taxonomy import Taxonomy, load_taxonomy
 
 SPEC_VERSION = 1
-
-# The keys each kind of object in a scenario document may carry.
-_KEYS = {
-    "document": frozenset({
-        "spec_version", "seed", "window_length_s", "horizon_s", "taxonomy", "websites",
-        "campaigns", "users", "attack", "profile_config", "market_config",
-    }),
-    "website": frozenset({"id", "domain", "owner", "logging", "pages"}),
-    "page": frozenset({"id", "topics"}),
-    "campaign": frozenset({"id", "name", "total_budget", "ad_groups"}),
-    "ad_group": frozenset({"id", "name", "ads", "target_audiences", "placement", "demographics", "geo", "bid"}),
-    "ad": frozenset({"id", "landing_url", "creative"}),
-    "bid": frozenset({"kind", "amount"}),
-    "demographics": frozenset({"gender", "age_band", "languages"}),
-    "user": frozenset({
-        "id", "cookie_id", "network_id", "consent", "demographics", "geo", "warmup_plan", "attack_visits",
-    }),
-    "warmup_visit": frozenset({"page", "repeat", "dwell"}),
-    "attack_visit": frozenset({"site", "t", "page", "tracking_arg", "referral"}),
-    "attack": frozenset({"sites", "audiences", "cpm", "budget", "extra_placement_sites"}),
-    "profile_config": frozenset({"score_mode", "interest_threshold"}),
-    "market_config": frozenset({"auction_mode", "click_through_rate", "acquisition_rate"}),
-}
 
 
 @dataclass(frozen=True)
@@ -127,131 +107,241 @@ def _expect(condition: bool, message: str, pointer: str) -> None:
         raise ValidationError(message, pointer)
 
 
-def _get_number(node: dict, key: str, pointer: str, default=None, positive=False):
-    value = node.get(key, default)
-    _expect(
-        isinstance(value, (int, float)) and not isinstance(value, bool),
-        f"field {key!r} must be a number",
-        f"{pointer}/{key}",
-    )
-    _expect(
-        finite_in_micros(value),
-        f"field {key!r} must be finite, also in micros",
-        f"{pointer}/{key}",
-    )
-    if positive:
-        _expect(value > 0, f"field {key!r} must be positive", f"{pointer}/{key}")
-    return value
+# Value rules.  Each returns None for an acceptable value, or the rest of
+# the message that starts "field <key>".
 
 
-def _get_str(node: dict, key: str, pointer: str, default=...):
-    if key not in node:
-        if default is ...:
-            raise ValidationError(
-                f"field {key!r} must be a non-empty string", f"{pointer}/{key}"
-            )
-        return default
-    value = node[key]
-    _expect(
-        isinstance(value, str) and value != "",
-        f"field {key!r} must be a non-empty string",
-        f"{pointer}/{key}",
-    )
-    return value
+def _any(value):
+    """No rule here: the value is checked by its own loader."""
+    return None
 
 
-def _get_list(node: dict, key: str, pointer: str, default=...):
-    value = node.get(key, [] if default is ... else default)
-    _expect(isinstance(value, list), f"field {key!r} must be a list", f"{pointer}/{key}")
-    return value
+def _number(value):
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return "must be a number"
+    return None if finite_in_micros(value) else "must be finite, also in micros"
 
 
-def _load_demographics(node, pointer: str) -> Demographics | None:
-    if node is None:
+def _positive(value):
+    return _number(value) or (None if value > 0 else "must be positive")
+
+
+def _non_negative(value):
+    return _number(value) or (None if value >= 0 else "must be >= 0")
+
+
+def _integer(value):
+    return None if isinstance(value, int) and not isinstance(value, bool) else "must be an integer"
+
+
+def _count(value):
+    return None if _integer(value) is None and value >= 1 else "must be an integer >= 1"
+
+
+def _flag(value):
+    return None if isinstance(value, bool) else "must be a boolean"
+
+
+def _text(value):
+    return None if isinstance(value, str) and value else "must be a non-empty string"
+
+
+def _text_or_null(value):
+    return None if value is None or isinstance(value, str) else "must be a string or null"
+
+
+def _owner(value):
+    return None if value in OWNERS else f"must be {' or '.join(map(repr, OWNERS))}"
+
+
+def _list(value):
+    return None if isinstance(value, list) else "must be a list"
+
+
+def _strings(value):
+    if not isinstance(value, list):
+        return "must be a list of strings"
+    for x in value:
+        if not isinstance(x, str):
+            return "must be a list of strings"
+    return None
+
+
+def _filter(value):
+    return None if value and not _strings(value) else "must be a non-empty list of strings"
+
+
+def _filter_or_null(value):
+    if value is None or not _filter(value):
         return None
-    _expect(isinstance(node, dict), "demographics must be an object", pointer)
-    reject_unknown_keys(node, _KEYS["demographics"], pointer)
-    languages = node.get("languages", [])
-    _expect(
-        isinstance(languages, list) and all(isinstance(x, str) for x in languages),
-        "field 'languages' must be a list of strings",
-        f"{pointer}/languages",
-    )
-    gender = node.get("gender")
-    age_band = node.get("age_band")
-    for key, value in (("gender", gender), ("age_band", age_band)):
-        _expect(
-            value is None or isinstance(value, str),
-            f"field {key!r} must be a string or null",
-            f"{pointer}/{key}",
-        )
-    return Demographics(gender=gender, age_band=age_band, languages=tuple(languages))
+    return "must be a non-empty list of strings or null"
 
 
-def _load_websites(doc_sites: list, taxonomy: Taxonomy) -> dict[str, Website]:
-    websites: dict[str, Website] = {}
-    page_owner: dict[str, str] = {}
-    for i, node in enumerate(doc_sites):
-        p = f"/websites/{i}"
-        _expect(isinstance(node, dict), "website must be an object", p)
-        reject_unknown_keys(node, _KEYS["website"], p)
-        wid = _get_str(node, "id", p)
-        _expect(wid not in websites, f"duplicate website id {wid!r}", f"{p}/id")
-        domain = _get_str(node, "domain", p)
-        owner = node.get("owner", "third-party")
-        _expect(
-            owner in ("attacker", "third-party"),
-            "field 'owner' must be 'attacker' or 'third-party'",
-            f"{p}/owner",
-        )
-        logging = node.get("logging", False)
-        _expect(isinstance(logging, bool), "field 'logging' must be a boolean", f"{p}/logging")
-        pages = {}
-        page_nodes = _get_list(node, "pages", p)
-        _expect(bool(page_nodes), "website must declare at least one page", f"{p}/pages")
-        for j, page_node in enumerate(page_nodes):
-            pp = f"{p}/pages/{j}"
-            _expect(isinstance(page_node, dict), "page must be an object", pp)
-            reject_unknown_keys(page_node, _KEYS["page"], pp)
-            pid = _get_str(page_node, "id", pp)
-            _expect(
-                pid not in page_owner,
-                f"page id {pid!r} already used by website {page_owner.get(pid)!r}",
-                f"{pp}/id",
-            )
-            topics = _get_list(page_node, "topics", pp)
-            try:
-                pages[pid] = analyze_page(pid, topics, taxonomy)
-            except (NotEligibleError, ValidationError) as exc:
-                raise ValidationError(str(exc), f"{pp}/topics") from exc
-            page_owner[pid] = wid
-        websites[wid] = Website(
-            id=wid, domain=domain, pages=pages, owner=owner, logging=logging
-        )
-    return websites
+REQUIRED, OPTIONAL = True, False
+
+# Every key each kind of object accepts, with its value rule and whether
+# it is required.
+_SCHEMA = {
+    "document": {
+        "spec_version": (_any, REQUIRED), "horizon_s": (_positive, REQUIRED),
+        "window_length_s": (_positive, OPTIONAL), "seed": (_integer, OPTIONAL),
+        "taxonomy": (_any, OPTIONAL), "websites": (_list, OPTIONAL),
+        "campaigns": (_list, OPTIONAL), "users": (_list, OPTIONAL), "attack": (_any, OPTIONAL),
+        "profile_config": (_any, OPTIONAL), "market_config": (_any, OPTIONAL),
+    },
+    "website": {
+        "id": (_text, REQUIRED), "domain": (_text, REQUIRED),
+        "owner": (_owner, OPTIONAL), "logging": (_flag, OPTIONAL), "pages": (_list, OPTIONAL),
+    },
+    "page": {"id": (_text, REQUIRED), "topics": (_strings, OPTIONAL)},
+    "campaign": {
+        "id": (_text, REQUIRED), "name": (_text, OPTIONAL),
+        "total_budget": (_non_negative, REQUIRED), "ad_groups": (_list, OPTIONAL),
+    },
+    "ad_group": {
+        "id": (_text, REQUIRED), "name": (_text, OPTIONAL), "ads": (_list, OPTIONAL),
+        "target_audiences": (_strings, OPTIONAL), "placement": (_strings, OPTIONAL),
+        "demographics": (_any, OPTIONAL), "geo": (_filter_or_null, OPTIONAL),
+        "bid": (_any, REQUIRED),
+    },
+    "ad": {
+        "id": (_text, REQUIRED), "landing_url": (_text, OPTIONAL), "creative": (_text, OPTIONAL),
+    },
+    "bid": {"kind": (_text, REQUIRED), "amount": (_number, REQUIRED)},
+    "demographics": {
+        "gender": (_text_or_null, OPTIONAL), "age_band": (_text_or_null, OPTIONAL),
+        "languages": (_strings, OPTIONAL),
+    },
+    "user": {
+        "id": (_text, REQUIRED), "cookie_id": (_text, REQUIRED), "network_id": (_text, REQUIRED),
+        "consent": (_flag, OPTIONAL), "demographics": (_any, OPTIONAL),
+        "geo": (_text_or_null, OPTIONAL), "warmup_plan": (_list, OPTIONAL),
+        "attack_visits": (_list, OPTIONAL),
+    },
+    "warmup_visit": {
+        "page": (_text, REQUIRED),
+        "repeat": (_count, OPTIONAL), "dwell": (_non_negative, OPTIONAL),
+    },
+    "attack_visit": {
+        "site": (_text, REQUIRED), "t": (_number, REQUIRED), "page": (_any, OPTIONAL),
+        "tracking_arg": (_text_or_null, OPTIONAL), "referral": (_text_or_null, OPTIONAL),
+    },
+    "attack": {
+        "sites": (_strings, OPTIONAL), "audiences": (_strings, OPTIONAL),
+        "cpm": (_positive, REQUIRED), "budget": (_positive, OPTIONAL),
+        "extra_placement_sites": (_strings, OPTIONAL),
+    },
+    "profile_config": {"score_mode": (_text, OPTIONAL), "interest_threshold": (_number, OPTIONAL)},
+    "market_config": {
+        "auction_mode": (_text, OPTIONAL), "click_through_rate": (_number, OPTIONAL),
+        "acquisition_rate": (_number, OPTIONAL),
+    },
+}
+# An ad group's demographics filter takes the user's demographic fields,
+# each as the non-empty list of accepted values.
+_SCHEMA["demographics_filter"] = dict.fromkeys(_SCHEMA["demographics"], (_filter, OPTIONAL))
+# For _fields: each kind's rules by key, and its required keys set to None.
+_RULES = {kind: {key: rule for key, (rule, _) in row.items()} for kind, row in _SCHEMA.items()}
+_ABSENT = {kind: {k: None for k, (_, req) in row.items() if req} for kind, row in _SCHEMA.items()}
 
 
-def _load_bid(node, pointer: str) -> Bid:
-    _expect(isinstance(node, dict), "bid must be an object", pointer)
-    reject_unknown_keys(node, _KEYS["bid"], pointer)
-    kind = _get_str(node, "kind", pointer)
-    amount = _get_number(node, "amount", pointer)
+def _fields(node, kind: str, pointer: str, what: str) -> dict:
+    """Check ``node`` against its ``_SCHEMA`` row and return a copy of it.
+
+    An absent required key is checked, and copied, as None.  An absent
+    optional key stays absent, so ``Cls(**fields)`` keeps its dataclass
+    default.
+    """
+    if not isinstance(node, dict):
+        raise ValidationError(f"{what} must be an object", pointer)
+    rules = _RULES[kind]
+    reject_unknown_keys(node, rules.keys(), pointer)
+    fields = {**_ABSENT[kind], **node}
+    for key, value in fields.items():
+        problem = rules[key](value)
+        if problem:
+            raise ValidationError(f"field {key!r} {problem}", f"{pointer}/{key}")
+    return fields
+
+
+def _each(parent: dict, key: str, kind: str, pointer: str, what: str):
+    """Yield the pointer and checked fields of each object listed at ``parent[key]``."""
+    for i, node in enumerate(parent.get(key, [])):
+        item = f"{pointer}/{key}/{i}"
+        yield item, _fields(node, kind, item, what)
+
+
+def _record(node, kind: str, cls, pointer: str):
+    """Check ``node`` and build ``cls`` from it; its own checks report at ``pointer``."""
+    fields = _fields(node, kind, pointer, kind)
     try:
-        return Bid(kind=kind, amount=amount)
+        return cls(**fields)
     except ValidationError as exc:
         raise ValidationError(exc.message, pointer) from exc
 
 
+def _expect_known(ids, known, what: str, pointer: str) -> None:
+    for i, x in enumerate(ids):
+        _expect(x in known, f"unknown {what} {x!r}", f"{pointer}/{i}")
+
+
+def _load_websites(document: dict, taxonomy: Taxonomy) -> dict[str, Website]:
+    websites: dict[str, Website] = {}
+    page_owner: dict[str, str] = {}
+    for p, fields in _each(document, "websites", "website", "", "website"):
+        wid = fields["id"]
+        _expect(wid not in websites, f"duplicate website id {wid!r}", f"{p}/id")
+        _expect(bool(fields.get("pages")), "website must declare at least one page", f"{p}/pages")
+        pages = {}
+        for pp, page in _each(fields, "pages", "page", p, "page"):
+            pid = page["id"]
+            owner = page_owner.get(pid)
+            _expect(owner is None, f"page id {pid!r} already used by website {owner!r}", f"{pp}/id")
+            try:
+                pages[pid] = analyze_page(pid, page.get("topics", []), taxonomy)
+            except (NotEligibleError, ValidationError) as exc:
+                raise ValidationError(str(exc), f"{pp}/topics") from exc
+            page_owner[pid] = wid
+        fields["pages"] = pages
+        websites[wid] = Website(**fields)
+    return websites
+
+
+def _load_ad_group(
+    gp: str, fields: dict, taxonomy: Taxonomy, websites: dict[str, Website]
+) -> AdGroup:
+    fields.setdefault("name", fields["id"])
+    _expect(bool(fields.get("ads")), "ad group must contain at least one ad", f"{gp}/ads")
+    ads = []
+    for _, ad in _each(fields, "ads", "ad", gp, "ad"):
+        ad.setdefault("landing_url", "")
+        ads.append(Ad(**ad))
+    fields["ads"] = tuple(ads)
+    targets = fields.get("target_audiences")
+    _expect(bool(targets), "ad group must target at least one audience", f"{gp}/target_audiences")
+    _expect_known(targets, taxonomy.audiences, "audience", f"{gp}/target_audiences")
+    fields["target_audiences"] = frozenset(targets)
+    if "placement" in fields:
+        _expect_known(fields["placement"], websites, "website", f"{gp}/placement")
+        fields["placement"] = frozenset(fields["placement"])
+    demo_node = fields.pop("demographics", None)
+    if demo_node is not None:
+        dp = f"{gp}/demographics"
+        demo = _fields(demo_node, "demographics_filter", dp, "demographics filter")
+        fields["demographics"] = tuple((name, tuple(demo[name])) for name in sorted(demo))
+    if fields.get("geo") is not None:
+        fields["geo"] = frozenset(fields["geo"])
+    fields["bid"] = _record(fields.get("bid"), "bid", Bid, f"{gp}/bid")
+    return AdGroup(**fields)
+
+
 def _load_campaigns(
-    doc_campaigns: list, taxonomy: Taxonomy, websites: dict[str, Website]
+    document: dict, taxonomy: Taxonomy, websites: dict[str, Website]
 ) -> list[Campaign]:
     campaigns: list[Campaign] = []
     seen: set[str] = set()
-    for i, node in enumerate(doc_campaigns):
-        p = f"/campaigns/{i}"
-        _expect(isinstance(node, dict), "campaign must be an object", p)
-        reject_unknown_keys(node, _KEYS["campaign"], p)
-        cid = _get_str(node, "id", p)
+    for p, fields in _each(document, "campaigns", "campaign", "", "campaign"):
+        cid = fields["id"]
         _expect(cid not in seen, f"duplicate campaign id {cid!r}", f"{p}/id")
         _expect(
             not cid.startswith("trap_"),
@@ -259,273 +349,89 @@ def _load_campaigns(
             f"{p}/id",
         )
         seen.add(cid)
-        name = _get_str(node, "name", p, default=cid)
-        budget = _get_number(node, "total_budget", p)
-        _expect(budget >= 0, "field 'total_budget' must be >= 0", f"{p}/total_budget")
-        group_nodes = _get_list(node, "ad_groups", p)
-        _expect(bool(group_nodes), "campaign must have at least one ad group", f"{p}/ad_groups")
-        groups = []
-        for j, gnode in enumerate(group_nodes):
-            gp = f"{p}/ad_groups/{j}"
-            _expect(isinstance(gnode, dict), "ad group must be an object", gp)
-            reject_unknown_keys(gnode, _KEYS["ad_group"], gp)
-            gid = _get_str(gnode, "id", gp)
-            gname = _get_str(gnode, "name", gp, default=gid)
-            ad_nodes = _get_list(gnode, "ads", gp)
-            _expect(bool(ad_nodes), "ad group must contain at least one ad", f"{gp}/ads")
-            ads = []
-            for k, anode in enumerate(ad_nodes):
-                ap = f"{gp}/ads/{k}"
-                _expect(isinstance(anode, dict), "ad must be an object", ap)
-                reject_unknown_keys(anode, _KEYS["ad"], ap)
-                ads.append(
-                    Ad(
-                        id=_get_str(anode, "id", ap),
-                        landing_url=_get_str(anode, "landing_url", ap, default=""),
-                        creative=_get_str(anode, "creative", ap, default=""),
-                    )
-                )
-            targets = _get_list(gnode, "target_audiences", gp)
-            _expect(bool(targets), "ad group must target at least one audience", f"{gp}/target_audiences")
-            for k, a in enumerate(targets):
-                _expect(
-                    a in taxonomy.audiences,
-                    f"unknown audience {a!r}",
-                    f"{gp}/target_audiences/{k}",
-                )
-            placement = _get_list(gnode, "placement", gp)
-            for k, s in enumerate(placement):
-                _expect(s in websites, f"unknown website {s!r}", f"{gp}/placement/{k}")
-            demo_node = gnode.get("demographics")
-            demographics: tuple = ()
-            if demo_node is not None:
-                _expect(isinstance(demo_node, dict), "demographics filter must be an object", f"{gp}/demographics")
-                reject_unknown_keys(demo_node, _KEYS["demographics"], f"{gp}/demographics")
-                pairs = []
-                for fieldname in sorted(demo_node):
-                    accepted = demo_node[fieldname]
-                    _expect(
-                        isinstance(accepted, list) and accepted,
-                        "each demographics filter must be a non-empty list",
-                        f"{gp}/demographics/{fieldname}",
-                    )
-                    pairs.append((fieldname, tuple(accepted)))
-                demographics = tuple(pairs)
-            geo_node = gnode.get("geo")
-            geo = None
-            if geo_node is not None:
-                _expect(
-                    isinstance(geo_node, list) and geo_node,
-                    "field 'geo' must be a non-empty list or null",
-                    f"{gp}/geo",
-                )
-                geo = frozenset(geo_node)
-            bid = _load_bid(gnode.get("bid"), f"{gp}/bid")
-            groups.append(
-                AdGroup(
-                    id=gid,
-                    name=gname,
-                    ads=tuple(ads),
-                    target_audiences=frozenset(targets),
-                    bid=bid,
-                    placement=frozenset(placement),
-                    demographics=demographics,
-                    geo=geo,
-                )
-            )
-        campaigns.append(
-            Campaign(id=cid, name=name, ad_groups=tuple(groups), total_budget=budget)
+        fields.setdefault("name", cid)
+        groups = fields.get("ad_groups")
+        _expect(bool(groups), "campaign must have at least one ad group", f"{p}/ad_groups")
+        fields["ad_groups"] = tuple(
+            _load_ad_group(gp, group, taxonomy, websites)
+            for gp, group in _each(fields, "ad_groups", "ad_group", p, "ad group")
         )
+        campaigns.append(Campaign(**fields))
     return campaigns
 
 
 def _load_users(
-    doc_users: list,
-    websites: dict[str, Website],
-    horizon: float,
+    document: dict, websites: dict[str, Website], horizon: float
 ) -> list[UserAgentSpec]:
     pages = {pid for site in websites.values() for pid in site.pages}
-    site_pages = {wid: set(site.pages) for wid, site in websites.items()}
     users: list[UserAgentSpec] = []
     user_ids: set[str] = set()
     cookie_ids: set[str] = set()
     network_ids: set[str] = set()
-    for i, node in enumerate(doc_users):
-        p = f"/users/{i}"
-        _expect(isinstance(node, dict), "user must be an object", p)
-        reject_unknown_keys(node, _KEYS["user"], p)
-        uid = _get_str(node, "id", p)
-        _expect(uid not in user_ids, f"duplicate user id {uid!r}", f"{p}/id")
-        user_ids.add(uid)
-        cookie = _get_str(node, "cookie_id", p)
-        _expect(cookie not in cookie_ids, f"duplicate cookie id {cookie!r}", f"{p}/cookie_id")
-        cookie_ids.add(cookie)
-        network = _get_str(node, "network_id", p)
-        _expect(
-            network not in network_ids,
-            f"duplicate network id {network!r}",
-            f"{p}/network_id",
-        )
-        network_ids.add(network)
-        consent = node.get("consent", True)
-        _expect(isinstance(consent, bool), "field 'consent' must be a boolean", f"{p}/consent")
-        demographics = _load_demographics(node.get("demographics"), f"{p}/demographics")
-        geo = node.get("geo")
-        _expect(
-            geo is None or isinstance(geo, str),
-            "field 'geo' must be a string or null",
-            f"{p}/geo",
-        )
+    for p, fields in _each(document, "users", "user", "", "user"):
+        for key, what, seen in (
+            ("id", "user id", user_ids),
+            ("cookie_id", "cookie id", cookie_ids),
+            ("network_id", "network id", network_ids),
+        ):
+            _expect(fields[key] not in seen, f"duplicate {what} {fields[key]!r}", f"{p}/{key}")
+            seen.add(fields[key])
+        if fields.get("demographics") is not None:
+            dp = f"{p}/demographics"
+            demo = _fields(fields["demographics"], "demographics", dp, "demographics")
+            if "languages" in demo:
+                demo["languages"] = tuple(demo["languages"])
+            fields["demographics"] = Demographics(**demo)
         warmup: list[WarmupVisit] = []
-        for j, wnode in enumerate(_get_list(node, "warmup_plan", p)):
-            wp = f"{p}/warmup_plan/{j}"
-            _expect(isinstance(wnode, dict), "warm-up visit must be an object", wp)
-            reject_unknown_keys(wnode, _KEYS["warmup_visit"], wp)
-            page = _get_str(wnode, "page", wp)
-            _expect(page in pages, f"unknown page {page!r}", f"{wp}/page")
-            repeat = wnode.get("repeat", 1)
-            _expect(
-                isinstance(repeat, int) and not isinstance(repeat, bool) and repeat >= 1,
-                "field 'repeat' must be an integer >= 1",
-                f"{wp}/repeat",
-            )
-            dwell = _get_number(wnode, "dwell", wp, default=0.0)
-            _expect(dwell >= 0, "field 'dwell' must be >= 0", f"{wp}/dwell")
-            warmup.append(WarmupVisit(page=page, repeat=repeat, dwell=dwell))
+        for wp, visit in _each(fields, "warmup_plan", "warmup_visit", p, "warm-up visit"):
+            _expect(visit["page"] in pages, f"unknown page {visit['page']!r}", f"{wp}/page")
+            warmup.append(WarmupVisit(**visit))
+        fields["warmup_plan"] = tuple(warmup)
         visits: list[AttackVisit] = []
-        last_t = None
-        for j, vnode in enumerate(_get_list(node, "attack_visits", p)):
-            vp = f"{p}/attack_visits/{j}"
-            _expect(isinstance(vnode, dict), "attack visit must be an object", vp)
-            reject_unknown_keys(vnode, _KEYS["attack_visit"], vp)
-            site = _get_str(vnode, "site", vp)
+        for vp, visit in _each(fields, "attack_visits", "attack_visit", p, "attack visit"):
+            site, t, page = visit["site"], visit["t"], visit.get("page")
             _expect(site in websites, f"unknown website {site!r}", f"{vp}/site")
-            t = _get_number(vnode, "t", vp)
             _expect(0 <= t < horizon, "visit time must lie in [0, horizon)", f"{vp}/t")
             _expect(
-                last_t is None or t > last_t,
+                not visits or t > visits[-1].t,
                 "attack visit times must be strictly increasing per user",
                 f"{vp}/t",
             )
-            last_t = t
-            page = vnode.get("page")
-            if page is not None:
-                _expect(
-                    isinstance(page, str) and page in site_pages[site],
-                    f"website {site!r} has no page {page!r}",
-                    f"{vp}/page",
-                )
-            arg = vnode.get("tracking_arg")
             _expect(
-                arg is None or isinstance(arg, str),
-                "field 'tracking_arg' must be a string or null",
-                f"{vp}/tracking_arg",
+                page is None or (isinstance(page, str) and page in websites[site].pages),
+                f"website {site!r} has no page {page!r}",
+                f"{vp}/page",
             )
-            referral = vnode.get("referral")
-            _expect(
-                referral is None or isinstance(referral, str),
-                "field 'referral' must be a string or null",
-                f"{vp}/referral",
-            )
-            visits.append(
-                AttackVisit(site=site, t=t, page=page, tracking_arg=arg, referral=referral)
-            )
-        users.append(
-            UserAgentSpec(
-                id=uid,
-                cookie_id=cookie,
-                network_id=network,
-                consent=consent,
-                demographics=demographics,
-                geo=geo,
-                warmup_plan=tuple(warmup),
-                attack_visits=tuple(visits),
-            )
-        )
-    overlap = cookie_ids & network_ids
-    _expect(
-        not overlap,
-        f"cookie ids and network ids must not overlap: {sorted(overlap)}",
-        "/users",
-    )
+            visits.append(AttackVisit(**visit))
+        fields["attack_visits"] = tuple(visits)
+        users.append(UserAgentSpec(**fields))
+    overlap = sorted(cookie_ids & network_ids)
+    _expect(not overlap, f"cookie ids and network ids must not overlap: {overlap}", "/users")
     return users
 
 
-def _load_attack(
-    node,
-    taxonomy: Taxonomy,
-    websites: dict[str, Website],
-) -> AttackSpec | None:
+def _load_attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> AttackSpec | None:
     if node is None:
         return None
     p = "/attack"
     _expect(isinstance(node, dict), "attack must be an object or null", p)
-    reject_unknown_keys(node, _KEYS["attack"], p)
-    sites = _get_list(node, "sites", p)
+    fields = _fields(node, "attack", p, "attack")
+    sites = fields["sites"] = tuple(fields.get("sites", ()))
     _expect(bool(sites), "attack must name at least one site", f"{p}/sites")
+    _expect_known(sites, websites, "website", f"{p}/sites")
     for i, s in enumerate(sites):
-        _expect(s in websites, f"unknown website {s!r}", f"{p}/sites/{i}")
-        _expect(
-            websites[s].owner == "attacker",
-            f"website {s!r} is not attacker-owned",
-            f"{p}/sites/{i}",
-        )
-        _expect(
-            websites[s].logging,
-            f"website {s!r} does not log visits",
-            f"{p}/sites/{i}",
-        )
+        site = websites[s]
+        _expect(site.owner == "attacker", f"website {s!r} is not attacker-owned", f"{p}/sites/{i}")
+        _expect(site.logging, f"website {s!r} does not log visits", f"{p}/sites/{i}")
     _expect(len(set(sites)) == len(sites), "duplicate attack site", f"{p}/sites")
-    audiences = _get_list(node, "audiences", p)
+    audiences = fields["audiences"] = tuple(fields.get("audiences", ()))
     _expect(bool(audiences), "attack must probe at least one audience", f"{p}/audiences")
-    for i, a in enumerate(audiences):
-        _expect(a in taxonomy.audiences, f"unknown audience {a!r}", f"{p}/audiences/{i}")
-    _expect(
-        len(set(audiences)) == len(audiences),
-        "duplicate probed audience",
-        f"{p}/audiences",
-    )
-    cpm = _get_number(node, "cpm", p, positive=True)
-    budget = _get_number(node, "budget", p, default=1_000_000.0, positive=True)
-    extra = _get_list(node, "extra_placement_sites", p)
-    for i, s in enumerate(extra):
-        _expect(s in websites, f"unknown website {s!r}", f"{p}/extra_placement_sites/{i}")
-    return AttackSpec(
-        sites=tuple(sites),
-        audiences=tuple(audiences),
-        cpm=cpm,
-        budget=budget,
-        extra_placement_sites=tuple(extra),
-    )
-
-
-def _load_profile_config(node) -> ProfileConfig:
-    if node is None:
-        return DEFAULT_PROFILE_CONFIG
-    p = "/profile_config"
-    _expect(isinstance(node, dict), "profile_config must be an object", p)
-    reject_unknown_keys(node, _KEYS["profile_config"], p)
-    mode = node.get("score_mode", "count")
-    threshold = _get_number(node, "interest_threshold", p, default=1.0)
-    try:
-        return ProfileConfig(score_mode=mode, interest_threshold=threshold)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), p) from exc
-
-
-def _load_market_config(node) -> MarketConfig:
-    if node is None:
-        return DEFAULT_MARKET_CONFIG
-    p = "/market_config"
-    _expect(isinstance(node, dict), "market_config must be an object", p)
-    reject_unknown_keys(node, _KEYS["market_config"], p)
-    mode = node.get("auction_mode", "first_price")
-    ctr = _get_number(node, "click_through_rate", p, default=0.05)
-    acquisition = _get_number(node, "acquisition_rate", p, default=0.01)
-    try:
-        return MarketConfig(auction_mode=mode, click_through_rate=ctr, acquisition_rate=acquisition)
-    except ValidationError as exc:
-        raise ValidationError(str(exc), p) from exc
+    _expect_known(audiences, taxonomy.audiences, "audience", f"{p}/audiences")
+    _expect(len(set(audiences)) == len(audiences), "duplicate probed audience", f"{p}/audiences")
+    if "extra_placement_sites" in fields:
+        extra = fields["extra_placement_sites"] = tuple(fields["extra_placement_sites"])
+        _expect_known(extra, websites, "website", f"{p}/extra_placement_sites")
+    return AttackSpec(**fields)
 
 
 def load_scenario_document(document: dict) -> Scenario:
@@ -537,36 +443,26 @@ def load_scenario_document(document: dict) -> Scenario:
         f"spec_version must be {SPEC_VERSION}, got {version!r}",
         "/spec_version",
     )
-    reject_unknown_keys(document, _KEYS["document"], "")
-    window_length = _get_number(document, "window_length_s", "", default=1800, positive=True)
-    horizon = _get_number(document, "horizon_s", "", positive=True)
-    seed = document.get("seed", 0)
-    _expect(
-        isinstance(seed, int) and not isinstance(seed, bool),
-        "field 'seed' must be an integer",
-        "/seed",
-    )
-    _expect(
-        -(2**63) <= seed < 2**64,
-        "field 'seed' must fit in 64 bits",
-        "/seed",
-    )
-    taxonomy = load_taxonomy(document.get("taxonomy", {}), "/taxonomy")
-    websites = _load_websites(_get_list(document, "websites", ""), taxonomy)
-    campaigns = _load_campaigns(_get_list(document, "campaigns", ""), taxonomy, websites)
-    users = _load_users(_get_list(document, "users", ""), websites, horizon)
-    attack = _load_attack(document.get("attack"), taxonomy, websites)
+    fields = _fields(document, "document", "", "scenario")
+    seed = fields.get("seed", 0)
+    _expect(-(2**63) <= seed < 2**64, "field 'seed' must fit in 64 bits", "/seed")
+    taxonomy = load_taxonomy(fields.get("taxonomy", {}), "/taxonomy")
+    websites = _load_websites(fields, taxonomy)
+    configs = {
+        kind: _record(fields[kind], kind, cls, f"/{kind}")
+        for kind, cls in (("profile_config", ProfileConfig), ("market_config", MarketConfig))
+        if fields.get(kind) is not None
+    }
     return Scenario(
         taxonomy=taxonomy,
         websites=websites,
-        campaigns=campaigns,
-        users=users,
-        attack=attack,
-        window_length=window_length,
-        horizon=horizon,
+        campaigns=_load_campaigns(fields, taxonomy, websites),
+        users=_load_users(fields, websites, fields["horizon_s"]),
+        attack=_load_attack(fields.get("attack"), taxonomy, websites),
+        window_length=fields.get("window_length_s", 1800),
+        horizon=fields["horizon_s"],
         seed=seed,
-        profile_config=_load_profile_config(document.get("profile_config")),
-        market_config=_load_market_config(document.get("market_config")),
+        **configs,
     )
 
 

@@ -94,6 +94,16 @@ def _require_str(node: dict, key: str, pointer: str) -> str:
     return value
 
 
+def _require_ids(node: dict, key: str, pointer: str) -> list:
+    value = node.get(key)
+    if not isinstance(value, list) or not value:
+        raise ValidationError(f"field {key!r} must be a non-empty list of strings", pointer)
+    for x in value:
+        if not isinstance(x, str):
+            raise ValidationError(f"field {key!r} must be a non-empty list of strings", pointer)
+    return value
+
+
 def _section(document: dict, key: str, pointer: str) -> list:
     value = document.get(key, [])
     if not isinstance(value, list):
@@ -160,11 +170,7 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
         reject_unknown_keys(node, _INTEREST_KEYS, p)
         iid = _require_str(node, "id", p)
         name = _require_str(node, "name", p)
-        sources = node.get("source_topics")
-        if not isinstance(sources, list) or not sources:
-            raise ValidationError(
-                "field 'source_topics' must be a non-empty list", p
-            )
+        sources = _require_ids(node, "source_topics", p)
         for j, t in enumerate(sources):
             if t not in topics:
                 raise ValidationError(
@@ -182,11 +188,7 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
         reject_unknown_keys(node, _AUDIENCE_KEYS, p)
         aid = _require_str(node, "id", p)
         name = _require_str(node, "name", p)
-        qualifying = node.get("qualifying_interests")
-        if not isinstance(qualifying, list) or not qualifying:
-            raise ValidationError(
-                "field 'qualifying_interests' must be a non-empty list", p
-            )
+        qualifying = _require_ids(node, "qualifying_interests", p)
         for j, q in enumerate(qualifying):
             if q not in interests:
                 raise ValidationError(

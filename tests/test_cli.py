@@ -5,6 +5,8 @@ import json
 import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +44,28 @@ def test_validate_rejects_bad_document(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "/spec_version" in err
+
+
+def test_validate_reports_unhashable_list_item_without_traceback(tmp_path):
+    doc = json.loads(scenarios.path("two_visitor_ambiguity").read_text(encoding="utf-8"))
+    doc["attack"]["sites"] = [["monads"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "adtrap.cli", "validate", str(bad)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: /attack/sites:")
+    assert "Traceback" not in proc.stderr
 
 
 def test_validate_rejects_broken_json(tmp_path, capsys):
@@ -206,6 +230,19 @@ def test_sweep_rejects_unknown_grid_key(capsys):
     )
     assert code == 1
     assert "unknown grid key" in capsys.readouterr().err
+
+
+def test_sweep_rejects_repeated_grid_key(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "sweep", "two_visitor_ambiguity", "--grid", "attack/cpm=40",
+            "--grid", "attack/cpm=50,60", "--seeds", "1", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert "grid key 'attack/cpm' is repeated" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_rejects_seed_grid_key(tmp_path, capsys):

@@ -4,11 +4,13 @@ import copy
 import json
 import math
 import random
+import re
+from pathlib import Path
 
 import pytest
 
 from adtrap.errors import ValidationError
-from adtrap.scenario import load_scenario, load_scenario_document, read_scenario_file
+from adtrap.scenario import _SCHEMA, load_scenario, load_scenario_document, read_scenario_file
 
 from conftest import SMALL_TAXONOMY_DOC
 from generators import random_scenario_document
@@ -346,6 +348,114 @@ def test_unknown_keys_rejected_at_their_pointer(path, key):
     node[key] = 1
     error = reject(doc, f"{path}/{key}")
     assert f"unknown field {key!r}" in str(error)
+
+
+def node_at(doc, path):
+    node = doc
+    for part in path.split("/")[1:]:
+        node = node[int(part)] if isinstance(node, list) else node[part]
+    return node
+
+
+# Where each kind of object sits in document_with_every_object().
+SCHEMA_POINTERS = {
+    "document": "",
+    "website": "/websites/0",
+    "page": "/websites/0/pages/0",
+    "campaign": "/campaigns/0",
+    "ad_group": "/campaigns/0/ad_groups/0",
+    "ad": "/campaigns/0/ad_groups/0/ads/0",
+    "bid": "/campaigns/0/ad_groups/0/bid",
+    "demographics_filter": "/campaigns/0/ad_groups/0/demographics",
+    "user": "/users/0",
+    "demographics": "/users/0/demographics",
+    "warmup_visit": "/users/0/warmup_plan/0",
+    "attack_visit": "/users/0/attack_visits/0",
+    "attack": "/attack",
+    "profile_config": "/profile_config",
+    "market_config": "/market_config",
+}
+
+SCHEMA_FIELDS = [(kind, key) for kind, row in _SCHEMA.items() for key in row]
+
+
+def test_schema_pointers_cover_every_kind():
+    assert set(SCHEMA_POINTERS) == set(_SCHEMA)
+
+
+@pytest.mark.parametrize("kind, key", SCHEMA_FIELDS)
+def test_every_schema_field_rejects_a_wrong_type(kind, key):
+    doc = document_with_every_object()
+    node = node_at(doc, SCHEMA_POINTERS[kind])
+    current = node.get(key)
+    # A list of objects is wrong as a string; anything else is wrong as a
+    # list holding a list, which is also the unhashable item that used to
+    # crash the id lookups.
+    lists_objects = isinstance(current, list) and current and isinstance(current[0], dict)
+    node[key] = "x" if lists_objects else [["x"]]
+    reject(doc, f"{SCHEMA_POINTERS[kind]}/{key}")
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [(kind, key) for kind, key in SCHEMA_FIELDS if _SCHEMA[kind][key][1]],
+)
+def test_every_required_schema_field_is_reported_missing(kind, key):
+    doc = document_with_every_object()
+    del node_at(doc, SCHEMA_POINTERS[kind])[key]
+    reject(doc, f"{SCHEMA_POINTERS[kind]}/{key}")
+
+
+def test_missing_bid_is_reported_as_not_an_object():
+    doc = base_document()
+    del doc["campaigns"][0]["ad_groups"][0]["bid"]
+    error = reject(doc, "/campaigns/0/ad_groups/0/bid")
+    assert error.message == "bid must be an object"
+
+
+@pytest.mark.parametrize("value", [[["x"]], [{}], [1]])
+@pytest.mark.parametrize(
+    "path, key",
+    [
+        ("/campaigns/0/ad_groups/0", "target_audiences"),
+        ("/campaigns/0/ad_groups/0", "placement"),
+        ("/campaigns/0/ad_groups/0", "geo"),
+        ("/campaigns/0/ad_groups/0/demographics", "gender"),
+        ("/campaigns/0/ad_groups/0/demographics", "languages"),
+        ("/users/0/demographics", "languages"),
+        ("/attack", "sites"),
+        ("/attack", "audiences"),
+        ("/attack", "extra_placement_sites"),
+        ("/websites/0/pages/0", "topics"),
+    ],
+)
+def test_id_lists_must_hold_strings(path, key, value):
+    doc = document_with_every_object()
+    node_at(doc, path)[key] = value
+    error = reject(doc, f"{path}/{key}")
+    assert "list of strings" in error.message
+
+
+@pytest.mark.parametrize("key", ["gender", "age_band", "languages"])
+def test_demographic_filters_must_be_non_empty(key):
+    doc = document_with_every_object()
+    doc["campaigns"][0]["ad_groups"][0]["demographics"] = {key: []}
+    reject(doc, f"/campaigns/0/ad_groups/0/demographics/{key}")
+    doc["campaigns"][0]["ad_groups"][0]["demographics"] = {key: "en"}
+    reject(doc, f"/campaigns/0/ad_groups/0/demographics/{key}")
+
+
+def test_readme_field_reference_matches_schema():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    for kind, row in _SCHEMA.items():
+        line = next(
+            (line for line in readme.splitlines() if line.startswith(f"| `{kind}` |")), None
+        )
+        assert line is not None, f"README has no field reference row for {kind!r}"
+        keys = line.split("|")[3]
+        assert set(re.findall(r"`(\w+)`", keys)) == set(row), kind
+        required = {key for key, (_, is_required) in row.items() if is_required}
+        assert set(re.findall(r"\*\*`(\w+)`\*\*", keys)) == required, kind
 
 
 def test_unknown_key_pointer_is_escaped():

@@ -120,6 +120,10 @@ def test_topic_parent_links_accepted():
         ),
         (lambda d: d["topics"][0].update(label="x"), "/topics/0/label"),
         (lambda d: d.update(categories=[]), "/categories"),
+        (lambda d: d["interests"][0].update(source_topics=[["t_soccer"]]), "/interests/0"),
+        (lambda d: d["interests"][0].update(source_topics=[{}]), "/interests/0"),
+        (lambda d: d["audiences"][0].update(qualifying_interests=[["i_soccer"]]), "/audiences/0"),
+        (lambda d: d["audiences"][0].update(qualifying_interests=[{}]), "/audiences/0"),
     ],
 )
 def test_malformed_documents_report_pointer(mutate, pointer_part):
