@@ -8,7 +8,7 @@ slot, and the winning campaign's counters tick in windowed reports.
 
 import random
 
-from adtrap.taxonomy import load_taxonomy
+from adtrap.scenario import load_taxonomy
 from adtrap.profile import AdUserProfile, analyze_page, record_visit
 from adtrap.marketplace import Ad, AdGroup, Bid, Campaign, Marketplace
 

@@ -23,7 +23,6 @@ from .taxonomy import (
     Taxonomy,
     Topic,
     audiences_for_interests,
-    load_taxonomy,
     taxonomy_to_document,
 )
 from .profile import (
@@ -60,10 +59,12 @@ from .scenario import (
     WarmupVisit,
     load_scenario,
     load_scenario_document,
+    load_taxonomy,
     read_scenario_file,
 )
 from .simulation import (
     RunTrace,
+    SWEEP_COLUMNS,
     SimulationEngine,
     attacker_view_reports,
     run_attack,

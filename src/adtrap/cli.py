@@ -24,7 +24,7 @@ from .errors import AdtrapError, ValidationError
 from .gdn import VisitLogEntry
 from .marketplace import REPORT_COLUMNS, reports_to_rows
 from .scenario import load_scenario_document, read_scenario_file
-from .simulation import run_attack, run_scenario, sweep, trace_to_json
+from .simulation import SWEEP_COLUMNS, run_attack, run_scenario, sweep, trace_to_json
 from .trap import AttributionResult, render_value, summary_counts, summary_line
 from . import scenarios as bundled
 
@@ -187,14 +187,7 @@ def cmd_sweep(args) -> int:
     grid = _parse_grid(args.grid)
     seeds = _parse_seeds(args.seeds)
     rows = sweep(template, grid, seeds)
-    fieldnames = sorted(grid) + [
-        "seed",
-        "exact",
-        "ambiguous",
-        "unknown",
-        "accuracy",
-        "impressions",
-    ]
+    fieldnames = [*sorted(grid), *SWEEP_COLUMNS]
     table = [[row[k] for k in fieldnames] for row in rows]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

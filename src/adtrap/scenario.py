@@ -37,7 +37,7 @@ from .profile import (
     DEFAULT_PROFILE_CONFIG,
     analyze_page,
 )
-from .taxonomy import Taxonomy, load_taxonomy
+from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
 
 SPEC_VERSION = 1
 
@@ -189,6 +189,17 @@ _SCHEMA = {
         "campaigns": (_list, OPTIONAL), "users": (_list, OPTIONAL), "attack": (_any, OPTIONAL),
         "profile_config": (_any, OPTIONAL), "market_config": (_any, OPTIONAL),
     },
+    "taxonomy": dict.fromkeys(("topics", "interests", "audiences"), (_list, OPTIONAL)),
+    "topic": {
+        "id": (_text, REQUIRED), "name": (_text, REQUIRED), "parent": (_text_or_null, OPTIONAL),
+    },
+    "interest": {
+        "id": (_text, REQUIRED), "name": (_text, REQUIRED), "source_topics": (_filter, REQUIRED),
+    },
+    "audience": {
+        "id": (_text, REQUIRED), "name": (_text, REQUIRED),
+        "qualifying_interests": (_filter, REQUIRED), "qualify_rule": (_count, OPTIONAL),
+    },
     "website": {
         "id": (_text, REQUIRED), "domain": (_text, REQUIRED),
         "owner": (_owner, OPTIONAL), "logging": (_flag, OPTIONAL), "pages": (_list, OPTIONAL),
@@ -282,7 +293,68 @@ def _record(node, kind: str, cls, pointer: str):
 
 def _expect_known(ids, known, what: str, pointer: str) -> None:
     for i, x in enumerate(ids):
-        _expect(x in known, f"unknown {what} {x!r}", f"{pointer}/{i}")
+        if x not in known:
+            raise ValidationError(f"unknown {what} {x!r}", f"{pointer}/{i}")
+
+
+def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
+    """Build a validated :class:`Taxonomy` from a plain JSON-style dict.
+
+    ``pointer`` prefixes every error location, so callers embedding the
+    taxonomy in a larger document get absolute paths.  Besides the field
+    rules of ``_SCHEMA``, ids must be unique per kind, references must
+    resolve, topic parents must form a forest and an audience's
+    ``qualify_rule`` must not exceed its distinct qualifying interests.
+    """
+    fields = _fields(document, "taxonomy", pointer, "taxonomy")
+    topics: dict[str, Topic] = {}
+    for p, topic in _each(fields, "topics", "topic", pointer, "topic"):
+        if topic["id"] in topics:
+            raise ValidationError(f"duplicate topic id {topic['id']!r}", f"{p}/id")
+        topics[topic["id"]] = Topic(**topic)
+    for tid, topic in topics.items():
+        if topic.parent is not None and topic.parent not in topics:
+            raise ValidationError(
+                f"topic {tid!r} references unknown parent {topic.parent!r}", f"{pointer}/topics"
+            )
+    # Parent links must form a forest: walk up from every node and make
+    # sure we never revisit one.
+    for start in topics:
+        seen = {start}
+        node = topics[start].parent
+        while node is not None:
+            if node in seen:
+                raise ValidationError(
+                    f"topic parent links form a cycle through {node!r}", f"{pointer}/topics"
+                )
+            seen.add(node)
+            node = topics[node].parent
+
+    interests: dict[str, InterestCategory] = {}
+    for p, interest in _each(fields, "interests", "interest", pointer, "interest"):
+        sources = interest["source_topics"]
+        _expect_known(sources, topics, "source topic", f"{p}/source_topics")
+        if interest["id"] in interests:
+            raise ValidationError(f"duplicate interest id {interest['id']!r}", f"{p}/id")
+        interest["source_topics"] = frozenset(sources)
+        interests[interest["id"]] = InterestCategory(**interest)
+
+    audiences: dict[str, AffinityAudience] = {}
+    for p, audience in _each(fields, "audiences", "audience", pointer, "audience"):
+        qualifying = audience["qualifying_interests"]
+        _expect_known(qualifying, interests, "qualifying interest", f"{p}/qualifying_interests")
+        qualifying = audience["qualifying_interests"] = frozenset(qualifying)
+        if audience.get("qualify_rule", 1) > len(qualifying):
+            raise ValidationError(
+                f"field 'qualify_rule' must be at most {len(qualifying)}, the number of "
+                "distinct qualifying interests",
+                f"{p}/qualify_rule",
+            )
+        if audience["id"] in audiences:
+            raise ValidationError(f"duplicate audience id {audience['id']!r}", f"{p}/id")
+        audiences[audience["id"]] = AffinityAudience(**audience)
+
+    return Taxonomy(topics, interests, audiences)
 
 
 def _load_websites(document: dict, taxonomy: Taxonomy) -> dict[str, Website]:
@@ -374,7 +446,8 @@ def _load_users(
             ("cookie_id", "cookie id", cookie_ids),
             ("network_id", "network id", network_ids),
         ):
-            _expect(fields[key] not in seen, f"duplicate {what} {fields[key]!r}", f"{p}/{key}")
+            if fields[key] in seen:
+                raise ValidationError(f"duplicate {what} {fields[key]!r}", f"{p}/{key}")
             seen.add(fields[key])
         if fields.get("demographics") is not None:
             dp = f"{p}/demographics"
@@ -384,24 +457,23 @@ def _load_users(
             fields["demographics"] = Demographics(**demo)
         warmup: list[WarmupVisit] = []
         for wp, visit in _each(fields, "warmup_plan", "warmup_visit", p, "warm-up visit"):
-            _expect(visit["page"] in pages, f"unknown page {visit['page']!r}", f"{wp}/page")
+            if visit["page"] not in pages:
+                raise ValidationError(f"unknown page {visit['page']!r}", f"{wp}/page")
             warmup.append(WarmupVisit(**visit))
         fields["warmup_plan"] = tuple(warmup)
         visits: list[AttackVisit] = []
         for vp, visit in _each(fields, "attack_visits", "attack_visit", p, "attack visit"):
             site, t, page = visit["site"], visit["t"], visit.get("page")
-            _expect(site in websites, f"unknown website {site!r}", f"{vp}/site")
-            _expect(0 <= t < horizon, "visit time must lie in [0, horizon)", f"{vp}/t")
-            _expect(
-                not visits or t > visits[-1].t,
-                "attack visit times must be strictly increasing per user",
-                f"{vp}/t",
-            )
-            _expect(
-                page is None or (isinstance(page, str) and page in websites[site].pages),
-                f"website {site!r} has no page {page!r}",
-                f"{vp}/page",
-            )
+            if site not in websites:
+                raise ValidationError(f"unknown website {site!r}", f"{vp}/site")
+            if not 0 <= t < horizon:
+                raise ValidationError("visit time must lie in [0, horizon)", f"{vp}/t")
+            if visits and t <= visits[-1].t:
+                raise ValidationError(
+                    "attack visit times must be strictly increasing per user", f"{vp}/t"
+                )
+            if page is not None and not (isinstance(page, str) and page in websites[site].pages):
+                raise ValidationError(f"website {site!r} has no page {page!r}", f"{vp}/page")
             visits.append(AttackVisit(**visit))
         fields["attack_visits"] = tuple(visits)
         users.append(UserAgentSpec(**fields))

@@ -302,6 +302,10 @@ def apply_grid_value(document: dict, key: str, value) -> None:
             node = node[part]
 
 
+# What each sweep row holds after its grid keys, in ``sweep.csv`` order.
+SWEEP_COLUMNS = ("seed", "exact", "ambiguous", "unknown", "accuracy", "impressions")
+
+
 def sweep(
     template_document: dict,
     grid: dict[str, list],
@@ -335,14 +339,11 @@ def sweep(
             result = run_attack(scenario, trace)
             counts = result.counts()
             row = dict(zip(keys, combo))
-            row.update(
-                seed=seed,
-                exact=counts["exact"],
-                ambiguous=counts["ambiguous"],
-                unknown=counts["unknown"],
-                accuracy=result.accuracy,
-                impressions=len(trace.impressions),
+            summary = (
+                seed, counts["exact"], counts["ambiguous"], counts["unknown"],
+                result.accuracy, len(trace.impressions),
             )
+            row.update(zip(SWEEP_COLUMNS, summary))
             rows.append(row)
             log.info("sweep cell %s seed %s: accuracy=%s", dict(zip(keys, combo)), seed, result.accuracy)
     return rows

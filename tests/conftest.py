@@ -5,7 +5,7 @@ import random
 import pytest
 
 from adtrap.gdn import VisitLogEntry
-from adtrap.taxonomy import load_taxonomy
+from adtrap.scenario import load_taxonomy
 from adtrap.trap import WindowObservation
 
 SMALL_TAXONOMY_DOC = {

@@ -17,8 +17,8 @@ from adtrap.taxonomy import (
     Taxonomy,
     Topic,
     audiences_for_interests,
-    load_taxonomy,
 )
+from adtrap.scenario import load_taxonomy
 
 from conftest import SMALL_TAXONOMY_DOC
 

@@ -360,6 +360,10 @@ def node_at(doc, path):
 # Where each kind of object sits in document_with_every_object().
 SCHEMA_POINTERS = {
     "document": "",
+    "taxonomy": "/taxonomy",
+    "topic": "/taxonomy/topics/0",
+    "interest": "/taxonomy/interests/0",
+    "audience": "/taxonomy/audiences/0",
     "website": "/websites/0",
     "page": "/websites/0/pages/0",
     "campaign": "/campaigns/0",

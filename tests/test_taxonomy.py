@@ -6,11 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adtrap.errors import UnknownIdError, ValidationError
-from adtrap.taxonomy import (
-    audiences_for_interests,
-    load_taxonomy,
-    taxonomy_to_document,
-)
+from adtrap.scenario import load_taxonomy
+from adtrap.taxonomy import audiences_for_interests, taxonomy_to_document
 
 from conftest import SMALL_TAXONOMY_DOC
 
@@ -92,8 +89,8 @@ def test_topic_parent_links_accepted():
 @pytest.mark.parametrize(
     "mutate, pointer_part",
     [
-        (lambda d: d["topics"].append({"id": "t_soccer", "name": "Dup"}), "/topics/4"),
-        (lambda d: d["topics"].append({"name": "No id"}), "/topics/4"),
+        (lambda d: d["topics"].append({"id": "t_soccer", "name": "Dup"}), "/topics/4/id"),
+        (lambda d: d["topics"].append({"name": "No id"}), "/topics/4/id"),
         (
             lambda d: d["interests"].append(
                 {"id": "i_x", "name": "X", "source_topics": ["t_missing"]}
@@ -102,7 +99,7 @@ def test_topic_parent_links_accepted():
         ),
         (
             lambda d: d["interests"].append({"id": "i_x", "name": "X", "source_topics": []}),
-            "/interests/4",
+            "/interests/4/source_topics",
         ),
         (
             lambda d: d["audiences"].append(
@@ -112,18 +109,40 @@ def test_topic_parent_links_accepted():
         ),
         (
             lambda d: d["audiences"][0].update(qualify_rule=0),
-            "/audiences/0",
+            "/audiences/0/qualify_rule",
         ),
         (
             lambda d: d["audiences"][0].update(qualify_rule=True),
-            "/audiences/0",
+            "/audiences/0/qualify_rule",
+        ),
+        (
+            lambda d: d["audiences"][0].update(qualify_rule=3),
+            "/audiences/0/qualify_rule",
+        ),
+        (
+            lambda d: d["audiences"][0].update(
+                qualifying_interests=["i_soccer", "i_soccer"], qualify_rule=2
+            ),
+            "/audiences/0/qualify_rule",
         ),
         (lambda d: d["topics"][0].update(label="x"), "/topics/0/label"),
         (lambda d: d.update(categories=[]), "/categories"),
-        (lambda d: d["interests"][0].update(source_topics=[["t_soccer"]]), "/interests/0"),
-        (lambda d: d["interests"][0].update(source_topics=[{}]), "/interests/0"),
-        (lambda d: d["audiences"][0].update(qualifying_interests=[["i_soccer"]]), "/audiences/0"),
-        (lambda d: d["audiences"][0].update(qualifying_interests=[{}]), "/audiences/0"),
+        (
+            lambda d: d["interests"][0].update(source_topics=[["t_soccer"]]),
+            "/interests/0/source_topics",
+        ),
+        (
+            lambda d: d["interests"][0].update(source_topics=[{}]),
+            "/interests/0/source_topics",
+        ),
+        (
+            lambda d: d["audiences"][0].update(qualifying_interests=[["i_soccer"]]),
+            "/audiences/0/qualifying_interests",
+        ),
+        (
+            lambda d: d["audiences"][0].update(qualifying_interests=[{}]),
+            "/audiences/0/qualifying_interests",
+        ),
     ],
 )
 def test_malformed_documents_report_pointer(mutate, pointer_part):
@@ -132,6 +151,15 @@ def test_malformed_documents_report_pointer(mutate, pointer_part):
     with pytest.raises(ValidationError) as err:
         load_taxonomy(doc, pointer="/taxonomy")
     assert err.value.pointer == "/taxonomy" + pointer_part
+
+
+def test_qualify_rule_may_equal_the_distinct_qualifying_interests():
+    doc = copy.deepcopy(SMALL_TAXONOMY_DOC)
+    doc["audiences"][0].update(
+        qualifying_interests=["i_soccer", "i_tennis", "i_soccer"], qualify_rule=2
+    )
+    tax = load_taxonomy(doc)
+    assert audiences_for_interests(tax, tax.interests) == {"a_sports", "a_pets", "a_cooks"}
 
 
 def test_parent_cycle_rejected():
