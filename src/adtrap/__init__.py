@@ -52,7 +52,6 @@ from .marketplace import (
 )
 from .gdn import VisitLogEntry, Website, serve_page
 from .scenario import (
-    AttackSpec,
     AttackVisit,
     Scenario,
     UserAgentSpec,
@@ -74,9 +73,9 @@ from .simulation import (
 )
 from .trap import (
     Assignment,
+    AttackSpec,
     AttributionResult,
     GroupStats,
-    TrapConfig,
     WindowObservation,
     build_trap_campaign,
     collect_observations,

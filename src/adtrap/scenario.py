@@ -38,6 +38,7 @@ from .profile import (
     analyze_page,
 )
 from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
+from .trap import AttackSpec
 
 SPEC_VERSION = 1
 
@@ -68,24 +69,6 @@ class UserAgentSpec:
     geo: str | None = None
     warmup_plan: tuple[WarmupVisit, ...] = ()
     attack_visits: tuple[AttackVisit, ...] = ()
-
-
-@dataclass(frozen=True)
-class AttackSpec:
-    """The probing side of a scenario.
-
-    ``sites`` lists the attacker sites carrying probe ads (one campaign is
-    built per site; one site per victim is expressed by listing several).
-    ``extra_placement_sites`` widens every probe ad group's placement
-    beyond the attacker sites; that is a deliberate foot-gun used to study
-    what happens when placement exclusivity is broken.
-    """
-
-    sites: tuple[str, ...]
-    audiences: tuple[str, ...]
-    cpm: float
-    budget: float = 1_000_000.0
-    extra_placement_sites: tuple[str, ...] = ()
 
 
 @dataclass
@@ -539,12 +522,13 @@ def load_scenario_document(document: dict) -> Scenario:
 
 
 def read_scenario_file(path) -> dict:
-    """Read and parse a scenario file, without validating its content."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Read and parse a scenario file, checking only that it holds an object."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        document = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"not valid JSON: {exc}", "") from exc
+    _expect(isinstance(document, dict), "scenario must be a JSON object", "")
+    return document
 
 
 def load_scenario(path) -> Scenario:

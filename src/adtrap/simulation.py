@@ -25,8 +25,6 @@ from .errors import InconsistentObservationsError, ValidationError
 from .gdn import Website, serve_page
 from .marketplace import (
     AudienceCounterReport,
-    Bid,
-    Campaign,
     ImpressionRecord,
     Marketplace,
     build_reports,
@@ -38,7 +36,6 @@ from .scenario import Scenario, load_scenario_document
 from .trap import (
     Assignment,
     AttributionResult,
-    TrapConfig,
     build_trap_campaign,
     collect_observations,
     infer_audiences,
@@ -65,33 +62,6 @@ class RunTrace:
     ground_truth: dict[str, set[str]] = field(default_factory=dict)
 
 
-def _build_attack_campaigns(scenario: Scenario) -> list[Campaign]:
-    attack = scenario.attack
-    if attack is None:
-        return []
-    campaigns = []
-    for site_id in attack.sites:
-        website = scenario.websites[site_id]
-        config = TrapConfig(
-            site_id=site_id,
-            audiences_to_probe=attack.audiences,
-            bid=Bid(kind="CPM", amount=attack.cpm),
-            total_budget=attack.budget,
-        )
-        campaign = build_trap_campaign(config, website)
-        if attack.extra_placement_sites:
-            # Deliberately widened placement: rebuild the groups with the
-            # extra sites to study a misconfigured probe.  This is the one
-            # path that escapes the exclusivity the builder enforces.
-            widened = frozenset({site_id, *attack.extra_placement_sites})
-            campaign = replace(
-                campaign,
-                ad_groups=tuple(replace(g, placement=widened) for g in campaign.ad_groups),
-            )
-        campaigns.append(campaign)
-    return campaigns
-
-
 class SimulationEngine:
     """Materialised state for one run of one scenario.
 
@@ -109,7 +79,11 @@ class SimulationEngine:
             pid: page for site in self.websites.values() for pid, page in site.pages.items()
         }
         campaigns = [fresh_campaign(c) for c in scenario.campaigns]
-        campaigns.extend(_build_attack_campaigns(scenario))
+        if scenario.attack is not None:
+            campaigns.extend(
+                build_trap_campaign(scenario.attack, scenario.websites[site_id])
+                for site_id in scenario.attack.sites
+            )
         self.marketplace = Marketplace(
             campaigns,
             config=scenario.market_config,
@@ -289,7 +263,8 @@ def apply_grid_value(document: dict, key: str, value) -> None:
     for depth, part in enumerate(parts):
         last = depth == len(parts) - 1
         if isinstance(node, list):
-            if not part.lstrip("-").isdigit() or not -len(node) <= int(part) < len(node):
+            index = part.removeprefix("-")
+            if not (index.isascii() and index.isdigit() and -len(node) <= int(part) < len(node)):
                 raise ValidationError(f"unknown grid key {key!r}")
             part = int(part)
         elif not isinstance(node, dict) or not (

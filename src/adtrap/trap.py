@@ -1,9 +1,11 @@
-"""Audience inference from counter reports correlated with visit logs.
+"""The probing campaign and audience inference from its counters.
 
 The attacker runs a campaign whose ads appear only on her own site, one ad
-group per probed audience.  The ad platform then hands her, per reporting
-window, how many impressions each audience generated; her web server log
-tells her who visited in the same window.  Matching the two streams turns
+group per probed audience: :class:`AttackSpec` is that probe and
+:func:`build_trap_campaign` builds its campaign for one attacker site.
+The ad platform then hands her, per reporting window, how many
+impressions each audience generated; her web server log tells her who
+visited in the same window.  Matching the two streams turns
 aggregate counters into per-visitor audience labels.
 
 The matching problem is a constraint model: each visitor (network id) gets
@@ -43,21 +45,27 @@ NO_AUDIENCE = None
 
 
 @dataclass(frozen=True)
-class TrapConfig:
-    """Configuration of one probing campaign."""
+class AttackSpec:
+    """The probing side of a scenario.
 
-    site_id: str
-    audiences_to_probe: tuple[str, ...]
-    bid: Bid
-    total_budget: float = 1_000_000.0
+    ``sites`` lists the attacker sites carrying probe ads (one campaign is
+    built per site; one site per victim is expressed by listing several).
+    ``extra_placement_sites`` widens every probe ad group's placement
+    beyond the attacker sites; that is a deliberate foot-gun used to study
+    what happens when placement exclusivity is broken.
+    """
+
+    sites: tuple[str, ...]
+    audiences: tuple[str, ...]
+    cpm: float
+    budget: float = 1_000_000.0
+    extra_placement_sites: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not self.audiences_to_probe:
-            raise ValidationError("audiences_to_probe must not be empty")
-        if len(set(self.audiences_to_probe)) != len(self.audiences_to_probe):
-            raise ValidationError("audiences_to_probe contains duplicates")
-        if self.bid.kind != "CPM":
-            raise ValidationError("probing campaigns bid CPM; pay per view, not per click")
+        if not self.audiences:
+            raise ValidationError("audiences must not be empty")
+        if len(set(self.audiences)) != len(self.audiences):
+            raise ValidationError("audiences contains duplicates")
 
 
 @dataclass(frozen=True)
@@ -111,43 +119,43 @@ def probe_campaign_id(site_id: str) -> str:
     return f"trap_{site_id}"
 
 
-def build_trap_campaign(config: TrapConfig, website: Website) -> Campaign:
-    """One campaign, one ad group per probed audience, attacker site only.
+def build_trap_campaign(attack: AttackSpec, website: Website) -> Campaign:
+    """One campaign, one ad group per probed audience, on one attacker site.
 
     The exclusive placement is what makes every counter increment
     correspond to a logged visit; the builder refuses sites that are not
-    attacker-owned or do not log.
+    attacker-owned or do not log.  Only ``extra_placement_sites`` widens it.
     """
-    if website.id != config.site_id:
-        raise ValidationError(
-            f"config names site {config.site_id!r} but got website {website.id!r}"
-        )
+    if website.id not in attack.sites:
+        raise ValidationError(f"website {website.id!r} is not one of the attack sites")
     if website.owner != "attacker":
         raise ValidationError(f"website {website.id!r} is not attacker-owned")
     if not website.logging:
         raise ValidationError(f"website {website.id!r} does not log visits")
+    bid = Bid("CPM", attack.cpm)
+    placement = frozenset({website.id, *attack.extra_placement_sites})
     groups = []
-    for audience in config.audiences_to_probe:
+    for audience in attack.audiences:
         ad = Ad(
-            id=f"trap_{config.site_id}_{audience}",
+            id=f"trap_{website.id}_{audience}",
             landing_url=f"https://{website.domain}/",
             creative=f"probe:{audience}",
         )
         groups.append(
             AdGroup(
-                id=f"trap_{config.site_id}_{audience}",
+                id=f"trap_{website.id}_{audience}",
                 name=f"probe {audience}",
                 ads=(ad,),
                 target_audiences=frozenset({audience}),
-                bid=config.bid,
-                placement=frozenset({config.site_id}),
+                bid=bid,
+                placement=placement,
             )
         )
     return Campaign(
-        id=probe_campaign_id(config.site_id),
-        name=f"probing campaign on {config.site_id}",
+        id=probe_campaign_id(website.id),
+        name=f"probing campaign on {website.id}",
         ad_groups=tuple(groups),
-        total_budget=config.total_budget,
+        total_budget=attack.budget,
     )
 
 
@@ -325,11 +333,9 @@ def _solve_component(
                 assignments[nid] = Assignment("unknown")
             return
 
-    component_windows: dict[int, _Window] = {}
-    for nid in members:
-        for w in visitor_windows[nid]:
-            component_windows[w.index] = w
-    targets = [(w, Counter(w.resid)) for w in component_windows.values()]
+    # Windows are keyed by identity: several attacker sites share indices.
+    component_windows = dict.fromkeys(w for nid in members for w in visitor_windows[nid])
+    targets = [(w, Counter(w.resid)) for w in component_windows]
 
     survivors: list[set] = [set() for _ in members]
     position = {nid: i for i, nid in enumerate(members)}

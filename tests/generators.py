@@ -38,14 +38,17 @@ def oracle_agreement(observations):
     return True, ""
 
 
-def random_observations(rng, perturb_probability=0.2):
+def random_observations(rng, perturb_probability=0.2, sites=1):
     """Build a small solver instance: a list of WindowObservation.
 
     Sizes stay within what the brute-force reference can enumerate
     (at most 6 visitors over at most 5 audiences).  With probability
     `perturb_probability` one counter delta is nudged by one, which
     usually (not always) makes the instance unsatisfiable; the point is
-    to exercise both outcomes.
+    to exercise both outcomes.  The windows are dealt round-robin to
+    `sites` attacker sites, each numbering its own windows from 0, so
+    with several sites window indices repeat, as they do when
+    :func:`~adtrap.simulation.run_attack` joins every site's windows.
     """
     n_visitors = rng.randint(1, 6)
     n_audiences = rng.randint(1, 5)
@@ -63,7 +66,8 @@ def random_observations(rng, perturb_probability=0.2):
 
     observations = []
     for k in range(n_windows):
-        start = k * WINDOW_LEN
+        index = k // sites
+        start = index * WINDOW_LEN
         entries = []
         deltas = {a: 0 for a in audiences}
         for v in visitors:
@@ -78,15 +82,16 @@ def random_observations(rng, perturb_probability=0.2):
             if truth[v] is not None:
                 deltas[truth[v]] += visits[v][k]
         observations.append(
-            WindowObservation(window_index=k, deltas=deltas, visits=tuple(entries))
+            WindowObservation(window_index=index, deltas=deltas, visits=tuple(entries))
         )
 
     if rng.random() < perturb_probability:
-        obs = rng.choice(observations)
+        k = rng.randrange(len(observations))
+        obs = observations[k]
         target = rng.choice(audiences)
         bumped = dict(obs.deltas)
         bumped[target] = max(0, bumped[target] + rng.choice([-1, 1]))
-        observations[obs.window_index] = WindowObservation(
+        observations[k] = WindowObservation(
             window_index=obs.window_index, deltas=bumped, visits=obs.visits
         )
 

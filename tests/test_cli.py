@@ -68,6 +68,46 @@ def test_validate_reports_unhashable_list_item_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+SWEEP_OPTS = ["--seeds", "1", "--out", "{dir}/out"]
+
+
+@pytest.mark.parametrize(
+    "content, args, message",
+    [
+        (None, ["sweep", "table2_experiment", "--grid", "campaigns/--0/total_budget=5",
+                *SWEEP_OPTS], "unknown grid key"),
+        (None, ["sweep", "table2_experiment", "--grid", "campaigns/\u00b2/total_budget=5",
+                *SWEEP_OPTS], "unknown grid key"),
+        (b"\xff\xfe{}", ["validate", "{dir}/bad.json"], "not valid JSON"),
+        (b"[]", ["run", "{dir}/bad.json", "--seed", "3", "--out", "{dir}/out"],
+         "scenario must be a JSON object"),
+        (b"[1]", ["sweep", "{dir}/bad.json", "--grid", "0=5", *SWEEP_OPTS],
+         "scenario must be a JSON object"),
+    ],
+    ids=["grid-double-minus", "grid-superscript", "not-utf8", "run-seed-list", "sweep-list"],
+)
+def test_bad_input_is_reported_without_traceback(tmp_path, content, args, message):
+    if content is not None:
+        (tmp_path / "bad.json").write_bytes(content)
+    args = [a.replace("{dir}", str(tmp_path)) for a in args]
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "adtrap.cli", *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_validate_rejects_broken_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")

@@ -17,9 +17,9 @@ from adtrap.gdn import VisitLogEntry, Website
 from adtrap.marketplace import AudienceCounterReport, Bid, window_index
 from adtrap.profile import PageProfile
 from adtrap.trap import (
+    AttackSpec,
     AttributionResult,
     Assignment,
-    TrapConfig,
     WindowObservation,
     build_trap_campaign,
     collect_observations,
@@ -48,20 +48,16 @@ def attacker_site(site_id="monads"):
 # --- configuration and campaign construction -------------------------------
 
 
-def test_trap_config_validation():
+def test_attack_spec_validation():
     with pytest.raises(ValidationError):
-        TrapConfig(site_id="s", audiences_to_probe=(), bid=CPM)
+        AttackSpec(sites=("s",), audiences=(), cpm=50.0)
     with pytest.raises(ValidationError):
-        TrapConfig(site_id="s", audiences_to_probe=("a", "a"), bid=CPM)
-    with pytest.raises(ValidationError):
-        TrapConfig(site_id="s", audiences_to_probe=("a",), bid=Bid("CPC", 1.0))
+        AttackSpec(sites=("s",), audiences=("a", "a"), cpm=50.0)
 
 
 def test_build_trap_campaign_structure():
-    config = TrapConfig(
-        site_id="monads", audiences_to_probe=("a_pets", "a_sports"), bid=CPM
-    )
-    campaign = build_trap_campaign(config, attacker_site())
+    attack = AttackSpec(sites=("monads",), audiences=("a_pets", "a_sports"), cpm=50.0)
+    campaign = build_trap_campaign(attack, attacker_site())
     assert campaign.id == "trap_monads"
     assert len(campaign.ad_groups) == 2
     by_audience = {next(iter(g.target_audiences)): g for g in campaign.ad_groups}
@@ -72,20 +68,39 @@ def test_build_trap_campaign_structure():
         assert group.bid == CPM
 
 
+def test_build_trap_campaign_widens_placement_with_extra_sites():
+    attack = AttackSpec(sites=("monads",), audiences=("a_pets", "a_sports"), cpm=50.0)
+    exclusive = build_trap_campaign(attack, attacker_site())
+    widened = build_trap_campaign(
+        AttackSpec(
+            sites=("monads",), audiences=("a_pets", "a_sports"), cpm=50.0,
+            extra_placement_sites=("dailybuzz",),
+        ),
+        attacker_site(),
+    )
+    assert widened.id == exclusive.id
+    assert widened.total_budget == exclusive.total_budget
+    for group, plain in zip(widened.ad_groups, exclusive.ad_groups, strict=True):
+        assert group.placement == frozenset({"monads", "dailybuzz"})
+        assert group.id == plain.id
+        assert group.ads == plain.ads
+        assert group.bid == CPM
+
+
 def test_build_trap_campaign_refuses_wrong_sites():
-    config = TrapConfig(site_id="monads", audiences_to_probe=("a",), bid=CPM)
+    attack = AttackSpec(sites=("monads",), audiences=("a",), cpm=50.0)
     third_party = Website(
         id="monads", domain="m.example", pages={}, owner="third-party", logging=True
     )
     with pytest.raises(ValidationError):
-        build_trap_campaign(config, third_party)
+        build_trap_campaign(attack, third_party)
     silent = Website(
         id="monads", domain="m.example", pages={}, owner="attacker", logging=False
     )
     with pytest.raises(ValidationError):
-        build_trap_campaign(config, silent)
+        build_trap_campaign(attack, silent)
     with pytest.raises(ValidationError):
-        build_trap_campaign(config, attacker_site("other"))
+        build_trap_campaign(attack, attacker_site("other"))
 
 
 # --- joining reports with logs ---------------------------------------------
@@ -293,6 +308,26 @@ def test_solver_matches_reference_on_random_instances():
     rng = random.Random(20260823)
     for i in range(300):
         observations, _ = random_observations(rng)
+        agrees, detail = oracle_agreement(observations)
+        assert agrees, f"instance {i}: {detail}"
+
+
+def test_windows_of_two_sites_sharing_an_index_both_constrain():
+    # Window 0 of two attacker sites: n0 is pinned to "b" only when the
+    # second site's window 0 is checked next to the first's.
+    observations = [
+        make_observation(0, {"a": 1, "b": 2}, {"n0": 1, "n1": 1, "n2": 1}),
+        make_observation(0, {"a": 1, "b": 1}, {"n1": 1, "n2": 1}),
+    ]
+    result = infer_audiences(observations)
+    assert result.assignments["n0"] == Assignment("exact", audience="b")
+    check_oracle(observations)
+
+
+def test_solver_matches_reference_on_random_multi_site_instances():
+    rng = random.Random(20261018)
+    for i in range(300):
+        observations, _ = random_observations(rng, sites=2)
         agrees, detail = oracle_agreement(observations)
         assert agrees, f"instance {i}: {detail}"
 
