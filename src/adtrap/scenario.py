@@ -117,6 +117,11 @@ def _integer(value):
     return None if isinstance(value, int) and not isinstance(value, bool) else "must be an integer"
 
 
+def _seed(value):
+    """The seed rule: an integer that fits in 64 bits, signed or unsigned."""
+    return _integer(value) or (None if -(2**63) <= value < 2**64 else "must fit in 64 bits")
+
+
 def _count(value):
     return None if _integer(value) is None and value >= 1 else "must be an integer >= 1"
 
@@ -167,7 +172,7 @@ REQUIRED, OPTIONAL = True, False
 _SCHEMA = {
     "document": {
         "spec_version": (_any, REQUIRED), "horizon_s": (_positive, REQUIRED),
-        "window_length_s": (_positive, OPTIONAL), "seed": (_integer, OPTIONAL),
+        "window_length_s": (_positive, OPTIONAL), "seed": (_seed, OPTIONAL),
         "taxonomy": (_any, OPTIONAL), "websites": (_list, OPTIONAL),
         "campaigns": (_list, OPTIONAL), "users": (_list, OPTIONAL), "attack": (_any, OPTIONAL),
         "profile_config": (_any, OPTIONAL), "market_config": (_any, OPTIONAL),
@@ -499,8 +504,6 @@ def load_scenario_document(document: dict) -> Scenario:
         "/spec_version",
     )
     fields = _fields(document, "document", "", "scenario")
-    seed = fields.get("seed", 0)
-    _expect(-(2**63) <= seed < 2**64, "field 'seed' must fit in 64 bits", "/seed")
     taxonomy = load_taxonomy(fields.get("taxonomy", {}), "/taxonomy")
     websites = _load_websites(fields, taxonomy)
     configs = {
@@ -516,9 +519,16 @@ def load_scenario_document(document: dict) -> Scenario:
         attack=_load_attack(fields.get("attack"), taxonomy, websites),
         window_length=fields.get("window_length_s", 1800),
         horizon=fields["horizon_s"],
-        seed=seed,
+        seed=fields.get("seed", 0),
         **configs,
     )
+
+
+def check_seed(seed) -> None:
+    """Raise unless ``seed`` meets the rule for a document's ``seed`` field."""
+    problem = _seed(seed)
+    if problem:
+        raise ValidationError(f"field 'seed' {problem}", "/seed")
 
 
 def read_scenario_file(path) -> dict:

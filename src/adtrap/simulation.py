@@ -32,7 +32,7 @@ from .marketplace import (
     window_count,
 )
 from .profile import AdUserProfile, PageProfile, record_visit
-from .scenario import Scenario, load_scenario_document
+from .scenario import Scenario, check_seed, load_scenario_document
 from .trap import (
     Assignment,
     AttributionResult,
@@ -289,9 +289,12 @@ def sweep(
     """Run every grid cell under every seed; one summary row per run.
 
     Cells iterate in sorted-key order with values in the given order, then
-    seeds in the given order, so the row sequence is reproducible.  An
-    empty grid yields no rows; an empty seed list is an error, and so is a
-    ``seed`` grid key, since ``seeds`` sets every run's seed.
+    seeds in the given order, so the row sequence is reproducible.  Each
+    cell's document is built and validated once, with the first seed; every
+    seed, checked by the document's seed rule, then only reseeds that
+    cell's scenario, which no run mutates.  An empty grid yields no rows; an
+    empty seed list is an error, and so is a ``seed`` grid key, since
+    ``seeds`` sets every run's seed.
     """
     if not seeds:
         raise ValidationError("no seeds")
@@ -304,21 +307,24 @@ def sweep(
     keys = sorted(grid)
     rows: list[dict] = []
     for combo in itertools.product(*(grid[k] for k in keys)):
+        cell = dict(zip(keys, combo))
+        document = copy.deepcopy(template_document)
+        for k, v in cell.items():
+            apply_grid_value(document, k, v)
+        document["seed"] = seeds[0]
+        cell_scenario = load_scenario_document(document)
         for seed in seeds:
-            document = copy.deepcopy(template_document)
-            for k, v in zip(keys, combo):
-                apply_grid_value(document, k, v)
-            document["seed"] = seed
-            scenario = load_scenario_document(document)
+            check_seed(seed)
+            scenario = replace(cell_scenario, seed=seed)
             trace = run_scenario(scenario)
             result = run_attack(scenario, trace)
             counts = result.counts()
-            row = dict(zip(keys, combo))
+            row = dict(cell)
             summary = (
                 seed, counts["exact"], counts["ambiguous"], counts["unknown"],
                 result.accuracy, len(trace.impressions),
             )
             row.update(zip(SWEEP_COLUMNS, summary))
             rows.append(row)
-            log.info("sweep cell %s seed %s: accuracy=%s", dict(zip(keys, combo)), seed, result.accuracy)
+            log.info("sweep cell %s seed %s: accuracy=%s", cell, seed, result.accuracy)
     return rows

@@ -218,7 +218,11 @@ def infer_audiences(
     input order.  Raises :class:`InconsistentObservationsError` when no
     assignment reproduces the counters.
     """
-    windows = [_Window(obs) for obs in observations]
+    # A window with no visits and no deltas constrains nothing; leaving it
+    # out spares the propagation loop a rescan of it in every round.
+    windows = [
+        _Window(obs) for obs in observations if obs.visits or any(obs.deltas.values())
+    ]
     visitor_windows: dict[str, list[_Window]] = {}
     for w in windows:
         for nid in w.counts:

@@ -295,6 +295,19 @@ def test_sweep_rejects_seed_grid_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_rejects_a_later_seed_outside_64_bits(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "sweep", "table2_experiment", "--grid", "window_length_s=300,600",
+            "--seeds", f"1,{2**64}", "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: /seed: field 'seed' must fit in 64 bits\n"
+    assert not (out / "sweep.csv").exists()
+
+
 def test_console_script_runs_with_debug_logging(tmp_path):
     exe = shutil.which("adtrap")
     assert exe, "console script 'adtrap' not installed"

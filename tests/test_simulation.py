@@ -1,9 +1,10 @@
 """End-to-end runs: phases, determinism, scoring, sweeps."""
 
 import copy
+import itertools
 import json
 import random
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from adtrap.gdn import VisitLogEntry
 from adtrap.marketplace import AudienceCounterReport, ImpressionRecord, window_index
 from adtrap.scenario import load_scenario, load_scenario_document
 from adtrap.simulation import (
+    SWEEP_COLUMNS,
     SimulationEngine,
     apply_grid_value,
     attacker_view_reports,
@@ -125,13 +127,26 @@ def test_run_produces_trace_with_logs_reports_and_truth():
     assert trace.ground_truth["u1"] == {"a_art_theater_aficionados"}
 
 
-def test_scenario_object_survives_repeated_runs():
-    scenario = load_scenario(scenarios.path("table2_experiment"))
+def assert_reusable(scenario, other_seed):
+    """Runs of one Scenario object, also between runs of a reseeded copy,
+    repeat exactly and leave its campaigns and site logs untouched."""
     first = trace_to_json(run_scenario(scenario))
-    second = trace_to_json(run_scenario(scenario))
-    assert first == second
+    run_scenario(replace(scenario, seed=other_seed))
+    assert trace_to_json(run_scenario(scenario)) == first
     assert all(c.spent_micros == 0 for c in scenario.campaigns)
     assert all(not site.log for site in scenario.websites.values())
+
+
+def test_scenario_object_survives_repeated_runs():
+    assert_reusable(load_scenario(scenarios.path("table2_experiment")), other_seed=8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), other_seed=st.integers(0, 2**32 - 1))
+def test_generated_scenario_objects_survive_repeated_runs(seed, other_seed):
+    # sweep loads each grid cell once and runs every seed on that object.
+    document = random_scenario_document(random.Random(seed))
+    assert_reusable(load_scenario_document(document), other_seed)
 
 
 def test_equal_seeds_give_byte_identical_traces():
@@ -383,6 +398,78 @@ def test_sweep_rows_carry_cell_seed_and_summary():
         }
         assert row["exact"] == 1
         assert row["accuracy"] == 1.0
+
+
+def test_sweep_checks_every_seed_with_the_document_seed_rule():
+    with pytest.raises(ValidationError) as excinfo:
+        sweep(small_attack_document(), {"attack/cpm": [50.0]}, [1, True])
+    assert excinfo.value.pointer == "/seed"
+    assert excinfo.value.message == "field 'seed' must be an integer"
+
+
+def reference_sweep(template_document, grid, seeds):
+    """The per-seed sweep loop: every run copies, edits and loads its own
+    document.  ``sweep`` must give the same rows in the same order."""
+    keys = sorted(grid)
+    rows = []
+    for combo in itertools.product(*(grid[k] for k in keys)):
+        for seed in seeds:
+            document = copy.deepcopy(template_document)
+            for k, v in zip(keys, combo):
+                apply_grid_value(document, k, v)
+            document["seed"] = seed
+            scenario = load_scenario_document(document)
+            trace = run_scenario(scenario)
+            result = run_attack(scenario, trace)
+            counts = result.counts()
+            row = dict(zip(keys, combo))
+            summary = (
+                seed, counts["exact"], counts["ambiguous"], counts["unknown"],
+                result.accuracy, len(trace.impressions),
+            )
+            row.update(zip(SWEEP_COLUMNS, summary))
+            rows.append(row)
+    return rows
+
+
+def sweep_outcome(run, template_document, grid, seeds):
+    """Rows, or the message and pointer of the validation error raised."""
+    try:
+        return run(template_document, grid, seeds)
+    except ValidationError as exc:
+        return exc.message, exc.pointer
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    grid=st.dictionaries(
+        st.sampled_from(["window_length_s", "attack/cpm"]),
+        st.lists(st.sampled_from([300, 450.5, 600, 25.0, 90.0]), min_size=1, max_size=2),
+        min_size=1,
+    ),
+    seeds=st.lists(st.integers(-(2**63), 2**64 - 1), min_size=1, max_size=4),
+    fault=st.sampled_from([None, None, None, ("grid", 0), ("seed", 2**64), ("seed", True)]),
+    data=st.data(),
+)
+def test_sweep_matches_the_per_seed_reference(seed, grid, seeds, fault, data):
+    # Some draws put a bad grid value or seed anywhere in its list: both
+    # loops must then fail with the same error.
+    if fault is not None:
+        where, bad = fault
+        values = grid[data.draw(st.sampled_from(sorted(grid)))] if where == "grid" else seeds
+        values.insert(data.draw(st.integers(0, len(values))), bad)
+    template = random_scenario_document(random.Random(seed))
+    expected = sweep_outcome(reference_sweep, template, grid, seeds)
+    assert sweep_outcome(sweep, template, grid, seeds) == expected
+
+
+def test_benchmark_sweep_grid_matches_the_per_seed_reference():
+    # perfbench's sweep workload: these window lengths, 60 seeds per run.
+    grid = {"window_length_s": [300, 600, 900, 1200, 1800, 3600]}
+    seeds = list(range(101 * 60, 102 * 60))
+    template = read_bundled("table2_experiment")
+    assert sweep(template, grid, seeds) == reference_sweep(template, grid, seeds)
 
 
 def test_rival_bid_sweep_shows_takeover_threshold():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce
 from conftest import make_observation
@@ -330,6 +331,30 @@ def test_solver_matches_reference_on_random_multi_site_instances():
         observations, _ = random_observations(rng, sites=2)
         agrees, detail = oracle_agreement(observations)
         assert agrees, f"instance {i}: {detail}"
+
+
+def solve(observations):
+    """The solver's outcome as a comparable value, inconsistency included."""
+    try:
+        return infer_audiences(observations)
+    except InconsistentObservationsError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sites=st.integers(1, 2), data=st.data())
+def test_inert_windows_change_no_result(seed, sites, data):
+    # Windows with no visits and all-zero (or no) deltas, such as the empty
+    # windows of a long horizon, constrain nothing.
+    observations, _ = random_observations(random.Random(seed), sites=sites)
+    audiences = sorted(observations[0].deltas)
+    padded = list(observations)
+    for _ in range(data.draw(st.integers(1, 6))):
+        index = data.draw(st.integers(0, 10))
+        deltas = dict.fromkeys(audiences[: data.draw(st.integers(0, len(audiences)))], 0)
+        at = data.draw(st.integers(0, len(padded)))
+        padded.insert(at, WindowObservation(window_index=index, deltas=deltas, visits=()))
+    assert solve(padded) == solve(observations)
 
 
 def test_replay_exact_accepts_solver_output():
