@@ -10,7 +10,7 @@ import random
 
 from adtrap.scenario import load_taxonomy
 from adtrap.profile import AdUserProfile, analyze_page, record_visit
-from adtrap.marketplace import Ad, AdGroup, Bid, Campaign, Marketplace
+from adtrap.marketplace import MICROS, Ad, AdGroup, Bid, Campaign, Marketplace
 
 TAXONOMY = {
     "topics": [
@@ -108,7 +108,8 @@ def main():
             f"attributed to audience {record.audience_id}"
         )
     for c in (sporty, protein):
-        print(f"  {c.id}: spent {c.spent:.6f} of {c.total_budget}")
+        spent = market.spent_micros[c.id] / MICROS
+        print(f"  {c.id}: spent {spent:.6f} of {c.total_budget}")
 
     banner("3. The advertiser-facing view: windowed per-audience counters")
     reports = market.publish_reports(window_length=2.0, up_to_time=4.0)

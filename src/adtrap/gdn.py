@@ -12,9 +12,9 @@ site's own log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import SimulationError, UnknownIdError, ValidationError
+from .errors import UnknownIdError, ValidationError
 from .marketplace import ImpressionRecord, Marketplace
 from .profile import (
     AdUserProfile,
@@ -37,25 +37,21 @@ class VisitLogEntry:
     tracking_arg: str | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class Website:
+    """A site as its owner set it up; a run keeps its visit log."""
+
     id: str
     domain: str
     pages: dict[str, PageProfile]
     owner: str = "third-party"
     logging: bool = False
-    log: list[VisitLogEntry] = field(default_factory=list)
 
     def __post_init__(self):
         if self.owner not in OWNERS:
             raise ValidationError(
                 f"website {self.id!r} owner must be one of {OWNERS}, got {self.owner!r}"
             )
-
-    def first_page_id(self) -> str:
-        if not self.pages:
-            raise ValidationError(f"website {self.id!r} has no pages")
-        return next(iter(self.pages))
 
 
 def serve_page(
@@ -77,27 +73,21 @@ def serve_page(
 
     The profile is updated before ad selection, so the page being viewed
     already counts toward targeting.  Returns the impression (None when no
-    ad qualified) and the log entry (None when the site does not log or the
-    visitor withheld consent).
+    ad qualified) and the log entry for the caller to keep (None when the
+    site does not log or the visitor withheld consent).
     """
     if page_id not in website.pages:
         raise UnknownIdError(f"website {website.id!r} has no page {page_id!r}")
     page = website.pages[page_id]
     record_visit(profile, page, time, taxonomy, profile_config)
     impression = marketplace.serve(website.id, page, profile, time, geo=geo)
-    entry = None
-    if website.logging and consent:
-        if website.log and time < website.log[-1].timestamp:
-            raise SimulationError(
-                f"visit log for {website.id!r} would go backwards in time"
-            )
-        entry = VisitLogEntry(
-            timestamp=time,
-            network_id=network_id,
-            page_id=page_id,
-            referral=referral,
-            tracking_arg=tracking_arg,
-        )
-        website.log.append(entry)
-    return impression, entry
+    if not (website.logging and consent):
+        return impression, None
+    return impression, VisitLogEntry(
+        timestamp=time,
+        network_id=network_id,
+        page_id=page_id,
+        referral=referral,
+        tracking_arg=tracking_arg,
+    )
 

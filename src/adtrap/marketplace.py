@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetError, SimulationError, ValidationError
@@ -89,23 +90,22 @@ class AdGroup:
             raise ValidationError(f"ad group {self.id!r} must target at least one audience")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Campaign:
+    """An advertiser's campaign; a run's spend is in ``Marketplace.spent_micros``."""
+
     id: str
     name: str
     ad_groups: tuple[AdGroup, ...]
     total_budget: float
-    spent_micros: int = 0
-    total_budget_micros: int = field(init=False)
 
     def __post_init__(self):
         if not (self.total_budget >= 0 and finite_in_micros(self.total_budget)):
             raise ValidationError(f"campaign {self.id!r} budget must be finite and >= 0")
-        self.total_budget_micros = to_micros(self.total_budget)
 
-    @property
-    def spent(self) -> float:
-        return self.spent_micros / MICROS
+    @cached_property
+    def total_budget_micros(self) -> int:
+        return to_micros(self.total_budget)
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,8 @@ class Marketplace:
 
     Campaigns and config are read once, at construction, which prices every
     ad group into one ``(campaign, group, value_micros)`` table in campaign
-    then group order; page views scan it.  Prices and budgets stay fixed.
+    then group order; page views scan it.  Prices and budgets stay fixed;
+    ``spent_micros`` holds what each campaign, by id, has spent in this run.
     """
 
     def __init__(
@@ -236,6 +237,7 @@ class Marketplace:
         self.config = config
         self.rng = rng if rng is not None else random.Random(0)
         self.impressions: list[ImpressionRecord] = []
+        self.spent_micros: dict[str, int] = dict.fromkeys(self.campaigns, 0)
         self._priced_groups = [
             (campaign, group, effective_value_micros(group.bid, config))
             for campaign in self.campaigns.values()
@@ -255,6 +257,7 @@ class Marketplace:
         filters pass, and the campaign can still pay for the impression.
         """
         candidates: list[Candidate] = []
+        spent = self.spent_micros
         for campaign, group, value in self._priced_groups:
             if group.placement and website_id not in group.placement:
                 continue
@@ -264,7 +267,7 @@ class Marketplace:
                 continue
             if group.geo is not None and (geo is None or geo not in group.geo):
                 continue
-            if campaign.total_budget_micros - campaign.spent_micros < value:
+            if campaign.total_budget_micros - spent[campaign.id] < value:
                 continue
             for ad in group.ads:
                 candidates.append(Candidate(campaign, group, ad, value))
@@ -303,7 +306,8 @@ class Marketplace:
         """
         candidate = outcome.candidate
         campaign = candidate.campaign
-        if campaign.spent_micros + outcome.price_micros > campaign.total_budget_micros:
+        spent = self.spent_micros[campaign.id] + outcome.price_micros
+        if spent > campaign.total_budget_micros:
             raise BudgetError(
                 f"campaign {campaign.id!r} cannot pay {outcome.price_micros} micros"
             )
@@ -313,7 +317,7 @@ class Marketplace:
                 f"profile {profile.cookie_id!r} left all audiences targeted by "
                 f"ad group {candidate.ad_group.id!r} before the impression"
             )
-        campaign.spent_micros += outcome.price_micros
+        self.spent_micros[campaign.id] = spent
         record = ImpressionRecord(
             ad_id=candidate.ad.id,
             campaign_id=campaign.id,
@@ -408,7 +412,7 @@ def build_reports(
                 window_index=k,
                 window_start=k * window_length,
                 window_end=(k + 1) * window_length,
-                deltas=dict(deltas[k]),
+                deltas=deltas[k],
                 cumulative=dict(running),
             )
         )
@@ -428,7 +432,3 @@ def reports_to_rows(reports: Iterable[AudienceCounterReport]) -> list[tuple]:
         for a in sorted(r.deltas)
     ]
 
-
-def fresh_campaign(campaign: Campaign) -> Campaign:
-    """Copy with zero spend, for reusing one scenario across runs."""
-    return replace(campaign, spent_micros=0)

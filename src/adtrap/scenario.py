@@ -52,9 +52,11 @@ class WarmupVisit:
 
 @dataclass(frozen=True)
 class AttackVisit:
+    """A scheduled page view; the loader resolves a null ``page`` to its site's first."""
+
     site: str
     t: float
-    page: str | None = None
+    page: str
     tracking_arg: str | None = None
     referral: str | None = None
 
@@ -71,7 +73,7 @@ class UserAgentSpec:
     attack_visits: tuple[AttackVisit, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     taxonomy: Taxonomy
     websites: dict[str, Website]
@@ -451,16 +453,19 @@ def _load_users(
         fields["warmup_plan"] = tuple(warmup)
         visits: list[AttackVisit] = []
         for vp, visit in _each(fields, "attack_visits", "attack_visit", p, "attack visit"):
-            site, t, page = visit["site"], visit["t"], visit.get("page")
+            site, t = visit["site"], visit["t"]
             if site not in websites:
                 raise ValidationError(f"unknown website {site!r}", f"{vp}/site")
+            page = visit.get("page")
+            if page is None:
+                page = visit["page"] = next(iter(websites[site].pages))
             if not 0 <= t < horizon:
                 raise ValidationError("visit time must lie in [0, horizon)", f"{vp}/t")
             if visits and t <= visits[-1].t:
                 raise ValidationError(
                     "attack visit times must be strictly increasing per user", f"{vp}/t"
                 )
-            if page is not None and not (isinstance(page, str) and page in websites[site].pages):
+            if not (isinstance(page, str) and page in websites[site].pages):
                 raise ValidationError(f"website {site!r} has no page {page!r}", f"{vp}/page")
             visits.append(AttackVisit(**visit))
         fields["attack_visits"] = tuple(visits)

@@ -21,14 +21,13 @@ import logging
 import random
 from dataclasses import dataclass, field, replace
 
-from .errors import InconsistentObservationsError, ValidationError
-from .gdn import Website, serve_page
+from .errors import InconsistentObservationsError, SimulationError, ValidationError
+from .gdn import VisitLogEntry, serve_page
 from .marketplace import (
     AudienceCounterReport,
     ImpressionRecord,
     Marketplace,
     build_reports,
-    fresh_campaign,
     window_count,
 )
 from .profile import AdUserProfile, PageProfile, record_visit
@@ -58,27 +57,28 @@ class RunTrace:
 
     impressions: list[ImpressionRecord]
     reports: list[AudienceCounterReport]
-    logs: dict[str, list]
+    logs: dict[str, list[VisitLogEntry]]
     ground_truth: dict[str, set[str]] = field(default_factory=dict)
 
 
 class SimulationEngine:
     """Materialised state for one run of one scenario.
 
-    The scenario itself is never mutated: campaigns are copied with zero
-    spend and websites get fresh logs, so the same :class:`Scenario` can
-    back any number of runs.
+    Scenario records are frozen, so everything a run changes lives here:
+    profiles, the marketplace (impressions and each campaign's spend) and
+    ``logs``, the visit log of every logging site.  The same
+    :class:`Scenario` can therefore back any number of runs.
     """
 
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
-        self.websites: dict[str, Website] = {
-            wid: replace(site, log=[]) for wid, site in scenario.websites.items()
-        }
         self.pages: dict[str, PageProfile] = {
-            pid: page for site in self.websites.values() for pid, page in site.pages.items()
+            pid: page for site in scenario.websites.values() for pid, page in site.pages.items()
         }
-        campaigns = [fresh_campaign(c) for c in scenario.campaigns]
+        self.logs: dict[str, list[VisitLogEntry]] = {
+            wid: [] for wid, site in scenario.websites.items() if site.logging
+        }
+        campaigns = list(scenario.campaigns)
         if scenario.attack is not None:
             campaigns.extend(
                 build_trap_campaign(scenario.attack, scenario.websites[site_id])
@@ -120,11 +120,9 @@ class SimulationEngine:
                 events.append((visit.t, user.id, seq, user, visit))
         events.sort(key=lambda e: (e[0], e[1], e[2]))
         for t, _, _, user, visit in events:
-            website = self.websites[visit.site]
-            page_id = visit.page or website.first_page_id()
-            impression, _ = serve_page(
-                website,
-                page_id,
+            impression, entry = serve_page(
+                self.scenario.websites[visit.site],
+                visit.page,
                 self.profiles[user.cookie_id],
                 network_id=user.network_id,
                 consent=user.consent,
@@ -136,31 +134,31 @@ class SimulationEngine:
                 tracking_arg=visit.tracking_arg,
                 geo=user.geo,
             )
+            if entry is not None:
+                site_log = self.logs[visit.site]
+                if site_log and t < site_log[-1].timestamp:
+                    raise SimulationError(
+                        f"visit log for {visit.site!r} would go backwards in time"
+                    )
+                site_log.append(entry)
             log.debug(
                 "t=%s user=%s site=%s page=%s impression=%s",
                 t,
                 user.id,
                 visit.site,
-                page_id,
+                visit.page,
                 impression.ad_id if impression else None,
             )
-
-    def publish_reports(self) -> list[AudienceCounterReport]:
-        return self.marketplace.publish_reports(
-            self.scenario.window_length, self.scenario.horizon
-        )
 
     def run(self) -> RunTrace:
         self.run_warmup()
         self.run_attack_phase()
         return RunTrace(
-            impressions=list(self.marketplace.impressions),
-            reports=self.publish_reports(),
-            logs={
-                wid: list(site.log)
-                for wid, site in self.websites.items()
-                if site.logging
-            },
+            impressions=self.marketplace.impressions,
+            reports=self.marketplace.publish_reports(
+                self.scenario.window_length, self.scenario.horizon
+            ),
+            logs=self.logs,
             ground_truth=self.ground_truth,
         )
 
@@ -292,9 +290,10 @@ def sweep(
     seeds in the given order, so the row sequence is reproducible.  Each
     cell's document is built and validated once, with the first seed; every
     seed, checked by the document's seed rule, then only reseeds that
-    cell's scenario, which no run mutates.  An empty grid yields no rows; an
-    empty seed list is an error, and so is a ``seed`` grid key, since
-    ``seeds`` sets every run's seed.
+    cell's scenario.  Its records are frozen and each run keeps its spend
+    and logs in its own engine, so one scenario backs all of the cell's
+    runs.  An empty grid yields no rows; an empty seed list is an error,
+    and so is a ``seed`` grid key, since ``seeds`` sets every run's seed.
     """
     if not seeds:
         raise ValidationError("no seeds")

@@ -16,7 +16,7 @@ window's deltas.  Solving proceeds in three stages:
 1. propagate forced values (a window whose remaining deltas are fully
    determined fixes its remaining visitors), repeated to a fixpoint;
 2. split what is left into independent components and enumerate each one
-   exhaustively while the candidate count stays within ``exhaustive_limit``;
+   exhaustively while its candidate count stays within a cap of 10**6;
 3. mark visitors of any larger component ``unknown``.
 
 A visitor is ``exact`` when every surviving assignment agrees on her value
@@ -42,6 +42,10 @@ from .marketplace import Ad, AdGroup, AudienceCounterReport, Bid, Campaign, wind
 # Sentinel meaning "this visitor matched no probed audience".  Kept as
 # Python None internally; rendered as the string "none" at the edges.
 NO_AUDIENCE = None
+
+# Largest candidate count a component is enumerated for; a larger one
+# comes out unknown.
+_EXHAUSTIVE_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -208,10 +212,7 @@ def _inconsistent(window: _Window, why: str) -> InconsistentObservationsError:
     )
 
 
-def infer_audiences(
-    observations: list[WindowObservation],
-    exhaustive_limit: int = 10**6,
-) -> AttributionResult:
+def infer_audiences(observations: list[WindowObservation]) -> AttributionResult:
     """Solve the visitor/counter constraint model.
 
     Deterministic: equal observations give equal results, whatever the
@@ -301,7 +302,7 @@ def infer_audiences(
                         component.add(other)
                         frontier.append(other)
         unresolved -= component
-        _solve_component(sorted(component), visitor_windows, exhaustive_limit, assignments)
+        _solve_component(sorted(component), visitor_windows, assignments)
 
     return AttributionResult(assignments)
 
@@ -309,7 +310,6 @@ def infer_audiences(
 def _solve_component(
     members: list[str],
     visitor_windows: dict[str, list[_Window]],
-    exhaustive_limit: int,
     assignments: dict[str, Assignment],
 ) -> None:
     # Per-visitor domains: "none" always fits; an audience fits only if
@@ -332,7 +332,7 @@ def _solve_component(
     size = 1
     for dom in domains:
         size *= len(dom)
-        if size > exhaustive_limit:
+        if size > _EXHAUSTIVE_LIMIT:
             for nid in members:
                 assignments[nid] = Assignment("unknown")
             return

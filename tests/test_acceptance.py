@@ -156,11 +156,9 @@ def test_counters_conserve_impressions_and_budgets_hold():
                 assert trace.reports[-1].cumulative[audience] == total, (i, audience)
             for record in trace.impressions:
                 assert 0 <= record.timestamp < scenario.horizon, i
+            spent = engine.marketplace.spent_micros
             for campaign in engine.marketplace.campaigns.values():
-                assert 0 <= campaign.spent_micros <= campaign.total_budget_micros, (
-                    i,
-                    campaign.id,
-                )
+                assert 0 <= spent[campaign.id] <= campaign.total_budget_micros, (i, campaign.id)
 
 
 def test_traces_are_byte_identical_across_runs():

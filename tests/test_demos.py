@@ -1,5 +1,7 @@
-"""Every script in demos/ runs to completion: exit status 0, empty stderr."""
+"""Every script in demos/ runs to completion: exit status 0, empty stderr,
+and stdout byte-identical to its pinned sha256 digest."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -10,9 +12,19 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout.  A change that alters what a demo prints
+# must update its digest here and say why.
+STDOUT_SHA256 = {
+    "ambiguity_and_elimination": "492f3b0182542bd7b2bf1efc908eeb2b8c1ea4fd8d6139e5cc3a09a2498bed6d",
+    "countermeasure_knobs": "e837ccdc110f589ca97968e71337c9452c1dd281b809de0720f4a7b81222cdb5",
+    "ecosystem_tour": "87afcf209bd6e24d7af59787a0998f30ee35e03fe7469acbd560b05c42e92f7b",
+    "victim_roundup": "c09b5aca03b7f63853b91651694713e149d9918d52da24897a801e1fd7745800",
+}
+
 
 def test_demos_exist():
     assert len(DEMOS) == 4
+    assert {demo.stem for demo in DEMOS} == set(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -26,9 +38,9 @@ def test_demo_runs_cleanly(demo, tmp_path):
         cwd=tmp_path,
         env=env,
         capture_output=True,
-        text=True,
         timeout=60,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == ""
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
     assert proc.stdout
+    assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.stem]

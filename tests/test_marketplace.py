@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from adtrap.errors import BudgetError, ValidationError
 from adtrap.marketplace import (
+    MICROS,
     Ad,
     AdGroup,
     Bid,
@@ -18,7 +19,6 @@ from adtrap.marketplace import (
     REPORT_COLUMNS,
     build_reports,
     effective_value_micros,
-    fresh_campaign,
     reports_to_rows,
     to_micros,
     window_index,
@@ -100,9 +100,8 @@ def test_thousand_cpm_impressions_spend_exactly_the_rate():
     profile = sports_profile()
     for i in range(1000):
         assert market.serve("site", PAGE, profile, time=float(i)) is not None
-    campaign = market.campaigns["c"]
-    assert campaign.spent_micros == 50_000_000
-    assert campaign.spent == 50.0
+    assert market.spent_micros["c"] == 50_000_000
+    assert market.spent_micros["c"] / MICROS == 50.0
 
 
 def test_auction_prefers_higher_value():
@@ -159,8 +158,7 @@ def test_second_price_charges_runner_up():
     )
     record = market.serve("site", PAGE, sports_profile(), time=0.0)
     assert record.campaign_id == "high"
-    assert market.campaigns["high"].spent_micros == 10_000
-    assert market.campaigns["low"].spent_micros == 0
+    assert market.spent_micros == {"low": 0, "high": 10_000}
 
 
 def test_second_price_with_single_candidate_pays_own_value():
@@ -168,7 +166,7 @@ def test_second_price_with_single_candidate_pays_own_value():
         [make_campaign("only", 40.0)], config=MarketConfig(auction_mode="second_price")
     )
     market.serve("site", PAGE, sports_profile(), time=0.0)
-    assert market.campaigns["only"].spent_micros == 40_000
+    assert market.spent_micros["only"] == 40_000
 
 
 def test_exhausted_budget_drops_out_of_eligibility():
@@ -178,8 +176,7 @@ def test_exhausted_budget_drops_out_of_eligibility():
     assert market.serve("site", PAGE, profile, time=0.0) is not None
     assert market.serve("site", PAGE, profile, time=1.0) is not None
     assert market.serve("site", PAGE, profile, time=2.0) is None
-    campaign = market.campaigns["c"]
-    assert campaign.spent_micros == campaign.total_budget_micros
+    assert market.spent_micros["c"] == market.campaigns["c"].total_budget_micros
 
 
 def test_overspend_refused_outright():
@@ -188,7 +185,7 @@ def test_overspend_refused_outright():
     outcome = market.run_auction(
         market.eligible_ads("site", sports_profile())
     )
-    campaign.spent_micros = campaign.total_budget_micros - 1
+    market.spent_micros["c"] = campaign.total_budget_micros - 1
     with pytest.raises(BudgetError):
         market.record_impression(outcome, sports_profile(), PAGE, "site", time=0.0)
 
@@ -350,14 +347,15 @@ def test_reports_to_rows_shape():
     ]
 
 
-def test_fresh_campaign_resets_spend_only():
+def test_each_marketplace_keeps_its_own_spend():
     campaign = make_campaign("c", 50.0)
-    campaign.spent_micros = 12345
-    clean = fresh_campaign(campaign)
-    assert clean.spent_micros == 0
-    assert clean.id == campaign.id
-    assert clean.ad_groups == campaign.ad_groups
-    assert campaign.spent_micros == 12345  # original untouched
+    first = Marketplace([campaign])
+    first.serve("site", PAGE, sports_profile(), time=0.0)
+    second = Marketplace([campaign])
+    assert first.spent_micros == {"c": 50_000}
+    assert second.spent_micros == {"c": 0}
+    assert second.serve("site", PAGE, sports_profile(), time=0.0) is not None
+    assert first.spent_micros == second.spent_micros == {"c": 50_000}
 
 
 def test_duplicate_campaign_ids_rejected():
@@ -398,10 +396,9 @@ def test_spend_is_sum_of_integer_prices(amounts):
     for t in range(20):
         market.serve("site", PAGE, profile, time=float(t))
     for campaign in market.campaigns.values():
-        assert 0 <= campaign.spent_micros <= campaign.total_budget_micros
-        assert campaign.spent_micros % effective_value_micros(
-            campaign.ad_groups[0].bid
-        ) == 0 or campaign.spent_micros == 0
+        spent = market.spent_micros[campaign.id]
+        assert 0 <= spent <= campaign.total_budget_micros
+        assert spent % effective_value_micros(campaign.ad_groups[0].bid) == 0
 
 
 def test_micros_conversion_rounds_half_up_at_micro_scale():
@@ -438,15 +435,17 @@ def ad_groups(draw, cid, j):
 
 @st.composite
 def campaign_lists(draw):
+    """Campaigns, and each one's spend, by id, before the page views."""
     campaigns = []
+    prior_spend = {}
     for i in range(draw(st.integers(1, 5))):
         cid = f"c{i}"
         groups = tuple(draw(ad_groups(cid, j)) for j in range(draw(st.integers(1, 3))))
         budget = draw(st.sampled_from([0.0, 0.0005, 0.001, 0.0025, 0.005, 1.0, 1.0]))
         campaign = Campaign(id=cid, name=cid, ad_groups=groups, total_budget=budget)
-        campaign.spent_micros = draw(st.integers(0, campaign.total_budget_micros))
+        prior_spend[cid] = draw(st.integers(0, campaign.total_budget_micros))
         campaigns.append(campaign)
-    return campaigns
+    return campaigns, prior_spend
 
 
 page_views = st.tuples(
@@ -466,7 +465,7 @@ def demographics_pass(filters, demographics):
     return True
 
 
-def scan_from_scratch(campaigns, config, website_id, profile, geo):
+def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo):
     """Every campaign and group priced again for one page view: the winner
     and its price as (campaign id, group id, ad id, price), or None, plus
     the eligible (campaign id, group id, ad id, value) in scan order."""
@@ -482,7 +481,7 @@ def scan_from_scratch(campaigns, config, website_id, profile, geo):
             if group.geo is not None and geo not in group.geo:
                 continue
             value = effective_value_micros(group.bid, config)
-            if to_micros(campaign.total_budget) - campaign.spent_micros < value:
+            if to_micros(campaign.total_budget) - spent_micros[campaign.id] < value:
                 continue
             eligible += [(campaign.id, group.id, ad.id, value) for ad in group.ads]
     if not eligible:
@@ -498,17 +497,21 @@ def scan_from_scratch(campaigns, config, website_id, profile, geo):
 
 
 @given(
-    campaigns=campaign_lists(),
+    drawn=campaign_lists(),
     mode=st.sampled_from(["first_price", "second_price"]),
     ctr=st.sampled_from([0.05, 0.5]),
     views=st.lists(page_views, min_size=1, max_size=12),
 )
-def test_priced_table_matches_scan_from_scratch(campaigns, mode, ctr, views):
+def test_priced_table_matches_scan_from_scratch(drawn, mode, ctr, views):
+    campaigns, prior_spend = drawn
     config = MarketConfig(auction_mode=mode, click_through_rate=ctr)
     market = Marketplace(campaigns, config=config)
+    market.spent_micros.update(prior_spend)
     for t, (site, audiences, demographics, geo) in enumerate(views):
         profile = AdUserProfile(cookie_id="ck", demographics=demographics, audiences=set(audiences))
-        expected, expected_eligible = scan_from_scratch(campaigns, config, site, profile, geo)
+        expected, expected_eligible = scan_from_scratch(
+            campaigns, market.spent_micros, config, site, profile, geo
+        )
         candidates = market.eligible_ads(site, profile, geo)
         assert [
             (c.campaign.id, c.ad_group.id, c.ad.id, c.value_micros) for c in candidates

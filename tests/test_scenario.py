@@ -5,12 +5,25 @@ import json
 import math
 import random
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
 
+from adtrap import scenarios
 from adtrap.errors import ValidationError
-from adtrap.scenario import _SCHEMA, load_scenario, load_scenario_document, read_scenario_file
+from adtrap.gdn import Website
+from adtrap.marketplace import Campaign
+from adtrap.profile import Demographics
+from adtrap.scenario import (
+    _SCHEMA,
+    Scenario,
+    UserAgentSpec,
+    load_scenario,
+    load_scenario_document,
+    read_scenario_file,
+)
+from adtrap.trap import AttackSpec
 
 from conftest import SMALL_TAXONOMY_DOC
 from generators import random_scenario_document
@@ -261,6 +274,42 @@ def test_attack_visit_page_must_belong_to_site():
         {"site": "monads", "t": 100.0, "page": "fixtures"}
     ]
     reject(doc, "/users/0/attack_visits/0/page")
+
+
+@pytest.mark.parametrize("spelling", [{}, {"page": None}], ids=["absent", "null"])
+def test_attack_visit_page_defaults_to_first_page_of_its_site(spelling):
+    doc = base_document()
+    doc["websites"][0]["pages"].append({"id": "about", "topics": ["t_tennis"]})
+    doc["users"][0]["attack_visits"] = [{"site": "monads", "t": 100.0, **spelling}]
+    scenario = load_scenario_document(doc)
+    assert scenario.users[0].attack_visits[0].page == "landing"
+    assert doc["users"][0]["attack_visits"][0] == {"site": "monads", "t": 100.0, **spelling}
+
+
+def records(node):
+    """Every dataclass instance reachable from ``node`` through fields and containers."""
+    if is_dataclass(node):
+        yield node
+        for f in fields(node):
+            yield from records(getattr(node, f.name))
+    elif isinstance(node, dict):
+        for key, value in node.items():
+            yield from records(key)
+            yield from records(value)
+    elif isinstance(node, (list, tuple, set, frozenset)):
+        for item in node:
+            yield from records(item)
+
+
+def test_every_scenario_record_is_frozen():
+    documents = [scenarios.load(name) for name in scenarios.names()]
+    rng = random.Random(5)
+    documents += [random_scenario_document(rng) for _ in range(10)]
+    documents.append(base_document())
+    documents[-1]["users"][0]["demographics"] = {"gender": "f"}
+    kinds = {type(r) for doc in documents for r in records(load_scenario_document(doc))}
+    assert {Scenario, Website, Campaign, UserAgentSpec, AttackSpec, Demographics} <= kinds
+    assert [k.__name__ for k in kinds if not k.__dataclass_params__.frozen] == []
 
 
 def test_warmup_page_must_exist():

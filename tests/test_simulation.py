@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from adtrap import scenarios
-from adtrap.errors import ValidationError
+from adtrap.errors import SimulationError, ValidationError
 from adtrap.gdn import VisitLogEntry
 from adtrap.marketplace import AudienceCounterReport, ImpressionRecord, window_index
 from adtrap.scenario import load_scenario, load_scenario_document
@@ -85,7 +85,7 @@ def test_warmup_builds_profiles_without_serving():
     engine = SimulationEngine(scenario)
     engine.run_warmup()
     assert engine.marketplace.impressions == []
-    assert all(not site.log for site in engine.websites.values())
+    assert engine.logs == {"monads": []}
     assert engine.ground_truth["u7"] == {"a_sports_fans"}
     # no clicks sampled yet either: the rng is untouched
     assert engine.marketplace.rng.getstate() == random.Random(scenario.seed).getstate()
@@ -127,14 +127,55 @@ def test_run_produces_trace_with_logs_reports_and_truth():
     assert trace.ground_truth["u1"] == {"a_art_theater_aficionados"}
 
 
+def expected_logs(scenario):
+    """Every logging site's log from the schedule alone: one entry per
+    visit of a consenting user, in time order, ties by user id."""
+    visits = sorted(
+        ((user, visit) for user in scenario.users for visit in user.attack_visits),
+        key=lambda uv: (uv[1].t, uv[0].id),
+    )
+    logs = {wid: [] for wid, site in scenario.websites.items() if site.logging}
+    for user, visit in visits:
+        if user.consent and visit.site in logs:
+            logs[visit.site].append(
+                VisitLogEntry(
+                    timestamp=visit.t,
+                    network_id=user.network_id,
+                    page_id=visit.page,
+                    referral=visit.referral,
+                    tracking_arg=visit.tracking_arg,
+                )
+            )
+    return logs
+
+
+def test_logs_hold_consenting_visits_in_arrival_order():
+    scenario = load_scenario_document(small_attack_document())
+    assert run_scenario(scenario).logs == {
+        "monads": [VisitLogEntry(100.0, "203.0.113.1", "landing")]
+    }
+    rng = random.Random(7)
+    for _ in range(20):
+        scenario = load_scenario_document(random_scenario_document(rng))
+        assert run_scenario(scenario).logs == expected_logs(scenario)
+
+
+def test_visit_log_never_goes_backwards():
+    engine = SimulationEngine(load_scenario_document(small_attack_document()))
+    engine.run_warmup()
+    engine.logs["monads"].append(VisitLogEntry(1e9, "203.0.113.9", "landing"))
+    with pytest.raises(SimulationError, match="visit log for 'monads' would go backwards"):
+        engine.run_attack_phase()
+
+
 def assert_reusable(scenario, other_seed):
     """Runs of one Scenario object, also between runs of a reseeded copy,
-    repeat exactly and leave its campaigns and site logs untouched."""
+    repeat exactly and leave the whole scenario as it was."""
+    before = copy.deepcopy(scenario)
     first = trace_to_json(run_scenario(scenario))
     run_scenario(replace(scenario, seed=other_seed))
     assert trace_to_json(run_scenario(scenario)) == first
-    assert all(c.spent_micros == 0 for c in scenario.campaigns)
-    assert all(not site.log for site in scenario.websites.values())
+    assert scenario == before
 
 
 def test_scenario_object_survives_repeated_runs():
@@ -263,8 +304,9 @@ def test_impressions_respect_placement_and_horizon():
             assert 0 <= record.timestamp < scenario.horizon
             allowed = placements[record.ad_group_id]
             assert not allowed or record.website_id in allowed
+        spent = engine.marketplace.spent_micros
         for campaign in engine.marketplace.campaigns.values():
-            assert 0 <= campaign.spent_micros <= campaign.total_budget_micros
+            assert 0 <= spent[campaign.id] <= campaign.total_budget_micros
 
 
 # --- window membership ------------------------------------------------------

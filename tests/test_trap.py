@@ -280,12 +280,12 @@ def test_cross_window_contradiction_detected():
 
 
 def test_oversized_component_reports_unknown():
-    observations = [
-        make_observation(0, {"a_sports": 1, "a_pets": 1}, {"n1": 1, "n2": 1})
-    ]
-    result = infer_audiences(observations, exhaustive_limit=2)
-    for nid in ("n1", "n2"):
-        assert result.assignments[nid] == Assignment("unknown")
+    # Thirteen visitors, each of them sports, pets or none: 3**13 > 10**6
+    # candidates, above the enumeration cap.
+    visitors = {f"n{i:02d}": 1 for i in range(13)}
+    observations = [make_observation(0, {"a_sports": 1, "a_pets": 1}, visitors)]
+    result = infer_audiences(observations)
+    assert result.assignments == {nid: Assignment("unknown") for nid in visitors}
 
 
 def test_solver_ignores_observation_order():
