@@ -77,8 +77,8 @@ class UserAgentSpec:
 class Scenario:
     taxonomy: Taxonomy
     websites: dict[str, Website]
-    campaigns: list[Campaign]
-    users: list[UserAgentSpec]
+    campaigns: tuple[Campaign, ...]
+    users: tuple[UserAgentSpec, ...]
     attack: AttackSpec | None
     window_length: float
     horizon: float
@@ -399,7 +399,7 @@ def _load_ad_group(
 
 def _load_campaigns(
     document: dict, taxonomy: Taxonomy, websites: dict[str, Website]
-) -> list[Campaign]:
+) -> tuple[Campaign, ...]:
     campaigns: list[Campaign] = []
     seen: set[str] = set()
     for p, fields in _each(document, "campaigns", "campaign", "", "campaign"):
@@ -419,12 +419,12 @@ def _load_campaigns(
             for gp, group in _each(fields, "ad_groups", "ad_group", p, "ad group")
         )
         campaigns.append(Campaign(**fields))
-    return campaigns
+    return tuple(campaigns)
 
 
 def _load_users(
     document: dict, websites: dict[str, Website], horizon: float
-) -> list[UserAgentSpec]:
+) -> tuple[UserAgentSpec, ...]:
     pages = {pid for site in websites.values() for pid in site.pages}
     users: list[UserAgentSpec] = []
     user_ids: set[str] = set()
@@ -472,7 +472,7 @@ def _load_users(
         users.append(UserAgentSpec(**fields))
     overlap = sorted(cookie_ids & network_ids)
     _expect(not overlap, f"cookie ids and network ids must not overlap: {overlap}", "/users")
-    return users
+    return tuple(users)
 
 
 def _load_attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> AttackSpec | None:

@@ -15,9 +15,15 @@ window's deltas.  Solving proceeds in three stages:
 
 1. propagate forced values (a window whose remaining deltas are fully
    determined fixes its remaining visitors), repeated to a fixpoint;
-2. split what is left into independent components and enumerate each one
-   exhaustively while its candidate count stays within a cap of 10**6;
-3. mark visitors of any larger component ``unknown``.
+2. split what is left into independent components and, for each one whose
+   candidate count (the product of its visitors' domain sizes) stays within
+   a cap of 10**6, enumerate every consistent assignment by a depth-first
+   search: visitors take values one at a time, each window keeps its
+   residual deltas and its unassigned visits up to date, and a branch is
+   pruned as soon as a residual goes negative or a window's unassigned
+   visits can no longer cover its residual;
+3. mark visitors of any component over the cap ``unknown``; the cap is
+   checked on the domain product before any search starts.
 
 A visitor is ``exact`` when every surviving assignment agrees on her value
 (which may be "none": she matched no probed audience), ``ambiguous`` when
@@ -31,7 +37,6 @@ site logs.  Profiles, cookies and impression records never enter.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -43,8 +48,9 @@ from .marketplace import Ad, AdGroup, AudienceCounterReport, Bid, Campaign, wind
 # Python None internally; rendered as the string "none" at the edges.
 NO_AUDIENCE = None
 
-# Largest candidate count a component is enumerated for; a larger one
-# comes out unknown.
+# Largest candidate count (product of the visitors' domain sizes) a
+# component is searched for.  It is checked before the pruned depth-first
+# search starts, so a larger component comes out unknown without any search.
 _EXHAUSTIVE_LIMIT = 10**6
 
 
@@ -337,29 +343,58 @@ def _solve_component(
                 assignments[nid] = Assignment("unknown")
             return
 
-    # Windows are keyed by identity: several attacker sites share indices.
-    component_windows = dict.fromkeys(w for nid in members for w in visitor_windows[nid])
-    targets = [(w, Counter(w.resid)) for w in component_windows]
+    # Search state per window of the component: the residual per audience,
+    # their total, and the visits not yet assigned.  Windows are keyed by
+    # identity: several attacker sites share indices.
+    windows = dict.fromkeys(w for nid in members for w in visitor_windows[nid])
+    slot = {w: j for j, w in enumerate(windows)}
+    resid = [dict(w.resid) for w in windows]
+    need = [sum(r.values()) for r in resid]
+    left = [sum(w.counts.values()) for w in windows]
+    visits = [[(slot[w], w.counts[nid]) for w in visitor_windows[nid]] for nid in members]
 
+    # A visitor whose domain is "none" alone takes it up front, so the
+    # search recurses only through the others: fewer than 20, as 2**20
+    # exceeds the cap.
+    free = [i for i, dom in enumerate(domains) if len(dom) > 1]
+    for i, dom in enumerate(domains):
+        if len(dom) == 1:
+            for j, k in visits[i]:
+                left[j] -= k
+    chosen: list[str | None] = [NO_AUDIENCE] * len(members)
     survivors: list[set] = [set() for _ in members]
-    position = {nid: i for i, nid in enumerate(members)}
-    any_consistent = False
-    for combo in itertools.product(*domains):
-        ok = True
-        for w, expected in targets:
-            produced: Counter = Counter()
-            for nid, k in w.counts.items():
-                value = combo[position[nid]]
+
+    def search(depth: int) -> None:
+        if depth == len(free):
+            # Every visit is assigned and no residual is negative or left
+            # uncovered, so every window's deltas are reproduced exactly.
+            for seen, value in zip(survivors, chosen):
+                seen.add(value)
+            return
+        i = free[depth]
+        for value in domains[i]:
+            chosen[i] = value
+            fits = True
+            for j, k in visits[i]:
+                left[j] -= k
                 if value is not NO_AUDIENCE:
-                    produced[value] += k
-            if produced != expected:
-                ok = False
-                break
-        if ok:
-            any_consistent = True
-            for i, value in enumerate(combo):
-                survivors[i].add(value)
-    if not any_consistent:
+                    resid[j][value] -= k
+                    need[j] -= k
+                    fits = fits and resid[j][value] >= 0
+                fits = fits and need[j] <= left[j]
+            if fits:
+                search(depth + 1)
+            for j, k in visits[i]:
+                left[j] += k
+                if value is not NO_AUDIENCE:
+                    resid[j][value] += k
+                    need[j] += k
+
+    # Up-front visitors can leave a window unable to cover its residual,
+    # which the search only checks for the windows it touches.
+    if all(n <= m for n, m in zip(need, left)):
+        search(0)
+    if not survivors[0]:
         raise InconsistentObservationsError(
             "inconsistent observations: no audience assignment reproduces the "
             f"counters for visitors {members}"

@@ -301,15 +301,44 @@ def records(node):
             yield from records(item)
 
 
+def mutable_containers(node, owner=None):
+    """``Class.field`` of every list, set or dict reachable from ``node``."""
+    if is_dataclass(node):
+        for f in fields(node):
+            yield from mutable_containers(getattr(node, f.name), f"{type(node).__name__}.{f.name}")
+        return
+    if isinstance(node, (list, set, dict)):
+        yield owner
+    if isinstance(node, dict):
+        node = [*node.keys(), *node.values()]
+    if isinstance(node, (list, tuple, set, frozenset)):
+        for item in node:
+            yield from mutable_containers(item, owner)
+
+
 def test_every_scenario_record_is_frozen():
     documents = [scenarios.load(name) for name in scenarios.names()]
     rng = random.Random(5)
     documents += [random_scenario_document(rng) for _ in range(10)]
     documents.append(base_document())
     documents[-1]["users"][0]["demographics"] = {"gender": "f"}
-    kinds = {type(r) for doc in documents for r in records(load_scenario_document(doc))}
+    loaded = [load_scenario_document(doc) for doc in documents]
+    kinds = {type(r) for scenario in loaded for r in records(scenario)}
     assert {Scenario, Website, Campaign, UserAgentSpec, AttackSpec, Demographics} <= kinds
     assert [k.__name__ for k in kinds if not k.__dataclass_params__.frozen] == []
+    # Sequences are tuples.  The id-keyed mappings stay dicts, which
+    # copy.deepcopy can copy and a MappingProxyType could not.
+    assert {where for scenario in loaded for where in mutable_containers(scenario)} == {
+        "Scenario.websites",
+        "Website.pages",
+        "Taxonomy.topics",
+        "Taxonomy.interests",
+        "Taxonomy.audiences",
+    }
+    for scenario in loaded:
+        assert type(scenario.campaigns) is tuple and type(scenario.users) is tuple
+        with pytest.raises(AttributeError):
+            scenario.users.clear()
 
 
 def test_warmup_page_must_exist():

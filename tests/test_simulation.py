@@ -7,7 +7,7 @@ import random
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adtrap import scenarios
 from adtrap.errors import SimulationError, ValidationError
@@ -16,6 +16,7 @@ from adtrap.marketplace import AudienceCounterReport, ImpressionRecord, window_i
 from adtrap.scenario import load_scenario, load_scenario_document
 from adtrap.simulation import (
     SWEEP_COLUMNS,
+    RunTrace,
     SimulationEngine,
     apply_grid_value,
     attacker_view_reports,
@@ -220,6 +221,89 @@ def test_trace_document_shape():
         for entry in site_log:
             assert set(entry) == entry_keys
             assert "cookie_id" not in entry
+
+
+def reference_trace_json(trace):
+    """The trace as ``json.dumps`` writes it with ``indent=2``."""
+    document = {
+        "schema_version": 1,
+        "impressions": [vars(r) for r in trace.impressions],
+        "reports": [vars(r) for r in trace.reports],
+        "logs": {site_id: [vars(e) for e in entries] for site_id, entries in trace.logs.items()},
+        "ground_truth": {
+            user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
+        },
+    }
+    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+# Characters that frame JSON, need escaping, or are not ASCII.
+adversarial_text = st.text(
+    st.one_of(
+        st.sampled_from(list('}{][,:" \\/\n\r\t\x00\x1f\x7f\u00e9\u2028\u20ac\U0001f600')),
+        st.characters(),
+    ),
+    max_size=6,
+)
+extreme_floats = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, -1e16, 1.7976931348623157e308]),
+    st.floats(),
+)
+counters = st.dictionaries(adversarial_text, st.integers(-(2**70), 2**70), max_size=4)
+impressions = st.builds(
+    ImpressionRecord,
+    *(adversarial_text,) * 7,
+    timestamp=extreme_floats,
+    clicked=st.booleans(),
+)
+reports = st.builds(
+    AudienceCounterReport,
+    window_index=st.integers(-(2**70), 2**70),
+    window_start=extreme_floats,
+    window_end=extreme_floats,
+    deltas=counters,
+    cumulative=counters,
+)
+entries = st.builds(
+    VisitLogEntry,
+    timestamp=extreme_floats,
+    network_id=adversarial_text,
+    page_id=adversarial_text,
+    referral=st.none() | adversarial_text,
+    tracking_arg=st.none() | adversarial_text,
+)
+traces = st.builds(
+    RunTrace,
+    impressions=st.lists(impressions, max_size=4),
+    reports=st.lists(reports, max_size=4),
+    logs=st.dictionaries(adversarial_text, st.lists(entries, max_size=4), max_size=3),
+    ground_truth=st.dictionaries(
+        adversarial_text, st.sets(adversarial_text, max_size=3), max_size=4
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(trace=traces)
+@example(trace=RunTrace(impressions=[], reports=[], logs={}))
+@example(trace=RunTrace(impressions=[], reports=[], logs={"site": []}, ground_truth={"u": set()}))
+@example(
+    trace=RunTrace(
+        impressions=[],
+        reports=[AudienceCounterReport(0, -0.0, 5e-324, {}, {})],
+        logs={"a": [VisitLogEntry(timestamp=1e16, network_id="}\né", page_id="")], "b": []},
+        ground_truth={"u1": set(), "u2": {"x"}},
+    )
+)
+def test_trace_json_matches_indented_dumps_byte_for_byte(trace):
+    assert trace_to_json(trace) == reference_trace_json(trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_trace_json_matches_indented_dumps_on_generated_runs(seed):
+    trace = run_scenario(load_scenario_document(random_scenario_document(random.Random(seed))))
+    assert trace_to_json(trace) == reference_trace_json(trace)
 
 
 def test_attacker_view_is_probe_campaign_only():

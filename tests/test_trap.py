@@ -1,11 +1,13 @@
 """Inference from counters and logs: the heart of the attack."""
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bruteforce
+import reference_enumerator
 from conftest import make_observation
 from generators import oracle_agreement, random_observations
 
@@ -355,6 +357,76 @@ def test_inert_windows_change_no_result(seed, sites, data):
         at = data.draw(st.integers(0, len(padded)))
         padded.insert(at, WindowObservation(window_index=index, deltas=deltas, visits=()))
     assert solve(padded) == solve(observations)
+
+
+@st.composite
+def solver_instances(draw):
+    """Observations of up to 7 visitors over up to 3 audiences.
+
+    At most 4**7 candidates, under the enumeration cap.  Visitors repeat
+    within a window (1-3 visits), windows share indices as the windows of
+    several attacker sites do, a window may hold deltas and no visits, and
+    about one window in eight has a delta nudged off the truth.
+    """
+    audiences = [f"a{i}" for i in range(draw(st.integers(1, 3)))]
+    visitors = [f"n{i}" for i in range(draw(st.integers(1, 7)))]
+    truth = {nid: draw(st.sampled_from([None, *audiences])) for nid in visitors}
+    observations = []
+    for _ in range(draw(st.integers(1, 6))):
+        present = draw(st.lists(st.sampled_from(visitors), max_size=4, unique=True))
+        counts = {nid: draw(st.integers(1, 3)) for nid in present}
+        deltas = dict.fromkeys(audiences, 0)
+        for nid, k in counts.items():
+            if truth[nid] is not None:
+                deltas[truth[nid]] += k
+        if draw(st.integers(0, 7)) == 0:
+            audience = draw(st.sampled_from(audiences))
+            deltas[audience] = max(0, deltas[audience] + draw(st.sampled_from([-1, 1])))
+        observations.append(make_observation(draw(st.integers(0, 2)), deltas, counts))
+    return observations
+
+
+def solve_with_reference_enumerator(observations):
+    with mock.patch("adtrap.trap._solve_component", reference_enumerator.solve_component):
+        return solve(observations)
+
+
+@settings(max_examples=400, deadline=None)
+@given(observations=solver_instances())
+def test_search_matches_reference_enumerator(observations):
+    assert solve(observations) == solve_with_reference_enumerator(observations)
+
+
+def test_search_handles_components_of_many_forced_visitors():
+    # x and z are the only visitors with a choice: each y_i sits in window
+    # 0, which has only "a", and in its own window, which has only "b", so
+    # it can only be "none".  1500 of them link x and z into one component
+    # far deeper than the recursion limit.
+    ys = [f"y{i:04d}" for i in range(1500)]
+    observations = [make_observation(0, {"a": 1, "b": 0}, {"x": 1, **dict.fromkeys(ys, 1)})]
+    observations += [
+        make_observation(i, {"a": 0, "b": 1}, {y: 1, "z": 1}) for i, y in enumerate(ys, 1)
+    ]
+    result = infer_audiences(observations)
+    assert result == solve_with_reference_enumerator(observations)
+    assert result.assignments["x"] == Assignment("exact", audience="a")
+    assert result.assignments["z"] == Assignment("exact", audience="b")
+    assert {result.assignments[y] for y in ys} == {Assignment("exact", audience=None)}
+
+
+def test_window_of_forced_visitors_alone_still_constrains():
+    # y1 and y2 can only be "none" (each of their windows lacks the other's
+    # audience), so nobody can produce window 0's "a" although z, the one
+    # visitor with a choice, satisfies every window it is in.
+    observations = [
+        make_observation(0, {"a": 1, "b": 0}, {"y1": 1, "y2": 1}),
+        make_observation(1, {"a": 0, "b": 1}, {"y1": 1, "z": 1}),
+        make_observation(2, {"a": 0, "b": 1}, {"y2": 1, "z": 1}),
+    ]
+    with pytest.raises(InconsistentObservationsError, match="no audience assignment"):
+        infer_audiences(observations)
+    assert solve(observations) == solve_with_reference_enumerator(observations)
+    check_oracle(observations)
 
 
 def test_replay_exact_accepts_solver_output():
