@@ -172,13 +172,19 @@ def _parse_grid(args_grid: list[str]) -> dict[str, list]:
 
 
 def _parse_seeds(raw: str) -> list[int]:
+    """Comma-separated seeds, each an optional ``-`` and ASCII digits.
+
+    ``int`` alone would also take other scripts' digits, ``_`` separators
+    and surrounding spaces, and run seeds nobody typed.
+    """
     tokens = [t for t in (raw or "").split(",") if t != ""]
     if not tokens:
         raise ValidationError("no seeds")
-    try:
-        return [int(t) for t in tokens]
-    except ValueError as exc:
-        raise ValidationError(f"seeds must be integers: {raw!r}") from exc
+    for t in tokens:
+        digits = t.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValidationError(f"seeds must be integers: {raw!r}")
+    return [int(t) for t in tokens]
 
 
 def cmd_sweep(args) -> int:

@@ -219,8 +219,13 @@ class Marketplace:
 
     Campaigns and config are read once, at construction, which prices every
     ad group into one ``(campaign, group, value_micros)`` table in campaign
-    then group order; page views scan it.  Prices and budgets stay fixed;
-    ``spent_micros`` holds what each campaign, by id, has spent in this run.
+    then group order.  From it each website named in some placement gets
+    the entries that can serve there, its placed groups and the
+    network-wide ones, in the same order, so equal-value ties come out as
+    in the full table; any other website gets the network-wide entries.  A
+    page view scans only its website's entries.  Prices and budgets stay
+    fixed; ``spent_micros`` holds what each campaign, by id, has spent in
+    this run.
     """
 
     def __init__(
@@ -243,6 +248,16 @@ class Marketplace:
             for campaign in self.campaigns.values()
             for group in campaign.ad_groups
         ]
+        self._network_wide = [entry for entry in self._priced_groups if not entry[1].placement]
+        placed = {site for _, group, _ in self._priced_groups for site in group.placement}
+        self._groups_by_site = {
+            site: [
+                entry
+                for entry in self._priced_groups
+                if not entry[1].placement or site in entry[1].placement
+            ]
+            for site in placed
+        }
 
     def eligible_ads(
         self,
@@ -258,9 +273,7 @@ class Marketplace:
         """
         candidates: list[Candidate] = []
         spent = self.spent_micros
-        for campaign, group, value in self._priced_groups:
-            if group.placement and website_id not in group.placement:
-                continue
+        for campaign, group, value in self._groups_by_site.get(website_id, self._network_wide):
             if group.target_audiences.isdisjoint(profile.audiences):
                 continue
             if not _demographics_match(group, profile):

@@ -9,9 +9,18 @@ of the page's own topics, so only the interests those topics feed
 (:attr:`Taxonomy.interests_by_topic`) can join.  This is exact because
 scores never fall (increments are non-negative) and a profile's threshold
 is fixed and positive, so an empty profile holds no interest and every
-interest, once reached, stays.  The invariant: ``interests`` is the set
-of interests with a source topic scoring at least the threshold, and
-``audiences`` is :func:`audiences_for_interests` of ``interests``.
+interest, once reached, stays.
+
+Audiences are extended the same way: only the audiences that count a
+newly gained interest (:attr:`Taxonomy.audiences_by_interest`) are
+checked, and those that qualify join.  This is exact because an audience
+that counts none of the new interests overlaps the interest set exactly
+as before, so it qualifies now iff it did before; because audiences only
+grow with interests, every audience held still qualifies; and because
+``qualify_rule`` is at least 1, an empty profile holds no audience.  The
+invariant: ``interests`` is the set of interests with a source topic
+scoring at least the threshold, and ``audiences`` is
+:func:`~adtrap.taxonomy.audiences_for_interests` of ``interests``.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import NotEligibleError, SimulationError, ValidationError
-from .taxonomy import Taxonomy, audiences_for_interests
+from .taxonomy import Taxonomy
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,15 @@ def record_visit(
         scores[topic] = scores.get(topic, 0.0) + increment
         if scores[topic] >= config.interest_threshold:
             gained.update(taxonomy.interests_by_topic.get(topic, ()))
-    if not gained <= profile.interests:
-        profile.interests = profile.interests | gained
-        profile.audiences = audiences_for_interests(taxonomy, profile.interests)
+    gained -= profile.interests
+    if gained:
+        interests = profile.interests | gained
+        by_interest = taxonomy.audiences_by_interest
+        profile.interests = interests
+        profile.audiences = profile.audiences | {
+            audience.id
+            for interest in gained
+            for audience in by_interest.get(interest, ())
+            if audience.qualifies(interests)
+        }
     return profile

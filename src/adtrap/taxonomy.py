@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import UnknownIdError
+from .errors import UnknownIdError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,18 @@ class AffinityAudience:
     qualifying_interests: frozenset[str]
     qualify_rule: int = 1
 
+    def __post_init__(self):
+        # A rule below 1 would qualify an empty profile, which
+        # adtrap.profile's incremental audiences assume never happens.
+        if not self.qualify_rule >= 1:
+            raise ValidationError(
+                f"audience {self.id!r} qualify_rule must be at least 1, got {self.qualify_rule!r}"
+            )
+
+    def qualifies(self, interests: set[str]) -> bool:
+        """Whether ``interests`` hold at least ``qualify_rule`` of the qualifying ones."""
+        return len(self.qualifying_interests & interests) >= self.qualify_rule
+
 
 @dataclass(frozen=True)
 class Taxonomy:
@@ -72,6 +84,15 @@ class Taxonomy:
             for topic in interest.source_topics:
                 index.setdefault(topic, set()).add(interest.id)
         return {topic: frozenset(ids) for topic, ids in index.items()}
+
+    @cached_property
+    def audiences_by_interest(self) -> dict[str, tuple[AffinityAudience, ...]]:
+        """Audiences each interest counts toward, in taxonomy order, built once."""
+        index: dict[str, list[AffinityAudience]] = {}
+        for audience in self.audiences.values():
+            for interest in audience.qualifying_interests:
+                index.setdefault(interest, []).append(audience)
+        return {interest: tuple(audiences) for interest, audiences in index.items()}
 
     def topic_name(self, topic_id: str) -> str:
         return self.topics[topic_id].name
@@ -122,8 +143,4 @@ def audiences_for_interests(taxonomy: Taxonomy, interests) -> set[str]:
     for i in interest_set:
         if i not in taxonomy.interests:
             raise UnknownIdError(f"unknown interest id {i!r}")
-    return {
-        a.id
-        for a in taxonomy.audiences.values()
-        if len(a.qualifying_interests & interest_set) >= a.qualify_rule
-    }
+    return {a.id for a in taxonomy.audiences.values() if a.qualifies(interest_set)}

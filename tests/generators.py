@@ -230,3 +230,84 @@ def random_scenario_document(rng):
         "users": users,
         "attack": attack,
     }
+
+
+# Rival bids whose values tie across kinds at the default rates: CPM 10,
+# CPC 0.2 and CPA 1.0 are all worth 10000 micros an impression.
+TIED_BIDS = [("CPM", 10.0), ("CPM", 20.0), ("CPM", 95.0), ("CPC", 0.2), ("CPC", 0.4), ("CPA", 1.0)]
+# Shared by every rival, so equal ad ids tie across groups and campaigns.
+RIVAL_AD_IDS = ["ad_x", "ad_y"]
+GEO_FILTERS = [["IT"], ["DE"], ["IT", "DE"]]
+DEMOGRAPHIC_FILTERS = [{"gender": ["f"]}, {"languages": ["it", "fr"]}, {"age_band": ["25-34"]}]
+USER_DEMOGRAPHICS = [
+    None,
+    {"gender": "f"},
+    {"gender": "m", "age_band": "25-34", "languages": ["it"]},
+    {"languages": ["en", "fr"]},
+]
+
+
+def random_targeting_scenario_document(rng):
+    """A :func:`random_scenario_document` whose serving uses every filter.
+
+    Its rivals are replaced by 1–4 campaigns of 1–3 ad groups each, placed
+    on some of the sites or network-wide, some with geo and demographic
+    filters, bidding from ``TIED_BIDS`` with ads from ``RIVAL_AD_IDS``, on
+    budgets that may run out after an impression or two.  Users get a
+    region, demographics and up to three more visits anywhere during the
+    attack phase; the auction mode and the profile scoring vary.
+    """
+    document = random_scenario_document(rng)
+    site_ids = [site["id"] for site in document["websites"]]
+    audience_ids = [audience["id"] for audience in document["taxonomy"]["audiences"]]
+    campaigns = []
+    for i in range(rng.randint(1, 4)):
+        groups = []
+        for j in range(rng.randint(1, 3)):
+            kind, amount = rng.choice(TIED_BIDS)
+            group = {
+                "id": f"rival{i}_g{j}",
+                "ads": [{"id": rng.choice(RIVAL_AD_IDS)} for _ in range(rng.randint(1, 2))],
+                "target_audiences": rng.sample(audience_ids, rng.randint(1, len(audience_ids))),
+                "bid": {"kind": kind, "amount": amount},
+                "placement": (
+                    rng.sample(site_ids, rng.randint(1, len(site_ids)))
+                    if rng.random() < 0.6
+                    else []
+                ),
+            }
+            if rng.random() < 0.3:
+                group["geo"] = rng.choice(GEO_FILTERS)
+            if rng.random() < 0.3:
+                group["demographics"] = rng.choice(DEMOGRAPHIC_FILTERS)
+            groups.append(group)
+        campaigns.append(
+            {
+                "id": f"rival{i}",
+                "total_budget": rng.choice([0.01, 0.02, 0.05, 1.0, 50.0]),
+                "ad_groups": groups,
+            }
+        )
+    document["campaigns"] = campaigns
+    dwell = rng.random() < 0.3
+    document["profile_config"] = (
+        {"score_mode": "dwell", "interest_threshold": 0.5}
+        if dwell
+        else {"interest_threshold": rng.choice([1, 2])}
+    )
+    document["market_config"] = {"auction_mode": rng.choice(["first_price", "second_price"])}
+    for user in document["users"]:
+        user["geo"] = rng.choice([None, "IT", "DE"])
+        user["demographics"] = rng.choice(USER_DEMOGRAPHICS)
+        if dwell:
+            for visit in user["warmup_plan"]:
+                visit["dwell"] = rng.choice([0.0, 15.0, 30.0, 60.0])
+        visits = user["attack_visits"]
+        taken = {visit["t"] for visit in visits}
+        for _ in range(rng.randint(0, 3)):
+            t = float(rng.randrange(document["horizon_s"]))
+            if t not in taken:
+                taken.add(t)
+                visits.append({"site": rng.choice(site_ids), "t": t})
+        visits.sort(key=lambda visit: visit["t"])
+    return document

@@ -1,0 +1,164 @@
+"""A naive serving loop, the reference the engine's indexes are tested against.
+
+It keeps no priced table, no per-site table, no topic index and no
+audience index.  Every page view derives the visitor's interests and
+audiences again from the topic scores, prices every ad group of every
+campaign and auctions among all that qualify, straight from the scenario
+records.  Only the record types, bid pricing and report batching are
+shared with the engine.
+"""
+
+import random
+
+from adtrap.gdn import VisitLogEntry
+from adtrap.marketplace import (
+    ImpressionRecord,
+    build_reports,
+    effective_value_micros,
+    to_micros,
+    window_count,
+)
+from adtrap.profile import AdUserProfile
+from adtrap.simulation import RunTrace
+from adtrap.trap import build_trap_campaign
+
+
+def _audiences(scores, taxonomy, threshold):
+    interests = {
+        interest.id
+        for interest in taxonomy.interests.values()
+        if any(scores.get(topic, 0.0) >= threshold for topic in interest.source_topics)
+    }
+    return {
+        audience.id
+        for audience in taxonomy.audiences.values()
+        if len(audience.qualifying_interests & interests) >= audience.qualify_rule
+    }
+
+
+def demographics_pass(filters, demographics):
+    """Whether every filter accepts one of the profile's tags for its field."""
+    for name, accepted in filters:
+        value = getattr(demographics, name, None)
+        tags = value if isinstance(value, tuple) else (value,)
+        if not set(tags) & set(accepted):
+            return False
+    return True
+
+
+def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo):
+    """Every campaign and group priced again for one page view.
+
+    Returns the winner as ``(campaign, group, ad, price)``, or None, and
+    every eligible ``(campaign, group, ad, value)`` in campaign, group and
+    ad order.
+    """
+    eligible = []
+    for campaign in campaigns:
+        for group in campaign.ad_groups:
+            if group.placement and website_id not in group.placement:
+                continue
+            if not group.target_audiences & profile.audiences:
+                continue
+            if not demographics_pass(group.demographics, profile.demographics):
+                continue
+            if group.geo is not None and geo not in group.geo:
+                continue
+            value = effective_value_micros(group.bid, config)
+            if to_micros(campaign.total_budget) - spent_micros[campaign.id] < value:
+                continue
+            eligible += [(campaign, group, ad, value) for ad in group.ads]
+    if not eligible:
+        return None, eligible
+    best = 0
+    for i, (_, _, ad, value) in enumerate(eligible):
+        if (-value, ad.id) < (-eligible[best][3], eligible[best][2].id):
+            best = i
+    price = eligible[best][3]
+    if config.auction_mode == "second_price" and len(eligible) > 1:
+        price = max(e[3] for i, e in enumerate(eligible) if i != best)
+    return eligible[best][:3] + (price,), eligible
+
+
+def reference_run(scenario) -> RunTrace:
+    """What :func:`adtrap.simulation.run_scenario` should return for ``scenario``."""
+    taxonomy = scenario.taxonomy
+    profile_config = scenario.profile_config
+    config = scenario.market_config
+    campaigns = list(scenario.campaigns)
+    if scenario.attack is not None:
+        campaigns += [
+            build_trap_campaign(scenario.attack, scenario.websites[site_id])
+            for site_id in scenario.attack.sites
+        ]
+    pages = {pid: page for site in scenario.websites.values() for pid, page in site.pages.items()}
+    scores = {user.id: {} for user in scenario.users}
+
+    def view(user, page, dwell):
+        increment = dwell / 60.0 if profile_config.score_mode == "dwell" else 1.0
+        for topic in page.topics:
+            scores[user.id][topic] = scores[user.id].get(topic, 0.0) + increment
+        return _audiences(scores[user.id], taxonomy, profile_config.interest_threshold)
+
+    ground_truth = {}
+    for user in scenario.users:
+        held = set()
+        for visit in user.warmup_plan:
+            for _ in range(visit.repeat):
+                held = view(user, pages[visit.page], visit.dwell)
+        ground_truth[user.id] = held
+
+    rng = random.Random(scenario.seed)
+    spent = {campaign.id: 0 for campaign in campaigns}
+    impressions = []
+    logs = {site_id: [] for site_id, site in scenario.websites.items() if site.logging}
+    events = sorted(
+        ((visit.t, user.id, seq, user, visit)
+         for user in scenario.users
+         for seq, visit in enumerate(user.attack_visits)),
+        key=lambda event: event[:3],
+    )
+    for t, _, _, user, visit in events:
+        site = scenario.websites[visit.site]
+        held = view(user, site.pages[visit.page], 0.0)
+        profile = AdUserProfile(user.cookie_id, user.demographics, audiences=held)
+        winner, _ = scan_from_scratch(campaigns, spent, config, site.id, profile, user.geo)
+        if winner is not None:
+            campaign, group, ad, price = winner
+            spent[campaign.id] += price
+            impressions.append(
+                ImpressionRecord(
+                    ad_id=ad.id,
+                    campaign_id=campaign.id,
+                    ad_group_id=group.id,
+                    website_id=site.id,
+                    page_id=visit.page,
+                    audience_id=min(group.target_audiences & held),
+                    cookie_id=user.cookie_id,
+                    timestamp=t,
+                    clicked=rng.random() < config.click_through_rate,
+                )
+            )
+        if site.logging and user.consent:
+            logs[site.id].append(
+                VisitLogEntry(
+                    timestamp=t,
+                    network_id=user.network_id,
+                    page_id=visit.page,
+                    referral=visit.referral,
+                    tracking_arg=visit.tracking_arg,
+                )
+            )
+    universe = {
+        audience
+        for campaign in campaigns
+        for group in campaign.ad_groups
+        for audience in group.target_audiences
+    }
+    reports = build_reports(
+        impressions,
+        scenario.window_length,
+        window_count(scenario.horizon, scenario.window_length),
+        sorted(universe),
+    )
+    return RunTrace(impressions, reports, logs, ground_truth)

@@ -258,6 +258,24 @@ def test_sweep_rejects_empty_seed_list(capsys):
     assert "no seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "seeds",
+    ["\u0661,7", "1_0,7", "1, 7"],
+    ids=["non-ascii-digit", "underscore", "surrounding-space"],
+)
+def test_sweep_rejects_seeds_that_are_not_ascii_integers(tmp_path, capsys, seeds):
+    out = tmp_path / "out"
+    code = main(
+        [
+            "sweep", "two_visitor_ambiguity", "--grid", "attack/cpm=40",
+            "--seeds", seeds, "--out", str(out),
+        ]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: seeds must be integers: {seeds!r}\n"
+    assert not out.exists()
+
+
 def test_sweep_rejects_malformed_grid(capsys):
     code = main(["sweep", "two_visitor_ambiguity", "--grid", "nonsense", "--seeds", "1"])
     assert code == 1

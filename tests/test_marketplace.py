@@ -25,6 +25,8 @@ from adtrap.marketplace import (
 )
 from adtrap.profile import AdUserProfile, Demographics, PageProfile
 
+from reference_engine import scan_from_scratch
+
 PAGE = PageProfile("landing", frozenset({"t_soccer"}))
 
 
@@ -448,52 +450,13 @@ def campaign_lists(draw):
     return campaigns, prior_spend
 
 
+# "s0" is in no placement: only network-wide groups serve there.
 page_views = st.tuples(
-    st.sampled_from(SITES),
+    st.sampled_from(("s0",) + SITES),
     subsets(AUDIENCES, min_size=1),
     st.sampled_from([None, Demographics(gender="f"), Demographics(languages=("en", "it"))]),
     st.sampled_from([None, "IT", "DE"]),
 )
-
-
-def demographics_pass(filters, demographics):
-    for name, accepted in filters:
-        value = getattr(demographics, name, None)
-        tags = value if isinstance(value, tuple) else (value,)
-        if not set(tags) & set(accepted):
-            return False
-    return True
-
-
-def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo):
-    """Every campaign and group priced again for one page view: the winner
-    and its price as (campaign id, group id, ad id, price), or None, plus
-    the eligible (campaign id, group id, ad id, value) in scan order."""
-    eligible = []
-    for campaign in campaigns:
-        for group in campaign.ad_groups:
-            if group.placement and website_id not in group.placement:
-                continue
-            if not group.target_audiences & profile.audiences:
-                continue
-            if not demographics_pass(group.demographics, profile.demographics):
-                continue
-            if group.geo is not None and geo not in group.geo:
-                continue
-            value = effective_value_micros(group.bid, config)
-            if to_micros(campaign.total_budget) - spent_micros[campaign.id] < value:
-                continue
-            eligible += [(campaign.id, group.id, ad.id, value) for ad in group.ads]
-    if not eligible:
-        return None, eligible
-    best = 0
-    for i, (_, _, ad_id, value) in enumerate(eligible):
-        if (-value, ad_id) < (-eligible[best][3], eligible[best][2]):
-            best = i
-    price = eligible[best][3]
-    if config.auction_mode == "second_price" and len(eligible) > 1:
-        price = max(e[3] for i, e in enumerate(eligible) if i != best)
-    return eligible[best][:3] + (price,), eligible
 
 
 @given(
@@ -513,13 +476,10 @@ def test_priced_table_matches_scan_from_scratch(drawn, mode, ctr, views):
             campaigns, market.spent_micros, config, site, profile, geo
         )
         candidates = market.eligible_ads(site, profile, geo)
-        assert [
-            (c.campaign.id, c.ad_group.id, c.ad.id, c.value_micros) for c in candidates
-        ] == expected_eligible
+        assert [tuple(c) for c in candidates] == expected_eligible
         outcome = market.run_auction(candidates)
         if expected is None:
             assert outcome is None
             continue
-        got = outcome.candidate
-        assert (got.campaign.id, got.ad_group.id, got.ad.id, outcome.price_micros) == expected
+        assert (*outcome.candidate[:3], outcome.price_micros) == expected
         market.record_impression(outcome, profile, PAGE, site, float(t))

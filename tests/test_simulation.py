@@ -28,7 +28,8 @@ from adtrap.simulation import (
 from adtrap.trap import collect_observations, probe_campaign_id
 
 from conftest import SMALL_TAXONOMY_DOC
-from generators import random_scenario_document
+from generators import random_scenario_document, random_targeting_scenario_document
+from reference_engine import reference_run
 
 
 def small_attack_document(**overrides):
@@ -304,6 +305,19 @@ def test_trace_json_matches_indented_dumps_byte_for_byte(trace):
 def test_trace_json_matches_indented_dumps_on_generated_runs(seed):
     trace = run_scenario(load_scenario_document(random_scenario_document(random.Random(seed))))
     assert trace_to_json(trace) == reference_trace_json(trace)
+
+
+@pytest.mark.parametrize("name", scenarios.names())
+def test_bundled_runs_match_the_reference_engine(name):
+    scenario = load_scenario(scenarios.path(name))
+    assert trace_to_json(run_scenario(scenario)) == trace_to_json(reference_run(scenario))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_runs_match_the_reference_engine(seed):
+    scenario = load_scenario_document(random_targeting_scenario_document(random.Random(seed)))
+    assert trace_to_json(run_scenario(scenario)) == trace_to_json(reference_run(scenario))
 
 
 def test_attacker_view_is_probe_campaign_only():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from adtrap.errors import UnknownIdError, ValidationError
 from adtrap.scenario import load_taxonomy
-from adtrap.taxonomy import audiences_for_interests, taxonomy_to_document
+from adtrap.taxonomy import AffinityAudience, audiences_for_interests, taxonomy_to_document
 
 from conftest import SMALL_TAXONOMY_DOC
 
@@ -195,3 +195,9 @@ def test_qualification_is_monotone_in_interests(smaller, extra):
     assert audiences_for_interests(tax, smaller) <= audiences_for_interests(
         tax, smaller | extra
     )
+
+
+@pytest.mark.parametrize("rule", [0, -1])
+def test_audience_rule_below_one_rejected(rule):
+    with pytest.raises(ValidationError, match="qualify_rule must be at least 1"):
+        AffinityAudience("a", "A", frozenset({"i"}), rule)
