@@ -131,8 +131,12 @@ class ImpressionRecord:
 class AudienceCounterReport:
     """One reporting window of per-audience impression counters.
 
-    ``deltas`` counts impressions inside [window_start, window_end);
-    ``cumulative`` is the prefix sum over this and all earlier windows.
+    ``deltas`` counts the impressions whose timestamp ``t`` has
+    ``window_index(t, W) == window_index``, that is ``floor(t / W)``;
+    ``window_start`` and ``window_end`` are the nominal bounds ``k * W``
+    and ``(k + 1) * W``, which float rounding can put on the other side
+    of a member timestamp.  ``cumulative`` is the prefix sum over this and
+    all earlier windows.
     """
 
     window_index: int
@@ -379,16 +383,27 @@ class Marketplace:
 
 
 def window_index(timestamp: float, window_length: float) -> int:
-    """Index of the half-open window [k*W, (k+1)*W) containing ``timestamp``.
+    """Index ``floor(t / W)`` of the window holding ``timestamp``.
 
-    A timestamp exactly on a boundary belongs to the later window.
+    This is the one definition of window membership.  It is not the test
+    ``k * W <= t < (k + 1) * W`` on the nominal bounds a report carries:
+    with W = 0.1, t = 1.7 is in window 17, whose nominal start ``17 * 0.1``
+    is 1.7000000000000002.  A timestamp exactly on a boundary belongs to
+    the later window.
     """
     return math.floor(timestamp / window_length)
 
 
 def window_count(up_to_time: float, window_length: float) -> int:
-    """Number of windows elapsed by ``up_to_time``, the last one partial."""
-    return math.ceil(up_to_time / window_length) if up_to_time > 0 else 0
+    """Number of windows elapsed by ``up_to_time``, the last one partial.
+
+    One more than the index of the last timestamp before ``up_to_time``,
+    so every ``0 <= t < up_to_time`` falls in a counted window even where
+    ``up_to_time / W`` rounds to a whole number.
+    """
+    if up_to_time <= 0:
+        return 0
+    return window_index(math.nextafter(up_to_time, 0.0), window_length) + 1
 
 
 def build_reports(
@@ -404,29 +419,39 @@ def build_reports(
     over exactly ``audience_ids``.  When ``campaign_id`` is given, only
     that campaign's impressions are counted: this is the advertiser-facing
     view, since each advertiser sees counters for her own campaigns only.
+    One pass over the impressions counts the windows they hit; a window
+    no counted impression hit gets a fresh all-zero ``deltas``.
     """
     if window_length <= 0:
         raise ValidationError(f"window length must be positive, got {window_length!r}")
     audience_ids = sorted(audience_ids)
-    deltas = [dict.fromkeys(audience_ids, 0) for _ in range(num_windows)]
+    zero = dict.fromkeys(audience_ids, 0)
+    hit: dict[int, dict[str, int]] = {}
     for record in impressions:
         if campaign_id is not None and record.campaign_id != campaign_id:
             continue
         k = window_index(record.timestamp, window_length)
-        if 0 <= k < num_windows and record.audience_id in deltas[k]:
-            deltas[k][record.audience_id] += 1
+        if 0 <= k < num_windows and record.audience_id in zero:
+            counts = hit.get(k)
+            if counts is None:
+                counts = hit[k] = zero.copy()
+            counts[record.audience_id] += 1
     reports: list[AudienceCounterReport] = []
-    running = dict.fromkeys(audience_ids, 0)
+    running = zero.copy()
     for k in range(num_windows):
-        for a in audience_ids:
-            running[a] += deltas[k][a]
+        deltas = hit.get(k)
+        if deltas is None:
+            deltas = zero.copy()
+        else:
+            for a, n in deltas.items():
+                running[a] += n
         reports.append(
             AudienceCounterReport(
                 window_index=k,
                 window_start=k * window_length,
                 window_end=(k + 1) * window_length,
-                deltas=deltas[k],
-                cumulative=dict(running),
+                deltas=deltas,
+                cumulative=running.copy(),
             )
         )
     return reports

@@ -31,6 +31,11 @@ at least two values survive.  If no assignment reproduces the counters at
 all, the observations contradict the model and an
 :class:`InconsistentObservationsError` is raised.
 
+The join (:func:`collect_observations`) leaves out every window that has
+no visits and only zero deltas: such a window constrains nothing, so the
+solver never sees it.  Counter reports themselves stay dense, one per
+window.
+
 Everything here consumes attacker-visible data only: counter reports and
 site logs.  Profiles, cookies and impression records never enter.
 """
@@ -179,7 +184,9 @@ def collect_observations(
     Each entry goes to the window :func:`~adtrap.marketplace.window_index`
     gives its timestamp, the same rule the platform batches impressions
     by.  Entries outside every reported window are dropped.  Duplicate
-    window indices in the reports are rejected.
+    window indices in the reports are rejected.  A reported window with
+    no entries and every delta 0 gets no observation, since it constrains
+    nothing; the others come out in window order.
     """
     buckets: dict[int, list[VisitLogEntry]] = {}
     for entry in log_entries:
@@ -190,13 +197,15 @@ def collect_observations(
         if report.window_index in seen:
             raise ValidationError(f"duplicate report window index {report.window_index}")
         seen.add(report.window_index)
-        observations.append(
-            WindowObservation(
-                window_index=report.window_index,
-                deltas=dict(report.deltas),
-                visits=tuple(buckets.get(report.window_index, ())),
+        visits = buckets.get(report.window_index)
+        if visits or any(report.deltas.values()):
+            observations.append(
+                WindowObservation(
+                    window_index=report.window_index,
+                    deltas=dict(report.deltas),
+                    visits=tuple(visits or ()),
+                )
             )
-        )
     return observations
 
 
@@ -208,7 +217,10 @@ class _Window:
 
     def __init__(self, obs: WindowObservation):
         self.index = obs.window_index
-        self.counts = dict(Counter(v.network_id for v in obs.visits))
+        counts: dict[str, int] = {}
+        for v in obs.visits:
+            counts[v.network_id] = counts.get(v.network_id, 0) + 1
+        self.counts = counts
         self.resid = {a: int(n) for a, n in obs.deltas.items() if n > 0}
 
 
@@ -223,13 +235,11 @@ def infer_audiences(observations: list[WindowObservation]) -> AttributionResult:
 
     Deterministic: equal observations give equal results, whatever the
     input order.  Raises :class:`InconsistentObservationsError` when no
-    assignment reproduces the counters.
+    assignment reproduces the counters.  Every observation given becomes
+    a window of the model; one with no visits and only zero deltas
+    changes no result, and :func:`collect_observations` builds none.
     """
-    # A window with no visits and no deltas constrains nothing; leaving it
-    # out spares the propagation loop a rescan of it in every round.
-    windows = [
-        _Window(obs) for obs in observations if obs.visits or any(obs.deltas.values())
-    ]
+    windows = [_Window(obs) for obs in observations]
     visitor_windows: dict[str, list[_Window]] = {}
     for w in windows:
         for nid in w.counts:
@@ -468,7 +478,11 @@ def group_statistics(
 
     Needs no per-visitor inference at all: summing deltas is enough, which
     is what makes group-level profiling so much cheaper than individual
-    attribution.
+    attribution.  An audience missing from some observation's deltas was
+    not probed and raises :class:`UnknownIdError`.  With no observations
+    at all, as the join gives for an attack that logged no visit and got
+    no probe impression, nothing tells probed from unprobed: any two
+    audiences give counts of 0 and an undefined fraction.
     """
     if audience_x == audience_y:
         raise ValidationError("the two audiences must differ")

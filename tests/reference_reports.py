@@ -1,0 +1,92 @@
+"""Dense report batching and the dense join, kept as references for tests.
+
+``build_reports`` builds one zero counter per window up front and then
+counts every impression into it; ``collect_observations`` builds one
+observation per reported window, empty windows included.  Both are the
+implementations the single-pass batching and the sparse join replaced,
+copied unchanged.  Tests compare the production functions with them:
+reports must be equal, and the production join must equal this one with
+every window that has no visits and only zero deltas left out.
+"""
+
+from __future__ import annotations
+
+from typing import Iterable
+
+from adtrap.errors import ValidationError
+from adtrap.gdn import VisitLogEntry
+from adtrap.marketplace import AudienceCounterReport, ImpressionRecord, window_index
+from adtrap.trap import WindowObservation
+
+
+def build_reports(
+    impressions: Iterable[ImpressionRecord],
+    window_length: float,
+    num_windows: int,
+    audience_ids: list[str],
+    campaign_id: str | None = None,
+) -> list[AudienceCounterReport]:
+    """Batch impressions into per-window audience counters.
+
+    Every window in range gets a report, including all-zero ones, keyed
+    over exactly ``audience_ids``.  When ``campaign_id`` is given, only
+    that campaign's impressions are counted: this is the advertiser-facing
+    view, since each advertiser sees counters for her own campaigns only.
+    """
+    if window_length <= 0:
+        raise ValidationError(f"window length must be positive, got {window_length!r}")
+    audience_ids = sorted(audience_ids)
+    deltas = [dict.fromkeys(audience_ids, 0) for _ in range(num_windows)]
+    for record in impressions:
+        if campaign_id is not None and record.campaign_id != campaign_id:
+            continue
+        k = window_index(record.timestamp, window_length)
+        if 0 <= k < num_windows and record.audience_id in deltas[k]:
+            deltas[k][record.audience_id] += 1
+    reports: list[AudienceCounterReport] = []
+    running = dict.fromkeys(audience_ids, 0)
+    for k in range(num_windows):
+        for a in audience_ids:
+            running[a] += deltas[k][a]
+        reports.append(
+            AudienceCounterReport(
+                window_index=k,
+                window_start=k * window_length,
+                window_end=(k + 1) * window_length,
+                deltas=deltas[k],
+                cumulative=dict(running),
+            )
+        )
+    return reports
+
+
+def collect_observations(
+    reports: list[AudienceCounterReport],
+    log_entries: list[VisitLogEntry],
+    window_length: float,
+) -> list[WindowObservation]:
+    """Join counter reports with log entries window by window.
+
+    Each entry goes to the window :func:`~adtrap.marketplace.window_index`
+    gives its timestamp, the same rule the platform batches impressions
+    by.  Entries outside every reported window are dropped.  Duplicate
+    window indices in the reports are rejected.
+    """
+    buckets: dict[int, list[VisitLogEntry]] = {}
+    for entry in log_entries:
+        buckets.setdefault(window_index(entry.timestamp, window_length), []).append(entry)
+    seen: set[int] = set()
+    observations = []
+    for report in sorted(reports, key=lambda r: r.window_index):
+        if report.window_index in seen:
+            raise ValidationError(f"duplicate report window index {report.window_index}")
+        seen.add(report.window_index)
+        observations.append(
+            WindowObservation(
+                window_index=report.window_index,
+                deltas=dict(report.deltas),
+                visits=tuple(buckets.get(report.window_index, ())),
+            )
+        )
+    return observations
+

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from adtrap.errors import BudgetError, ValidationError
 from adtrap.marketplace import (
@@ -21,10 +21,12 @@ from adtrap.marketplace import (
     effective_value_micros,
     reports_to_rows,
     to_micros,
+    window_count,
     window_index,
 )
 from adtrap.profile import AdUserProfile, Demographics, PageProfile
 
+import reference_reports
 from reference_engine import scan_from_scratch
 
 PAGE = PageProfile("landing", frozenset({"t_soccer"}))
@@ -272,6 +274,43 @@ def test_window_index_boundaries():
     assert window_index(3600.0, 1800.0) == 2
 
 
+def test_window_count_covers_the_last_timestamp_before_the_horizon():
+    # 41.1 / 0.3 rounds to exactly 137.0, so ceil(H / W) says 137 windows,
+    # yet the last float below 41.1 is in window 137.
+    last = math.nextafter(41.1, 0.0)
+    assert math.ceil(41.1 / 0.3) == 137
+    assert window_index(last, 0.3) == 137
+    assert window_count(41.1, 0.3) == 138
+    assert window_count(3600.0, 1800.0) == 2
+    assert window_count(3600.5, 1800.0) == 3
+    assert window_count(1.0, 1800.0) == 1
+    assert window_count(0.0, 1800.0) == 0
+    assert window_count(-5.0, 1800.0) == 0
+
+
+@st.composite
+def timestamps_before_horizons(draw):
+    horizon = draw(st.floats(min_value=0.0, max_value=1e9, exclude_min=True))
+    window = draw(
+        st.sampled_from([0.1, 0.3, 1.1, 1800.0])
+        | st.floats(min_value=1e-3, max_value=1e6, allow_subnormal=False)
+    )
+    t = draw(
+        st.floats(min_value=0.0, max_value=horizon, exclude_max=True)
+        | st.just(math.nextafter(horizon, 0.0))
+    )
+    return t, horizon, window
+
+
+@settings(max_examples=500)
+@given(case=timestamps_before_horizons())
+@example(case=(math.nextafter(41.1, 0.0), 41.1, 0.3))
+@example(case=(math.nextafter(3.0, 0.0), 3.0, 0.1))
+def test_every_timestamp_before_the_horizon_falls_in_a_counted_window(case):
+    t, horizon, window = case
+    assert 0 <= window_index(t, window) < window_count(horizon, window)
+
+
 def imp(t, audience="a_sports", campaign="c"):
     return ImpressionRecord(
         ad_id="ad",
@@ -320,6 +359,57 @@ def test_reports_conserve_impressions():
     reports = build_reports(impressions, 100.0, 5, ["a_sports"])
     assert sum(r.deltas["a_sports"] for r in reports) == len(impressions)
     assert reports[-1].cumulative["a_sports"] == len(impressions)
+
+
+def test_reports_count_a_repeated_audience_id_once():
+    reports = build_reports([imp(10.0)], 100.0, 2, ["a_sports", "a_sports"])
+    assert [r.deltas for r in reports] == [{"a_sports": 1}, {"a_sports": 0}]
+    assert [r.cumulative for r in reports] == [{"a_sports": 1}, {"a_sports": 1}]
+
+
+@st.composite
+def report_inputs(draw):
+    """Arguments for build_reports: float windows, timestamps on and off
+    window boundaries, before 0 and past the last window, audiences outside
+    the list, impressions of two campaigns, and num_windows down to 0."""
+    window = draw(
+        st.sampled_from([0.1, 0.3, 1.1, 100.0])
+        | st.floats(min_value=0.01, max_value=1000.0, allow_subnormal=False)
+    )
+    num_windows = draw(st.integers(0, 25))
+    timestamp = st.integers(-3, 30).map(lambda k: k * window) | st.floats(
+        min_value=-5 * window, max_value=30 * window
+    )
+    impressions = draw(
+        st.lists(
+            st.builds(
+                imp,
+                timestamp,
+                audience=st.sampled_from(["a_pets", "a_sports", "a_cooks", "a_other"]),
+                campaign=st.sampled_from(["mine", "other"]),
+            ),
+            max_size=40,
+        )
+    )
+    audiences = draw(
+        st.lists(st.sampled_from(["a_sports", "a_pets", "a_cooks"]), unique=True)
+    )
+    campaign_id = draw(st.sampled_from([None, "mine", "absent"]))
+    return impressions, window, num_windows, audiences, campaign_id
+
+
+def report_layout(reports):
+    """Reports with the key order of their counters, which dict equality ignores."""
+    return [(r, list(r.deltas), list(r.cumulative)) for r in reports]
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=report_inputs())
+def test_build_reports_matches_the_dense_reference(args):
+    reports = build_reports(*args)
+    assert report_layout(reports) == report_layout(reference_reports.build_reports(*args))
+    counters = [id(c) for r in reports for c in (r.deltas, r.cumulative)]
+    assert len(set(counters)) == len(counters)
 
 
 def test_publish_reports_covers_elapsed_windows():

@@ -3,8 +3,10 @@
 import copy
 import itertools
 import json
+import math
 import random
 from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,6 +31,7 @@ from adtrap.trap import collect_observations, probe_campaign_id
 
 from conftest import SMALL_TAXONOMY_DOC
 from generators import random_scenario_document, random_targeting_scenario_document
+import reference_reports
 from reference_engine import reference_run
 
 
@@ -461,6 +464,61 @@ def test_probe_impressions_share_the_window_of_their_log_entry(seed, window, win
         if record.campaign_id == probe_campaign_id("atk") and user.consent:
             key = (user.network_id, record.timestamp)
             assert holder[key] == window_index(record.timestamp, window)
+
+
+def test_a_visit_just_before_the_horizon_is_reported_and_attributed():
+    # 41.1 / 0.3 rounds to exactly 137.0, but the last visit, at the last
+    # float below the horizon, is in window 137: ceil(H / W) windows would
+    # leave its impression out of every report and its visitor unattributed.
+    doc = scenarios.load("table2_experiment")
+    doc["window_length_s"] = 0.3
+    doc["horizon_s"] = 41.1
+    times = [i * 4.11 for i in range(9)] + [math.nextafter(41.1, 0.0)]
+    for user, t in zip(doc["users"], times, strict=True):
+        (visit,) = user["attack_visits"]
+        visit["t"] = t
+    scenario = load_scenario_document(doc)
+    trace = run_scenario(scenario)
+    assert window_index(times[-1], 0.3) == 137
+    assert len(trace.reports) == 138
+    assert len(trace.impressions) == 10
+    view = attacker_view_reports(trace, scenario, "monads")
+    assert sum(sum(r.deltas.values()) for r in view) == 10
+    result = run_attack(scenario, trace)
+    assert sorted(result.assignments) == sorted(e.network_id for e in trace.logs["monads"])
+    assert len(result.assignments) == 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    window=st.sampled_from([0.1, 0.3, 1.1, 7.0, 300.0]),
+    windows=st.integers(1, 40),
+    data=st.data(),
+)
+def test_runs_match_the_dense_reports_and_join(seed, window, windows, data):
+    # Generated scenarios on float windows, visits on a half-window grid or
+    # at the last float before the horizon, run once as they are and once
+    # with the dense report batching and the dense join patched in.
+    doc = random_scenario_document(random.Random(seed))
+    doc["window_length_s"] = window
+    doc["horizon_s"] = windows * window
+    last = math.nextafter(doc["horizon_s"], 0.0)
+    for user in doc["users"]:
+        n = len(user["attack_visits"])
+        slots = data.draw(st.lists(st.integers(0, 2 * windows), min_size=n, max_size=n, unique=True))
+        for visit, slot in zip(user["attack_visits"], sorted(slots)):
+            visit["t"] = min(round(slot * window / 2, 10), last)
+    scenario = load_scenario_document(doc)
+    trace = run_scenario(scenario)
+    with mock.patch("adtrap.marketplace.build_reports", reference_reports.build_reports):
+        assert trace_to_json(run_scenario(scenario)) == trace_to_json(trace)
+    with (
+        mock.patch("adtrap.simulation.build_reports", reference_reports.build_reports),
+        mock.patch("adtrap.simulation.collect_observations", reference_reports.collect_observations),
+    ):
+        expected = run_attack(scenario, trace)
+    assert run_attack(scenario, trace) == expected
 
 
 # --- parameter sweeps -------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce
 import reference_enumerator
+import reference_reports
 from conftest import make_observation
 from generators import oracle_agreement, random_observations
 
@@ -124,29 +125,85 @@ def report(index, deltas, window=100.0):
 
 
 def test_collect_observations_buckets_by_window():
-    reports = [report(1, {"a": 1}), report(0, {"a": 0})]
+    reports = [report(1, {"a": 1}), report(0, {"a": 0}), report(2, {"a": 0}), report(3, {"a": 2})]
     log = [entry(5.0), entry(105.0, "203.0.113.2"), entry(100.0)]
     observations = collect_observations(reports, log, 100.0)
-    assert [o.window_index for o in observations] == [0, 1]
+    # window 2 has no visits and a zero delta, so it gets no observation;
+    # window 3 has no visits but a delta to explain, so it stays
+    assert [o.window_index for o in observations] == [0, 1, 3]
     assert [e.timestamp for e in observations[0].visits] == [5.0]
     # boundary entry at t=100.0 belongs to the later window, in log order
     assert [e.timestamp for e in observations[1].visits] == [105.0, 100.0]
+    assert observations[2].visits == ()
+    assert observations[2].deltas == {"a": 2}
     # 17 * 0.1 rounds above 1.7, so [k*W, (k+1)*W) would say window 16;
     # the platform's floor(t / W) says 17, and the join must agree with it.
+    assert window_index(1.7, 0.1) == 17
+    assert report(17, {}, window=0.1).window_start > 1.7
     reports = [report(16, {"a": 0}, window=0.1), report(17, {"a": 1}, window=0.1)]
     observations = collect_observations(reports, [entry(1.7)], 0.1)
-    assert window_index(1.7, 0.1) == 17
-    assert [len(o.visits) for o in observations] == [0, 1]
+    assert [(o.window_index, o.visits) for o in observations] == [(17, (entry(1.7),))]
+    # with a delta to explain window 16 stays, and still holds no visit
+    reports = [report(16, {"a": 1}, window=0.1), report(17, {"a": 1}, window=0.1)]
+    observations = collect_observations(reports, [entry(1.7)], 0.1)
+    assert [(o.window_index, o.visits) for o in observations] == [(16, ()), (17, (entry(1.7),))]
 
 
 def test_collect_observations_drops_out_of_range_entries():
-    observations = collect_observations([report(0, {"a": 0})], [entry(250.0), entry(-1.0)], 100.0)
-    assert observations[0].visits == ()
+    reports = [report(0, {"a": 1}), report(1, {"a": 0})]
+    inside = entry(150.0, "203.0.113.2")
+    log = [entry(250.0), entry(-1.0), inside, entry(-100.0)]
+    observations = collect_observations(reports, log, 100.0)
+    assert [(o.window_index, o.visits) for o in observations] == [(0, ()), (1, (inside,))]
+    assert collect_observations([report(0, {"a": 0})], [entry(250.0), entry(-1.0)], 100.0) == []
 
 
 def test_collect_observations_rejects_duplicate_windows():
     with pytest.raises(ValidationError):
         collect_observations([report(0, {"a": 0}), report(0, {"a": 1})], [], 100.0)
+    # an empty window is still a window: its index may not repeat either
+    with pytest.raises(ValidationError, match="duplicate"):
+        collect_observations([report(4, {"a": 0}), report(4, {"a": 0})], [], 100.0)
+
+
+def test_collect_observations_passes_negative_deltas_on_to_be_rejected():
+    with pytest.raises(ValidationError, match="negative delta"):
+        collect_observations([report(0, {"a": 0, "b": -1})], [], 100.0)
+
+
+@st.composite
+def join_inputs(draw):
+    """Reports and a log for the join: float windows, repeated window
+    indices, negative deltas, and entries before, between and after the
+    reported windows."""
+    window = draw(st.sampled_from([0.1, 0.3, 1.1, 100.0]))
+    audiences = draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True))
+    delta = st.integers(0, 2) | st.integers(-1, 2)
+    reports = [
+        report(index, {a: draw(delta) for a in audiences}, window=window)
+        for index in draw(st.lists(st.integers(-2, 12), max_size=10))
+    ]
+    timestamp = st.integers(-3, 15).map(lambda k: k * window) | st.floats(
+        min_value=-3 * window, max_value=15 * window
+    )
+    log = draw(st.lists(st.builds(entry, timestamp, st.sampled_from(["n1", "n2", "n3"]))))
+    return reports, log, window
+
+
+def join_outcome(join, args):
+    try:
+        return join(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(args=join_inputs())
+def test_join_is_the_dense_reference_without_inert_windows(args):
+    expected = join_outcome(reference_reports.collect_observations, args)
+    if isinstance(expected, list):
+        expected = [o for o in expected if o.visits or any(o.deltas.values())]
+    assert join_outcome(collect_observations, args) == expected
 
 
 def test_negative_delta_rejected():
@@ -539,6 +596,23 @@ def test_group_statistics_zero_and_undefined_differ():
     undefined = group_statistics(empty, "a_family", "a_travel")
     assert undefined.fraction is None
     assert not undefined.defined
+
+
+def test_group_statistics_without_observations_accepts_any_audience():
+    # An attack that logged no visit and got no probe impression joins to
+    # no observation at all, so nothing tells probed from unprobed.
+    assert collect_observations([report(0, {"a_family": 0, "a_travel": 0})], [], 100.0) == []
+    stats = group_statistics([], "a_family", "a_never_probed")
+    assert (stats.count_x, stats.count_y, stats.fraction) == (0, 0, None)
+
+
+def test_group_statistics_rejects_unprobed_audience_of_a_sparse_join():
+    reports = [report(0, {"a_family": 0, "a_travel": 0}), report(1, {"a_family": 1, "a_travel": 0})]
+    observations = collect_observations(reports, [], 100.0)
+    assert [o.window_index for o in observations] == [1]
+    assert group_statistics(observations, "a_family", "a_travel").fraction == 1.0
+    with pytest.raises(UnknownIdError):
+        group_statistics(observations, "a_family", "a_never_probed")
 
 
 def test_group_statistics_input_checks():
