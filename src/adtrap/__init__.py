@@ -23,7 +23,6 @@ from .taxonomy import (
     Taxonomy,
     Topic,
     audiences_for_interests,
-    taxonomy_to_document,
 )
 from .profile import (
     AdUserProfile,
@@ -81,7 +80,6 @@ from .trap import (
     collect_observations,
     group_statistics,
     infer_audiences,
-    replay_exact,
     score_attribution,
     summary_line,
 )

@@ -222,14 +222,15 @@ class Marketplace:
     """Holds campaigns and the impression stream for one simulated run.
 
     Campaigns and config are read once, at construction, which prices every
-    ad group into one ``(campaign, group, value_micros)`` table in campaign
-    then group order.  From it each website named in some placement gets
-    the entries that can serve there, its placed groups and the
-    network-wide ones, in the same order, so equal-value ties come out as
-    in the full table; any other website gets the network-wide entries.  A
-    page view scans only its website's entries.  Prices and budgets stay
-    fixed; ``spent_micros`` holds what each campaign, by id, has spent in
-    this run.
+    ad group into one table of candidates in campaign then group order.  An
+    ad group bids once per auction, with its smallest-id ad: auction ties
+    break on ad id, so no other ad of the group could win.  From the table
+    each website named in some placement gets the entries that can serve
+    there, its placed groups and the network-wide ones, in the same order,
+    so equal-value ties come out as in the full table; any other website
+    gets the network-wide entries.  A page view scans only its website's
+    entries.  Prices and budgets stay fixed; ``spent_micros`` holds what
+    each campaign, by id, has spent in this run.
     """
 
     def __init__(
@@ -248,17 +249,17 @@ class Marketplace:
         self.impressions: list[ImpressionRecord] = []
         self.spent_micros: dict[str, int] = dict.fromkeys(self.campaigns, 0)
         self._priced_groups = [
-            (campaign, group, effective_value_micros(group.bid, config))
-            for campaign in self.campaigns.values()
-            for group in campaign.ad_groups
+            Candidate(c, g, min(g.ads, key=lambda ad: ad.id), effective_value_micros(g.bid, config))
+            for c in self.campaigns.values()
+            for g in c.ad_groups
         ]
-        self._network_wide = [entry for entry in self._priced_groups if not entry[1].placement]
-        placed = {site for _, group, _ in self._priced_groups for site in group.placement}
+        self._network_wide = [e for e in self._priced_groups if not e.ad_group.placement]
+        placed = {site for entry in self._priced_groups for site in entry.ad_group.placement}
         self._groups_by_site = {
             site: [
                 entry
                 for entry in self._priced_groups
-                if not entry[1].placement or site in entry[1].placement
+                if not entry.ad_group.placement or site in entry.ad_group.placement
             ]
             for site in placed
         }
@@ -271,13 +272,15 @@ class Marketplace:
     ) -> list[Candidate]:
         """Candidates allowed to compete for one slot on one page view.
 
-        An ad qualifies when its placement covers the website, the profile
-        is in at least one targeted audience, optional demographic and geo
-        filters pass, and the campaign can still pay for the impression.
+        An ad group qualifies when its placement covers the website, the
+        profile is in at least one targeted audience, optional demographic
+        and geo filters pass, and the campaign can still pay for the
+        impression.  It competes with its smallest-id ad.
         """
         candidates: list[Candidate] = []
         spent = self.spent_micros
-        for campaign, group, value in self._groups_by_site.get(website_id, self._network_wide):
+        for candidate in self._groups_by_site.get(website_id, self._network_wide):
+            campaign, group, _, value = candidate
             if group.target_audiences.isdisjoint(profile.audiences):
                 continue
             if not _demographics_match(group, profile):
@@ -286,8 +289,7 @@ class Marketplace:
                 continue
             if campaign.total_budget_micros - spent[campaign.id] < value:
                 continue
-            for ad in group.ads:
-                candidates.append(Candidate(campaign, group, ad, value))
+            candidates.append(candidate)
         return candidates
 
     def run_auction(self, candidates: list[Candidate]) -> AuctionOutcome | None:
@@ -366,8 +368,8 @@ class Marketplace:
     def target_audience_universe(self) -> list[str]:
         """Sorted union of every ad group's targeted audiences."""
         universe: set[str] = set()
-        for _, group, _ in self._priced_groups:
-            universe |= group.target_audiences
+        for entry in self._priced_groups:
+            universe |= entry.ad_group.target_audiences
         return sorted(universe)
 
     def publish_reports(

@@ -11,7 +11,7 @@ of object accepts and the rule its value must meet; any other key is
 rejected at its own pointer, so a misspelt field cannot silently fall
 back to its default.  Keys are the field names of the records built from
 them, so an absent optional key keeps its dataclass default.  The
-loaders add the rules that relate objects to each other.
+loaders add only the rules that relate objects to each other.
 """
 
 from __future__ import annotations
@@ -41,6 +41,9 @@ from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
 from .trap import AttackSpec
 
 SPEC_VERSION = 1
+# Every run builds one counter report per window, so a document may span
+# at most this many windows: horizon_s / window_length_s, as floats.
+MAX_WINDOWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,6 @@ class Scenario:
     seed: int
     profile_config: ProfileConfig = DEFAULT_PROFILE_CONFIG
     market_config: MarketConfig = DEFAULT_MARKET_CONFIG
-
-
-def _expect(condition: bool, message: str, pointer: str) -> None:
-    if not condition:
-        raise ValidationError(message, pointer)
 
 
 # Value rules.  Each returns None for an acceptable value, or the rest of
@@ -148,6 +146,10 @@ def _list(value):
     return None if isinstance(value, list) else "must be a list"
 
 
+def _items(value):
+    return None if isinstance(value, list) and value else "must be a non-empty list"
+
+
 def _strings(value):
     if not isinstance(value, list):
         return "must be a list of strings"
@@ -167,10 +169,23 @@ def _filter_or_null(value):
     return "must be a non-empty list of strings or null"
 
 
-REQUIRED, OPTIONAL = True, False
+def _distinct(value):
+    return _filter(value) or (None if len(set(value)) == len(value) else "must not repeat an item")
 
-# Every key each kind of object accepts, with its value rule and whether
-# it is required.
+
+def _campaign_id(value):
+    """Probing campaigns get ``trap_`` ids, so a document cannot use the prefix."""
+    if _text(value) is None and value.startswith("trap_"):
+        return "must not start with 'trap_', which is reserved for generated probing campaigns"
+    return _text(value)
+
+
+# Row flags.  An OPTIONAL key may be left out; a REQUIRED or UNIQUE key
+# must be present, and a UNIQUE one must also differ between the objects
+# of one list.
+OPTIONAL, REQUIRED, UNIQUE = 0, 1, 2
+
+# Every key each kind of object accepts, with its value rule and flag.
 _SCHEMA = {
     "document": {
         "spec_version": (_any, REQUIRED), "horizon_s": (_positive, REQUIRED),
@@ -181,27 +196,27 @@ _SCHEMA = {
     },
     "taxonomy": dict.fromkeys(("topics", "interests", "audiences"), (_list, OPTIONAL)),
     "topic": {
-        "id": (_text, REQUIRED), "name": (_text, REQUIRED), "parent": (_text_or_null, OPTIONAL),
+        "id": (_text, UNIQUE), "name": (_text, REQUIRED), "parent": (_text_or_null, OPTIONAL),
     },
     "interest": {
-        "id": (_text, REQUIRED), "name": (_text, REQUIRED), "source_topics": (_filter, REQUIRED),
+        "id": (_text, UNIQUE), "name": (_text, REQUIRED), "source_topics": (_filter, REQUIRED),
     },
     "audience": {
-        "id": (_text, REQUIRED), "name": (_text, REQUIRED),
+        "id": (_text, UNIQUE), "name": (_text, REQUIRED),
         "qualifying_interests": (_filter, REQUIRED), "qualify_rule": (_count, OPTIONAL),
     },
     "website": {
-        "id": (_text, REQUIRED), "domain": (_text, REQUIRED),
-        "owner": (_owner, OPTIONAL), "logging": (_flag, OPTIONAL), "pages": (_list, OPTIONAL),
+        "id": (_text, UNIQUE), "domain": (_text, REQUIRED),
+        "owner": (_owner, OPTIONAL), "logging": (_flag, OPTIONAL), "pages": (_items, REQUIRED),
     },
     "page": {"id": (_text, REQUIRED), "topics": (_strings, OPTIONAL)},
     "campaign": {
-        "id": (_text, REQUIRED), "name": (_text, OPTIONAL),
-        "total_budget": (_non_negative, REQUIRED), "ad_groups": (_list, OPTIONAL),
+        "id": (_campaign_id, UNIQUE), "name": (_text, OPTIONAL),
+        "total_budget": (_non_negative, REQUIRED), "ad_groups": (_items, REQUIRED),
     },
     "ad_group": {
-        "id": (_text, REQUIRED), "name": (_text, OPTIONAL), "ads": (_list, OPTIONAL),
-        "target_audiences": (_strings, OPTIONAL), "placement": (_strings, OPTIONAL),
+        "id": (_text, REQUIRED), "name": (_text, OPTIONAL), "ads": (_items, REQUIRED),
+        "target_audiences": (_filter, REQUIRED), "placement": (_strings, OPTIONAL),
         "demographics": (_any, OPTIONAL), "geo": (_filter_or_null, OPTIONAL),
         "bid": (_any, REQUIRED),
     },
@@ -214,7 +229,7 @@ _SCHEMA = {
         "languages": (_strings, OPTIONAL),
     },
     "user": {
-        "id": (_text, REQUIRED), "cookie_id": (_text, REQUIRED), "network_id": (_text, REQUIRED),
+        "id": (_text, UNIQUE), "cookie_id": (_text, UNIQUE), "network_id": (_text, UNIQUE),
         "consent": (_flag, OPTIONAL), "demographics": (_any, OPTIONAL),
         "geo": (_text_or_null, OPTIONAL), "warmup_plan": (_list, OPTIONAL),
         "attack_visits": (_list, OPTIONAL),
@@ -228,7 +243,7 @@ _SCHEMA = {
         "tracking_arg": (_text_or_null, OPTIONAL), "referral": (_text_or_null, OPTIONAL),
     },
     "attack": {
-        "sites": (_strings, OPTIONAL), "audiences": (_strings, OPTIONAL),
+        "sites": (_distinct, REQUIRED), "audiences": (_distinct, REQUIRED),
         "cpm": (_positive, REQUIRED), "budget": (_positive, OPTIONAL),
         "extra_placement_sites": (_strings, OPTIONAL),
     },
@@ -244,6 +259,8 @@ _SCHEMA["demographics_filter"] = dict.fromkeys(_SCHEMA["demographics"], (_filter
 # For _fields: each kind's rules by key, and its required keys set to None.
 _RULES = {kind: {key: rule for key, (rule, _) in row.items()} for kind, row in _SCHEMA.items()}
 _ABSENT = {kind: {k: None for k, (_, req) in row.items() if req} for kind, row in _SCHEMA.items()}
+# For _each: each kind's unique keys.
+_UNIQUE = {kind: [k for k, (_, f) in row.items() if f == UNIQUE] for kind, row in _SCHEMA.items()}
 
 
 def _fields(node, kind: str, pointer: str, what: str) -> dict:
@@ -266,10 +283,25 @@ def _fields(node, kind: str, pointer: str, what: str) -> dict:
 
 
 def _each(parent: dict, key: str, kind: str, pointer: str, what: str):
-    """Yield the pointer and checked fields of each object listed at ``parent[key]``."""
+    """Yield the pointer and checked fields of each object listed at ``parent[key]``.
+
+    A UNIQUE key's value repeated from an earlier object is rejected at
+    the later one.
+    """
+    unique = _UNIQUE[kind]
+    # Most kinds have no unique key: build nothing for them on each call.
+    seen = [(k, set()) for k in unique] if unique else ()
     for i, node in enumerate(parent.get(key, [])):
         item = f"{pointer}/{key}/{i}"
-        yield item, _fields(node, kind, item, what)
+        fields = _fields(node, kind, item, what)
+        for k, values in seen:
+            value = fields[k]
+            if value in values:
+                raise ValidationError(
+                    f"duplicate {what} {k.replace('_', ' ')} {value!r}", f"{item}/{k}"
+                )
+            values.add(value)
+        yield item, fields
 
 
 def _record(node, kind: str, cls, pointer: str):
@@ -292,16 +324,12 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
 
     ``pointer`` prefixes every error location, so callers embedding the
     taxonomy in a larger document get absolute paths.  Besides the field
-    rules of ``_SCHEMA``, ids must be unique per kind, references must
-    resolve, topic parents must form a forest and an audience's
-    ``qualify_rule`` must not exceed its distinct qualifying interests.
+    rules of ``_SCHEMA``, references must resolve, topic parents must form
+    a forest and an audience's ``qualify_rule`` must not exceed its
+    distinct qualifying interests.
     """
     fields = _fields(document, "taxonomy", pointer, "taxonomy")
-    topics: dict[str, Topic] = {}
-    for p, topic in _each(fields, "topics", "topic", pointer, "topic"):
-        if topic["id"] in topics:
-            raise ValidationError(f"duplicate topic id {topic['id']!r}", f"{p}/id")
-        topics[topic["id"]] = Topic(**topic)
+    topics = {t["id"]: Topic(**t) for _, t in _each(fields, "topics", "topic", pointer, "topic")}
     for tid, topic in topics.items():
         if topic.parent is not None and topic.parent not in topics:
             raise ValidationError(
@@ -324,8 +352,6 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
     for p, interest in _each(fields, "interests", "interest", pointer, "interest"):
         sources = interest["source_topics"]
         _expect_known(sources, topics, "source topic", f"{p}/source_topics")
-        if interest["id"] in interests:
-            raise ValidationError(f"duplicate interest id {interest['id']!r}", f"{p}/id")
         interest["source_topics"] = frozenset(sources)
         interests[interest["id"]] = InterestCategory(**interest)
 
@@ -340,8 +366,6 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
                 "distinct qualifying interests",
                 f"{p}/qualify_rule",
             )
-        if audience["id"] in audiences:
-            raise ValidationError(f"duplicate audience id {audience['id']!r}", f"{p}/id")
         audiences[audience["id"]] = AffinityAudience(**audience)
 
     return Taxonomy(topics, interests, audiences)
@@ -352,13 +376,13 @@ def _load_websites(document: dict, taxonomy: Taxonomy) -> dict[str, Website]:
     page_owner: dict[str, str] = {}
     for p, fields in _each(document, "websites", "website", "", "website"):
         wid = fields["id"]
-        _expect(wid not in websites, f"duplicate website id {wid!r}", f"{p}/id")
-        _expect(bool(fields.get("pages")), "website must declare at least one page", f"{p}/pages")
         pages = {}
         for pp, page in _each(fields, "pages", "page", p, "page"):
             pid = page["id"]
-            owner = page_owner.get(pid)
-            _expect(owner is None, f"page id {pid!r} already used by website {owner!r}", f"{pp}/id")
+            if pid in page_owner:
+                raise ValidationError(
+                    f"page id {pid!r} already used by website {page_owner[pid]!r}", f"{pp}/id"
+                )
             try:
                 pages[pid] = analyze_page(pid, page.get("topics", []), taxonomy)
             except (NotEligibleError, ValidationError) as exc:
@@ -373,14 +397,12 @@ def _load_ad_group(
     gp: str, fields: dict, taxonomy: Taxonomy, websites: dict[str, Website]
 ) -> AdGroup:
     fields.setdefault("name", fields["id"])
-    _expect(bool(fields.get("ads")), "ad group must contain at least one ad", f"{gp}/ads")
     ads = []
     for _, ad in _each(fields, "ads", "ad", gp, "ad"):
         ad.setdefault("landing_url", "")
         ads.append(Ad(**ad))
     fields["ads"] = tuple(ads)
-    targets = fields.get("target_audiences")
-    _expect(bool(targets), "ad group must target at least one audience", f"{gp}/target_audiences")
+    targets = fields["target_audiences"]
     _expect_known(targets, taxonomy.audiences, "audience", f"{gp}/target_audiences")
     fields["target_audiences"] = frozenset(targets)
     if "placement" in fields:
@@ -401,19 +423,8 @@ def _load_campaigns(
     document: dict, taxonomy: Taxonomy, websites: dict[str, Website]
 ) -> tuple[Campaign, ...]:
     campaigns: list[Campaign] = []
-    seen: set[str] = set()
     for p, fields in _each(document, "campaigns", "campaign", "", "campaign"):
-        cid = fields["id"]
-        _expect(cid not in seen, f"duplicate campaign id {cid!r}", f"{p}/id")
-        _expect(
-            not cid.startswith("trap_"),
-            "campaign ids starting with 'trap_' are reserved for generated probing campaigns",
-            f"{p}/id",
-        )
-        seen.add(cid)
-        fields.setdefault("name", cid)
-        groups = fields.get("ad_groups")
-        _expect(bool(groups), "campaign must have at least one ad group", f"{p}/ad_groups")
+        fields.setdefault("name", fields["id"])
         fields["ad_groups"] = tuple(
             _load_ad_group(gp, group, taxonomy, websites)
             for gp, group in _each(fields, "ad_groups", "ad_group", p, "ad group")
@@ -427,18 +438,7 @@ def _load_users(
 ) -> tuple[UserAgentSpec, ...]:
     pages = {pid for site in websites.values() for pid in site.pages}
     users: list[UserAgentSpec] = []
-    user_ids: set[str] = set()
-    cookie_ids: set[str] = set()
-    network_ids: set[str] = set()
     for p, fields in _each(document, "users", "user", "", "user"):
-        for key, what, seen in (
-            ("id", "user id", user_ids),
-            ("cookie_id", "cookie id", cookie_ids),
-            ("network_id", "network id", network_ids),
-        ):
-            if fields[key] in seen:
-                raise ValidationError(f"duplicate {what} {fields[key]!r}", f"{p}/{key}")
-            seen.add(fields[key])
         if fields.get("demographics") is not None:
             dp = f"{p}/demographics"
             demo = _fields(fields["demographics"], "demographics", dp, "demographics")
@@ -470,8 +470,9 @@ def _load_users(
             visits.append(AttackVisit(**visit))
         fields["attack_visits"] = tuple(visits)
         users.append(UserAgentSpec(**fields))
-    overlap = sorted(cookie_ids & network_ids)
-    _expect(not overlap, f"cookie ids and network ids must not overlap: {overlap}", "/users")
+    overlap = sorted({u.cookie_id for u in users} & {u.network_id for u in users})
+    if overlap:
+        raise ValidationError(f"cookie ids and network ids must not overlap: {overlap}", "/users")
     return tuple(users)
 
 
@@ -479,20 +480,16 @@ def _load_attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> Atta
     if node is None:
         return None
     p = "/attack"
-    _expect(isinstance(node, dict), "attack must be an object or null", p)
     fields = _fields(node, "attack", p, "attack")
-    sites = fields["sites"] = tuple(fields.get("sites", ()))
-    _expect(bool(sites), "attack must name at least one site", f"{p}/sites")
+    sites = fields["sites"] = tuple(fields["sites"])
     _expect_known(sites, websites, "website", f"{p}/sites")
     for i, s in enumerate(sites):
-        site = websites[s]
-        _expect(site.owner == "attacker", f"website {s!r} is not attacker-owned", f"{p}/sites/{i}")
-        _expect(site.logging, f"website {s!r} does not log visits", f"{p}/sites/{i}")
-    _expect(len(set(sites)) == len(sites), "duplicate attack site", f"{p}/sites")
-    audiences = fields["audiences"] = tuple(fields.get("audiences", ()))
-    _expect(bool(audiences), "attack must probe at least one audience", f"{p}/audiences")
+        if websites[s].owner != "attacker":
+            raise ValidationError(f"website {s!r} is not attacker-owned", f"{p}/sites/{i}")
+        if not websites[s].logging:
+            raise ValidationError(f"website {s!r} does not log visits", f"{p}/sites/{i}")
+    audiences = fields["audiences"] = tuple(fields["audiences"])
     _expect_known(audiences, taxonomy.audiences, "audience", f"{p}/audiences")
-    _expect(len(set(audiences)) == len(audiences), "duplicate probed audience", f"{p}/audiences")
     if "extra_placement_sites" in fields:
         extra = fields["extra_placement_sites"] = tuple(fields["extra_placement_sites"])
         _expect_known(extra, websites, "website", f"{p}/extra_placement_sites")
@@ -501,14 +498,18 @@ def _load_attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> Atta
 
 def load_scenario_document(document: dict) -> Scenario:
     """Validate a parsed scenario document and build the typed form."""
-    _expect(isinstance(document, dict), "scenario must be a JSON object", "")
+    if not isinstance(document, dict):
+        raise ValidationError("scenario must be a JSON object", "")
     version = document.get("spec_version")
-    _expect(
-        version == SPEC_VERSION,
-        f"spec_version must be {SPEC_VERSION}, got {version!r}",
-        "/spec_version",
-    )
+    if version != SPEC_VERSION:
+        raise ValidationError(
+            f"spec_version must be {SPEC_VERSION}, got {version!r}", "/spec_version"
+        )
     fields = _fields(document, "document", "", "scenario")
+    window_length = fields.get("window_length_s", 1800)
+    if fields["horizon_s"] / window_length > MAX_WINDOWS:
+        message = f"horizon_s / window_length_s must be at most {MAX_WINDOWS} windows"
+        raise ValidationError(message, "/window_length_s")
     taxonomy = load_taxonomy(fields.get("taxonomy", {}), "/taxonomy")
     websites = _load_websites(fields, taxonomy)
     configs = {
@@ -522,7 +523,7 @@ def load_scenario_document(document: dict) -> Scenario:
         campaigns=_load_campaigns(fields, taxonomy, websites),
         users=_load_users(fields, websites, fields["horizon_s"]),
         attack=_load_attack(fields.get("attack"), taxonomy, websites),
-        window_length=fields.get("window_length_s", 1800),
+        window_length=window_length,
         horizon=fields["horizon_s"],
         seed=fields.get("seed", 0),
         **configs,
@@ -542,7 +543,8 @@ def read_scenario_file(path) -> dict:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValidationError(f"not valid JSON: {exc}", "") from exc
-    _expect(isinstance(document, dict), "scenario must be a JSON object", "")
+    if not isinstance(document, dict):
+        raise ValidationError("scenario must be a JSON object", "")
     return document
 
 

@@ -94,40 +94,11 @@ class Taxonomy:
                 index.setdefault(interest, []).append(audience)
         return {interest: tuple(audiences) for interest, audiences in index.items()}
 
-    def topic_name(self, topic_id: str) -> str:
-        return self.topics[topic_id].name
-
     def interest_names(self, interest_ids) -> set[str]:
         return {self.interests[i].name for i in interest_ids}
 
     def audience_names(self, audience_ids) -> set[str]:
         return {self.audiences[a].name for a in audience_ids}
-
-
-def taxonomy_to_document(taxonomy: Taxonomy) -> dict:
-    """Serialize back to the document shape :func:`adtrap.scenario.load_taxonomy` reads.
-
-    Entries are sorted by id so the output is stable.
-    """
-    return {
-        "topics": [
-            {"id": t.id, "name": t.name, "parent": t.parent}
-            for t in sorted(taxonomy.topics.values(), key=lambda t: t.id)
-        ],
-        "interests": [
-            {"id": i.id, "name": i.name, "source_topics": sorted(i.source_topics)}
-            for i in sorted(taxonomy.interests.values(), key=lambda i: i.id)
-        ],
-        "audiences": [
-            {
-                "id": a.id,
-                "name": a.name,
-                "qualifying_interests": sorted(a.qualifying_interests),
-                "qualify_rule": a.qualify_rule,
-            }
-            for a in sorted(taxonomy.audiences.values(), key=lambda a: a.id)
-        ],
-    }
 
 
 def audiences_for_interests(taxonomy: Taxonomy, interests) -> set[str]:

@@ -42,7 +42,6 @@ site logs.  Profiles, cookies and impression records never enter.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InconsistentObservationsError, UnknownIdError, ValidationError
@@ -464,10 +463,6 @@ class GroupStats:
     count_y: int
     fraction: float | None
 
-    @property
-    def defined(self) -> bool:
-        return self.fraction is not None
-
 
 def group_statistics(
     observations: list[WindowObservation],
@@ -494,37 +489,6 @@ def group_statistics(
     total = count_x + count_y
     fraction = count_x / total if total else None
     return GroupStats(audience_x, audience_y, count_x, count_y, fraction)
-
-
-def replay_exact(
-    result: AttributionResult, observations: list[WindowObservation]
-) -> bool:
-    """Check exact assignments against the observations they came from.
-
-    For every window whose visits all belong to exactly-classified
-    visitors, replaying those values must reproduce the deltas; windows
-    with ambiguous or unknown participants are only checked not to exceed
-    the deltas.  Used by tests and diagnostics.
-    """
-    for obs in observations:
-        produced: Counter = Counter()
-        complete = True
-        for visit in obs.visits:
-            assignment = result.assignments.get(visit.network_id)
-            if assignment is None or assignment.status != "exact":
-                complete = False
-                continue
-            if assignment.audience is not NO_AUDIENCE:
-                produced[assignment.audience] += 1
-        actual = Counter({a: n for a, n in obs.deltas.items() if n > 0})
-        if complete:
-            if produced != actual:
-                return False
-        else:
-            for audience, n in produced.items():
-                if n > actual.get(audience, 0):
-                    return False
-    return True
 
 
 def render_value(value: str | None) -> str:

@@ -49,9 +49,10 @@ def demographics_pass(filters, demographics):
 def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo):
     """Every campaign and group priced again for one page view.
 
-    Returns the winner as ``(campaign, group, ad, price)``, or None, and
-    every eligible ``(campaign, group, ad, value)`` in campaign, group and
-    ad order.
+    A group enters the auction once, with the ad whose id sorts first (the
+    earliest such ad if ids repeat).  Returns the winner as ``(campaign,
+    group, ad, price)``, or None, and every eligible ``(campaign, group,
+    ad, value)`` in campaign and group order.
     """
     eligible = []
     for campaign in campaigns:
@@ -67,7 +68,11 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo)
             value = effective_value_micros(group.bid, config)
             if to_micros(campaign.total_budget) - spent_micros[campaign.id] < value:
                 continue
-            eligible += [(campaign, group, ad, value) for ad in group.ads]
+            entrant = group.ads[0]
+            for ad in group.ads[1:]:
+                if ad.id < entrant.id:
+                    entrant = ad
+            eligible.append((campaign, group, entrant, value))
     if not eligible:
         return None, eligible
     best = 0

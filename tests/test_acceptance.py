@@ -184,4 +184,4 @@ def test_group_statistics_split_is_exact():
         assert stats.count_x == 15
         assert stats.count_y == 5
         assert stats.fraction == 0.75  # exactly, not approximately
-        assert stats.defined
+        assert stats.fraction is not None

@@ -69,6 +69,8 @@ def test_validate_reports_unhashable_list_item_without_traceback(tmp_path):
 
 
 SWEEP_OPTS = ["--seeds", "1", "--out", "{dir}/out"]
+# 1.8e304 windows: only ever validated, since a run would build a report per window.
+TOO_MANY_WINDOWS = json.dumps({**scenarios.load("table2_experiment"), "window_length_s": 1e-300})
 
 
 @pytest.mark.parametrize(
@@ -83,8 +85,10 @@ SWEEP_OPTS = ["--seeds", "1", "--out", "{dir}/out"]
          "scenario must be a JSON object"),
         (b"[1]", ["sweep", "{dir}/bad.json", "--grid", "0=5", *SWEEP_OPTS],
          "scenario must be a JSON object"),
+        (TOO_MANY_WINDOWS.encode(), ["validate", "{dir}/bad.json"], "at most 1000000 windows"),
     ],
-    ids=["grid-double-minus", "grid-superscript", "not-utf8", "run-seed-list", "sweep-list"],
+    ids=["grid-double-minus", "grid-superscript", "not-utf8", "run-seed-list", "sweep-list",
+         "too-many-windows"],
 )
 def test_bad_input_is_reported_without_traceback(tmp_path, content, args, message):
     if content is not None:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -171,6 +172,23 @@ def test_second_price_with_single_candidate_pays_own_value():
     )
     market.serve("site", PAGE, sports_profile(), time=0.0)
     assert market.spent_micros["only"] == 40_000
+
+
+@pytest.mark.parametrize("ad_ids", [("h1",), ("h1", "h2"), ("h2", "h1")])
+def test_an_ad_group_bids_once_per_auction(ad_ids):
+    # A group with two ads is not its own runner-up: it pays the other
+    # campaign's value whatever its number of ads, with its smallest-id ad.
+    high = make_campaign("high", 60.0)
+    group = high.ad_groups[0]
+    ads = tuple(Ad(id=ad_id, landing_url="") for ad_id in ad_ids)
+    high = replace(high, ad_groups=(replace(group, ads=ads),))
+    market = Marketplace(
+        [high, make_campaign("low", 10.0)], config=MarketConfig(auction_mode="second_price")
+    )
+    assert len(market.eligible_ads("site", sports_profile())) == 2
+    record = market.serve("site", PAGE, sports_profile(), time=0.0)
+    assert record.ad_id == "h1"
+    assert market.spent_micros == {"high": 10_000, "low": 0}
 
 
 def test_exhausted_budget_drops_out_of_eligibility():

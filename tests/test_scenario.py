@@ -17,6 +17,8 @@ from adtrap.marketplace import Campaign
 from adtrap.profile import Demographics
 from adtrap.scenario import (
     _SCHEMA,
+    MAX_WINDOWS,
+    UNIQUE,
     Scenario,
     UserAgentSpec,
     load_scenario,
@@ -354,6 +356,9 @@ def test_attack_site_must_be_attacker_owned_and_logging():
     doc = base_document()
     doc["websites"][0]["logging"] = False
     reject(doc, "/attack/sites/0")
+    doc = base_document()
+    doc["attack"]["sites"] = ["monads", "monads"]
+    assert reject(doc, "/attack/sites").message == "field 'sites' must not repeat an item"
 
 
 def test_attack_audiences_checked():
@@ -363,6 +368,8 @@ def test_attack_audiences_checked():
     doc = base_document()
     doc["attack"]["audiences"] = ["a_sports", "a_sports"]
     reject(doc, "/attack/audiences")
+    doc["attack"]["audiences"] = ["a_ghost", "a_ghost"]
+    assert "repeat" in reject(doc, "/attack/audiences").message
     doc = base_document()
     doc["attack"]["audiences"] = []
     reject(doc, "/attack/audiences")
@@ -488,6 +495,54 @@ def test_every_required_schema_field_is_reported_missing(kind, key):
     reject(doc, f"{SCHEMA_POINTERS[kind]}/{key}")
 
 
+UNIQUE_FIELDS = [(kind, key) for kind, key in SCHEMA_FIELDS if _SCHEMA[kind][key][1] == UNIQUE]
+
+
+def test_unique_fields_are_the_ids():
+    assert set(UNIQUE_FIELDS) == {
+        ("topic", "id"), ("interest", "id"), ("audience", "id"), ("website", "id"),
+        ("campaign", "id"), ("user", "id"), ("user", "cookie_id"), ("user", "network_id"),
+    }
+
+
+@pytest.mark.parametrize("kind, key", UNIQUE_FIELDS)
+def test_every_unique_schema_field_rejects_a_repeated_value(kind, key):
+    doc = document_with_every_object()
+    listed, index = SCHEMA_POINTERS[kind].rsplit("/", 1)
+    items = node_at(doc, listed)
+    again = copy.deepcopy(items[int(index)])
+    for other in UNIQUE_FIELDS:
+        if other[0] == kind and other[1] != key:
+            again[other[1]] += "_other"
+    items.append(again)
+    error = reject(doc, f"{listed}/{len(items) - 1}/{key}")
+    assert error.message.startswith("duplicate ")
+
+
+def required_lists():
+    doc = document_with_every_object()
+    return [
+        (kind, key)
+        for kind, key in SCHEMA_FIELDS
+        if _SCHEMA[kind][key][1] and isinstance(node_at(doc, SCHEMA_POINTERS[kind]).get(key), list)
+    ]
+
+
+def test_required_lists_include_the_containers_and_probe_lists():
+    assert {
+        ("website", "pages"), ("campaign", "ad_groups"), ("ad_group", "ads"),
+        ("ad_group", "target_audiences"), ("attack", "sites"), ("attack", "audiences"),
+    } <= set(required_lists())
+
+
+@pytest.mark.parametrize("kind, key", required_lists())
+def test_every_required_list_rejects_an_empty_list(kind, key):
+    doc = document_with_every_object()
+    node_at(doc, SCHEMA_POINTERS[kind])[key] = []
+    error = reject(doc, f"{SCHEMA_POINTERS[kind]}/{key}")
+    assert "non-empty list" in error.message
+
+
 def test_missing_bid_is_reported_as_not_an_object():
     doc = base_document()
     del doc["campaigns"][0]["ad_groups"][0]["bid"]
@@ -538,6 +593,36 @@ def test_readme_field_reference_matches_schema():
         assert set(re.findall(r"`(\w+)`", keys)) == set(row), kind
         required = {key for key, (_, is_required) in row.items() if is_required}
         assert set(re.findall(r"\*\*`(\w+)`\*\*", keys)) == required, kind
+        has_unique = any(flag == UNIQUE for _, flag in row.values())
+        assert ("unique" in line.split("|")[4]) == has_unique, kind
+
+
+@pytest.mark.parametrize(
+    "horizon, window, accepted",
+    [
+        (10**6, 1, True),
+        (10**6, math.nextafter(1.0, 0.0), False),
+        (1800 * 10**6, None, True),
+        (1800 * 10**6 + 1, None, False),
+        (3600, 1e-300, False),
+        (1e300, 1e-10, False),
+        (3600, 5e-324, False),
+    ],
+)
+def test_window_count_is_bounded_at_load(horizon, window, accepted):
+    # Validation only: an accepted document here would build up to a
+    # million reports per run, so none of them is run.
+    doc = base_document()
+    doc["horizon_s"] = horizon
+    if window is None:
+        del doc["window_length_s"]
+    else:
+        doc["window_length_s"] = window
+    if accepted:
+        assert load_scenario_document(doc).horizon == horizon
+    else:
+        error = reject(doc, "/window_length_s")
+        assert str(MAX_WINDOWS) in error.message
 
 
 def test_unknown_key_pointer_is_escaped():

@@ -7,14 +7,14 @@ from hypothesis import given, strategies as st
 
 from adtrap.errors import UnknownIdError, ValidationError
 from adtrap.scenario import load_taxonomy
-from adtrap.taxonomy import AffinityAudience, audiences_for_interests, taxonomy_to_document
+from adtrap.taxonomy import AffinityAudience, audiences_for_interests
 
 from conftest import SMALL_TAXONOMY_DOC
 
 
 def test_load_builds_lookup_tables(small_taxonomy):
     assert set(small_taxonomy.topics) == {"t_soccer", "t_tennis", "t_dogs", "t_recipes"}
-    assert small_taxonomy.topic_name("t_dogs") == "Dogs"
+    assert small_taxonomy.topics["t_dogs"].name == "Dogs"
     assert small_taxonomy.interests["i_soccer"].source_topics == frozenset({"t_soccer"})
     assert small_taxonomy.audiences["a_sports"].qualify_rule == 1
 
@@ -30,13 +30,6 @@ def test_interest_and_topic_ids_are_separate_namespaces():
     tax = load_taxonomy(doc)
     assert tax.topics["acting"] is not tax.interests["acting"]
     assert tax.topics["acting"].name == tax.interests["acting"].name
-
-
-def test_round_trip_through_document(small_taxonomy):
-    doc = taxonomy_to_document(small_taxonomy)
-    again = load_taxonomy(doc)
-    assert again == small_taxonomy
-    assert taxonomy_to_document(again) == doc
 
 
 def test_qualify_rule_defaults_to_one():
