@@ -113,7 +113,7 @@ def main():
 
     banner("3. The advertiser-facing view: windowed per-audience counters")
     reports = market.publish_reports(window_length=2.0, up_to_time=4.0)
-    for r in reports:
+    for r in reports.dense():
         print(
             f"window {r.window_index} [{r.window_start:4.1f}, {r.window_end:4.1f}): "
             f"deltas={r.deltas} cumulative={r.cumulative}"

@@ -40,6 +40,7 @@ from .marketplace import (
     Bid,
     Campaign,
     Candidate,
+    CounterReports,
     ImpressionRecord,
     MarketConfig,
     Marketplace,

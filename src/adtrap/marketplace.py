@@ -8,7 +8,8 @@ amounts.
 Counter reports batch impressions into fixed windows (default 30 simulated
 minutes).  A report row is the advertiser-visible side channel of this
 whole simulation: per-audience deltas plus cumulative totals, with no
-cookie ids anywhere.
+cookie ids anywhere.  Reports are held sparse, as :class:`CounterReports`;
+only the written artifacts expand them to one row set per window.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import BudgetError, SimulationError, ValidationError
 from .profile import AdUserProfile, PageProfile
@@ -144,6 +145,67 @@ class AudienceCounterReport:
     window_end: float
     deltas: dict[str, int]
     cumulative: dict[str, int]
+
+
+@dataclass(frozen=True)
+class CounterReports:
+    """Per-audience impression counters of windows ``0 .. num_windows - 1``, held sparse.
+
+    ``hits`` maps each window some counted impression hit, in ascending
+    order, to its deltas, keyed over exactly ``audience_ids`` and not all
+    0; every other window counted nothing.  Equal counters therefore give
+    equal records.  :meth:`dense` is the only place the all-zero windows
+    are filled in.
+    """
+
+    window_length: float
+    num_windows: int
+    audience_ids: tuple[str, ...]
+    hits: dict[int, dict[str, int]]
+
+    def __post_init__(self):
+        if not self.window_length > 0:
+            raise ValidationError(f"window length must be positive, got {self.window_length!r}")
+        if list(self.audience_ids) != sorted(set(self.audience_ids)):
+            raise ValidationError(
+                f"audience ids must be sorted and distinct, got {self.audience_ids!r}"
+            )
+        keys = set(self.audience_ids)
+        previous = -1
+        for k, deltas in self.hits.items():
+            if not previous < k < self.num_windows:
+                raise ValidationError(
+                    f"hit window {k} must lie after window {previous} and before {self.num_windows}"
+                )
+            if deltas.keys() != keys or not any(deltas.values()):
+                raise ValidationError(
+                    f"hit window {k} must hold a delta for each audience, not all 0"
+                )
+            previous = k
+
+    def dense(self) -> Iterator[AudienceCounterReport]:
+        """One report per window, in order, with the all-zero windows filled in.
+
+        ``cumulative`` carries the running totals forward; every report
+        gets its own ``deltas`` and ``cumulative`` dicts.
+        """
+        zero = dict.fromkeys(self.audience_ids, 0)
+        running = zero.copy()
+        for k in range(self.num_windows):
+            deltas = self.hits.get(k)
+            if deltas is None:
+                deltas = zero.copy()
+            else:
+                deltas = dict(deltas)
+                for a, n in deltas.items():
+                    running[a] += n
+            yield AudienceCounterReport(
+                window_index=k,
+                window_start=k * self.window_length,
+                window_end=(k + 1) * self.window_length,
+                deltas=deltas,
+                cumulative=running.copy(),
+            )
 
 
 @dataclass(frozen=True)
@@ -372,10 +434,8 @@ class Marketplace:
             universe |= entry.ad_group.target_audiences
         return sorted(universe)
 
-    def publish_reports(
-        self, window_length: float, up_to_time: float
-    ) -> list[AudienceCounterReport]:
-        """Reports for every window elapsed by ``up_to_time``."""
+    def publish_reports(self, window_length: float, up_to_time: float) -> CounterReports:
+        """Counters of every window elapsed by ``up_to_time``, over every targeted audience."""
         return build_reports(
             self.impressions,
             window_length,
@@ -412,24 +472,25 @@ def build_reports(
     impressions: Iterable[ImpressionRecord],
     window_length: float,
     num_windows: int,
-    audience_ids: list[str],
+    audience_ids: Iterable[str],
     campaign_id: str | None = None,
-) -> list[AudienceCounterReport]:
-    """Batch impressions into per-window audience counters.
+) -> CounterReports:
+    """Batch impressions into per-window audience counters, in one pass.
 
-    Every window in range gets a report, including all-zero ones, keyed
-    over exactly ``audience_ids``.  When ``campaign_id`` is given, only
-    that campaign's impressions are counted: this is the advertiser-facing
-    view, since each advertiser sees counters for her own campaigns only.
-    One pass over the impressions counts the windows they hit; a window
-    no counted impression hit gets a fresh all-zero ``deltas``.
+    Counts the impressions in windows ``0 .. num_windows - 1`` whose
+    audience is one of ``audience_ids`` (a repeated id counts once).  When
+    ``campaign_id`` is given, only that campaign's impressions are
+    counted: this is the advertiser-facing view, since each advertiser
+    sees counters for her own campaigns only.  Only the windows an
+    impression hit get a counter; :meth:`CounterReports.dense` fills in
+    the rest.
     """
-    if window_length <= 0:
-        raise ValidationError(f"window length must be positive, got {window_length!r}")
-    audience_ids = sorted(audience_ids)
+    audience_ids = tuple(sorted(set(audience_ids)))
     zero = dict.fromkeys(audience_ids, 0)
     hit: dict[int, dict[str, int]] = {}
-    for record in impressions:
+    # Counting divides by the window length; CounterReports rejects any
+    # length that is not positive.
+    for record in impressions if window_length > 0 else ():
         if campaign_id is not None and record.campaign_id != campaign_id:
             continue
         k = window_index(record.timestamp, window_length)
@@ -438,25 +499,7 @@ def build_reports(
             if counts is None:
                 counts = hit[k] = zero.copy()
             counts[record.audience_id] += 1
-    reports: list[AudienceCounterReport] = []
-    running = zero.copy()
-    for k in range(num_windows):
-        deltas = hit.get(k)
-        if deltas is None:
-            deltas = zero.copy()
-        else:
-            for a, n in deltas.items():
-                running[a] += n
-        reports.append(
-            AudienceCounterReport(
-                window_index=k,
-                window_start=k * window_length,
-                window_end=(k + 1) * window_length,
-                deltas=deltas,
-                cumulative=running.copy(),
-            )
-        )
-    return reports
+    return CounterReports(window_length, num_windows, audience_ids, dict(sorted(hit.items())))
 
 
 REPORT_COLUMNS = (
@@ -464,11 +507,11 @@ REPORT_COLUMNS = (
 )
 
 
-def reports_to_rows(reports: Iterable[AudienceCounterReport]) -> list[tuple]:
+def reports_to_rows(reports: CounterReports) -> list[tuple]:
     """Flatten reports for CSV export: one ``REPORT_COLUMNS`` row per window and audience."""
+    audience_ids = reports.audience_ids
     return [
         (r.window_index, r.window_start, r.window_end, a, r.deltas[a], r.cumulative[a])
-        for r in reports
-        for a in sorted(r.deltas)
+        for r in reports.dense()
+        for a in audience_ids
     ]
-

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NotEligibleError, ValidationError, reject_unknown_keys
+from .errors import ValidationError, reject_unknown_keys
 from .gdn import OWNERS, Website
 from .marketplace import (
     Ad,
@@ -41,8 +41,9 @@ from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
 from .trap import AttackSpec
 
 SPEC_VERSION = 1
-# Every run builds one counter report per window, so a document may span
-# at most this many windows: horizon_s / window_length_s, as floats.
+# A run's counters are sparse, but trace.json and reports.csv write one
+# report per window, so a document may span at most this many windows:
+# horizon_s / window_length_s, as floats.
 MAX_WINDOWS = 10**6
 
 
@@ -209,7 +210,7 @@ _SCHEMA = {
         "id": (_text, UNIQUE), "domain": (_text, REQUIRED),
         "owner": (_owner, OPTIONAL), "logging": (_flag, OPTIONAL), "pages": (_items, REQUIRED),
     },
-    "page": {"id": (_text, REQUIRED), "topics": (_strings, OPTIONAL)},
+    "page": {"id": (_text, REQUIRED), "topics": (_filter, REQUIRED)},
     "campaign": {
         "id": (_campaign_id, UNIQUE), "name": (_text, OPTIONAL),
         "total_budget": (_non_negative, REQUIRED), "ad_groups": (_items, REQUIRED),
@@ -221,7 +222,7 @@ _SCHEMA = {
         "bid": (_any, REQUIRED),
     },
     "ad": {
-        "id": (_text, REQUIRED), "landing_url": (_text, OPTIONAL), "creative": (_text, OPTIONAL),
+        "id": (_text, UNIQUE), "landing_url": (_text, OPTIONAL), "creative": (_text, OPTIONAL),
     },
     "bid": {"kind": (_text, REQUIRED), "amount": (_number, REQUIRED)},
     "demographics": {
@@ -384,8 +385,8 @@ def _load_websites(document: dict, taxonomy: Taxonomy) -> dict[str, Website]:
                     f"page id {pid!r} already used by website {page_owner[pid]!r}", f"{pp}/id"
                 )
             try:
-                pages[pid] = analyze_page(pid, page.get("topics", []), taxonomy)
-            except (NotEligibleError, ValidationError) as exc:
+                pages[pid] = analyze_page(pid, page["topics"], taxonomy)
+            except ValidationError as exc:
                 raise ValidationError(str(exc), f"{pp}/topics") from exc
             page_owner[pid] = wid
         fields["pages"] = pages

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 from .errors import InconsistentObservationsError, SimulationError, ValidationError
 from .gdn import VisitLogEntry, serve_page
 from .marketplace import (
-    AudienceCounterReport,
+    CounterReports,
     ImpressionRecord,
     Marketplace,
     build_reports,
@@ -53,10 +53,14 @@ _SWEEPABLE_TOP_LEVEL = {"window_length_s", "horizon_s"}
 
 @dataclass
 class RunTrace:
-    """Everything one run produced, ground truth included."""
+    """Everything one run produced, ground truth included.
+
+    ``reports`` are the platform's counters over every targeted audience,
+    sparse; :func:`trace_to_json` and ``reports.csv`` write them dense.
+    """
 
     impressions: list[ImpressionRecord]
-    reports: list[AudienceCounterReport]
+    reports: CounterReports
     logs: dict[str, list[VisitLogEntry]]
     ground_truth: dict[str, set[str]] = field(default_factory=dict)
 
@@ -168,13 +172,12 @@ def run_scenario(scenario: Scenario) -> RunTrace:
     return SimulationEngine(scenario).run()
 
 
-def attacker_view_reports(
-    trace: RunTrace, scenario: Scenario, site_id: str
-) -> list[AudienceCounterReport]:
+def attacker_view_reports(trace: RunTrace, scenario: Scenario, site_id: str) -> CounterReports:
     """Counter reports as the probing advertiser sees them for one site.
 
     Restricted to the probing campaign's own impressions and keyed over
     exactly the probed audiences; cookie ids are structurally absent.
+    The counters stay sparse: the join needs only the windows they hit.
     """
     attack = scenario.attack
     if attack is None:
@@ -203,9 +206,7 @@ def run_attack(scenario: Scenario, trace: RunTrace) -> AttributionResult:
     for site_id in attack.sites:
         observations.extend(
             collect_observations(
-                attacker_view_reports(trace, scenario, site_id),
-                trace.logs.get(site_id, []),
-                scenario.window_length,
+                attacker_view_reports(trace, scenario, site_id), trace.logs.get(site_id, [])
             )
         )
     try:
@@ -234,12 +235,13 @@ def trace_to_json(trace: RunTrace) -> str:
     Every impression, report and log entry is written as exactly its
     record's fields.  The text equals ``json.dumps(document, indent=2,
     sort_keys=True) + "\\n"`` of the document with keys ``schema_version``,
-    ``impressions``, ``reports``, ``logs`` (site id to entries) and
-    ``ground_truth`` (user id to sorted audiences), byte for byte.  It is
-    built with the C encoder, which ``indent`` would switch off: each
-    record field's values, and the ground-truth lists, are encoded in one
-    call with the indented line break as item separator, and only the
-    framing of records and mappings is done in Python.
+    ``impressions``, ``reports`` (the dense view, one per window), ``logs``
+    (site id to entries) and ``ground_truth`` (user id to sorted
+    audiences), byte for byte.  It is built with the C encoder, which
+    ``indent`` would switch off: each record field's values, and the
+    ground-truth lists, are encoded in one call with the indented line
+    break as item separator, and only the framing of records and mappings
+    is done in Python.
     """
     ground_truth = sorted(trace.ground_truth.items())
     logs = sorted(trace.logs.items())
@@ -255,7 +257,7 @@ def trace_to_json(trace: RunTrace) -> str:
             [_records([vars(e) for e in entries], "    ") for _, entries in logs],
             "  ",
         ),
-        "reports": _records([vars(r) for r in trace.reports], "  "),
+        "reports": _records([vars(r) for r in trace.reports.dense()], "  "),
         "schema_version": str(TRACE_SCHEMA_VERSION),
     }
     return _object(list(sections), list(sections.values()), "") + "\n"

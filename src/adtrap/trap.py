@@ -31,10 +31,12 @@ at least two values survive.  If no assignment reproduces the counters at
 all, the observations contradict the model and an
 :class:`InconsistentObservationsError` is raised.
 
-The join (:func:`collect_observations`) leaves out every window that has
-no visits and only zero deltas: such a window constrains nothing, so the
-solver never sees it.  Counter reports themselves stay dense, one per
-window.
+The join (:func:`collect_observations`) visits only the windows that a
+counted impression or a log entry hit: any other window has no visits
+and only zero deltas, so it constrains nothing and the solver never sees
+it.  Counter reports arrive sparse, as
+:class:`~adtrap.marketplace.CounterReports`, so the join's work follows
+the impressions and visits, not the number of windows.
 
 Everything here consumes attacker-visible data only: counter reports and
 site logs.  Profiles, cookies and impression records never enter.
@@ -46,7 +48,7 @@ from dataclasses import dataclass, field
 
 from .errors import InconsistentObservationsError, UnknownIdError, ValidationError
 from .gdn import VisitLogEntry, Website
-from .marketplace import Ad, AdGroup, AudienceCounterReport, Bid, Campaign, window_index
+from .marketplace import Ad, AdGroup, Bid, Campaign, CounterReports, window_index
 
 # Sentinel meaning "this visitor matched no probed audience".  Kept as
 # Python None internally; rendered as the string "none" at the edges.
@@ -174,38 +176,31 @@ def build_trap_campaign(attack: AttackSpec, website: Website) -> Campaign:
 
 
 def collect_observations(
-    reports: list[AudienceCounterReport],
-    log_entries: list[VisitLogEntry],
-    window_length: float,
+    reports: CounterReports, log_entries: list[VisitLogEntry]
 ) -> list[WindowObservation]:
     """Join counter reports with log entries window by window.
 
     Each entry goes to the window :func:`~adtrap.marketplace.window_index`
     gives its timestamp, the same rule the platform batches impressions
-    by.  Entries outside every reported window are dropped.  Duplicate
-    window indices in the reports are rejected.  A reported window with
-    no entries and every delta 0 gets no observation, since it constrains
-    nothing; the others come out in window order.
+    by; entries outside the reports' ``num_windows`` windows are dropped.
+    Every window that holds an entry or a counted impression gets one
+    observation, in window order; the others constrain nothing.
     """
+    window_length, num_windows = reports.window_length, reports.num_windows
     buckets: dict[int, list[VisitLogEntry]] = {}
     for entry in log_entries:
-        buckets.setdefault(window_index(entry.timestamp, window_length), []).append(entry)
-    seen: set[int] = set()
-    observations = []
-    for report in sorted(reports, key=lambda r: r.window_index):
-        if report.window_index in seen:
-            raise ValidationError(f"duplicate report window index {report.window_index}")
-        seen.add(report.window_index)
-        visits = buckets.get(report.window_index)
-        if visits or any(report.deltas.values()):
-            observations.append(
-                WindowObservation(
-                    window_index=report.window_index,
-                    deltas=dict(report.deltas),
-                    visits=tuple(visits or ()),
-                )
-            )
-    return observations
+        k = window_index(entry.timestamp, window_length)
+        if 0 <= k < num_windows:
+            buckets.setdefault(k, []).append(entry)
+    zero = dict.fromkeys(reports.audience_ids, 0)
+    return [
+        WindowObservation(
+            window_index=k,
+            deltas=dict(reports.hits.get(k, zero)),
+            visits=tuple(buckets.get(k, ())),
+        )
+        for k in sorted(buckets.keys() | reports.hits.keys())
+    ]
 
 
 class _Window:

@@ -235,7 +235,8 @@ def random_scenario_document(rng):
 # Rival bids whose values tie across kinds at the default rates: CPM 10,
 # CPC 0.2 and CPA 1.0 are all worth 10000 micros an impression.
 TIED_BIDS = [("CPM", 10.0), ("CPM", 20.0), ("CPM", 95.0), ("CPC", 0.2), ("CPC", 0.4), ("CPA", 1.0)]
-# Shared by every rival, so equal ad ids tie across groups and campaigns.
+# Shared by every rival, so equal ad ids tie across groups and campaigns;
+# one group draws distinct ids, as the schema requires.
 RIVAL_AD_IDS = ["ad_x", "ad_y"]
 GEO_FILTERS = [["IT"], ["DE"], ["IT", "DE"]]
 DEMOGRAPHIC_FILTERS = [{"gender": ["f"]}, {"languages": ["it", "fr"]}, {"age_band": ["25-34"]}]
@@ -267,7 +268,7 @@ def random_targeting_scenario_document(rng):
             kind, amount = rng.choice(TIED_BIDS)
             group = {
                 "id": f"rival{i}_g{j}",
-                "ads": [{"id": rng.choice(RIVAL_AD_IDS)} for _ in range(rng.randint(1, 2))],
+                "ads": [{"id": ad_id} for ad_id in rng.sample(RIVAL_AD_IDS, rng.randint(1, 2))],
                 "target_audiences": rng.sample(audience_ids, rng.randint(1, len(audience_ids))),
                 "bid": {"kind": kind, "amount": amount},
                 "placement": (

@@ -4,9 +4,12 @@
 counts every impression into it; ``collect_observations`` builds one
 observation per reported window, empty windows included.  Both are the
 implementations the single-pass batching and the sparse join replaced,
-copied unchanged.  Tests compare the production functions with them:
-reports must be equal, and the production join must equal this one with
-every window that has no visits and only zero deltas left out.
+copied unchanged.  Tests compare production with them on the dense view:
+``CounterReports.dense()`` must give the reports built here, and the
+production join over the sparse record must equal this join over the
+dense view with every window that has no visits and only zero deltas
+left out.  A repeated audience id is added twice into ``cumulative``
+here, so tests pass each id once.
 """
 
 from __future__ import annotations

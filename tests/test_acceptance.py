@@ -148,12 +148,13 @@ def test_counters_conserve_impressions_and_budgets_hold():
             engine = SimulationEngine(scenario)
             trace = engine.run()
             served = Counter(r.audience_id for r in trace.impressions)
-            audience_ids = set(trace.reports[0].deltas) if trace.reports else set()
+            reports = list(trace.reports.dense())
+            audience_ids = set(reports[0].deltas) if reports else set()
             assert set(served) <= audience_ids or not trace.impressions, i
             for audience in audience_ids:
-                total = sum(rep.deltas[audience] for rep in trace.reports)
+                total = sum(rep.deltas[audience] for rep in reports)
                 assert total == served.get(audience, 0), (i, audience)
-                assert trace.reports[-1].cumulative[audience] == total, (i, audience)
+                assert reports[-1].cumulative[audience] == total, (i, audience)
             for record in trace.impressions:
                 assert 0 <= record.timestamp < scenario.horizon, i
             spent = engine.marketplace.spent_micros
@@ -178,7 +179,6 @@ def test_group_statistics_split_is_exact():
         observations = collect_observations(
             attacker_view_reports(trace, scenario, "monads"),
             trace.logs["monads"],
-            scenario.window_length,
         )
         stats = group_statistics(observations, "a_family_focused", "a_travel_buffs")
         assert stats.count_x == 15

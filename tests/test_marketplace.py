@@ -14,6 +14,7 @@ from adtrap.marketplace import (
     AdGroup,
     Bid,
     Campaign,
+    CounterReports,
     ImpressionRecord,
     MarketConfig,
     Marketplace,
@@ -342,13 +343,26 @@ def imp(t, audience="a_sports", campaign="c"):
     )
 
 
+def dense_reports(*args, **kwargs):
+    return list(build_reports(*args, **kwargs).dense())
+
+
 def test_build_reports_batches_and_accumulates():
     impressions = [imp(10.0), imp(20.0, "a_pets"), imp(110.0), imp(310.0)]
-    reports = build_reports(impressions, 100.0, 4, ["a_sports", "a_pets"])
+    counters = build_reports(impressions, 100.0, 4, ["a_sports", "a_pets"])
+    assert counters.audience_ids == ("a_pets", "a_sports")
+    # only the windows an impression hit are held
+    assert counters.hits == {
+        0: {"a_pets": 1, "a_sports": 1},
+        1: {"a_pets": 0, "a_sports": 1},
+        3: {"a_pets": 0, "a_sports": 1},
+    }
+    reports = list(counters.dense())
     assert [r.window_index for r in reports] == [0, 1, 2, 3]
     assert reports[0].deltas == {"a_pets": 1, "a_sports": 1}
     assert reports[1].deltas == {"a_pets": 0, "a_sports": 1}
-    assert reports[2].deltas == {"a_pets": 0, "a_sports": 0}  # all-zero window kept
+    assert reports[2].deltas == {"a_pets": 0, "a_sports": 0}  # all-zero window filled in
+    assert reports[2].cumulative == {"a_pets": 1, "a_sports": 2}
     assert reports[3].deltas == {"a_pets": 0, "a_sports": 1}
     assert reports[3].cumulative == {"a_pets": 1, "a_sports": 3}
     assert reports[1].window_start == 100.0
@@ -356,31 +370,32 @@ def test_build_reports_batches_and_accumulates():
 
 
 def test_boundary_impression_lands_in_later_window():
-    reports = build_reports([imp(100.0)], 100.0, 2, ["a_sports"])
+    reports = dense_reports([imp(100.0)], 100.0, 2, ["a_sports"])
     assert reports[0].deltas == {"a_sports": 0}
     assert reports[1].deltas == {"a_sports": 1}
 
 
 def test_reports_filter_by_campaign():
     impressions = [imp(10.0, campaign="mine"), imp(20.0, campaign="other")]
-    reports = build_reports(impressions, 100.0, 1, ["a_sports"], campaign_id="mine")
+    reports = dense_reports(impressions, 100.0, 1, ["a_sports"], campaign_id="mine")
     assert reports[0].deltas == {"a_sports": 1}
 
 
 def test_reports_ignore_unlisted_audiences():
-    reports = build_reports([imp(10.0, audience="a_other")], 100.0, 1, ["a_sports"])
-    assert reports[0].deltas == {"a_sports": 0}
+    counters = build_reports([imp(10.0, audience="a_other")], 100.0, 1, ["a_sports"])
+    assert counters.hits == {}
+    assert [r.deltas for r in counters.dense()] == [{"a_sports": 0}]
 
 
 def test_reports_conserve_impressions():
     impressions = [imp(float(t)) for t in range(0, 500, 7)]
-    reports = build_reports(impressions, 100.0, 5, ["a_sports"])
+    reports = dense_reports(impressions, 100.0, 5, ["a_sports"])
     assert sum(r.deltas["a_sports"] for r in reports) == len(impressions)
     assert reports[-1].cumulative["a_sports"] == len(impressions)
 
 
 def test_reports_count_a_repeated_audience_id_once():
-    reports = build_reports([imp(10.0)], 100.0, 2, ["a_sports", "a_sports"])
+    reports = dense_reports([imp(10.0)], 100.0, 2, ["a_sports", "a_sports"])
     assert [r.deltas for r in reports] == [{"a_sports": 1}, {"a_sports": 0}]
     assert [r.cumulative for r in reports] == [{"a_sports": 1}, {"a_sports": 1}]
 
@@ -389,7 +404,8 @@ def test_reports_count_a_repeated_audience_id_once():
 def report_inputs(draw):
     """Arguments for build_reports: float windows, timestamps on and off
     window boundaries, before 0 and past the last window, audiences outside
-    the list, impressions of two campaigns, and num_windows down to 0."""
+    the list, repeated audience ids, impressions of two campaigns, and
+    num_windows down to 0."""
     window = draw(
         st.sampled_from([0.1, 0.3, 1.1, 100.0])
         | st.floats(min_value=0.01, max_value=1000.0, allow_subnormal=False)
@@ -409,9 +425,7 @@ def report_inputs(draw):
             max_size=40,
         )
     )
-    audiences = draw(
-        st.lists(st.sampled_from(["a_sports", "a_pets", "a_cooks"]), unique=True)
-    )
+    audiences = draw(st.lists(st.sampled_from(["a_sports", "a_pets", "a_cooks"])))
     campaign_id = draw(st.sampled_from([None, "mine", "absent"]))
     return impressions, window, num_windows, audiences, campaign_id
 
@@ -423,11 +437,51 @@ def report_layout(reports):
 
 @settings(max_examples=300, deadline=None)
 @given(args=report_inputs())
-def test_build_reports_matches_the_dense_reference(args):
-    reports = build_reports(*args)
-    assert report_layout(reports) == report_layout(reference_reports.build_reports(*args))
-    counters = [id(c) for r in reports for c in (r.deltas, r.cumulative)]
-    assert len(set(counters)) == len(counters)
+def test_dense_view_matches_the_dense_reference(args):
+    impressions, window, num_windows, audiences, campaign_id = args
+    counters = build_reports(*args)
+    # The reference counts a repeated audience id twice into `cumulative`;
+    # build_reports counts it once, so the reference gets each id once.
+    expected = reference_reports.build_reports(
+        impressions, window, num_windows, sorted(set(audiences)), campaign_id
+    )
+    reports = list(counters.dense())
+    assert report_layout(reports) == report_layout(expected)
+    assert list(counters.hits) == [r.window_index for r in expected if any(r.deltas.values())]
+    counters_seen = [id(c) for r in reports for c in (r.deltas, r.cumulative)]
+    counters_seen += [id(c) for c in counters.hits.values()]
+    assert len(set(counters_seen)) == len(counters_seen)
+    # a second expansion gives equal reports in fresh dicts
+    assert list(counters.dense()) == reports
+
+
+@pytest.mark.parametrize(
+    "window_length, num_windows, audience_ids, hits, message",
+    [
+        (0.0, 1, ("a",), {}, "window length"),
+        (-1.0, 1, ("a",), {}, "window length"),
+        (math.nan, 1, ("a",), {}, "window length"),
+        (1.0, 2, ("b", "a"), {}, "sorted and distinct"),
+        (1.0, 2, ("a", "a"), {}, "sorted and distinct"),
+        (1.0, 2, ("a",), {2: {"a": 1}}, "hit window 2"),
+        (1.0, 2, ("a",), {-1: {"a": 1}}, "hit window -1"),
+        (1.0, 0, ("a",), {0: {"a": 1}}, "hit window 0"),
+        (1.0, 5, ("a",), {3: {"a": 1}, 1: {"a": 1}}, "hit window 1"),
+        (1.0, 5, ("a",), {1: {"a": 0}}, "not all 0"),
+        (1.0, 5, ("a", "b"), {1: {"a": 1}}, "for each audience"),
+        (1.0, 5, ("a",), {1: {"a": 1, "b": 0}}, "for each audience"),
+    ],
+)
+def test_counter_reports_reject_a_malformed_record(
+    window_length, num_windows, audience_ids, hits, message
+):
+    with pytest.raises(ValidationError, match=message):
+        CounterReports(window_length, num_windows, audience_ids, hits)
+
+
+def test_counter_reports_accept_negative_deltas_for_the_join_to_reject():
+    counters = CounterReports(1.0, 2, ("a", "b"), {1: {"a": 0, "b": -1}})
+    assert [r.cumulative for r in counters.dense()] == [{"a": 0, "b": 0}, {"a": 0, "b": -1}]
 
 
 def test_publish_reports_covers_elapsed_windows():
@@ -435,13 +489,14 @@ def test_publish_reports_covers_elapsed_windows():
     profile = sports_profile()
     market.serve("site", PAGE, profile, time=50.0)
     market.serve("site", PAGE, profile, time=250.0)
-    reports = market.publish_reports(window_length=100.0, up_to_time=300.0)
-    assert len(reports) == 3
-    assert [r.deltas["a_sports"] for r in reports] == [1, 0, 1]
+    counters = market.publish_reports(window_length=100.0, up_to_time=300.0)
+    assert counters.num_windows == 3
+    assert list(counters.hits) == [0, 2]
+    assert [r.deltas["a_sports"] for r in counters.dense()] == [1, 0, 1]
 
 
 def test_reports_to_rows_shape():
-    reports = build_reports([imp(10.0)], 100.0, 1, ["a_sports", "a_pets"])
+    reports = build_reports([imp(10.0)], 100.0, 2, ["a_sports", "a_pets"])
     rows = reports_to_rows(reports)
     assert REPORT_COLUMNS == (
         "window_index",
@@ -454,6 +509,8 @@ def test_reports_to_rows_shape():
     assert rows == [
         (0, 0.0, 100.0, "a_pets", 0, 0),
         (0, 0.0, 100.0, "a_sports", 1, 1),
+        (1, 100.0, 200.0, "a_pets", 0, 0),
+        (1, 100.0, 200.0, "a_sports", 0, 1),
     ]
 
 

@@ -176,7 +176,22 @@ def test_page_with_unknown_topic():
 def test_page_without_topics():
     doc = base_document()
     doc["websites"][0]["pages"][0]["topics"] = []
-    reject(doc, "/websites/0/pages/0/topics")
+    error = reject(doc, "/websites/0/pages/0/topics")
+    assert error.message == "field 'topics' must be a non-empty list of strings"
+    del doc["websites"][0]["pages"][0]["topics"]
+    error = reject(doc, "/websites/0/pages/0/topics")
+    assert error.message == "field 'topics' must be a non-empty list of strings"
+
+
+def test_ad_ids_unique_within_a_group_but_not_across_groups():
+    doc = base_document()
+    group = doc["campaigns"][0]["ad_groups"][0]
+    group["ads"] = [{"id": "rival_ad"}, {"id": "other_ad"}, {"id": "rival_ad"}]
+    error = reject(doc, "/campaigns/0/ad_groups/0/ads/2/id")
+    assert error.message == "duplicate ad id 'rival_ad'"
+    group["ads"] = [{"id": "rival_ad"}]
+    doc["campaigns"][0]["ad_groups"].append({**group, "id": "second_group"})
+    load_scenario_document(doc)
 
 
 def test_website_without_pages():
@@ -501,7 +516,8 @@ UNIQUE_FIELDS = [(kind, key) for kind, key in SCHEMA_FIELDS if _SCHEMA[kind][key
 def test_unique_fields_are_the_ids():
     assert set(UNIQUE_FIELDS) == {
         ("topic", "id"), ("interest", "id"), ("audience", "id"), ("website", "id"),
-        ("campaign", "id"), ("user", "id"), ("user", "cookie_id"), ("user", "network_id"),
+        ("campaign", "id"), ("ad", "id"), ("user", "id"), ("user", "cookie_id"),
+        ("user", "network_id"),
     }
 
 
@@ -532,6 +548,7 @@ def test_required_lists_include_the_containers_and_probe_lists():
     assert {
         ("website", "pages"), ("campaign", "ad_groups"), ("ad_group", "ads"),
         ("ad_group", "target_audiences"), ("attack", "sites"), ("attack", "audiences"),
+        ("page", "topics"),
     } <= set(required_lists())
 
 

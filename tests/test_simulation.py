@@ -14,7 +14,13 @@ from hypothesis import example, given, settings, strategies as st
 from adtrap import scenarios
 from adtrap.errors import SimulationError, ValidationError
 from adtrap.gdn import VisitLogEntry
-from adtrap.marketplace import AudienceCounterReport, ImpressionRecord, window_index
+from adtrap.marketplace import (
+    AudienceCounterReport,
+    CounterReports,
+    ImpressionRecord,
+    window_count,
+    window_index,
+)
 from adtrap.scenario import load_scenario, load_scenario_document
 from adtrap.simulation import (
     SWEEP_COLUMNS,
@@ -128,7 +134,7 @@ def test_run_produces_trace_with_logs_reports_and_truth():
     assert {r.website_id for r in trace.impressions} == {"monads"}
     assert set(trace.logs) == {"monads"}
     assert len(trace.logs["monads"]) == 10
-    assert len(trace.reports) == 10  # horizon 18000 / window 1800
+    assert trace.reports.num_windows == 10  # horizon 18000 / window 1800
     assert trace.ground_truth["u1"] == {"a_art_theater_aficionados"}
 
 
@@ -232,7 +238,7 @@ def reference_trace_json(trace):
     document = {
         "schema_version": 1,
         "impressions": [vars(r) for r in trace.impressions],
-        "reports": [vars(r) for r in trace.reports],
+        "reports": [vars(r) for r in trace.reports.dense()],
         "logs": {site_id: [vars(e) for e in entries] for site_id, entries in trace.logs.items()},
         "ground_truth": {
             user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
@@ -253,21 +259,35 @@ extreme_floats = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, 1e16, -1e16, 1.7976931348623157e308]),
     st.floats(),
 )
-counters = st.dictionaries(adversarial_text, st.integers(-(2**70), 2**70), max_size=4)
 impressions = st.builds(
     ImpressionRecord,
     *(adversarial_text,) * 7,
     timestamp=extreme_floats,
     clicked=st.booleans(),
 )
-reports = st.builds(
-    AudienceCounterReport,
-    window_index=st.integers(-(2**70), 2**70),
-    window_start=extreme_floats,
-    window_end=extreme_floats,
-    deltas=counters,
-    cumulative=counters,
-)
+
+
+@st.composite
+def counter_reports(draw):
+    """Counters over adversarial audience ids with huge and negative
+    deltas, on window lengths from the smallest subnormal to ones whose
+    window bounds overflow to infinity."""
+    audiences = tuple(sorted(draw(st.sets(adversarial_text, max_size=4))))
+    num_windows = draw(st.integers(0, 4))
+    delta = st.integers(-(2**70), 2**70)
+    deltas = st.fixed_dictionaries({a: delta for a in audiences}).filter(
+        lambda d: any(d.values())
+    )
+    hits = {}
+    if audiences:
+        hits = {k: draw(deltas) for k in range(num_windows) if draw(st.booleans())}
+    window = draw(
+        st.sampled_from([5e-324, 1.0, 1e16, 1.7976931348623157e308])
+        | st.floats(min_value=5e-324, allow_infinity=False)
+    )
+    return CounterReports(window, num_windows, audiences, hits)
+
+
 entries = st.builds(
     VisitLogEntry,
     timestamp=extreme_floats,
@@ -279,7 +299,7 @@ entries = st.builds(
 traces = st.builds(
     RunTrace,
     impressions=st.lists(impressions, max_size=4),
-    reports=st.lists(reports, max_size=4),
+    reports=counter_reports(),
     logs=st.dictionaries(adversarial_text, st.lists(entries, max_size=4), max_size=3),
     ground_truth=st.dictionaries(
         adversarial_text, st.sets(adversarial_text, max_size=3), max_size=4
@@ -289,13 +309,26 @@ traces = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(trace=traces)
-@example(trace=RunTrace(impressions=[], reports=[], logs={}))
-@example(trace=RunTrace(impressions=[], reports=[], logs={"site": []}, ground_truth={"u": set()}))
+@example(trace=RunTrace(impressions=[], reports=CounterReports(1.0, 0, (), {}), logs={}))
 @example(
     trace=RunTrace(
         impressions=[],
-        reports=[AudienceCounterReport(0, -0.0, 5e-324, {}, {})],
-        logs={"a": [VisitLogEntry(timestamp=1e16, network_id="}\né", page_id="")], "b": []},
+        reports=CounterReports(1.0, 0, (), {}),
+        logs={"site": []},
+        ground_truth={"u": set()},
+    )
+)
+@example(
+    trace=RunTrace(
+        impressions=[],
+        reports=CounterReports(5e-324, 2, (), {}),
+        logs={
+            "a": [
+                VisitLogEntry(timestamp=1e16, network_id="}\né", page_id=""),
+                VisitLogEntry(timestamp=-0.0, network_id="", page_id=""),
+            ],
+            "b": [],
+        },
         ground_truth={"u1": set(), "u2": {"x"}},
     )
 )
@@ -342,7 +375,7 @@ def test_attacker_view_is_probe_campaign_only():
     )
     scenario = load_scenario_document(doc)
     trace = run_scenario(scenario)
-    reports = attacker_view_reports(trace, scenario, "monads")
+    reports = list(attacker_view_reports(trace, scenario, "monads").dense())
     assert len(reports) == 1
     assert set(reports[0].deltas) == {"a_pets", "a_sports"}
     own = probe_campaign_id("monads")
@@ -454,9 +487,8 @@ def test_probe_impressions_share_the_window_of_their_log_entry(seed, window, win
     trace = run_scenario(scenario)
     if scenario.attack is None:
         return
-    observations = collect_observations(
-        attacker_view_reports(trace, scenario, "atk"), trace.logs["atk"], window
-    )
+    view = attacker_view_reports(trace, scenario, "atk")
+    observations = collect_observations(view, trace.logs["atk"])
     holder = {(e.network_id, e.timestamp): o.window_index for o in observations for e in o.visits}
     users = {user.cookie_id: user for user in scenario.users}
     for record in trace.impressions:
@@ -480,10 +512,11 @@ def test_a_visit_just_before_the_horizon_is_reported_and_attributed():
     scenario = load_scenario_document(doc)
     trace = run_scenario(scenario)
     assert window_index(times[-1], 0.3) == 137
-    assert len(trace.reports) == 138
+    assert trace.reports.num_windows == 138
     assert len(trace.impressions) == 10
     view = attacker_view_reports(trace, scenario, "monads")
-    assert sum(sum(r.deltas.values()) for r in view) == 10
+    assert sum(sum(deltas.values()) for deltas in view.hits.values()) == 10
+    assert 137 in view.hits
     result = run_attack(scenario, trace)
     assert sorted(result.assignments) == sorted(e.network_id for e in trace.logs["monads"])
     assert len(result.assignments) == 10
@@ -498,8 +531,9 @@ def test_a_visit_just_before_the_horizon_is_reported_and_attributed():
 )
 def test_runs_match_the_dense_reports_and_join(seed, window, windows, data):
     # Generated scenarios on float windows, visits on a half-window grid or
-    # at the last float before the horizon, run once as they are and once
-    # with the dense report batching and the dense join patched in.
+    # at the last float before the horizon: the dense view of every report
+    # equals the dense batching, and the join over the sparse reports gives
+    # the result of the dense join over the dense view.
     doc = random_scenario_document(random.Random(seed))
     doc["window_length_s"] = window
     doc["horizon_s"] = windows * window
@@ -510,13 +544,32 @@ def test_runs_match_the_dense_reports_and_join(seed, window, windows, data):
         for visit, slot in zip(user["attack_visits"], sorted(slots)):
             visit["t"] = min(round(slot * window / 2, 10), last)
     scenario = load_scenario_document(doc)
-    trace = run_scenario(scenario)
-    with mock.patch("adtrap.marketplace.build_reports", reference_reports.build_reports):
-        assert trace_to_json(run_scenario(scenario)) == trace_to_json(trace)
-    with (
-        mock.patch("adtrap.simulation.build_reports", reference_reports.build_reports),
-        mock.patch("adtrap.simulation.collect_observations", reference_reports.collect_observations),
-    ):
+    engine = SimulationEngine(scenario)
+    trace = engine.run()
+    num_windows = window_count(scenario.horizon, window)
+    universe = engine.marketplace.target_audience_universe()
+    assert list(trace.reports.dense()) == reference_reports.build_reports(
+        trace.impressions, window, num_windows, universe
+    )
+    if scenario.attack is None:
+        return
+    for site_id in scenario.attack.sites:
+        assert list(attacker_view_reports(trace, scenario, site_id).dense()) == (
+            reference_reports.build_reports(
+                trace.impressions,
+                window,
+                num_windows,
+                sorted(scenario.attack.audiences),
+                campaign_id=probe_campaign_id(site_id),
+            )
+        )
+
+    def dense_join(reports, log_entries):
+        return reference_reports.collect_observations(
+            list(reports.dense()), log_entries, reports.window_length
+        )
+
+    with mock.patch("adtrap.simulation.collect_observations", dense_join):
         expected = run_attack(scenario, trace)
     assert run_attack(scenario, trace) == expected
 
@@ -668,6 +721,19 @@ def test_benchmark_sweep_grid_matches_the_per_seed_reference():
     seeds = list(range(101 * 60, 102 * 60))
     template = read_bundled("table2_experiment")
     assert sweep(template, grid, seeds) == reference_sweep(template, grid, seeds)
+
+
+def test_sweep_never_expands_the_reports():
+    # A sweep writes no trace.json and no reports.csv, so its rows come
+    # from the sparse counters alone: with the dense view made to raise,
+    # it gives the same rows.
+    grid = {"window_length_s": [300, 1800]}
+    for template in (read_bundled("table2_experiment"), random_scenario_document(random.Random(3))):
+        expected = sweep(template, grid, [7, 8])
+        assert expected
+        expanded = AssertionError("dense view expanded")
+        with mock.patch.object(CounterReports, "dense", side_effect=expanded):
+            assert sweep(template, grid, [7, 8]) == expected
 
 
 def test_rival_bid_sweep_shows_takeover_threshold():

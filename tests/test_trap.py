@@ -18,7 +18,7 @@ from adtrap.errors import (
     ValidationError,
 )
 from adtrap.gdn import VisitLogEntry, Website
-from adtrap.marketplace import AudienceCounterReport, Bid, window_index
+from adtrap.marketplace import Bid, CounterReports, window_index
 from adtrap.profile import PageProfile
 from adtrap.trap import (
     AttackSpec,
@@ -113,24 +113,19 @@ def entry(t, nid="203.0.113.1", arg=None):
     return VisitLogEntry(timestamp=t, network_id=nid, page_id="landing", tracking_arg=arg)
 
 
-def report(index, deltas, window=100.0):
-    return AudienceCounterReport(
-        window_index=index,
-        window_start=index * window,
-        window_end=(index + 1) * window,
-        deltas=dict(deltas),
-        cumulative={},
-    )
+def counters(hits, num_windows, window=100.0, audiences=("a",)):
+    return CounterReports(window, num_windows, tuple(audiences), hits)
 
 
 def test_collect_observations_buckets_by_window():
-    reports = [report(1, {"a": 1}), report(0, {"a": 0}), report(2, {"a": 0}), report(3, {"a": 2})]
+    reports = counters({1: {"a": 1}, 3: {"a": 2}}, 4)
     log = [entry(5.0), entry(105.0, "203.0.113.2"), entry(100.0)]
-    observations = collect_observations(reports, log, 100.0)
-    # window 2 has no visits and a zero delta, so it gets no observation;
-    # window 3 has no visits but a delta to explain, so it stays
+    observations = collect_observations(reports, log)
+    # window 2 has no visits and no counted impression, so it gets no
+    # observation; window 0 has a visit to explain and window 3 a delta
     assert [o.window_index for o in observations] == [0, 1, 3]
     assert [e.timestamp for e in observations[0].visits] == [5.0]
+    assert observations[0].deltas == {"a": 0}
     # boundary entry at t=100.0 belongs to the later window, in log order
     assert [e.timestamp for e in observations[1].visits] == [105.0, 100.0]
     assert observations[2].visits == ()
@@ -138,55 +133,47 @@ def test_collect_observations_buckets_by_window():
     # 17 * 0.1 rounds above 1.7, so [k*W, (k+1)*W) would say window 16;
     # the platform's floor(t / W) says 17, and the join must agree with it.
     assert window_index(1.7, 0.1) == 17
-    assert report(17, {}, window=0.1).window_start > 1.7
-    reports = [report(16, {"a": 0}, window=0.1), report(17, {"a": 1}, window=0.1)]
-    observations = collect_observations(reports, [entry(1.7)], 0.1)
+    assert list(counters({}, 18, window=0.1).dense())[17].window_start > 1.7
+    observations = collect_observations(counters({17: {"a": 1}}, 18, window=0.1), [entry(1.7)])
     assert [(o.window_index, o.visits) for o in observations] == [(17, (entry(1.7),))]
-    # with a delta to explain window 16 stays, and still holds no visit
-    reports = [report(16, {"a": 1}, window=0.1), report(17, {"a": 1}, window=0.1)]
-    observations = collect_observations(reports, [entry(1.7)], 0.1)
+    # with a delta to explain window 16 is joined, and still holds no visit
+    reports = counters({16: {"a": 1}, 17: {"a": 1}}, 18, window=0.1)
+    observations = collect_observations(reports, [entry(1.7)])
     assert [(o.window_index, o.visits) for o in observations] == [(16, ()), (17, (entry(1.7),))]
 
 
 def test_collect_observations_drops_out_of_range_entries():
-    reports = [report(0, {"a": 1}), report(1, {"a": 0})]
     inside = entry(150.0, "203.0.113.2")
     log = [entry(250.0), entry(-1.0), inside, entry(-100.0)]
-    observations = collect_observations(reports, log, 100.0)
+    observations = collect_observations(counters({0: {"a": 1}}, 2), log)
     assert [(o.window_index, o.visits) for o in observations] == [(0, ()), (1, (inside,))]
-    assert collect_observations([report(0, {"a": 0})], [entry(250.0), entry(-1.0)], 100.0) == []
-
-
-def test_collect_observations_rejects_duplicate_windows():
-    with pytest.raises(ValidationError):
-        collect_observations([report(0, {"a": 0}), report(0, {"a": 1})], [], 100.0)
-    # an empty window is still a window: its index may not repeat either
-    with pytest.raises(ValidationError, match="duplicate"):
-        collect_observations([report(4, {"a": 0}), report(4, {"a": 0})], [], 100.0)
+    assert collect_observations(counters({}, 1), [entry(250.0), entry(-1.0)]) == []
 
 
 def test_collect_observations_passes_negative_deltas_on_to_be_rejected():
+    reports = counters({0: {"a": 0, "b": -1}}, 1, audiences=("a", "b"))
     with pytest.raises(ValidationError, match="negative delta"):
-        collect_observations([report(0, {"a": 0, "b": -1})], [], 100.0)
+        collect_observations(reports, [])
 
 
 @st.composite
 def join_inputs(draw):
-    """Reports and a log for the join: float windows, repeated window
-    indices, negative deltas, and entries before, between and after the
-    reported windows."""
+    """Counters and a log for the join: float windows, negative deltas,
+    and entries before, between and after the reported windows."""
     window = draw(st.sampled_from([0.1, 0.3, 1.1, 100.0]))
-    audiences = draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True))
+    audiences = sorted(draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True)))
+    num_windows = draw(st.integers(0, 12))
     delta = st.integers(0, 2) | st.integers(-1, 2)
-    reports = [
-        report(index, {a: draw(delta) for a in audiences}, window=window)
-        for index in draw(st.lists(st.integers(-2, 12), max_size=10))
-    ]
+    deltas = st.fixed_dictionaries({a: delta for a in audiences}).filter(
+        lambda d: any(d.values())
+    )
+    indices = st.sets(st.integers(0, num_windows - 1), max_size=10) if audiences else st.just(set())
+    hits = {k: draw(deltas) for k in sorted(draw(indices))} if num_windows else {}
     timestamp = st.integers(-3, 15).map(lambda k: k * window) | st.floats(
         min_value=-3 * window, max_value=15 * window
     )
     log = draw(st.lists(st.builds(entry, timestamp, st.sampled_from(["n1", "n2", "n3"]))))
-    return reports, log, window
+    return CounterReports(window, num_windows, tuple(audiences), hits), log
 
 
 def join_outcome(join, args):
@@ -199,7 +186,9 @@ def join_outcome(join, args):
 @settings(max_examples=400, deadline=None)
 @given(args=join_inputs())
 def test_join_is_the_dense_reference_without_inert_windows(args):
-    expected = join_outcome(reference_reports.collect_observations, args)
+    reports, log = args
+    dense = (list(reports.dense()), log, reports.window_length)
+    expected = join_outcome(reference_reports.collect_observations, dense)
     if isinstance(expected, list):
         expected = [o for o in expected if o.visits or any(o.deltas.values())]
     assert join_outcome(collect_observations, args) == expected
@@ -583,14 +572,14 @@ def test_group_statistics_zero_and_undefined_differ():
 def test_group_statistics_without_observations_accepts_any_audience():
     # An attack that logged no visit and got no probe impression joins to
     # no observation at all, so nothing tells probed from unprobed.
-    assert collect_observations([report(0, {"a_family": 0, "a_travel": 0})], [], 100.0) == []
+    assert collect_observations(counters({}, 1, audiences=("a_family", "a_travel")), []) == []
     stats = group_statistics([], "a_family", "a_never_probed")
     assert (stats.count_x, stats.count_y, stats.fraction) == (0, 0, None)
 
 
 def test_group_statistics_rejects_unprobed_audience_of_a_sparse_join():
-    reports = [report(0, {"a_family": 0, "a_travel": 0}), report(1, {"a_family": 1, "a_travel": 0})]
-    observations = collect_observations(reports, [], 100.0)
+    reports = counters({1: {"a_family": 1, "a_travel": 0}}, 2, audiences=("a_family", "a_travel"))
+    observations = collect_observations(reports, [])
     assert [o.window_index for o in observations] == [1]
     assert group_statistics(observations, "a_family", "a_travel").fraction == 1.0
     with pytest.raises(UnknownIdError):
