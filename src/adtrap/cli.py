@@ -106,7 +106,12 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    output = run_to_directory(args.scenario, seed=args.seed, out_dir=args.out)
+    seed = None
+    if args.seed is not None:
+        if not _is_seed_token(args.seed):
+            raise ValidationError(f"seed must be an integer: {args.seed!r}")
+        seed = int(args.seed)
+    output = run_to_directory(args.scenario, seed=seed, out_dir=args.out)
     print(summary_line(output.result))
     return 0
 
@@ -171,19 +176,23 @@ def _parse_grid(args_grid: list[str]) -> dict[str, list]:
     return grid
 
 
-def _parse_seeds(raw: str) -> list[int]:
-    """Comma-separated seeds, each an optional ``-`` and ASCII digits.
+def _is_seed_token(token: str) -> bool:
+    """Whether ``token`` is a seed as typed: an optional ``-`` and ASCII digits.
 
     ``int`` alone would also take other scripts' digits, ``_`` separators
     and surrounding spaces, and run seeds nobody typed.
     """
+    digits = token.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
+def _parse_seeds(raw: str) -> list[int]:
+    """Comma-separated seeds, each passing :func:`_is_seed_token`."""
     tokens = [t for t in (raw or "").split(",") if t != ""]
     if not tokens:
         raise ValidationError("no seeds")
-    for t in tokens:
-        digits = t.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValidationError(f"seeds must be integers: {raw!r}")
+    if not all(map(_is_seed_token, tokens)):
+        raise ValidationError(f"seeds must be integers: {raw!r}")
     return [int(t) for t in tokens]
 
 
@@ -217,7 +226,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a scenario end to end")
     p_run.add_argument("scenario", help="scenario file path or bundled scenario name")
-    p_run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    p_run.add_argument("--seed", default=None, help="override the scenario seed")
     p_run.add_argument("--out", default="adtrap_out", help="artifact directory")
     p_run.set_defaults(func=cmd_run)
 

@@ -14,6 +14,7 @@ only the written artifacts expand them to one row set per window.
 
 from __future__ import annotations
 
+import copy
 import math
 import random
 from dataclasses import dataclass
@@ -291,8 +292,13 @@ class Marketplace:
     there, its placed groups and the network-wide ones, in the same order,
     so equal-value ties come out as in the full table; any other website
     gets the network-wide entries.  A page view scans only its website's
-    entries.  Prices and budgets stay fixed; ``spent_micros`` holds what
-    each campaign, by id, has spent in this run.
+    entries.  The sorted union of targeted audiences is taken once, too.
+
+    Those tables never change.  What a run changes is its own:
+    ``impressions``, ``spent_micros`` (what each campaign, by id, has
+    spent) and the click-sampling ``rng``.  :meth:`fresh_run` gives
+    another run a marketplace that shares the tables and owns new ones of
+    those.
     """
 
     def __init__(
@@ -325,6 +331,18 @@ class Marketplace:
             ]
             for site in placed
         }
+        self._audience_universe = sorted(
+            {a for entry in self._priced_groups for a in entry.ad_group.target_audiences}
+        )
+
+    def fresh_run(self, rng: random.Random) -> Marketplace:
+        """A marketplace for another run: the same campaigns, config and
+        tables, shared, with no impressions, no spend and ``rng``."""
+        market = copy.copy(self)
+        market.rng = rng
+        market.impressions = []
+        market.spent_micros = dict.fromkeys(self.campaigns, 0)
+        return market
 
     def eligible_ads(
         self,
@@ -429,10 +447,7 @@ class Marketplace:
 
     def target_audience_universe(self) -> list[str]:
         """Sorted union of every ad group's targeted audiences."""
-        universe: set[str] = set()
-        for entry in self._priced_groups:
-            universe |= entry.ad_group.target_audiences
-        return sorted(universe)
+        return list(self._audience_universe)
 
     def publish_reports(self, window_length: float, up_to_time: float) -> CounterReports:
         """Counters of every window elapsed by ``up_to_time``, over every targeted audience."""

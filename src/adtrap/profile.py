@@ -95,6 +95,22 @@ class AdUserProfile:
     audiences: set[str] = field(default_factory=set)
     last_timestamp: float | None = None
 
+    def copy(self) -> AdUserProfile:
+        """An equal profile that later visits update apart from this one.
+
+        It gets its own ``topic_scores``; ``interests`` and ``audiences``
+        are shared, since :func:`record_visit` replaces those sets rather
+        than mutating them.
+        """
+        return AdUserProfile(
+            self.cookie_id,
+            self.demographics,
+            dict(self.topic_scores),
+            self.interests,
+            self.audiences,
+            self.last_timestamp,
+        )
+
 
 def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfile:
     """Admit a page to the network, validating its declared topics.

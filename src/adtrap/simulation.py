@@ -72,6 +72,13 @@ class SimulationEngine:
     profiles, the marketplace (impressions and each campaign's spend) and
     ``logs``, the visit log of every logging site.  The same
     :class:`Scenario` can therefore back any number of runs.
+
+    Some of that state is fixed by the scenario alone: the pages map, the
+    probe campaigns, the marketplace's tables and, since warm-up draws no
+    randomness, the warm profiles and ground truth.  :meth:`derive` turns
+    an engine whose warm-up has run into one run engine per seed, which
+    shares all of it and owns its impressions, spend, visit logs, click
+    rng and profile scores.
     """
 
     def __init__(self, scenario: Scenario):
@@ -154,8 +161,26 @@ class SimulationEngine:
                 impression.ad_id if impression else None,
             )
 
+    def derive(self, seed: int) -> SimulationEngine:
+        """A run engine for ``seed`` that starts where this one's warm-up ended.
+
+        Call it after :meth:`run_warmup`; :meth:`run_after_warmup` on the
+        result gives the trace that :meth:`run` gives on a new engine for
+        the reseeded scenario.  This engine is left as it was.
+        """
+        engine = copy.copy(self)
+        engine.scenario = replace(self.scenario, seed=seed)
+        engine.logs = {wid: [] for wid in self.logs}
+        engine.marketplace = self.marketplace.fresh_run(random.Random(seed))
+        engine.profiles = {cid: profile.copy() for cid, profile in self.profiles.items()}
+        return engine
+
     def run(self) -> RunTrace:
         self.run_warmup()
+        return self.run_after_warmup()
+
+    def run_after_warmup(self) -> RunTrace:
+        """The attack phase and its reports, on profiles already warmed up."""
         self.run_attack_phase()
         return RunTrace(
             impressions=self.marketplace.impressions,
@@ -357,12 +382,19 @@ def sweep(
 
     Cells iterate in sorted-key order with values in the given order, then
     seeds in the given order, so the row sequence is reproducible.  Each
-    cell's document is built and validated once, with the first seed; every
-    seed, checked by the document's seed rule, then only reseeds that
-    cell's scenario.  Its records are frozen and each run keeps its spend
-    and logs in its own engine, so one scenario backs all of the cell's
-    runs.  An empty grid yields no rows; an empty seed list is an error,
-    and so is a ``seed`` grid key, since ``seeds`` sets every run's seed.
+    cell's document is built and validated once, with the first seed.
+    Every seed is checked by the document's seed rule before the first
+    run, after the first cell's document: a loop that built each run's
+    document would meet that document's errors first.
+
+    Each cell gets one engine, whose warm-up runs once: the probe
+    campaigns, the marketplace's tables, the warm profiles and the ground
+    truth depend on the cell alone.  Each seed's run is derived from that
+    warm engine (:meth:`SimulationEngine.derive`) and owns its
+    impressions, spend, visit logs, click rng and profile scores, so it
+    gives the row a fresh run of the reseeded scenario gives.  An empty
+    grid yields no rows; an empty seed list is an error, and so is a
+    ``seed`` grid key, since ``seeds`` sets every run's seed.
     """
     if not seeds:
         raise ValidationError("no seeds")
@@ -371,21 +403,24 @@ def sweep(
             "grid key 'seed' is not sweepable: seeds come from the seed list (--seeds)"
         )
     if not grid:
+        _check_seeds(seeds)
         return []
     keys = sorted(grid)
     rows: list[dict] = []
-    for combo in itertools.product(*(grid[k] for k in keys)):
+    for n, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         cell = dict(zip(keys, combo))
         document = copy.deepcopy(template_document)
         for k, v in cell.items():
             apply_grid_value(document, k, v)
         document["seed"] = seeds[0]
-        cell_scenario = load_scenario_document(document)
+        warm = SimulationEngine(load_scenario_document(document))
+        if n == 0:
+            _check_seeds(seeds)
+        warm.run_warmup()
         for seed in seeds:
-            check_seed(seed)
-            scenario = replace(cell_scenario, seed=seed)
-            trace = run_scenario(scenario)
-            result = run_attack(scenario, trace)
+            engine = warm.derive(seed)
+            trace = engine.run_after_warmup()
+            result = run_attack(engine.scenario, trace)
             counts = result.counts()
             row = dict(cell)
             summary = (
@@ -396,3 +431,8 @@ def sweep(
             rows.append(row)
             log.info("sweep cell %s seed %s: accuracy=%s", cell, seed, result.accuracy)
     return rows
+
+
+def _check_seeds(seeds: list[int]) -> None:
+    for seed in seeds:
+        check_seed(seed)

@@ -197,6 +197,31 @@ def test_run_seed_override_lands_in_output(tmp_path):
     assert output["seed"] == 123
 
 
+@pytest.mark.parametrize(
+    "seed", [" 1_0", "\u0663", "1_0", "+3", "3 "],
+    ids=["space-underscore", "arabic-indic-digit", "underscore", "plus", "trailing-space"],
+)
+def test_run_and_sweep_reject_the_same_seed_tokens(tmp_path, capsys, seed):
+    # int() reads " 1_0" as 10 and an Arabic-Indic three as 3; neither is a
+    # seed as typed, under --seed or --seeds.
+    out = tmp_path / "out"
+    assert main(["run", "two_visitor_ambiguity", "--seed", seed, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: seed must be an integer: {seed!r}\n"
+    code = main(
+        ["sweep", "two_visitor_ambiguity", "--grid", "attack/cpm=40", "--seeds", seed,
+         "--out", str(out)]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: seeds must be integers: {seed!r}\n"
+    assert not out.exists()
+
+
+def test_run_takes_a_negative_seed(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "two_visitor_ambiguity", "--seed", "-3", "--out", str(out)]) == 0
+    assert json.loads((out / "run_output.json").read_text(encoding="utf-8"))["seed"] == -3
+
+
 def test_ambiguous_assignments_render_as_candidate_sets(tmp_path):
     out = tmp_path / "out"
     assert main(["run", "per_victim_shared", "--out", str(out)]) == 0

@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adtrap import scenarios
+from adtrap import gdn, scenarios, simulation
 from adtrap.errors import SimulationError, ValidationError
 from adtrap.gdn import VisitLogEntry
 from adtrap.marketplace import (
@@ -21,6 +21,7 @@ from adtrap.marketplace import (
     window_count,
     window_index,
 )
+from adtrap.profile import record_visit
 from adtrap.scenario import load_scenario, load_scenario_document
 from adtrap.simulation import (
     SWEEP_COLUMNS,
@@ -33,7 +34,7 @@ from adtrap.simulation import (
     sweep,
     trace_to_json,
 )
-from adtrap.trap import collect_observations, probe_campaign_id
+from adtrap.trap import build_trap_campaign, collect_observations, probe_campaign_id
 
 from conftest import SMALL_TAXONOMY_DOC
 from generators import random_scenario_document, random_targeting_scenario_document
@@ -179,26 +180,70 @@ def test_visit_log_never_goes_backwards():
         engine.run_attack_phase()
 
 
-def assert_reusable(scenario, other_seed):
-    """Runs of one Scenario object, also between runs of a reseeded copy,
-    repeat exactly and leave the whole scenario as it was."""
+def assert_reusable(scenario, seeds, order):
+    """Runs of one Scenario object repeat exactly, also between runs of
+    reseeded copies, and so do the runs one warm engine derives.
+
+    An engine derived for each of ``seeds`` and run in the interleaved
+    ``order`` (a permutation of their indexes), and one more derived for
+    ``seeds[0]`` after all of them, each give the trace of a fresh run of
+    the reseeded scenario.  Afterwards the warm engine holds what its
+    warm-up left, and the whole scenario is as it was.
+    """
     before = copy.deepcopy(scenario)
     first = trace_to_json(run_scenario(scenario))
-    run_scenario(replace(scenario, seed=other_seed))
+    fresh = [trace_to_json(run_scenario(replace(scenario, seed=s))) for s in seeds]
     assert trace_to_json(run_scenario(scenario)) == first
+    warm = SimulationEngine(scenario)
+    warm.run_warmup()
+
+    def warm_state():
+        market = warm.marketplace
+        return copy.deepcopy(
+            (warm.profiles, warm.ground_truth, warm.logs, market.impressions,
+             market.spent_micros, market.rng.getstate())
+        )
+
+    warmed = warm_state()
+    engines = [warm.derive(s) for s in seeds]
+    for i in order:
+        assert trace_to_json(engines[i].run_after_warmup()) == fresh[i]
+    assert trace_to_json(warm.derive(seeds[0]).run_after_warmup()) == fresh[0]
+    assert warm_state() == warmed
     assert scenario == before
 
 
+run_seeds = st.lists(st.integers(-(2**63), 2**64 - 1), min_size=2, max_size=4)
+
+
 def test_scenario_object_survives_repeated_runs():
-    assert_reusable(load_scenario(scenarios.path("table2_experiment")), other_seed=8)
+    scenario = load_scenario(scenarios.path("table2_experiment"))
+    assert_reusable(scenario, seeds=[8, scenario.seed, 9], order=[2, 0, 1])
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), other_seed=st.integers(0, 2**32 - 1))
-def test_generated_scenario_objects_survive_repeated_runs(seed, other_seed):
-    # sweep loads each grid cell once and runs every seed on that object.
-    document = random_scenario_document(random.Random(seed))
-    assert_reusable(load_scenario_document(document), other_seed)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    generate=st.sampled_from([random_scenario_document, random_targeting_scenario_document]),
+    seeds=run_seeds,
+    data=st.data(),
+)
+def test_generated_scenario_objects_survive_repeated_runs(seed, generate, seeds, data):
+    # sweep loads each grid cell once and derives every seed's run from
+    # one warm engine.
+    order = data.draw(st.permutations(range(len(seeds))))
+    assert_reusable(load_scenario_document(generate(random.Random(seed))), seeds, order)
+
+
+ATTACK_SCENARIOS = [name for name in scenarios.names() if scenarios.load(name).get("attack")]
+
+
+@pytest.mark.parametrize("name", ATTACK_SCENARIOS)
+@settings(max_examples=5, deadline=None)
+@given(seeds=run_seeds, data=st.data())
+def test_bundled_runs_derived_from_a_warm_engine_match_fresh_runs(name, seeds, data):
+    order = data.draw(st.permutations(range(len(seeds))))
+    assert_reusable(load_scenario(scenarios.path(name)), seeds, order)
 
 
 def test_equal_seeds_give_byte_identical_traces():
@@ -658,6 +703,19 @@ def test_sweep_checks_every_seed_with_the_document_seed_rule():
     assert excinfo.value.message == "field 'seed' must be an integer"
 
 
+def test_sweep_checks_every_seed_before_the_first_run():
+    with pytest.raises(ValidationError) as excinfo:
+        sweep(small_attack_document(), {}, [2**64])
+    assert (excinfo.value.pointer, excinfo.value.message) == (
+        "/seed", "field 'seed' must fit in 64 bits"
+    )
+    never = AssertionError("a run started")
+    with mock.patch.object(SimulationEngine, "run_warmup", side_effect=never):
+        with pytest.raises(ValidationError) as excinfo:
+            sweep(small_attack_document(), {"attack/cpm": [50.0, 60.0]}, [1, 2, 2**64])
+    assert excinfo.value.pointer == "/seed"
+
+
 def reference_sweep(template_document, grid, seeds):
     """The per-seed sweep loop: every run copies, edits and loads its own
     document.  ``sweep`` must give the same rows in the same order."""
@@ -715,12 +773,36 @@ def test_sweep_matches_the_per_seed_reference(seed, grid, seeds, fault, data):
     assert sweep_outcome(sweep, template, grid, seeds) == expected
 
 
+# perfbench's sweep workload at seed 101: these window lengths, 60 seeds per run.
+BENCHMARK_GRID = {"window_length_s": [300, 600, 900, 1200, 1800, 3600]}
+BENCHMARK_SEEDS = list(range(101 * 60, 102 * 60))
+
+
 def test_benchmark_sweep_grid_matches_the_per_seed_reference():
-    # perfbench's sweep workload: these window lengths, 60 seeds per run.
-    grid = {"window_length_s": [300, 600, 900, 1200, 1800, 3600]}
-    seeds = list(range(101 * 60, 102 * 60))
     template = read_bundled("table2_experiment")
-    assert sweep(template, grid, seeds) == reference_sweep(template, grid, seeds)
+    assert sweep(template, BENCHMARK_GRID, BENCHMARK_SEEDS) == reference_sweep(
+        template, BENCHMARK_GRID, BENCHMARK_SEEDS
+    )
+
+
+def test_sweep_does_the_per_cell_work_once_per_cell():
+    # 6 cells of 60 seeds over table2_experiment's 10 users: one probe
+    # campaign and one warm-up of 12 visits per cell, 10 attack-phase
+    # visits per run.
+    visits = mock.Mock(wraps=record_visit)
+    with (
+        mock.patch.object(simulation, "build_trap_campaign", wraps=build_trap_campaign) as build,
+        mock.patch.object(
+            SimulationEngine, "run_warmup", autospec=True, side_effect=SimulationEngine.run_warmup
+        ) as warmup,
+        mock.patch.object(simulation, "record_visit", visits),
+        mock.patch.object(gdn, "record_visit", visits),
+    ):
+        rows = sweep(read_bundled("table2_experiment"), BENCHMARK_GRID, BENCHMARK_SEEDS)
+    assert len(rows) == 360
+    assert build.call_count == 6
+    assert warmup.call_count == 6
+    assert visits.call_count == 6 * 12 + 360 * 10
 
 
 def test_sweep_never_expands_the_reports():
