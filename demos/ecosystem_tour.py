@@ -112,12 +112,17 @@ def main():
         print(f"  {c.id}: spent {spent:.6f} of {c.total_budget}")
 
     banner("3. The advertiser-facing view: windowed per-audience counters")
-    reports = market.publish_reports(window_length=2.0, up_to_time=4.0)
-    for r in reports.dense():
-        print(
-            f"window {r.window_index} [{r.window_start:4.1f}, {r.window_end:4.1f}): "
-            f"deltas={r.deltas} cumulative={r.cumulative}"
-        )
+    reports = market.publish_reports(window_length=2.0, up_to_time=8.0)
+    print(
+        f"{reports.num_windows} windows elapsed; only the {len(reports.hits)} "
+        "an impression hit are reported:"
+    )
+    running = dict.fromkeys(reports.audience_ids, 0)
+    for k, deltas in reports.hits.items():
+        for audience, n in deltas.items():
+            running[audience] += n
+        start, end = k * reports.window_length, (k + 1) * reports.window_length
+        print(f"window {k} [{start:4.1f}, {end:4.1f}): deltas={deltas} cumulative={running}")
     print()
     print("No cookie ids anywhere in those reports. The rest of this package")
     print("is about how much that anonymity is actually worth.")

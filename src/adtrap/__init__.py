@@ -36,7 +36,6 @@ from .marketplace import (
     Ad,
     AdGroup,
     AuctionOutcome,
-    AudienceCounterReport,
     Bid,
     Campaign,
     Candidate,

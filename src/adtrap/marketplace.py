@@ -8,8 +8,8 @@ amounts.
 Counter reports batch impressions into fixed windows (default 30 simulated
 minutes).  A report row is the advertiser-visible side channel of this
 whole simulation: per-audience deltas plus cumulative totals, with no
-cookie ids anywhere.  Reports are held sparse, as :class:`CounterReports`;
-only the written artifacts expand them to one row set per window.
+cookie ids anywhere.  Reports are held sparse, as :class:`CounterReports`,
+and written sparse: only a non-zero delta gets a row.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetError, SimulationError, ValidationError
 from .profile import AdUserProfile, PageProfile
@@ -130,33 +130,15 @@ class ImpressionRecord:
 
 
 @dataclass(frozen=True)
-class AudienceCounterReport:
-    """One reporting window of per-audience impression counters.
-
-    ``deltas`` counts the impressions whose timestamp ``t`` has
-    ``window_index(t, W) == window_index``, that is ``floor(t / W)``;
-    ``window_start`` and ``window_end`` are the nominal bounds ``k * W``
-    and ``(k + 1) * W``, which float rounding can put on the other side
-    of a member timestamp.  ``cumulative`` is the prefix sum over this and
-    all earlier windows.
-    """
-
-    window_index: int
-    window_start: float
-    window_end: float
-    deltas: dict[str, int]
-    cumulative: dict[str, int]
-
-
-@dataclass(frozen=True)
 class CounterReports:
     """Per-audience impression counters of windows ``0 .. num_windows - 1``, held sparse.
 
     ``hits`` maps each window some counted impression hit, in ascending
     order, to its deltas, keyed over exactly ``audience_ids`` and not all
     0; every other window counted nothing.  Equal counters therefore give
-    equal records.  :meth:`dense` is the only place the all-zero windows
-    are filled in.
+    equal records.  Window ``k`` has the nominal bounds ``k * W`` and
+    ``(k + 1) * W``, which float rounding can put on the other side of a
+    member timestamp (see :func:`window_index`).
     """
 
     window_length: float
@@ -183,30 +165,6 @@ class CounterReports:
                     f"hit window {k} must hold a delta for each audience, not all 0"
                 )
             previous = k
-
-    def dense(self) -> Iterator[AudienceCounterReport]:
-        """One report per window, in order, with the all-zero windows filled in.
-
-        ``cumulative`` carries the running totals forward; every report
-        gets its own ``deltas`` and ``cumulative`` dicts.
-        """
-        zero = dict.fromkeys(self.audience_ids, 0)
-        running = zero.copy()
-        for k in range(self.num_windows):
-            deltas = self.hits.get(k)
-            if deltas is None:
-                deltas = zero.copy()
-            else:
-                deltas = dict(deltas)
-                for a, n in deltas.items():
-                    running[a] += n
-            yield AudienceCounterReport(
-                window_index=k,
-                window_start=k * self.window_length,
-                window_end=(k + 1) * self.window_length,
-                deltas=deltas,
-                cumulative=running.copy(),
-            )
 
 
 @dataclass(frozen=True)
@@ -497,8 +455,7 @@ def build_reports(
     ``campaign_id`` is given, only that campaign's impressions are
     counted: this is the advertiser-facing view, since each advertiser
     sees counters for her own campaigns only.  Only the windows an
-    impression hit get a counter; :meth:`CounterReports.dense` fills in
-    the rest.
+    impression hit get a counter.
     """
     audience_ids = tuple(sorted(set(audience_ids)))
     zero = dict.fromkeys(audience_ids, 0)
@@ -523,10 +480,19 @@ REPORT_COLUMNS = (
 
 
 def reports_to_rows(reports: CounterReports) -> list[tuple]:
-    """Flatten reports for CSV export: one ``REPORT_COLUMNS`` row per window and audience."""
-    audience_ids = reports.audience_ids
-    return [
-        (r.window_index, r.window_start, r.window_end, a, r.deltas[a], r.cumulative[a])
-        for r in reports.dense()
-        for a in audience_ids
-    ]
+    """Flatten reports for CSV export, sparse as they are held.
+
+    One ``REPORT_COLUMNS`` row per window and audience with a non-zero
+    delta, in window then audience order; ``cumulative`` is that
+    audience's running total up to and including the window.
+    """
+    window = reports.window_length
+    running = dict.fromkeys(reports.audience_ids, 0)
+    rows = []
+    for k, deltas in reports.hits.items():
+        for a in reports.audience_ids:
+            n = deltas[a]
+            if n:
+                running[a] += n
+                rows.append((k, k * window, (k + 1) * window, a, n, running[a]))
+    return rows

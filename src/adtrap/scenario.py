@@ -17,6 +17,7 @@ loaders add only the rules that relate objects to each other.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,10 +42,6 @@ from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
 from .trap import AttackSpec
 
 SPEC_VERSION = 1
-# A run's counters are sparse, but trace.json and reports.csv write one
-# report per window, so a document may span at most this many windows:
-# horizon_s / window_length_s, as floats.
-MAX_WINDOWS = 10**6
 
 
 @dataclass(frozen=True)
@@ -508,8 +505,11 @@ def load_scenario_document(document: dict) -> Scenario:
         )
     fields = _fields(document, "document", "", "scenario")
     window_length = fields.get("window_length_s", 1800)
-    if fields["horizon_s"] / window_length > MAX_WINDOWS:
-        message = f"horizon_s / window_length_s must be at most {MAX_WINDOWS} windows"
+    # Reports are held and written sparse, so a run costs its events, not
+    # its windows, and any finite window count will do; floor() of an
+    # infinite ratio overflows window_index and window_count.
+    if not math.isfinite(fields["horizon_s"] / window_length):
+        message = "horizon_s / window_length_s must be finite"
         raise ValidationError(message, "/window_length_s")
     taxonomy = load_taxonomy(fields.get("taxonomy", {}), "/taxonomy")
     websites = _load_websites(fields, taxonomy)

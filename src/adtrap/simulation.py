@@ -20,6 +20,8 @@ import json
 import logging
 import random
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
+from typing import Callable
 
 from .errors import InconsistentObservationsError, SimulationError, ValidationError
 from .gdn import VisitLogEntry, serve_page
@@ -44,7 +46,7 @@ from .trap import (
 
 log = logging.getLogger(__name__)
 
-TRACE_SCHEMA_VERSION = 1
+TRACE_SCHEMA_VERSION = 2
 
 # Top-level scenario fields a sweep may introduce even when the template
 # relies on their defaults.
@@ -56,13 +58,19 @@ class RunTrace:
     """Everything one run produced, ground truth included.
 
     ``reports`` are the platform's counters over every targeted audience,
-    sparse; :func:`trace_to_json` and ``reports.csv`` write them dense.
+    sparse, as :func:`trace_to_json` and ``reports.csv`` write them.  They
+    are built by ``publish_reports`` on first read, so a run whose reports
+    nobody reads, as in a sweep, never builds them.
     """
 
     impressions: list[ImpressionRecord]
-    reports: CounterReports
+    publish_reports: Callable[[], CounterReports]
     logs: dict[str, list[VisitLogEntry]]
     ground_truth: dict[str, set[str]] = field(default_factory=dict)
+
+    @cached_property
+    def reports(self) -> CounterReports:
+        return self.publish_reports()
 
 
 class SimulationEngine:
@@ -180,12 +188,14 @@ class SimulationEngine:
         return self.run_after_warmup()
 
     def run_after_warmup(self) -> RunTrace:
-        """The attack phase and its reports, on profiles already warmed up."""
+        """The attack phase, on profiles already warmed up, and its trace."""
         self.run_attack_phase()
         return RunTrace(
             impressions=self.marketplace.impressions,
-            reports=self.marketplace.publish_reports(
-                self.scenario.window_length, self.scenario.horizon
+            publish_reports=partial(
+                self.marketplace.publish_reports,
+                self.scenario.window_length,
+                self.scenario.horizon,
             ),
             logs=self.logs,
             ground_truth=self.ground_truth,
@@ -257,16 +267,19 @@ def run_attack(scenario: Scenario, trace: RunTrace) -> AttributionResult:
 def trace_to_json(trace: RunTrace) -> str:
     """Plain-JSON form of a trace, stable across runs of the same seed.
 
-    Every impression, report and log entry is written as exactly its
-    record's fields.  The text equals ``json.dumps(document, indent=2,
+    Every impression and log entry is written as exactly its record's
+    fields.  The text equals ``json.dumps(document, indent=2,
     sort_keys=True) + "\\n"`` of the document with keys ``schema_version``,
-    ``impressions``, ``reports`` (the dense view, one per window), ``logs``
-    (site id to entries) and ``ground_truth`` (user id to sorted
-    audiences), byte for byte.  It is built with the C encoder, which
-    ``indent`` would switch off: each record field's values, and the
-    ground-truth lists, are encoded in one call with the indented line
-    break as item separator, and only the framing of records and mappings
-    is done in Python.
+    ``impressions``, ``reports``, ``logs`` (site id to entries) and
+    ``ground_truth`` (user id to sorted audiences), byte for byte.
+    ``reports`` holds the sparse record's fields: ``window_length``,
+    ``num_windows``, ``audience_ids`` and ``hits``, a list of
+    ``{window_index, deltas}`` in window order (a list, since sorted
+    string keys would put window "10" before "9").  It is built with the
+    C encoder, which ``indent`` would switch off: each record field's
+    values, and the ground-truth lists, are encoded in one call with the
+    indented line break as item separator, and only the framing of
+    records and mappings is done in Python.
     """
     ground_truth = sorted(trace.ground_truth.items())
     logs = sorted(trace.logs.items())
@@ -282,7 +295,7 @@ def trace_to_json(trace: RunTrace) -> str:
             [_records([vars(e) for e in entries], "    ") for _, entries in logs],
             "  ",
         ),
-        "reports": _records([vars(r) for r in trace.reports.dense()], "  "),
+        "reports": _reports(trace.reports),
         "schema_version": str(TRACE_SCHEMA_VERSION),
     }
     return _object(list(sections), list(sections.values()), "") + "\n"
@@ -321,6 +334,20 @@ def _object(keys: list[str], encoded: list[str], pad: str) -> str:
     inner = pad + "  "
     items = (f"{key}: {value}" for key, value in zip(_each(keys, pad), encoded))
     return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+
+
+def _reports(reports: CounterReports) -> str:
+    """The ``reports`` section: the record's fields, its hits as records."""
+    hits = [{"deltas": d, "window_index": k} for k, d in reports.hits.items()]
+    return _object(
+        ["audience_ids", "hits", "num_windows", "window_length"],
+        [
+            *_each([list(reports.audience_ids)], "    "),
+            _records(hits, "    "),
+            *_each([reports.num_windows, reports.window_length], "    "),
+        ],
+        "  ",
+    )
 
 
 def _records(records: list[dict], pad: str) -> str:

@@ -166,4 +166,4 @@ def reference_run(scenario) -> RunTrace:
         window_count(scenario.horizon, scenario.window_length),
         sorted(universe),
     )
-    return RunTrace(impressions, reports, logs, ground_truth)
+    return RunTrace(impressions, lambda: reports, logs, ground_truth)

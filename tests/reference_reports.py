@@ -1,25 +1,81 @@
-"""Dense report batching and the dense join, kept as references for tests.
+"""Dense reports, dense report batching and the dense join, kept as references for tests.
 
 ``build_reports`` builds one zero counter per window up front and then
 counts every impression into it; ``collect_observations`` builds one
 observation per reported window, empty windows included.  Both are the
 implementations the single-pass batching and the sparse join replaced,
-copied unchanged.  Tests compare production with them on the dense view:
-``CounterReports.dense()`` must give the reports built here, and the
+copied unchanged.  ``dense`` expands a sparse ``CounterReports`` record
+to one report per window, the form ``trace.json`` and ``reports.csv``
+once wrote.  Tests compare production with them on the dense view: the
+expansion of a production record must give the reports built here, the
 production join over the sparse record must equal this join over the
 dense view with every window that has no visits and only zero deltas
-left out.  A repeated audience id is added twice into ``cumulative``
-here, so tests pass each id once.
+left out, and the sparse ``reports.csv`` rows must be the dense rows
+with a non-zero delta.  A repeated audience id is added twice into
+``cumulative`` here, so tests pass each id once.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable
 
 from adtrap.errors import ValidationError
 from adtrap.gdn import VisitLogEntry
-from adtrap.marketplace import AudienceCounterReport, ImpressionRecord, window_index
+from adtrap.marketplace import CounterReports, ImpressionRecord, window_index
 from adtrap.trap import WindowObservation
+
+
+@dataclass(frozen=True)
+class AudienceCounterReport:
+    """One reporting window of per-audience impression counters.
+
+    ``deltas`` counts the impressions whose timestamp ``t`` has
+    ``window_index(t, W) == window_index``, that is ``floor(t / W)``;
+    ``window_start`` and ``window_end`` are the nominal bounds ``k * W``
+    and ``(k + 1) * W``.  ``cumulative`` is the prefix sum over this and
+    all earlier windows.
+    """
+
+    window_index: int
+    window_start: float
+    window_end: float
+    deltas: dict[str, int]
+    cumulative: dict[str, int]
+
+
+def dense(counters: CounterReports) -> list[AudienceCounterReport]:
+    """One report per window, in order, with the all-zero windows filled in.
+
+    ``cumulative`` carries the running totals forward; every report gets
+    its own ``deltas`` and ``cumulative`` dicts.
+    """
+    zero = dict.fromkeys(counters.audience_ids, 0)
+    running = zero.copy()
+    reports = []
+    for k in range(counters.num_windows):
+        deltas = dict(counters.hits.get(k, zero))
+        for a, n in deltas.items():
+            running[a] += n
+        reports.append(
+            AudienceCounterReport(
+                window_index=k,
+                window_start=k * counters.window_length,
+                window_end=(k + 1) * counters.window_length,
+                deltas=deltas,
+                cumulative=running.copy(),
+            )
+        )
+    return reports
+
+
+def report_rows(reports: list[AudienceCounterReport]) -> list[tuple]:
+    """The dense ``reports.csv`` rows: one per window and audience, zero deltas included."""
+    return [
+        (r.window_index, r.window_start, r.window_end, a, r.deltas[a], r.cumulative[a])
+        for r in reports
+        for a in sorted(r.deltas)
+    ]
 
 
 def build_reports(

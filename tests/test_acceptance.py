@@ -24,6 +24,7 @@ from adtrap.simulation import (
 from adtrap.trap import collect_observations, group_statistics
 
 from generators import oracle_agreement, random_observations, random_scenario_document
+import reference_reports
 
 
 @contextmanager
@@ -148,7 +149,7 @@ def test_counters_conserve_impressions_and_budgets_hold():
             engine = SimulationEngine(scenario)
             trace = engine.run()
             served = Counter(r.audience_id for r in trace.impressions)
-            reports = list(trace.reports.dense())
+            reports = reference_reports.dense(trace.reports)
             audience_ids = set(reports[0].deltas) if reports else set()
             assert set(served) <= audience_ids or not trace.impressions, i
             for audience in audience_ids:

@@ -6,12 +6,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from adtrap import scenarios
-from adtrap.cli import main
+from adtrap.cli import main, run_to_directory
+from adtrap.marketplace import window_count
 
 
 def read_csv(path):
@@ -69,8 +71,8 @@ def test_validate_reports_unhashable_list_item_without_traceback(tmp_path):
 
 
 SWEEP_OPTS = ["--seeds", "1", "--out", "{dir}/out"]
-# 1.8e304 windows: only ever validated, since a run would build a report per window.
-TOO_MANY_WINDOWS = json.dumps({**scenarios.load("table2_experiment"), "window_length_s": 1e-300})
+# 18000 / 1e-305 overflows to infinity: no window count exists.
+INFINITE_WINDOWS = json.dumps({**scenarios.load("table2_experiment"), "window_length_s": 1e-305})
 
 
 @pytest.mark.parametrize(
@@ -85,10 +87,11 @@ TOO_MANY_WINDOWS = json.dumps({**scenarios.load("table2_experiment"), "window_le
          "scenario must be a JSON object"),
         (b"[1]", ["sweep", "{dir}/bad.json", "--grid", "0=5", *SWEEP_OPTS],
          "scenario must be a JSON object"),
-        (TOO_MANY_WINDOWS.encode(), ["validate", "{dir}/bad.json"], "at most 1000000 windows"),
+        (INFINITE_WINDOWS.encode(), ["validate", "{dir}/bad.json"],
+         "/window_length_s: horizon_s / window_length_s must be finite"),
     ],
     ids=["grid-double-minus", "grid-superscript", "not-utf8", "run-seed-list", "sweep-list",
-         "too-many-windows"],
+         "infinite-windows"],
 )
 def test_bad_input_is_reported_without_traceback(tmp_path, content, args, message):
     if content is not None:
@@ -157,13 +160,40 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     assert rows == sorted(rows, key=lambda r: r["network_id"])
 
     report_rows = read_csv(out / "reports.csv")
-    # 10 windows x 10 probed audiences
-    assert len(report_rows) == 100
-    assert sum(int(r["delta"]) for r in report_rows) == 10
+    # one row per non-zero delta: each of the 10 visitors is alone in a window
+    assert len(report_rows) == 10
+    assert all(r["delta"] == "1" for r in report_rows)
+    assert [int(r["cumulative"]) for r in report_rows] == [1] * 10
 
     visits = read_csv(out / "visits_monads.csv")
     assert len(visits) == 10
     assert visits[0]["network_id"].startswith("203.0.113.")
+
+
+def test_a_run_over_a_billion_windows_costs_its_events(tmp_path):
+    doc = json.loads(scenarios.path("table2_experiment").read_text(encoding="utf-8"))
+    doc["window_length_s"] = doc["horizon_s"] / 10**9
+    path = tmp_path / "fine.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    started = time.perf_counter()
+    output = run_to_directory(str(path), seed=None, out_dir=str(out))
+    # Writing a row or report per window would take hours; the run does
+    # as much as the 10-window original.
+    assert time.perf_counter() - started < 5.0
+    assert output.result.accuracy == 1.0
+    reports = json.loads((out / "trace.json").read_text(encoding="utf-8"))["reports"]
+    assert reports["num_windows"] == window_count(doc["horizon_s"], doc["window_length_s"])
+    assert reports["num_windows"] >= 10**9
+    non_zero = [
+        (hit["window_index"], audience, delta)
+        for hit in reports["hits"]
+        for audience, delta in sorted(hit["deltas"].items())
+        if delta
+    ]
+    rows = read_csv(out / "reports.csv")
+    assert [(int(r["window_index"]), r["audience_id"], int(r["delta"])) for r in rows] == non_zero
+    assert len(rows) == 10
 
 
 def test_visits_csv_blanks_absent_optional_fields(tmp_path):

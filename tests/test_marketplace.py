@@ -344,7 +344,7 @@ def imp(t, audience="a_sports", campaign="c"):
 
 
 def dense_reports(*args, **kwargs):
-    return list(build_reports(*args, **kwargs).dense())
+    return reference_reports.dense(build_reports(*args, **kwargs))
 
 
 def test_build_reports_batches_and_accumulates():
@@ -357,7 +357,7 @@ def test_build_reports_batches_and_accumulates():
         1: {"a_pets": 0, "a_sports": 1},
         3: {"a_pets": 0, "a_sports": 1},
     }
-    reports = list(counters.dense())
+    reports = reference_reports.dense(counters)
     assert [r.window_index for r in reports] == [0, 1, 2, 3]
     assert reports[0].deltas == {"a_pets": 1, "a_sports": 1}
     assert reports[1].deltas == {"a_pets": 0, "a_sports": 1}
@@ -384,7 +384,7 @@ def test_reports_filter_by_campaign():
 def test_reports_ignore_unlisted_audiences():
     counters = build_reports([imp(10.0, audience="a_other")], 100.0, 1, ["a_sports"])
     assert counters.hits == {}
-    assert [r.deltas for r in counters.dense()] == [{"a_sports": 0}]
+    assert [r.deltas for r in reference_reports.dense(counters)] == [{"a_sports": 0}]
 
 
 def test_reports_conserve_impressions():
@@ -445,14 +445,23 @@ def test_dense_view_matches_the_dense_reference(args):
     expected = reference_reports.build_reports(
         impressions, window, num_windows, sorted(set(audiences)), campaign_id
     )
-    reports = list(counters.dense())
+    reports = reference_reports.dense(counters)
     assert report_layout(reports) == report_layout(expected)
     assert list(counters.hits) == [r.window_index for r in expected if any(r.deltas.values())]
-    counters_seen = [id(c) for r in reports for c in (r.deltas, r.cumulative)]
-    counters_seen += [id(c) for c in counters.hits.values()]
-    assert len(set(counters_seen)) == len(counters_seen)
-    # a second expansion gives equal reports in fresh dicts
-    assert list(counters.dense()) == reports
+    # every hit window gets its own counter
+    assert len({id(c) for c in counters.hits.values()}) == len(counters.hits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=report_inputs())
+def test_report_rows_are_the_non_zero_rows_of_the_dense_reference(args):
+    impressions, window, num_windows, audiences, campaign_id = args
+    expected = reference_reports.build_reports(
+        impressions, window, num_windows, sorted(set(audiences)), campaign_id
+    )
+    dense_rows = reference_reports.report_rows(expected)
+    # same window bounds and running totals, zero deltas left out
+    assert reports_to_rows(build_reports(*args)) == [row for row in dense_rows if row[4] != 0]
 
 
 @pytest.mark.parametrize(
@@ -481,7 +490,11 @@ def test_counter_reports_reject_a_malformed_record(
 
 def test_counter_reports_accept_negative_deltas_for_the_join_to_reject():
     counters = CounterReports(1.0, 2, ("a", "b"), {1: {"a": 0, "b": -1}})
-    assert [r.cumulative for r in counters.dense()] == [{"a": 0, "b": 0}, {"a": 0, "b": -1}]
+    assert [r.cumulative for r in reference_reports.dense(counters)] == [
+        {"a": 0, "b": 0},
+        {"a": 0, "b": -1},
+    ]
+    assert reports_to_rows(counters) == [(1, 1.0, 2.0, "b", -1, -1)]
 
 
 def test_publish_reports_covers_elapsed_windows():
@@ -492,7 +505,7 @@ def test_publish_reports_covers_elapsed_windows():
     counters = market.publish_reports(window_length=100.0, up_to_time=300.0)
     assert counters.num_windows == 3
     assert list(counters.hits) == [0, 2]
-    assert [r.deltas["a_sports"] for r in counters.dense()] == [1, 0, 1]
+    assert [r.deltas["a_sports"] for r in reference_reports.dense(counters)] == [1, 0, 1]
 
 
 def test_reports_to_rows_shape():
@@ -506,12 +519,8 @@ def test_reports_to_rows_shape():
         "delta",
         "cumulative",
     )
-    assert rows == [
-        (0, 0.0, 100.0, "a_pets", 0, 0),
-        (0, 0.0, 100.0, "a_sports", 1, 1),
-        (1, 100.0, 200.0, "a_pets", 0, 0),
-        (1, 100.0, 200.0, "a_sports", 0, 1),
-    ]
+    # only non-zero deltas get a row: no a_pets row, no row for window 1
+    assert rows == [(0, 0.0, 100.0, "a_sports", 1, 1)]
 
 
 def test_each_marketplace_keeps_its_own_spend():

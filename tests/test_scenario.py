@@ -13,11 +13,10 @@ import pytest
 from adtrap import scenarios
 from adtrap.errors import ValidationError
 from adtrap.gdn import Website
-from adtrap.marketplace import Campaign
+from adtrap.marketplace import Campaign, reports_to_rows
 from adtrap.profile import Demographics
 from adtrap.scenario import (
     _SCHEMA,
-    MAX_WINDOWS,
     UNIQUE,
     Scenario,
     UserAgentSpec,
@@ -25,6 +24,7 @@ from adtrap.scenario import (
     load_scenario_document,
     read_scenario_file,
 )
+from adtrap.simulation import run_scenario, trace_to_json
 from adtrap.trap import AttackSpec
 
 from conftest import SMALL_TAXONOMY_DOC
@@ -615,31 +615,52 @@ def test_readme_field_reference_matches_schema():
 
 
 @pytest.mark.parametrize(
-    "horizon, window, accepted",
+    "horizon, window, windows",
     [
-        (10**6, 1, True),
-        (10**6, math.nextafter(1.0, 0.0), False),
-        (1800 * 10**6, None, True),
-        (1800 * 10**6 + 1, None, False),
-        (3600, 1e-300, False),
-        (1e300, 1e-10, False),
-        (3600, 5e-324, False),
+        (10**6, 1, 10**6),
+        (10**6, math.nextafter(1.0, 0.0), 10**6 + 1),
+        (1800 * 10**6 + 1, None, 10**6 + 1),
+        (3600, 1e-300, math.floor(math.nextafter(3600, 0.0) / 1e-300) + 1),
+        (1.7e302, 1e-6, math.floor(math.nextafter(1.7e302, 0.0) / 1e-6) + 1),
     ],
 )
-def test_window_count_is_bounded_at_load(horizon, window, accepted):
-    # Validation only: an accepted document here would build up to a
-    # million reports per run, so none of them is run.
+def test_any_finite_window_count_loads_and_runs(horizon, window, windows):
+    # Reports are sparse, so a run costs its events, not its windows:
+    # up to about 1.7e308 windows each of these runs and writes its
+    # reports in a blink.
     doc = base_document()
     doc["horizon_s"] = horizon
     if window is None:
         del doc["window_length_s"]
     else:
         doc["window_length_s"] = window
-    if accepted:
-        assert load_scenario_document(doc).horizon == horizon
-    else:
-        error = reject(doc, "/window_length_s")
-        assert str(MAX_WINDOWS) in error.message
+    scenario = load_scenario_document(doc)
+    assert scenario.horizon == horizon
+    trace = run_scenario(scenario)
+    assert trace.reports.num_windows == windows
+    assert json.loads(trace_to_json(trace))["reports"]["num_windows"] == windows
+    assert [row[4] for row in reports_to_rows(trace.reports)] == [1]
+
+
+@pytest.mark.parametrize(
+    "horizon, window, pointer",
+    [
+        (1e302, 1e-10, "/window_length_s"),
+        (1e300, 1e-10, "/window_length_s"),
+        (3600, 5e-324, "/window_length_s"),
+        (1800, 1e-305, "/window_length_s"),
+        # this horizon is not finite in micros, which its own rule rejects first
+        (1e308, 1e-308, "/horizon_s"),
+    ],
+)
+def test_a_window_count_that_is_not_finite_is_rejected_at_load(horizon, window, pointer):
+    # floor(horizon / window) of an infinite ratio overflows, so no
+    # window count or window index could be taken.
+    doc = base_document()
+    doc["horizon_s"] = horizon
+    doc["window_length_s"] = window
+    error = reject(doc, pointer)
+    assert "finite" in error.message
 
 
 def test_unknown_key_pointer_is_escaped():

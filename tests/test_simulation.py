@@ -15,9 +15,9 @@ from adtrap import gdn, scenarios, simulation
 from adtrap.errors import SimulationError, ValidationError
 from adtrap.gdn import VisitLogEntry
 from adtrap.marketplace import (
-    AudienceCounterReport,
     CounterReports,
     ImpressionRecord,
+    Marketplace,
     window_count,
     window_index,
 )
@@ -257,7 +257,7 @@ def test_equal_seeds_give_byte_identical_traces():
 def test_trace_document_shape():
     scenario = load_scenario(scenarios.path("two_visitor_ambiguity"))
     doc = json.loads(trace_to_json(run_scenario(scenario)))
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert set(doc) == {
         "schema_version",
         "impressions",
@@ -265,13 +265,13 @@ def test_trace_document_shape():
         "logs",
         "ground_truth",
     }
-    assert doc["impressions"] and doc["reports"] and doc["logs"]
+    assert doc["impressions"] and doc["reports"]["hits"] and doc["logs"]
     impression_keys = {f.name for f in fields(ImpressionRecord)}
-    report_keys = {f.name for f in fields(AudienceCounterReport)}
     entry_keys = {f.name for f in fields(VisitLogEntry)}
     assert all(set(imp) == impression_keys for imp in doc["impressions"])
     assert all("cookie_id" in imp for imp in doc["impressions"])
-    assert all(set(rep) == report_keys for rep in doc["reports"])
+    assert set(doc["reports"]) == {f.name for f in fields(CounterReports)}
+    assert all(set(hit) == {"window_index", "deltas"} for hit in doc["reports"]["hits"])
     for site_log in doc["logs"].values():
         for entry in site_log:
             assert set(entry) == entry_keys
@@ -280,16 +280,33 @@ def test_trace_document_shape():
 
 def reference_trace_json(trace):
     """The trace as ``json.dumps`` writes it with ``indent=2``."""
+    reports = trace.reports
     document = {
-        "schema_version": 1,
+        "schema_version": 2,
         "impressions": [vars(r) for r in trace.impressions],
-        "reports": [vars(r) for r in trace.reports.dense()],
+        "reports": {
+            "window_length": reports.window_length,
+            "num_windows": reports.num_windows,
+            "audience_ids": list(reports.audience_ids),
+            "hits": [{"window_index": k, "deltas": d} for k, d in reports.hits.items()],
+        },
         "logs": {site_id: [vars(e) for e in entries] for site_id, entries in trace.logs.items()},
         "ground_truth": {
             user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
         },
     }
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def parsed_reports(text):
+    """The ``reports`` section of a ``trace.json`` text, read back as a record."""
+    section = json.loads(text)["reports"]
+    return CounterReports(
+        section["window_length"],
+        section["num_windows"],
+        tuple(section["audience_ids"]),
+        {hit["window_index"]: hit["deltas"] for hit in section["hits"]},
+    )
 
 
 # Characters that frame JSON, need escaping, or are not ASCII.
@@ -315,17 +332,19 @@ impressions = st.builds(
 @st.composite
 def counter_reports(draw):
     """Counters over adversarial audience ids with huge and negative
-    deltas, on window lengths from the smallest subnormal to ones whose
-    window bounds overflow to infinity."""
+    deltas, hit windows past 9 and up to 2**70, on window lengths from
+    the smallest subnormal to ones whose window bounds overflow to
+    infinity."""
     audiences = tuple(sorted(draw(st.sets(adversarial_text, max_size=4))))
-    num_windows = draw(st.integers(0, 4))
+    num_windows = draw(st.integers(0, 12) | st.integers(0, 2**70))
     delta = st.integers(-(2**70), 2**70)
     deltas = st.fixed_dictionaries({a: delta for a in audiences}).filter(
         lambda d: any(d.values())
     )
     hits = {}
-    if audiences:
-        hits = {k: draw(deltas) for k in range(num_windows) if draw(st.booleans())}
+    if audiences and num_windows:
+        indices = draw(st.sets(st.integers(0, num_windows - 1), max_size=5))
+        hits = {k: draw(deltas) for k in sorted(indices)}
     window = draw(
         st.sampled_from([5e-324, 1.0, 1e16, 1.7976931348623157e308])
         | st.floats(min_value=5e-324, allow_infinity=False)
@@ -341,10 +360,14 @@ entries = st.builds(
     referral=st.none() | adversarial_text,
     tracking_arg=st.none() | adversarial_text,
 )
+def published(reports):
+    return lambda: reports
+
+
 traces = st.builds(
     RunTrace,
     impressions=st.lists(impressions, max_size=4),
-    reports=counter_reports(),
+    publish_reports=counter_reports().map(published),
     logs=st.dictionaries(adversarial_text, st.lists(entries, max_size=4), max_size=3),
     ground_truth=st.dictionaries(
         adversarial_text, st.sets(adversarial_text, max_size=3), max_size=4
@@ -354,11 +377,13 @@ traces = st.builds(
 
 @settings(max_examples=100, deadline=None)
 @given(trace=traces)
-@example(trace=RunTrace(impressions=[], reports=CounterReports(1.0, 0, (), {}), logs={}))
+@example(
+    trace=RunTrace(impressions=[], publish_reports=published(CounterReports(1.0, 0, (), {})), logs={})
+)
 @example(
     trace=RunTrace(
         impressions=[],
-        reports=CounterReports(1.0, 0, (), {}),
+        publish_reports=published(CounterReports(1.0, 0, (), {})),
         logs={"site": []},
         ground_truth={"u": set()},
     )
@@ -366,7 +391,7 @@ traces = st.builds(
 @example(
     trace=RunTrace(
         impressions=[],
-        reports=CounterReports(5e-324, 2, (), {}),
+        publish_reports=published(CounterReports(5e-324, 2, (), {})),
         logs={
             "a": [
                 VisitLogEntry(timestamp=1e16, network_id="}\né", page_id=""),
@@ -377,15 +402,29 @@ traces = st.builds(
         ground_truth={"u1": set(), "u2": {"x"}},
     )
 )
+# Hit windows 9 and 10: string keys would sort "10" first.
+@example(
+    trace=RunTrace(
+        impressions=[],
+        publish_reports=published(
+            CounterReports(11.0, 12, ("a", "b"), {9: {"a": 1, "b": 0}, 10: {"a": -1, "b": 2}})
+        ),
+        logs={},
+    )
+)
 def test_trace_json_matches_indented_dumps_byte_for_byte(trace):
-    assert trace_to_json(trace) == reference_trace_json(trace)
+    text = trace_to_json(trace)
+    assert text == reference_trace_json(trace)
+    assert parsed_reports(text) == trace.reports
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_trace_json_matches_indented_dumps_on_generated_runs(seed):
     trace = run_scenario(load_scenario_document(random_scenario_document(random.Random(seed))))
-    assert trace_to_json(trace) == reference_trace_json(trace)
+    text = trace_to_json(trace)
+    assert text == reference_trace_json(trace)
+    assert parsed_reports(text) == trace.reports
 
 
 @pytest.mark.parametrize("name", scenarios.names())
@@ -420,7 +459,7 @@ def test_attacker_view_is_probe_campaign_only():
     )
     scenario = load_scenario_document(doc)
     trace = run_scenario(scenario)
-    reports = list(attacker_view_reports(trace, scenario, "monads").dense())
+    reports = reference_reports.dense(attacker_view_reports(trace, scenario, "monads"))
     assert len(reports) == 1
     assert set(reports[0].deltas) == {"a_pets", "a_sports"}
     own = probe_campaign_id("monads")
@@ -593,13 +632,13 @@ def test_runs_match_the_dense_reports_and_join(seed, window, windows, data):
     trace = engine.run()
     num_windows = window_count(scenario.horizon, window)
     universe = engine.marketplace.target_audience_universe()
-    assert list(trace.reports.dense()) == reference_reports.build_reports(
+    assert reference_reports.dense(trace.reports) == reference_reports.build_reports(
         trace.impressions, window, num_windows, universe
     )
     if scenario.attack is None:
         return
     for site_id in scenario.attack.sites:
-        assert list(attacker_view_reports(trace, scenario, site_id).dense()) == (
+        assert reference_reports.dense(attacker_view_reports(trace, scenario, site_id)) == (
             reference_reports.build_reports(
                 trace.impressions,
                 window,
@@ -611,7 +650,7 @@ def test_runs_match_the_dense_reports_and_join(seed, window, windows, data):
 
     def dense_join(reports, log_entries):
         return reference_reports.collect_observations(
-            list(reports.dense()), log_entries, reports.window_length
+            reference_reports.dense(reports), log_entries, reports.window_length
         )
 
     with mock.patch("adtrap.simulation.collect_observations", dense_join):
@@ -805,16 +844,16 @@ def test_sweep_does_the_per_cell_work_once_per_cell():
     assert visits.call_count == 6 * 12 + 360 * 10
 
 
-def test_sweep_never_expands_the_reports():
-    # A sweep writes no trace.json and no reports.csv, so its rows come
-    # from the sparse counters alone: with the dense view made to raise,
-    # it gives the same rows.
+def test_sweep_never_builds_the_platform_reports():
+    # A sweep writes no trace.json and no reports.csv, and a row reads
+    # only the probe campaigns' own counters: with the platform-wide
+    # reports made to raise, it gives the same rows.
     grid = {"window_length_s": [300, 1800]}
     for template in (read_bundled("table2_experiment"), random_scenario_document(random.Random(3))):
         expected = sweep(template, grid, [7, 8])
         assert expected
-        expanded = AssertionError("dense view expanded")
-        with mock.patch.object(CounterReports, "dense", side_effect=expanded):
+        built = AssertionError("platform reports built")
+        with mock.patch.object(Marketplace, "publish_reports", side_effect=built):
             assert sweep(template, grid, [7, 8]) == expected
 
 

@@ -133,7 +133,7 @@ def test_collect_observations_buckets_by_window():
     # 17 * 0.1 rounds above 1.7, so [k*W, (k+1)*W) would say window 16;
     # the platform's floor(t / W) says 17, and the join must agree with it.
     assert window_index(1.7, 0.1) == 17
-    assert list(counters({}, 18, window=0.1).dense())[17].window_start > 1.7
+    assert reference_reports.dense(counters({}, 18, window=0.1))[17].window_start > 1.7
     observations = collect_observations(counters({17: {"a": 1}}, 18, window=0.1), [entry(1.7)])
     assert [(o.window_index, o.visits) for o in observations] == [(17, (entry(1.7),))]
     # with a delta to explain window 16 is joined, and still holds no visit
@@ -187,7 +187,7 @@ def join_outcome(join, args):
 @given(args=join_inputs())
 def test_join_is_the_dense_reference_without_inert_windows(args):
     reports, log = args
-    dense = (list(reports.dense()), log, reports.window_length)
+    dense = (reference_reports.dense(reports), log, reports.window_length)
     expected = join_outcome(reference_reports.collect_observations, dense)
     if isinstance(expected, list):
         expected = [o for o in expected if o.visits or any(o.deltas.values())]
