@@ -360,7 +360,10 @@ entries = st.builds(
     referral=st.none() | adversarial_text,
     tracking_arg=st.none() | adversarial_text,
 )
+
+
 def published(reports):
+    """A ``RunTrace.publish_reports`` that gives ``reports``."""
     return lambda: reports
 
 
