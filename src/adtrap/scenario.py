@@ -178,6 +178,13 @@ def _campaign_id(value):
     return _text(value)
 
 
+def _website_id(value):
+    """A logging site's id names its ``visits_<id>.csv``, so it must be a file name."""
+    if _text(value) is None and ("/" in value or "\0" in value):
+        return "must not contain '/' or NUL, since it names the site's visit log file"
+    return _text(value)
+
+
 # Row flags.  An OPTIONAL key may be left out; a REQUIRED or UNIQUE key
 # must be present, and a UNIQUE one must also differ between the objects
 # of one list.
@@ -204,7 +211,7 @@ _SCHEMA = {
         "qualifying_interests": (_filter, REQUIRED), "qualify_rule": (_count, OPTIONAL),
     },
     "website": {
-        "id": (_text, UNIQUE), "domain": (_text, REQUIRED),
+        "id": (_website_id, UNIQUE), "domain": (_text, REQUIRED),
         "owner": (_owner, OPTIONAL), "logging": (_flag, OPTIONAL), "pages": (_items, REQUIRED),
     },
     "page": {"id": (_text, REQUIRED), "topics": (_filter, REQUIRED)},

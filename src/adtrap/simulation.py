@@ -267,106 +267,31 @@ def run_attack(scenario: Scenario, trace: RunTrace) -> AttributionResult:
 def trace_to_json(trace: RunTrace) -> str:
     """Plain-JSON form of a trace, stable across runs of the same seed.
 
-    Every impression and log entry is written as exactly its record's
-    fields.  The text equals ``json.dumps(document, indent=2,
-    sort_keys=True) + "\\n"`` of the document with keys ``schema_version``,
-    ``impressions``, ``reports``, ``logs`` (site id to entries) and
-    ``ground_truth`` (user id to sorted audiences), byte for byte.
-    ``reports`` holds the sparse record's fields: ``window_length``,
-    ``num_windows``, ``audience_ids`` and ``hits``, a list of
-    ``{window_index, deltas}`` in window order (a list, since sorted
-    string keys would put window "10" before "9").  It is built with the
-    C encoder, which ``indent`` would switch off: each record field's
-    values, and the ground-truth lists, are encoded in one call with the
-    indented line break as item separator, and only the framing of
-    records and mappings is done in Python.
+    The text is ``json.dumps(document, sort_keys=True) + "\\n"``, one line,
+    of the document with keys ``schema_version``, ``impressions``,
+    ``reports``, ``logs`` (site id to entries) and ``ground_truth`` (user
+    id to sorted audiences).  Every impression and log entry is written as
+    exactly its record's fields.  ``reports`` holds the sparse record's
+    fields: ``window_length``, ``num_windows``, ``audience_ids`` and
+    ``hits``, a list of ``{window_index, deltas}`` in window order (a
+    list, since sorted string keys would put window "10" before "9").
     """
-    ground_truth = sorted(trace.ground_truth.items())
-    logs = sorted(trace.logs.items())
-    sections = {
-        "ground_truth": _object(
-            [user_id for user_id, _ in ground_truth],
-            _each([sorted(audiences) for _, audiences in ground_truth], "    "),
-            "  ",
-        ),
-        "impressions": _records([vars(r) for r in trace.impressions], "  "),
-        "logs": _object(
-            [site_id for site_id, _ in logs],
-            [_records([vars(e) for e in entries], "    ") for _, entries in logs],
-            "  ",
-        ),
-        "reports": _reports(trace.reports),
-        "schema_version": str(TRACE_SCHEMA_VERSION),
+    reports = trace.reports
+    document = {
+        "schema_version": TRACE_SCHEMA_VERSION,
+        "impressions": [vars(r) for r in trace.impressions],
+        "reports": {
+            "window_length": reports.window_length,
+            "num_windows": reports.num_windows,
+            "audience_ids": reports.audience_ids,
+            "hits": [{"window_index": k, "deltas": d} for k, d in reports.hits.items()],
+        },
+        "logs": {site_id: [vars(e) for e in entries] for site_id, entries in trace.logs.items()},
+        "ground_truth": {
+            user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
+        },
     }
-    return _object(list(sections), list(sections.values()), "") + "\n"
-
-
-# In the helpers below ``pad`` is the indentation of the line a value's
-# closing bracket sits on; ``indent=2`` puts its items two spaces deeper.
-
-
-def _each(values: list, pad: str) -> list[str]:
-    """Every value as ``indent=2`` writes it at ``pad``, from one encoder call.
-
-    The values are all scalars, all dicts of scalars or all lists of
-    scalars.  ``ensure_ascii`` escapes every line break inside a string,
-    so a separator followed by an opening bracket only occurs between two
-    of the values, and this splits there.
-    """
-    if not values:
-        return []
-    inner = pad + "  "
-    separator = ",\n" + inner
-    text = json.dumps(values, sort_keys=True, separators=(separator, ": "))
-    if not isinstance(values[0], (dict, list)):
-        return text[1:-1].split(separator)
-    opening, closing = "{}" if isinstance(values[0], dict) else "[]"
-    return [
-        f"{opening}\n{inner}{body}\n{pad}{closing}" if body else opening + closing
-        for body in text[2:-2].split(closing + separator + opening)
-    ]
-
-
-def _object(keys: list[str], encoded: list[str], pad: str) -> str:
-    """A mapping of sorted keys to already encoded values, as at ``pad``."""
-    if not keys:
-        return "{}"
-    inner = pad + "  "
-    items = (f"{key}: {value}" for key, value in zip(_each(keys, pad), encoded))
-    return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-
-
-def _reports(reports: CounterReports) -> str:
-    """The ``reports`` section: the record's fields, its hits as records."""
-    hits = [{"deltas": d, "window_index": k} for k, d in reports.hits.items()]
-    return _object(
-        ["audience_ids", "hits", "num_windows", "window_length"],
-        [
-            *_each([list(reports.audience_ids)], "    "),
-            _records(hits, "    "),
-            *_each([reports.num_windows, reports.window_length], "    "),
-        ],
-        "  ",
-    )
-
-
-def _records(records: list[dict], pad: str) -> str:
-    """A list of records with the same keys, as ``indent=2`` writes it at ``pad``.
-
-    Each field holds scalars, dicts of scalars or lists of scalars
-    throughout; each field's values are encoded in one call by :func:`_each`.
-    """
-    if not records:
-        return "[]"
-    inner = pad + "  "
-    field_pad = inner + "  "
-    keys = sorted(records[0])
-    names = [name.replace("%", "%%") for name in _each(keys, pad)]
-    row = f"{{\n{field_pad}" + f",\n{field_pad}".join(f"{name}: %s" for name in names)
-    row += f"\n{inner}}}"
-    columns = [_each([record[key] for record in records], field_pad) for key in keys]
-    body = f",\n{inner}".join(row % cells for cells in zip(*columns))
-    return f"[\n{inner}{body}\n{pad}]"
+    return json.dumps(document, sort_keys=True) + "\n"
 
 
 def apply_grid_value(document: dict, key: str, value) -> None:
@@ -434,9 +359,11 @@ def sweep(
         return []
     keys = sorted(grid)
     rows: list[dict] = []
+    # Every cell writes the same paths, and loading neither changes the
+    # document nor keeps a list or dict of it, so one copy serves every cell.
+    document = copy.deepcopy(template_document)
     for n, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         cell = dict(zip(keys, combo))
-        document = copy.deepcopy(template_document)
         for k, v in cell.items():
             apply_grid_value(document, k, v)
         document["seed"] = seeds[0]

@@ -115,6 +115,17 @@ def test_bad_input_is_reported_without_traceback(tmp_path, content, args, messag
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("site_id", ["mon/ads", "mon\0ads"], ids=["slash", "nul"])
+def test_run_rejects_a_site_id_that_cannot_be_a_file_name(tmp_path, capsys, site_id):
+    doc = scenarios.path("two_visitor_ambiguity").read_text(encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_text(doc.replace('"monads"', json.dumps(site_id)), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: /websites/2/id:")
+    assert not out.exists()
+
+
 def test_validate_rejects_broken_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")

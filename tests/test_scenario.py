@@ -206,6 +206,14 @@ def test_reserved_campaign_prefix():
     reject(doc, "/campaigns/0/id")
 
 
+@pytest.mark.parametrize("site_id", ["mon/ads", "mon\0ads"], ids=["slash", "nul"])
+def test_website_id_that_cannot_be_a_file_name(site_id):
+    # A logging site's id names its visits_<id>.csv.
+    doc = base_document()
+    doc["websites"][0]["id"] = site_id
+    assert "visit log file" in reject(doc, "/websites/0/id").message
+
+
 def test_campaign_with_unknown_audience():
     doc = base_document()
     doc["campaigns"][0]["ad_groups"][0]["target_audiences"] = ["a_ghost"]

@@ -278,10 +278,10 @@ def test_trace_document_shape():
             assert "cookie_id" not in entry
 
 
-def reference_trace_json(trace):
-    """The trace as ``json.dumps`` writes it with ``indent=2``."""
+def reference_trace_document(trace):
+    """The trace's document, built here independently of ``trace_to_json``."""
     reports = trace.reports
-    document = {
+    return {
         "schema_version": 2,
         "impressions": [vars(r) for r in trace.impressions],
         "reports": {
@@ -295,7 +295,24 @@ def reference_trace_json(trace):
             user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
         },
     }
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+
+
+def reference_trace_json(trace):
+    """The indented view of the trace document: re-indenting ``trace.json``
+    with ``indent=2, sort_keys=True`` must give it byte for byte."""
+    return json.dumps(reference_trace_document(trace), indent=2, sort_keys=True) + "\n"
+
+
+def check_trace_json(trace):
+    """``trace_to_json`` is the one-line sorted dump of the document, and
+    re-indenting it gives the indented form byte for byte."""
+    text = trace_to_json(trace)
+    assert text == json.dumps(reference_trace_document(trace), sort_keys=True) + "\n"
+    assert text.splitlines(keepends=True) == [text]
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == (
+        reference_trace_json(trace)
+    )
+    assert parsed_reports(text) == trace.reports
 
 
 def parsed_reports(text):
@@ -415,19 +432,16 @@ traces = st.builds(
         logs={},
     )
 )
-def test_trace_json_matches_indented_dumps_byte_for_byte(trace):
-    text = trace_to_json(trace)
-    assert text == reference_trace_json(trace)
-    assert parsed_reports(text) == trace.reports
+def test_trace_json_is_the_sorted_one_line_dump(trace):
+    check_trace_json(trace)
 
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_trace_json_matches_indented_dumps_on_generated_runs(seed):
-    trace = run_scenario(load_scenario_document(random_scenario_document(random.Random(seed))))
-    text = trace_to_json(trace)
-    assert text == reference_trace_json(trace)
-    assert parsed_reports(text) == trace.reports
+def test_trace_json_is_the_sorted_one_line_dump_on_generated_runs(seed):
+    check_trace_json(
+        run_scenario(load_scenario_document(random_scenario_document(random.Random(seed))))
+    )
 
 
 @pytest.mark.parametrize("name", scenarios.names())
@@ -811,8 +825,10 @@ def test_sweep_matches_the_per_seed_reference(seed, grid, seeds, fault, data):
         values = grid[data.draw(st.sampled_from(sorted(grid)))] if where == "grid" else seeds
         values.insert(data.draw(st.integers(0, len(values))), bad)
     template = random_scenario_document(random.Random(seed))
+    before = copy.deepcopy(template)
     expected = sweep_outcome(reference_sweep, template, grid, seeds)
     assert sweep_outcome(sweep, template, grid, seeds) == expected
+    assert template == before
 
 
 # perfbench's sweep workload at seed 101: these window lengths, 60 seeds per run.
