@@ -8,8 +8,8 @@ amounts.
 Counter reports batch impressions into fixed windows (default 30 simulated
 minutes).  A report row is the advertiser-visible side channel of this
 whole simulation: per-audience deltas plus cumulative totals, with no
-cookie ids anywhere.  Reports are held sparse, as :class:`CounterReports`,
-and written sparse: only a non-zero delta gets a row.
+cookie ids anywhere.  Reports are held sparse, as :class:`CounterReports`
+of non-zero deltas only, and written as they are held.
 """
 
 from __future__ import annotations
@@ -134,11 +134,12 @@ class CounterReports:
     """Per-audience impression counters of windows ``0 .. num_windows - 1``, held sparse.
 
     ``hits`` maps each window some counted impression hit, in ascending
-    order, to its deltas, keyed over exactly ``audience_ids`` and not all
-    0; every other window counted nothing.  Equal counters therefore give
-    equal records.  Window ``k`` has the nominal bounds ``k * W`` and
-    ``(k + 1) * W``, which float rounding can put on the other side of a
-    member timestamp (see :func:`window_index`).
+    order, to its non-zero deltas, keyed in ``audience_ids`` order; an
+    absent window or audience counted 0, and a negative delta is kept for
+    the join to reject.  Equal counters therefore give equal records.
+    Window ``k`` has the nominal bounds ``k * W`` and ``(k + 1) * W``, which
+    float rounding can put on the other side of a member timestamp (see
+    :func:`window_index`).
     """
 
     window_length: float
@@ -160,9 +161,11 @@ class CounterReports:
                 raise ValidationError(
                     f"hit window {k} must lie after window {previous} and before {self.num_windows}"
                 )
-            if deltas.keys() != keys or not any(deltas.values()):
+            if not deltas or 0 in deltas.values() or not keys.issuperset(deltas) or (
+                len(deltas) > 1 and list(deltas) != sorted(deltas)
+            ):
                 raise ValidationError(
-                    f"hit window {k} must hold a delta for each audience, not all 0"
+                    f"hit window {k} must hold non-zero deltas keyed by audience ids, in order"
                 )
             previous = k
 
@@ -289,8 +292,8 @@ class Marketplace:
             ]
             for site in placed
         }
-        self._audience_universe = sorted(
-            {a for entry in self._priced_groups for a in entry.ad_group.target_audiences}
+        self._audience_universe = tuple(
+            sorted({a for entry in self._priced_groups for a in entry.ad_group.target_audiences})
         )
 
     def fresh_run(self, rng: random.Random) -> Marketplace:
@@ -403,17 +406,13 @@ class Marketplace:
             return None
         return self.record_impression(outcome, profile, page, website_id, time)
 
-    def target_audience_universe(self) -> list[str]:
-        """Sorted union of every ad group's targeted audiences."""
-        return list(self._audience_universe)
-
     def publish_reports(self, window_length: float, up_to_time: float) -> CounterReports:
         """Counters of every window elapsed by ``up_to_time``, over every targeted audience."""
         return build_reports(
             self.impressions,
             window_length,
             window_count(up_to_time, window_length),
-            self.target_audience_universe(),
+            self._audience_universe,
         )
 
 
@@ -455,10 +454,10 @@ def build_reports(
     ``campaign_id`` is given, only that campaign's impressions are
     counted: this is the advertiser-facing view, since each advertiser
     sees counters for her own campaigns only.  Only the windows an
-    impression hit get a counter.
+    impression hit get a counter, and only the audiences it counted.
     """
     audience_ids = tuple(sorted(set(audience_ids)))
-    zero = dict.fromkeys(audience_ids, 0)
+    counted = set(audience_ids)
     hit: dict[int, dict[str, int]] = {}
     # Counting divides by the window length; CounterReports rejects any
     # length that is not positive.
@@ -466,12 +465,12 @@ def build_reports(
         if campaign_id is not None and record.campaign_id != campaign_id:
             continue
         k = window_index(record.timestamp, window_length)
-        if 0 <= k < num_windows and record.audience_id in zero:
-            counts = hit.get(k)
-            if counts is None:
-                counts = hit[k] = zero.copy()
-            counts[record.audience_id] += 1
-    return CounterReports(window_length, num_windows, audience_ids, dict(sorted(hit.items())))
+        if 0 <= k < num_windows and record.audience_id in counted:
+            counts = hit.setdefault(k, {})
+            counts[record.audience_id] = counts.get(record.audience_id, 0) + 1
+    # audience_ids is sorted, so sorting a window's keys puts them in its order.
+    hits = {k: dict(sorted(c.items())) if len(c) > 1 else c for k, c in sorted(hit.items())}
+    return CounterReports(window_length, num_windows, audience_ids, hits)
 
 
 REPORT_COLUMNS = (
@@ -482,17 +481,15 @@ REPORT_COLUMNS = (
 def reports_to_rows(reports: CounterReports) -> list[tuple]:
     """Flatten reports for CSV export, sparse as they are held.
 
-    One ``REPORT_COLUMNS`` row per window and audience with a non-zero
-    delta, in window then audience order; ``cumulative`` is that
-    audience's running total up to and including the window.
+    One ``REPORT_COLUMNS`` row per held delta, in window then audience
+    order; ``cumulative`` is that audience's running total up to and
+    including the window.
     """
     window = reports.window_length
     running = dict.fromkeys(reports.audience_ids, 0)
     rows = []
     for k, deltas in reports.hits.items():
-        for a in reports.audience_ids:
-            n = deltas[a]
-            if n:
-                running[a] += n
-                rows.append((k, k * window, (k + 1) * window, a, n, running[a]))
+        for a, n in deltas.items():
+            running[a] += n
+            rows.append((k, k * window, (k + 1) * window, a, n, running[a]))
     return rows

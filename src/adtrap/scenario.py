@@ -179,9 +179,12 @@ def _campaign_id(value):
 
 
 def _website_id(value):
-    """A logging site's id names its ``visits_<id>.csv``, so it must be a file name."""
+    """A logging site's id names its ``visits_<id>.csv``, so it must be a file name of
+    at most 255 UTF-8 bytes (``NAME_MAX``), counted so that a JSON lone surrogate fits."""
     if _text(value) is None and ("/" in value or "\0" in value):
         return "must not contain '/' or NUL, since it names the site's visit log file"
+    if _text(value) is None and len(f"visits_{value}.csv".encode("utf-8", "surrogatepass")) > 255:
+        return "must fit 'visits_<id>.csv', the site's visit log file, in 255 UTF-8 bytes"
     return _text(value)
 
 

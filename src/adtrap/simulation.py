@@ -46,7 +46,7 @@ from .trap import (
 
 log = logging.getLogger(__name__)
 
-TRACE_SCHEMA_VERSION = 2
+TRACE_SCHEMA_VERSION = 3
 
 # Top-level scenario fields a sweep may introduce even when the template
 # relies on their defaults.
@@ -273,8 +273,8 @@ def trace_to_json(trace: RunTrace) -> str:
     id to sorted audiences).  Every impression and log entry is written as
     exactly its record's fields.  ``reports`` holds the sparse record's
     fields: ``window_length``, ``num_windows``, ``audience_ids`` and
-    ``hits``, a list of ``{window_index, deltas}`` in window order (a
-    list, since sorted string keys would put window "10" before "9").
+    ``hits``, a list of ``{window_index, deltas}``, non-zero deltas only, in
+    window order (a list: sorted string keys would put window "10" before "9").
     """
     reports = trace.reports
     document = {

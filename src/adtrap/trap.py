@@ -33,10 +33,10 @@ all, the observations contradict the model and an
 
 The join (:func:`collect_observations`) visits only the windows that a
 counted impression or a log entry hit: any other window has no visits
-and only zero deltas, so it constrains nothing and the solver never sees
-it.  Counter reports arrive sparse, as
-:class:`~adtrap.marketplace.CounterReports`, so the join's work follows
-the impressions and visits, not the number of windows.
+and counted nothing, so it constrains nothing and the solver never sees
+it.  Counter reports arrive as :class:`~adtrap.marketplace.CounterReports`
+of non-zero deltas only, so the join's work follows the impressions and
+visits, not the number of windows or audiences.
 
 Everything here consumes attacker-visible data only: counter reports and
 site logs.  Profiles, cookies and impression records never enter.
@@ -86,7 +86,8 @@ class AttackSpec:
 
 @dataclass(frozen=True)
 class WindowObservation:
-    """Attacker-side join of one reporting window with the matching log slice."""
+    """Attacker-side join of one reporting window with the matching log slice;
+    an audience absent from ``deltas`` counted 0 in the window."""
 
     window_index: int
     deltas: dict[str, int]
@@ -184,7 +185,8 @@ def collect_observations(
     gives its timestamp, the same rule the platform batches impressions
     by; entries outside the reports' ``num_windows`` windows are dropped.
     Every window that holds an entry or a counted impression gets one
-    observation, in window order; the others constrain nothing.
+    observation, in window order, with the non-zero deltas the reports
+    hold; the others constrain nothing.
     """
     window_length, num_windows = reports.window_length, reports.num_windows
     buckets: dict[int, list[VisitLogEntry]] = {}
@@ -192,11 +194,10 @@ def collect_observations(
         k = window_index(entry.timestamp, window_length)
         if 0 <= k < num_windows:
             buckets.setdefault(k, []).append(entry)
-    zero = dict.fromkeys(reports.audience_ids, 0)
     return [
         WindowObservation(
             window_index=k,
-            deltas=dict(reports.hits.get(k, zero)),
+            deltas=dict(reports.hits.get(k, ())),
             visits=tuple(buckets.get(k, ())),
         )
         for k in sorted(buckets.keys() | reports.hits.keys())
@@ -460,27 +461,25 @@ class GroupStats:
 
 
 def group_statistics(
-    observations: list[WindowObservation],
+    reports: CounterReports,
     audience_x: str,
     audience_y: str,
 ) -> GroupStats:
     """Aggregate split of a visitor population between two audiences.
 
-    Needs no per-visitor inference at all: summing deltas is enough, which
-    is what makes group-level profiling so much cheaper than individual
-    attribution.  An audience missing from some observation's deltas was
-    not probed and raises :class:`UnknownIdError`.  With no observations
-    at all, as the join gives for an attack that logged no visit and got
-    no probe impression, nothing tells probed from unprobed: any two
-    audiences give counts of 0 and an undefined fraction.
+    Needs no join and no per-visitor inference at all: summing the
+    reports' deltas is enough, which is what makes group-level profiling
+    so much cheaper than individual attribution.  An audience outside
+    ``reports.audience_ids`` was not probed and raises
+    :class:`UnknownIdError`, even when nothing was counted.
     """
     if audience_x == audience_y:
         raise ValidationError("the two audiences must differ")
     for audience in (audience_x, audience_y):
-        if not all(audience in obs.deltas for obs in observations):
+        if audience not in reports.audience_ids:
             raise UnknownIdError(f"audience {audience!r} was not probed")
-    count_x = sum(obs.deltas[audience_x] for obs in observations)
-    count_y = sum(obs.deltas[audience_y] for obs in observations)
+    count_x = sum(deltas.get(audience_x, 0) for deltas in reports.hits.values())
+    count_y = sum(deltas.get(audience_y, 0) for deltas in reports.hits.values())
     total = count_x + count_y
     fraction = count_x / total if total else None
     return GroupStats(audience_x, audience_y, count_x, count_y, fraction)

@@ -5,13 +5,14 @@ counts every impression into it; ``collect_observations`` builds one
 observation per reported window, empty windows included.  Both are the
 implementations the single-pass batching and the sparse join replaced,
 copied unchanged.  ``dense`` expands a sparse ``CounterReports`` record
-to one report per window, the form ``trace.json`` and ``reports.csv``
-once wrote.  Tests compare production with them on the dense view: the
-expansion of a production record must give the reports built here, the
-production join over the sparse record must equal this join over the
-dense view with every window that has no visits and only zero deltas
-left out, and the sparse ``reports.csv`` rows must be the dense rows
-with a non-zero delta.  A repeated audience id is added twice into
+to one report per window with a delta for every audience, the form
+``trace.json`` and ``reports.csv`` once wrote.  Tests compare production
+with them on the dense view: the expansion of a production record must
+give the reports built here, the production join over the sparse record
+must equal this join over the dense view with every window that has no
+visits and only zero deltas left out and every zero delta dropped, and
+the sparse ``reports.csv`` rows must be the dense rows with a non-zero
+delta.  A repeated audience id is added twice into
 ``cumulative`` here, so tests pass each id once.
 """
 
@@ -45,16 +46,17 @@ class AudienceCounterReport:
 
 
 def dense(counters: CounterReports) -> list[AudienceCounterReport]:
-    """One report per window, in order, with the all-zero windows filled in.
+    """One report per window, in order, with the all-zero windows and the
+    absent audiences' zero deltas filled in.
 
     ``cumulative`` carries the running totals forward; every report gets
     its own ``deltas`` and ``cumulative`` dicts.
     """
-    zero = dict.fromkeys(counters.audience_ids, 0)
-    running = zero.copy()
+    running = dict.fromkeys(counters.audience_ids, 0)
     reports = []
     for k in range(counters.num_windows):
-        deltas = dict(counters.hits.get(k, zero))
+        held = counters.hits.get(k, {})
+        deltas = {a: held.get(a, 0) for a in counters.audience_ids}
         for a, n in deltas.items():
             running[a] += n
         reports.append(

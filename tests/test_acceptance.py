@@ -21,7 +21,7 @@ from adtrap.simulation import (
     run_scenario,
     trace_to_json,
 )
-from adtrap.trap import collect_observations, group_statistics
+from adtrap.trap import group_statistics
 
 from generators import oracle_agreement, random_observations, random_scenario_document
 import reference_reports
@@ -177,11 +177,11 @@ def test_group_statistics_split_is_exact():
     with criterion("group statistics on the twenty-visitor population"):
         scenario = load_scenario(scenarios.path("group_statistics"))
         trace = run_scenario(scenario)
-        observations = collect_observations(
+        stats = group_statistics(
             attacker_view_reports(trace, scenario, "monads"),
-            trace.logs["monads"],
+            "a_family_focused",
+            "a_travel_buffs",
         )
-        stats = group_statistics(observations, "a_family_focused", "a_travel_buffs")
         assert stats.count_x == 15
         assert stats.count_y == 5
         assert stats.fraction == 0.75  # exactly, not approximately

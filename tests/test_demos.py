@@ -1,10 +1,17 @@
 """Every script in demos/ runs to completion: exit status 0, empty stderr,
-and stdout byte-identical to its pinned sha256 digest."""
+and stdout byte-identical to its pinned sha256 digest.
+
+A change that alters what a demo prints says why and replaces
+``STDOUT_SHA256`` below with what this prints:
+
+    PYTHONPATH=src python3 tests/test_demos.py
+"""
 
 import hashlib
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -12,8 +19,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-# sha256 of each demo's stdout.  A change that alters what a demo prints
-# must update its digest here and say why.
+# sha256 of each demo's stdout.
 STDOUT_SHA256 = {
     "ambiguity_and_elimination": "492f3b0182542bd7b2bf1efc908eeb2b8c1ea4fd8d6139e5cc3a09a2498bed6d",
     "countermeasure_knobs": "e837ccdc110f589ca97968e71337c9452c1dd281b809de0720f4a7b81222cdb5",
@@ -27,20 +33,33 @@ def test_demos_exist():
     assert {demo.stem for demo in DEMOS} == set(STDOUT_SHA256)
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
-def test_demo_runs_cleanly(demo, tmp_path):
+def run_demo(demo, cwd):
     env = {k: v for k, v in os.environ.items() if k != "ADTRAP_LOG"}
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(demo)],
-        cwd=tmp_path,
+        cwd=cwd,
         env=env,
         capture_output=True,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs_cleanly(demo, tmp_path):
+    proc = run_demo(demo, tmp_path)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stderr == b""
     assert proc.stdout
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.stem]
+
+
+if __name__ == "__main__":
+    print("STDOUT_SHA256 = {")
+    for demo in DEMOS:
+        with tempfile.TemporaryDirectory() as tmp:
+            digest = hashlib.sha256(run_demo(demo, tmp).stdout).hexdigest()
+        print(f'    "{demo.stem}": "{digest}",')
+    print("}")

@@ -354,8 +354,8 @@ def test_build_reports_batches_and_accumulates():
     # only the windows an impression hit are held
     assert counters.hits == {
         0: {"a_pets": 1, "a_sports": 1},
-        1: {"a_pets": 0, "a_sports": 1},
-        3: {"a_pets": 0, "a_sports": 1},
+        1: {"a_sports": 1},
+        3: {"a_sports": 1},
     }
     reports = reference_reports.dense(counters)
     assert [r.window_index for r in reports] == [0, 1, 2, 3]
@@ -448,8 +448,11 @@ def test_dense_view_matches_the_dense_reference(args):
     reports = reference_reports.dense(counters)
     assert report_layout(reports) == report_layout(expected)
     assert list(counters.hits) == [r.window_index for r in expected if any(r.deltas.values())]
-    # every hit window gets its own counter
+    # every hit window gets its own counter, of non-zero deltas in audience order
     assert len({id(c) for c in counters.hits.values()}) == len(counters.hits)
+    for deltas in counters.hits.values():
+        assert 0 not in deltas.values()
+        assert list(deltas) == [a for a in counters.audience_ids if a in deltas]
 
 
 @settings(max_examples=300, deadline=None)
@@ -476,9 +479,11 @@ def test_report_rows_are_the_non_zero_rows_of_the_dense_reference(args):
         (1.0, 2, ("a",), {-1: {"a": 1}}, "hit window -1"),
         (1.0, 0, ("a",), {0: {"a": 1}}, "hit window 0"),
         (1.0, 5, ("a",), {3: {"a": 1}, 1: {"a": 1}}, "hit window 1"),
-        (1.0, 5, ("a",), {1: {"a": 0}}, "not all 0"),
-        (1.0, 5, ("a", "b"), {1: {"a": 1}}, "for each audience"),
-        (1.0, 5, ("a",), {1: {"a": 1, "b": 0}}, "for each audience"),
+        (1.0, 5, ("a",), {1: {"a": 0}}, "hit window 1 must hold non-zero deltas"),
+        (1.0, 5, ("a", "b"), {1: {"a": 1, "b": 0}}, "hit window 1 must hold non-zero deltas"),
+        (1.0, 5, ("a",), {1: {"a": 1, "b": 1}}, "hit window 1 must hold non-zero deltas"),
+        (1.0, 5, ("a",), {1: {}}, "hit window 1 must hold non-zero deltas"),
+        (1.0, 5, ("a", "b"), {1: {"b": 1, "a": 1}}, "hit window 1 must hold non-zero deltas"),
     ],
 )
 def test_counter_reports_reject_a_malformed_record(
@@ -489,7 +494,7 @@ def test_counter_reports_reject_a_malformed_record(
 
 
 def test_counter_reports_accept_negative_deltas_for_the_join_to_reject():
-    counters = CounterReports(1.0, 2, ("a", "b"), {1: {"a": 0, "b": -1}})
+    counters = CounterReports(1.0, 2, ("a", "b"), {1: {"b": -1}})
     assert [r.cumulative for r in reference_reports.dense(counters)] == [
         {"a": 0, "b": 0},
         {"a": 0, "b": -1},

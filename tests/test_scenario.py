@@ -214,6 +214,16 @@ def test_website_id_that_cannot_be_a_file_name(site_id):
     assert "visit log file" in reject(doc, "/websites/0/id").message
 
 
+def test_website_id_whose_visit_log_name_is_too_long():
+    # visits_<id>.csv may take 255 UTF-8 bytes, the usual NAME_MAX, so the
+    # id gets 244; each "é" takes two.
+    doc = base_document()
+    doc["websites"][1]["id"] = "é" * 122
+    assert "é" * 122 in load_scenario_document(doc).websites
+    doc["websites"][1]["id"] = "é" * 122 + "m"
+    assert "visit log file" in reject(doc, "/websites/1/id").message
+
+
 def test_campaign_with_unknown_audience():
     doc = base_document()
     doc["campaigns"][0]["ad_groups"][0]["target_audiences"] = ["a_ghost"]

@@ -257,7 +257,7 @@ def test_equal_seeds_give_byte_identical_traces():
 def test_trace_document_shape():
     scenario = load_scenario(scenarios.path("two_visitor_ambiguity"))
     doc = json.loads(trace_to_json(run_scenario(scenario)))
-    assert doc["schema_version"] == 2
+    assert doc["schema_version"] == 3
     assert set(doc) == {
         "schema_version",
         "impressions",
@@ -282,7 +282,7 @@ def reference_trace_document(trace):
     """The trace's document, built here independently of ``trace_to_json``."""
     reports = trace.reports
     return {
-        "schema_version": 2,
+        "schema_version": 3,
         "impressions": [vars(r) for r in trace.impressions],
         "reports": {
             "window_length": reports.window_length,
@@ -304,8 +304,9 @@ def reference_trace_json(trace):
 
 
 def check_trace_json(trace):
-    """``trace_to_json`` is the one-line sorted dump of the document, and
-    re-indenting it gives the indented form byte for byte."""
+    """``trace_to_json`` is the one-line sorted dump of the document,
+    re-indenting it gives the indented form byte for byte, and it writes
+    no zero delta."""
     text = trace_to_json(trace)
     assert text == json.dumps(reference_trace_document(trace), sort_keys=True) + "\n"
     assert text.splitlines(keepends=True) == [text]
@@ -313,6 +314,7 @@ def check_trace_json(trace):
         reference_trace_json(trace)
     )
     assert parsed_reports(text) == trace.reports
+    assert all(0 not in hit["deltas"].values() for hit in json.loads(text)["reports"]["hits"])
 
 
 def parsed_reports(text):
@@ -349,14 +351,14 @@ impressions = st.builds(
 @st.composite
 def counter_reports(draw):
     """Counters over adversarial audience ids with huge and negative
-    deltas, hit windows past 9 and up to 2**70, on window lengths from
-    the smallest subnormal to ones whose window bounds overflow to
+    non-zero deltas, hit windows past 9 and up to 2**70, on window lengths
+    from the smallest subnormal to ones whose window bounds overflow to
     infinity."""
     audiences = tuple(sorted(draw(st.sets(adversarial_text, max_size=4))))
     num_windows = draw(st.integers(0, 12) | st.integers(0, 2**70))
-    delta = st.integers(-(2**70), 2**70)
-    deltas = st.fixed_dictionaries({a: delta for a in audiences}).filter(
-        lambda d: any(d.values())
+    delta = st.integers(-(2**70), 2**70).filter(bool)
+    deltas = st.dictionaries(st.sampled_from(audiences), delta, min_size=1).map(
+        lambda d: dict(sorted(d.items()))
     )
     hits = {}
     if audiences and num_windows:
@@ -427,7 +429,7 @@ traces = st.builds(
     trace=RunTrace(
         impressions=[],
         publish_reports=published(
-            CounterReports(11.0, 12, ("a", "b"), {9: {"a": 1, "b": 0}, 10: {"a": -1, "b": 2}})
+            CounterReports(11.0, 12, ("a", "b"), {9: {"a": 1}, 10: {"a": -1, "b": 2}})
         ),
         logs={},
     )
@@ -648,7 +650,8 @@ def test_runs_match_the_dense_reports_and_join(seed, window, windows, data):
     engine = SimulationEngine(scenario)
     trace = engine.run()
     num_windows = window_count(scenario.horizon, window)
-    universe = engine.marketplace.target_audience_universe()
+    campaigns = engine.marketplace.campaigns.values()
+    universe = sorted({a for c in campaigns for g in c.ad_groups for a in g.target_audiences})
     assert reference_reports.dense(trace.reports) == reference_reports.build_reports(
         trace.impressions, window, num_windows, universe
     )

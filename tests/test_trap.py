@@ -125,7 +125,7 @@ def test_collect_observations_buckets_by_window():
     # observation; window 0 has a visit to explain and window 3 a delta
     assert [o.window_index for o in observations] == [0, 1, 3]
     assert [e.timestamp for e in observations[0].visits] == [5.0]
-    assert observations[0].deltas == {"a": 0}
+    assert observations[0].deltas == {}
     # boundary entry at t=100.0 belongs to the later window, in log order
     assert [e.timestamp for e in observations[1].visits] == [105.0, 100.0]
     assert observations[2].visits == ()
@@ -151,21 +151,21 @@ def test_collect_observations_drops_out_of_range_entries():
 
 
 def test_collect_observations_passes_negative_deltas_on_to_be_rejected():
-    reports = counters({0: {"a": 0, "b": -1}}, 1, audiences=("a", "b"))
+    reports = counters({0: {"b": -1}}, 1, audiences=("a", "b"))
     with pytest.raises(ValidationError, match="negative delta"):
         collect_observations(reports, [])
 
 
 @st.composite
 def join_inputs(draw):
-    """Counters and a log for the join: float windows, negative deltas,
+    """Sparse counters and a log for the join: float windows, negative deltas,
     and entries before, between and after the reported windows."""
     window = draw(st.sampled_from([0.1, 0.3, 1.1, 100.0]))
     audiences = sorted(draw(st.lists(st.sampled_from(["a", "b", "c"]), unique=True)))
     num_windows = draw(st.integers(0, 12))
-    delta = st.integers(0, 2) | st.integers(-1, 2)
-    deltas = st.fixed_dictionaries({a: delta for a in audiences}).filter(
-        lambda d: any(d.values())
+    delta = st.integers(1, 2) | st.sampled_from([-1, 1, 2])
+    deltas = st.dictionaries(st.sampled_from(audiences), delta, min_size=1).map(
+        lambda d: dict(sorted(d.items()))
     )
     indices = st.sets(st.integers(0, num_windows - 1), max_size=10) if audiences else st.just(set())
     hits = {k: draw(deltas) for k in sorted(draw(indices))} if num_windows else {}
@@ -190,7 +190,11 @@ def test_join_is_the_dense_reference_without_inert_windows(args):
     dense = (reference_reports.dense(reports), log, reports.window_length)
     expected = join_outcome(reference_reports.collect_observations, dense)
     if isinstance(expected, list):
-        expected = [o for o in expected if o.visits or any(o.deltas.values())]
+        expected = [
+            WindowObservation(o.window_index, {a: n for a, n in o.deltas.items() if n}, o.visits)
+            for o in expected
+            if o.visits or any(o.deltas.values())
+        ]
     assert join_outcome(collect_observations, args) == expected
 
 
@@ -548,11 +552,12 @@ def test_render_value():
 
 
 def test_group_statistics_sums_deltas():
-    observations = [
-        make_observation(0, {"a_family": 10, "a_travel": 2}, {}),
-        make_observation(1, {"a_family": 5, "a_travel": 3}, {}),
-    ]
-    stats = group_statistics(observations, "a_family", "a_travel")
+    reports = counters(
+        {0: {"a_family": 10, "a_travel": 2}, 1: {"a_family": 5, "a_travel": 3}},
+        2,
+        audiences=("a_family", "a_travel"),
+    )
+    stats = group_statistics(reports, "a_family", "a_travel")
     assert stats.count_x == 15
     assert stats.count_y == 5
     assert stats.fraction == pytest.approx(0.75)
@@ -560,38 +565,38 @@ def test_group_statistics_sums_deltas():
 
 
 def test_group_statistics_zero_and_undefined_differ():
-    observations = [make_observation(0, {"a_family": 0, "a_travel": 4}, {})]
-    zero = group_statistics(observations, "a_family", "a_travel")
+    audiences = ("a_family", "a_travel")
+    zero = group_statistics(counters({0: {"a_travel": 4}}, 1, audiences=audiences), *audiences)
     assert zero.fraction == 0.0
     assert zero.fraction is not None
-    empty = [make_observation(0, {"a_family": 0, "a_travel": 0}, {})]
-    undefined = group_statistics(empty, "a_family", "a_travel")
+    undefined = group_statistics(counters({}, 1, audiences=audiences), *audiences)
     assert undefined.fraction is None
 
 
-def test_group_statistics_without_observations_accepts_any_audience():
-    # An attack that logged no visit and got no probe impression joins to
-    # no observation at all, so nothing tells probed from unprobed.
-    assert collect_observations(counters({}, 1, audiences=("a_family", "a_travel")), []) == []
-    stats = group_statistics([], "a_family", "a_never_probed")
+def test_group_statistics_without_hits_still_rejects_an_unprobed_audience():
+    # An attack that logged no visit and got no probe impression still has
+    # its probed audiences in the reports.
+    reports = counters({}, 1, audiences=("a_family", "a_travel"))
+    with pytest.raises(UnknownIdError):
+        group_statistics(reports, "a_family", "a_never_probed")
+    stats = group_statistics(reports, "a_family", "a_travel")
     assert (stats.count_x, stats.count_y, stats.fraction) == (0, 0, None)
 
 
-def test_group_statistics_rejects_unprobed_audience_of_a_sparse_join():
-    reports = counters({1: {"a_family": 1, "a_travel": 0}}, 2, audiences=("a_family", "a_travel"))
-    observations = collect_observations(reports, [])
-    assert [o.window_index for o in observations] == [1]
-    assert group_statistics(observations, "a_family", "a_travel").fraction == 1.0
+def test_group_statistics_rejects_unprobed_audience_of_sparse_reports():
+    # a_travel counted nothing in window 1, so its delta is absent there.
+    reports = counters({1: {"a_family": 1}}, 2, audiences=("a_family", "a_travel"))
+    assert group_statistics(reports, "a_family", "a_travel").fraction == 1.0
     with pytest.raises(UnknownIdError):
-        group_statistics(observations, "a_family", "a_never_probed")
+        group_statistics(reports, "a_family", "a_never_probed")
 
 
 def test_group_statistics_input_checks():
-    observations = [make_observation(0, {"a_family": 1, "a_travel": 1}, {})]
+    reports = counters({0: {"a_family": 1, "a_travel": 1}}, 1, audiences=("a_family", "a_travel"))
     with pytest.raises(ValidationError):
-        group_statistics(observations, "a_family", "a_family")
+        group_statistics(reports, "a_family", "a_family")
     with pytest.raises(UnknownIdError):
-        group_statistics(observations, "a_family", "a_never_probed")
+        group_statistics(reports, "a_never_probed", "a_travel")
 
 
 # --- reference solver sanity ------------------------------------------------
