@@ -1,7 +1,5 @@
 """Shared exception types."""
 
-from collections.abc import Set
-
 
 class AdtrapError(Exception):
     """Base class for every error raised by this package."""
@@ -11,22 +9,18 @@ class ValidationError(AdtrapError):
     """A document or configuration failed validation.
 
     Carries a JSON-pointer-style location so that command-line users can
-    find the offending element in a scenario file.
+    find the offending element in a scenario file.  A check raises with the
+    pointer relative to the object it checks; the scenario loader prefixes
+    each step of its walk as the error passes back out.
     """
 
     def __init__(self, message: str, pointer: str = ""):
         self.pointer = pointer
         self.message = message
-        super().__init__(f"{pointer}: {message}" if pointer else message)
+        super().__init__(message)
 
-
-def reject_unknown_keys(node: dict, known: Set[str], pointer: str) -> None:
-    """Raise on the first key of ``node`` outside ``known``, pointing at it."""
-    if node.keys() <= known:
-        return
-    key = next(k for k in node if k not in known)
-    escaped = key.replace("~", "~0").replace("/", "~1")
-    raise ValidationError(f"unknown field {key!r}", f"{pointer}/{escaped}")
+    def __str__(self) -> str:
+        return f"{self.pointer}: {self.message}" if self.pointer else self.message
 
 
 class UnknownIdError(AdtrapError):

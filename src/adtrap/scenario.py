@@ -11,7 +11,12 @@ of object accepts and the rule its value must meet; any other key is
 rejected at its own pointer, so a misspelt field cannot silently fall
 back to its default.  Keys are the field names of the records built from
 them, so an absent optional key keeps its dataclass default.  The
-loaders add only the rules that relate objects to each other.
+builders add only the rules that relate objects to each other.
+
+Every check, the records' own included, raises with a pointer relative
+to the object it checks.  ``_each`` and ``_within`` prefix the step that
+led to that object as the error passes back out, so a pointer is built
+only when something fails.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError, reject_unknown_keys
+from .errors import ValidationError
 from .gdn import OWNERS, Website
 from .marketplace import (
     Ad,
@@ -36,6 +41,7 @@ from .profile import (
     Demographics,
     ProfileConfig,
     DEFAULT_PROFILE_CONFIG,
+    PageProfile,
     analyze_page,
 )
 from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
@@ -269,79 +275,98 @@ _RULES = {kind: {key: rule for key, (rule, _) in row.items()} for kind, row in _
 _ABSENT = {kind: {k: None for k, (_, req) in row.items() if req} for kind, row in _SCHEMA.items()}
 # For _each: each kind's unique keys.
 _UNIQUE = {kind: [k for k, (_, f) in row.items() if f == UNIQUE] for kind, row in _SCHEMA.items()}
+# How messages name each kind of object, where that is not the kind itself.
+_LABELS = {
+    "document": "scenario", "ad_group": "ad group", "warmup_visit": "warm-up visit",
+    "attack_visit": "attack visit", "demographics_filter": "demographics filter",
+}
 
 
-def _fields(node, kind: str, pointer: str, what: str) -> dict:
+def _fields(node, kind: str) -> dict:
     """Check ``node`` against its ``_SCHEMA`` row and return a copy of it.
 
     An absent required key is checked, and copied, as None.  An absent
     optional key stays absent, so ``Cls(**fields)`` keeps its dataclass
-    default.
+    default.  The builders convert the copy's values in place.
     """
     if not isinstance(node, dict):
-        raise ValidationError(f"{what} must be an object", pointer)
+        raise ValidationError(f"{_LABELS.get(kind, kind)} must be an object")
     rules = _RULES[kind]
-    reject_unknown_keys(node, rules.keys(), pointer)
+    if not node.keys() <= rules.keys():
+        key = next(k for k in node if k not in rules)
+        escaped = key.replace("~", "~0").replace("/", "~1")
+        raise ValidationError(f"unknown field {key!r}", f"/{escaped}")
     fields = {**_ABSENT[kind], **node}
     for key, value in fields.items():
         problem = rules[key](value)
         if problem:
-            raise ValidationError(f"field {key!r} {problem}", f"{pointer}/{key}")
+            raise ValidationError(f"field {key!r} {problem}", f"/{key}")
     return fields
 
 
-def _each(parent: dict, key: str, kind: str, pointer: str, what: str):
-    """Yield the pointer and checked fields of each object listed at ``parent[key]``.
+def _within(step: str, fn, *args):
+    """Return ``fn(*args)``; a ValidationError leaving it gets ``step`` prefixed."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        exc.pointer = step + exc.pointer
+        raise
+
+
+def _each(parent: dict, key: str, kind: str, build, *context) -> tuple:
+    """Build ``build(fields, *context)`` for each object listed at ``parent[key]``.
 
     A UNIQUE key's value repeated from an earlier object is rejected at
-    the later one.
+    the later one.  An error gets ``/key/i`` prefixed on its way out.
     """
     unique = _UNIQUE[kind]
     # Most kinds have no unique key: build nothing for them on each call.
     seen = [(k, set()) for k in unique] if unique else ()
-    for i, node in enumerate(parent.get(key, [])):
-        item = f"{pointer}/{key}/{i}"
-        fields = _fields(node, kind, item, what)
-        for k, values in seen:
-            value = fields[k]
-            if value in values:
-                raise ValidationError(
-                    f"duplicate {what} {k.replace('_', ' ')} {value!r}", f"{item}/{k}"
-                )
-            values.add(value)
-        yield item, fields
-
-
-def _record(node, kind: str, cls, pointer: str):
-    """Check ``node`` and build ``cls`` from it; its own checks report at ``pointer``."""
-    fields = _fields(node, kind, pointer, kind)
+    built = []
     try:
-        return cls(**fields)
+        for node in parent.get(key, ()):
+            fields = _fields(node, kind)
+            for k, values in seen:
+                value = fields[k]
+                if value in values:
+                    what = f"{_LABELS.get(kind, kind)} {k.replace('_', ' ')}"
+                    raise ValidationError(f"duplicate {what} {value!r}", f"/{k}")
+                values.add(value)
+            built.append(build(fields, *context))
     except ValidationError as exc:
-        raise ValidationError(exc.message, pointer) from exc
+        exc.pointer = f"/{key}/{len(built)}{exc.pointer}"
+        raise
+    return tuple(built)
 
 
-def _expect_known(ids, known, what: str, pointer: str) -> None:
+def _plain(node, kind: str, cls):
+    """Build ``cls`` from ``node``'s checked fields, for a kind that nests no object."""
+    return cls(**_fields(node, kind))
+
+
+def _expect_known(ids, known, what: str, key: str) -> None:
     for i, x in enumerate(ids):
         if x not in known:
-            raise ValidationError(f"unknown {what} {x!r}", f"{pointer}/{i}")
+            raise ValidationError(f"unknown {what} {x!r}", f"/{key}/{i}")
 
 
 def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
     """Build a validated :class:`Taxonomy` from a plain JSON-style dict.
 
-    ``pointer`` prefixes every error location, so callers embedding the
-    taxonomy in a larger document get absolute paths.  Besides the field
+    ``pointer`` is prefixed to every error location.  Besides the field
     rules of ``_SCHEMA``, references must resolve, topic parents must form
-    a forest and an audience's ``qualify_rule`` must not exceed its
-    distinct qualifying interests.
+    a forest and a ``qualify_rule`` must not exceed its distinct interests.
     """
-    fields = _fields(document, "taxonomy", pointer, "taxonomy")
-    topics = {t["id"]: Topic(**t) for _, t in _each(fields, "topics", "topic", pointer, "topic")}
+    return _within(pointer, _taxonomy, document)
+
+
+def _taxonomy(document) -> Taxonomy:
+    fields = _fields(document, "taxonomy")
+    topics = {t.id: t for t in _each(fields, "topics", "topic", lambda t: Topic(**t))}
     for tid, topic in topics.items():
         if topic.parent is not None and topic.parent not in topics:
             raise ValidationError(
-                f"topic {tid!r} references unknown parent {topic.parent!r}", f"{pointer}/topics"
+                f"topic {tid!r} references unknown parent {topic.parent!r}", "/topics"
             )
     # Parent links must form a forest: walk up from every node and make
     # sure we never revisit one.
@@ -350,157 +375,127 @@ def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
         node = topics[start].parent
         while node is not None:
             if node in seen:
-                raise ValidationError(
-                    f"topic parent links form a cycle through {node!r}", f"{pointer}/topics"
-                )
+                message = f"topic parent links form a cycle through {node!r}"
+                raise ValidationError(message, "/topics")
             seen.add(node)
             node = topics[node].parent
-
-    interests: dict[str, InterestCategory] = {}
-    for p, interest in _each(fields, "interests", "interest", pointer, "interest"):
-        sources = interest["source_topics"]
-        _expect_known(sources, topics, "source topic", f"{p}/source_topics")
-        interest["source_topics"] = frozenset(sources)
-        interests[interest["id"]] = InterestCategory(**interest)
-
-    audiences: dict[str, AffinityAudience] = {}
-    for p, audience in _each(fields, "audiences", "audience", pointer, "audience"):
-        qualifying = audience["qualifying_interests"]
-        _expect_known(qualifying, interests, "qualifying interest", f"{p}/qualifying_interests")
-        qualifying = audience["qualifying_interests"] = frozenset(qualifying)
-        if audience.get("qualify_rule", 1) > len(qualifying):
-            raise ValidationError(
-                f"field 'qualify_rule' must be at most {len(qualifying)}, the number of "
-                "distinct qualifying interests",
-                f"{p}/qualify_rule",
-            )
-        audiences[audience["id"]] = AffinityAudience(**audience)
-
+    interests = {i.id: i for i in _each(fields, "interests", "interest", _interest, topics)}
+    audiences = {a.id: a for a in _each(fields, "audiences", "audience", _audience, interests)}
     return Taxonomy(topics, interests, audiences)
 
 
-def _load_websites(document: dict, taxonomy: Taxonomy) -> dict[str, Website]:
-    websites: dict[str, Website] = {}
-    page_owner: dict[str, str] = {}
-    for p, fields in _each(document, "websites", "website", "", "website"):
-        wid = fields["id"]
-        pages = {}
-        for pp, page in _each(fields, "pages", "page", p, "page"):
-            pid = page["id"]
-            if pid in page_owner:
-                raise ValidationError(
-                    f"page id {pid!r} already used by website {page_owner[pid]!r}", f"{pp}/id"
-                )
-            try:
-                pages[pid] = analyze_page(pid, page["topics"], taxonomy)
-            except ValidationError as exc:
-                raise ValidationError(str(exc), f"{pp}/topics") from exc
-            page_owner[pid] = wid
-        fields["pages"] = pages
-        websites[wid] = Website(**fields)
-    return websites
+def _interest(fields, topics) -> InterestCategory:
+    _expect_known(fields["source_topics"], topics, "source topic", "source_topics")
+    fields["source_topics"] = frozenset(fields["source_topics"])
+    return InterestCategory(**fields)
 
 
-def _load_ad_group(
-    gp: str, fields: dict, taxonomy: Taxonomy, websites: dict[str, Website]
-) -> AdGroup:
+def _audience(fields, interests) -> AffinityAudience:
+    qualifying = fields["qualifying_interests"]
+    _expect_known(qualifying, interests, "qualifying interest", "qualifying_interests")
+    qualifying = fields["qualifying_interests"] = frozenset(qualifying)
+    if fields.get("qualify_rule", 1) > len(qualifying):
+        raise ValidationError(
+            f"field 'qualify_rule' must be at most {len(qualifying)}, the number of "
+            "distinct qualifying interests",
+            "/qualify_rule",
+        )
+    return AffinityAudience(**fields)
+
+
+def _website(fields, taxonomy: Taxonomy, page_owner: dict[str, str]) -> Website:
+    """``page_owner`` maps each page id seen so far to its website's id."""
+    pages = _each(fields, "pages", "page", _page, taxonomy, page_owner, fields["id"])
+    fields["pages"] = {page.page_id: page for page in pages}
+    return Website(**fields)
+
+
+def _page(fields, taxonomy: Taxonomy, page_owner: dict[str, str], wid: str) -> PageProfile:
+    pid = fields["id"]
+    if pid in page_owner:
+        message = f"page id {pid!r} already used by website {page_owner[pid]!r}"
+        raise ValidationError(message, "/id")
+    page = _within("/topics", analyze_page, pid, fields["topics"], taxonomy)
+    page_owner[pid] = wid
+    return page
+
+
+def _campaign(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> Campaign:
     fields.setdefault("name", fields["id"])
-    ads = []
-    for _, ad in _each(fields, "ads", "ad", gp, "ad"):
-        ad.setdefault("landing_url", "")
-        ads.append(Ad(**ad))
-    fields["ads"] = tuple(ads)
-    targets = fields["target_audiences"]
-    _expect_known(targets, taxonomy.audiences, "audience", f"{gp}/target_audiences")
-    fields["target_audiences"] = frozenset(targets)
+    fields["ad_groups"] = _each(fields, "ad_groups", "ad_group", _ad_group, taxonomy, websites)
+    return Campaign(**fields)
+
+
+def _ad_group(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> AdGroup:
+    fields.setdefault("name", fields["id"])
+    fields["ads"] = _each(fields, "ads", "ad", lambda ad: Ad(**{"landing_url": "", **ad}))
+    _expect_known(fields["target_audiences"], taxonomy.audiences, "audience", "target_audiences")
+    fields["target_audiences"] = frozenset(fields["target_audiences"])
     if "placement" in fields:
-        _expect_known(fields["placement"], websites, "website", f"{gp}/placement")
+        _expect_known(fields["placement"], websites, "website", "placement")
         fields["placement"] = frozenset(fields["placement"])
     demo_node = fields.pop("demographics", None)
     if demo_node is not None:
-        dp = f"{gp}/demographics"
-        demo = _fields(demo_node, "demographics_filter", dp, "demographics filter")
+        demo = _within("/demographics", _fields, demo_node, "demographics_filter")
         fields["demographics"] = tuple((name, tuple(demo[name])) for name in sorted(demo))
     if fields.get("geo") is not None:
         fields["geo"] = frozenset(fields["geo"])
-    fields["bid"] = _record(fields.get("bid"), "bid", Bid, f"{gp}/bid")
+    fields["bid"] = _within("/bid", _plain, fields.get("bid"), "bid", Bid)
     return AdGroup(**fields)
 
 
-def _load_campaigns(
-    document: dict, taxonomy: Taxonomy, websites: dict[str, Website]
-) -> tuple[Campaign, ...]:
-    campaigns: list[Campaign] = []
-    for p, fields in _each(document, "campaigns", "campaign", "", "campaign"):
-        fields.setdefault("name", fields["id"])
-        fields["ad_groups"] = tuple(
-            _load_ad_group(gp, group, taxonomy, websites)
-            for gp, group in _each(fields, "ad_groups", "ad_group", p, "ad group")
-        )
-        campaigns.append(Campaign(**fields))
-    return tuple(campaigns)
+def _user(fields, websites: dict[str, Website], pages: set[str], horizon: float) -> UserAgentSpec:
+    if fields.get("demographics") is not None:
+        demo = _within("/demographics", _fields, fields["demographics"], "demographics")
+        if "languages" in demo:
+            demo["languages"] = tuple(demo["languages"])
+        fields["demographics"] = Demographics(**demo)
+    fields["warmup_plan"] = _each(fields, "warmup_plan", "warmup_visit", _warmup_visit, pages)
+    times: list[float] = []
+    fields["attack_visits"] = _each(
+        fields, "attack_visits", "attack_visit", _attack_visit, websites, horizon, times
+    )
+    return UserAgentSpec(**fields)
 
 
-def _load_users(
-    document: dict, websites: dict[str, Website], horizon: float
-) -> tuple[UserAgentSpec, ...]:
-    pages = {pid for site in websites.values() for pid in site.pages}
-    users: list[UserAgentSpec] = []
-    for p, fields in _each(document, "users", "user", "", "user"):
-        if fields.get("demographics") is not None:
-            dp = f"{p}/demographics"
-            demo = _fields(fields["demographics"], "demographics", dp, "demographics")
-            if "languages" in demo:
-                demo["languages"] = tuple(demo["languages"])
-            fields["demographics"] = Demographics(**demo)
-        warmup: list[WarmupVisit] = []
-        for wp, visit in _each(fields, "warmup_plan", "warmup_visit", p, "warm-up visit"):
-            if visit["page"] not in pages:
-                raise ValidationError(f"unknown page {visit['page']!r}", f"{wp}/page")
-            warmup.append(WarmupVisit(**visit))
-        fields["warmup_plan"] = tuple(warmup)
-        visits: list[AttackVisit] = []
-        for vp, visit in _each(fields, "attack_visits", "attack_visit", p, "attack visit"):
-            site, t = visit["site"], visit["t"]
-            if site not in websites:
-                raise ValidationError(f"unknown website {site!r}", f"{vp}/site")
-            page = visit.get("page")
-            if page is None:
-                page = visit["page"] = next(iter(websites[site].pages))
-            if not 0 <= t < horizon:
-                raise ValidationError("visit time must lie in [0, horizon)", f"{vp}/t")
-            if visits and t <= visits[-1].t:
-                raise ValidationError(
-                    "attack visit times must be strictly increasing per user", f"{vp}/t"
-                )
-            if not (isinstance(page, str) and page in websites[site].pages):
-                raise ValidationError(f"website {site!r} has no page {page!r}", f"{vp}/page")
-            visits.append(AttackVisit(**visit))
-        fields["attack_visits"] = tuple(visits)
-        users.append(UserAgentSpec(**fields))
-    overlap = sorted({u.cookie_id for u in users} & {u.network_id for u in users})
-    if overlap:
-        raise ValidationError(f"cookie ids and network ids must not overlap: {overlap}", "/users")
-    return tuple(users)
+def _warmup_visit(fields, pages: set[str]) -> WarmupVisit:
+    if fields["page"] not in pages:
+        raise ValidationError(f"unknown page {fields['page']!r}", "/page")
+    return WarmupVisit(**fields)
 
 
-def _load_attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> AttackSpec | None:
-    if node is None:
-        return None
-    p = "/attack"
-    fields = _fields(node, "attack", p, "attack")
+def _attack_visit(fields, websites: dict[str, Website], horizon: float, times: list[float]):
+    """``times`` holds the times of the user's earlier visits, and gets this one's."""
+    site, t = fields["site"], fields["t"]
+    if site not in websites:
+        raise ValidationError(f"unknown website {site!r}", "/site")
+    page = fields.get("page")
+    if page is None:
+        page = fields["page"] = next(iter(websites[site].pages))
+    if not 0 <= t < horizon:
+        raise ValidationError("visit time must lie in [0, horizon)", "/t")
+    if times and t <= times[-1]:
+        raise ValidationError("attack visit times must be strictly increasing per user", "/t")
+    if not (isinstance(page, str) and page in websites[site].pages):
+        raise ValidationError(f"website {site!r} has no page {page!r}", "/page")
+    times.append(t)
+    return AttackVisit(**fields)
+
+
+def _attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> AttackSpec:
+    fields = _fields(node, "attack")
     sites = fields["sites"] = tuple(fields["sites"])
-    _expect_known(sites, websites, "website", f"{p}/sites")
+    _expect_known(sites, websites, "website", "sites")
     for i, s in enumerate(sites):
         if websites[s].owner != "attacker":
-            raise ValidationError(f"website {s!r} is not attacker-owned", f"{p}/sites/{i}")
+            raise ValidationError(f"website {s!r} is not attacker-owned", f"/sites/{i}")
         if not websites[s].logging:
-            raise ValidationError(f"website {s!r} does not log visits", f"{p}/sites/{i}")
+            raise ValidationError(f"website {s!r} does not log visits", f"/sites/{i}")
     audiences = fields["audiences"] = tuple(fields["audiences"])
-    _expect_known(audiences, taxonomy.audiences, "audience", f"{p}/audiences")
+    _expect_known(audiences, taxonomy.audiences, "audience", "audiences")
     if "extra_placement_sites" in fields:
         extra = fields["extra_placement_sites"] = tuple(fields["extra_placement_sites"])
-        _expect_known(extra, websites, "website", f"{p}/extra_placement_sites")
+        _expect_known(extra, websites, "website", "extra_placement_sites")
     return AttackSpec(**fields)
 
 
@@ -513,7 +508,7 @@ def load_scenario_document(document: dict) -> Scenario:
         raise ValidationError(
             f"spec_version must be {SPEC_VERSION}, got {version!r}", "/spec_version"
         )
-    fields = _fields(document, "document", "", "scenario")
+    fields = _fields(document, "document")
     window_length = fields.get("window_length_s", 1800)
     # Reports are held and written sparse, so a run costs its events, not
     # its windows, and any finite window count will do; floor() of an
@@ -522,20 +517,28 @@ def load_scenario_document(document: dict) -> Scenario:
         message = "horizon_s / window_length_s must be finite"
         raise ValidationError(message, "/window_length_s")
     taxonomy = load_taxonomy(fields.get("taxonomy", {}), "/taxonomy")
-    websites = _load_websites(fields, taxonomy)
+    websites = {w.id: w for w in _each(fields, "websites", "website", _website, taxonomy, {})}
     configs = {
-        kind: _record(fields[kind], kind, cls, f"/{kind}")
+        kind: _within(f"/{kind}", _plain, fields[kind], kind, cls)
         for kind, cls in (("profile_config", ProfileConfig), ("market_config", MarketConfig))
         if fields.get(kind) is not None
     }
+    campaigns = _each(fields, "campaigns", "campaign", _campaign, taxonomy, websites)
+    pages = {pid for site in websites.values() for pid in site.pages}
+    horizon = fields["horizon_s"]
+    users = _each(fields, "users", "user", _user, websites, pages, horizon)
+    overlap = sorted({u.cookie_id for u in users} & {u.network_id for u in users})
+    if overlap:
+        raise ValidationError(f"cookie ids and network ids must not overlap: {overlap}", "/users")
+    attack = fields.get("attack")
     return Scenario(
         taxonomy=taxonomy,
         websites=websites,
-        campaigns=_load_campaigns(fields, taxonomy, websites),
-        users=_load_users(fields, websites, fields["horizon_s"]),
-        attack=_load_attack(fields.get("attack"), taxonomy, websites),
+        campaigns=campaigns,
+        users=users,
+        attack=None if attack is None else _within("/attack", _attack, attack, taxonomy, websites),
         window_length=window_length,
-        horizon=fields["horizon_s"],
+        horizon=horizon,
         seed=fields.get("seed", 0),
         **configs,
     )
