@@ -54,9 +54,11 @@ class Bid:
 
     def __post_init__(self):
         if self.kind not in BID_KINDS:
-            raise ValidationError(f"bid kind must be one of {BID_KINDS}, got {self.kind!r}")
+            message = f"bid kind must be one of {BID_KINDS}, got {self.kind!r}"
+            raise ValidationError(message, "/kind")
         if not (self.amount > 0 and finite_in_micros(self.amount)):
-            raise ValidationError(f"bid amount must be positive and finite, got {self.amount!r}")
+            message = f"bid amount must be positive and finite, got {self.amount!r}"
+            raise ValidationError(message, "/amount")
 
 
 @dataclass(frozen=True)
@@ -187,12 +189,13 @@ class MarketConfig:
     def __post_init__(self):
         if self.auction_mode not in ("first_price", "second_price"):
             raise ValidationError(
-                f"auction_mode must be 'first_price' or 'second_price', got {self.auction_mode!r}"
+                f"auction_mode must be 'first_price' or 'second_price', got {self.auction_mode!r}",
+                "/auction_mode",
             )
         for name in ("click_through_rate", "acquisition_rate"):
             rate = getattr(self, name)
             if not 0 <= rate <= 1:
-                raise ValidationError(f"{name} must lie in [0, 1], got {rate!r}")
+                raise ValidationError(f"{name} must lie in [0, 1], got {rate!r}", f"/{name}")
 
 
 DEFAULT_MARKET_CONFIG = MarketConfig()

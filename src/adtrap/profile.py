@@ -73,11 +73,12 @@ class ProfileConfig:
     def __post_init__(self):
         if self.score_mode not in ("count", "dwell"):
             raise ValidationError(
-                f"score_mode must be 'count' or 'dwell', got {self.score_mode!r}"
+                f"score_mode must be 'count' or 'dwell', got {self.score_mode!r}", "/score_mode"
             )
         if not self.interest_threshold > 0:
             raise ValidationError(
-                f"interest_threshold must be positive, got {self.interest_threshold!r}"
+                f"interest_threshold must be positive, got {self.interest_threshold!r}",
+                "/interest_threshold",
             )
 
 

@@ -239,13 +239,13 @@ def test_campaign_with_unknown_placement_site():
 def test_bad_bid_kind_points_at_bid():
     doc = base_document()
     doc["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPX", "amount": 1.0}
-    reject(doc, "/campaigns/0/ad_groups/0/bid")
+    reject(doc, "/campaigns/0/ad_groups/0/bid/kind")
 
 
 def test_zero_bid_amount_rejected():
     doc = base_document()
     doc["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPM", "amount": 0}
-    reject(doc, "/campaigns/0/ad_groups/0/bid")
+    reject(doc, "/campaigns/0/ad_groups/0/bid/amount")
     for amount in (math.inf, math.nan, 10**400, 1e303):
         doc["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPC", "amount": amount}
         reject(doc, "/campaigns/0/ad_groups/0/bid/amount")
@@ -703,16 +703,18 @@ def test_profile_and_market_config_sections():
     assert scenario.market_config.auction_mode == "second_price"
     assert scenario.market_config.click_through_rate == 0.1
     doc["profile_config"] = {"score_mode": "nonsense"}
-    reject(doc, "/profile_config")
+    reject(doc, "/profile_config/score_mode")
     doc["profile_config"] = {"interest_threshold": 0}
-    reject(doc, "/profile_config")
+    reject(doc, "/profile_config/interest_threshold")
     doc["profile_config"] = {}
+    doc["market_config"] = {"auction_mode": "third_price"}
+    reject(doc, "/market_config/auction_mode")
     for rate in (math.nan, math.inf, -math.inf):
         doc["market_config"] = {"click_through_rate": rate}
         reject(doc, "/market_config/click_through_rate")
     for key, rate in (("click_through_rate", -0.05), ("acquisition_rate", 1.5)):
         doc["market_config"] = {key: rate}
-        reject(doc, "/market_config")
+        reject(doc, f"/market_config/{key}")
 
 
 def test_read_scenario_file_rejects_bad_json(tmp_path):
