@@ -9,9 +9,8 @@ class ValidationError(AdtrapError):
     """A document or configuration failed validation.
 
     Carries a JSON-pointer-style location so that command-line users can
-    find the offending element in a scenario file.  A check raises with the
-    pointer relative to the object it checks; the scenario loader prefixes
-    each step of its walk as the error passes back out.
+    find the offending element in a scenario file; the scenario loader
+    prefixes a check's relative pointer as the error passes back out.
     """
 
     def __init__(self, message: str, pointer: str = ""):

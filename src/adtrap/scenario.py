@@ -13,16 +13,16 @@ back to its default.  Keys are the field names of the records built from
 them, so an absent optional key keeps its dataclass default.  The
 builders add only the rules that relate objects to each other.
 
-Every check, the records' own included, raises with a pointer relative
-to the object it checks.  ``_each`` and ``_within`` prefix the step that
-led to that object as the error passes back out, so a pointer is built
-only when something fails.
+Every check, the records' own included, raises with a pointer relative to
+the object it checks; ``_each`` and ``_within`` prefix the step that led
+there as the error passes back out, so pointers are built only on failure.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +45,7 @@ from .profile import (
     analyze_page,
 )
 from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
-from .trap import AttackSpec
+from .trap import PROBE_ID_PREFIX, AttackSpec, check_probe_site
 
 SPEC_VERSION = 1
 
@@ -134,12 +134,23 @@ def _flag(value):
     return None if isinstance(value, bool) else "must be a boolean"
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_NOT_UTF8 = "must encode as UTF-8, which a lone surrogate does not"
+
+
+def _utf8(text):
+    """Every artifact is UTF-8, but JSON can spell a lone surrogate, which UTF-8 cannot."""
+    return None if text.isascii() or not _SURROGATE.search(text) else _NOT_UTF8
+
+
 def _text(value):
-    return None if isinstance(value, str) and value else "must be a non-empty string"
+    return _utf8(value) if isinstance(value, str) and value else "must be a non-empty string"
 
 
 def _text_or_null(value):
-    return None if value is None or isinstance(value, str) else "must be a string or null"
+    if value is None:
+        return None
+    return _utf8(value) if isinstance(value, str) else "must be a string or null"
 
 
 def _owner(value):
@@ -160,17 +171,20 @@ def _strings(value):
     for x in value:
         if not isinstance(x, str):
             return "must be a list of strings"
-    return None
+    return _utf8("".join(value))
 
 
 def _filter(value):
-    return None if value and not _strings(value) else "must be a non-empty list of strings"
+    if value and (problem := _strings(value)) in (None, _NOT_UTF8):
+        return problem
+    return "must be a non-empty list of strings"
 
 
 def _filter_or_null(value):
-    if value is None or not _filter(value):
+    if value is None:
         return None
-    return "must be a non-empty list of strings or null"
+    problem = _filter(value)
+    return problem if problem in (None, _NOT_UTF8) else f"{problem} or null"
 
 
 def _distinct(value):
@@ -178,18 +192,19 @@ def _distinct(value):
 
 
 def _campaign_id(value):
-    """Probing campaigns get ``trap_`` ids, so a document cannot use the prefix."""
-    if _text(value) is None and value.startswith("trap_"):
-        return "must not start with 'trap_', which is reserved for generated probing campaigns"
+    """Probing campaigns get ``PROBE_ID_PREFIX`` ids, so a document cannot use the prefix."""
+    if _text(value) is None and value.startswith(PROBE_ID_PREFIX):
+        reserved = "which is reserved for generated probing campaigns"
+        return f"must not start with {PROBE_ID_PREFIX!r}, {reserved}"
     return _text(value)
 
 
 def _website_id(value):
     """A logging site's id names its ``visits_<id>.csv``, so it must be a file name of
-    at most 255 UTF-8 bytes (``NAME_MAX``), counted so that a JSON lone surrogate fits."""
+    at most 255 UTF-8 bytes (``NAME_MAX``)."""
     if _text(value) is None and ("/" in value or "\0" in value):
         return "must not contain '/' or NUL, since it names the site's visit log file"
-    if _text(value) is None and len(f"visits_{value}.csv".encode("utf-8", "surrogatepass")) > 255:
+    if _text(value) is None and len(f"visits_{value}.csv".encode()) > 255:
         return "must fit 'visits_<id>.csv', the site's visit log file, in 255 UTF-8 bytes"
     return _text(value)
 
@@ -276,10 +291,8 @@ _ABSENT = {kind: {k: None for k, (_, req) in row.items() if req} for kind, row i
 # For _each: each kind's unique keys.
 _UNIQUE = {kind: [k for k, (_, f) in row.items() if f == UNIQUE] for kind, row in _SCHEMA.items()}
 # How messages name each kind of object, where that is not the kind itself.
-_LABELS = {
-    "document": "scenario", "ad_group": "ad group", "warmup_visit": "warm-up visit",
-    "attack_visit": "attack visit", "demographics_filter": "demographics filter",
-}
+_LABELS = {"document": "scenario", "ad_group": "ad group", "warmup_visit": "warm-up visit",
+           "attack_visit": "attack visit", "demographics_filter": "demographics filter"}
 
 
 def _fields(node, kind: str) -> dict:
@@ -344,10 +357,12 @@ def _plain(node, kind: str, cls):
     return cls(**_fields(node, kind))
 
 
-def _expect_known(ids, known, what: str, key: str) -> None:
-    for i, x in enumerate(ids):
+def _known(fields: dict, key: str, known, what: str, container=frozenset):
+    """Return the ids listed at ``fields[key]`` in ``container``; each must be in ``known``."""
+    for i, x in enumerate(fields[key]):
         if x not in known:
             raise ValidationError(f"unknown {what} {x!r}", f"/{key}/{i}")
+    return container(fields[key])
 
 
 def load_taxonomy(document: dict, pointer: str = "") -> Taxonomy:
@@ -365,14 +380,12 @@ def _taxonomy(document) -> Taxonomy:
     topics = {t.id: t for t in _each(fields, "topics", "topic", lambda t: Topic(**t))}
     for tid, topic in topics.items():
         if topic.parent is not None and topic.parent not in topics:
-            raise ValidationError(
-                f"topic {tid!r} references unknown parent {topic.parent!r}", "/topics"
-            )
+            message = f"topic {tid!r} references unknown parent {topic.parent!r}"
+            raise ValidationError(message, "/topics")
     # Parent links must form a forest: walk up from every node and make
     # sure we never revisit one.
     for start in topics:
-        seen = {start}
-        node = topics[start].parent
+        seen, node = {start}, topics[start].parent
         while node is not None:
             if node in seen:
                 message = f"topic parent links form a cycle through {node!r}"
@@ -385,21 +398,16 @@ def _taxonomy(document) -> Taxonomy:
 
 
 def _interest(fields, topics) -> InterestCategory:
-    _expect_known(fields["source_topics"], topics, "source topic", "source_topics")
-    fields["source_topics"] = frozenset(fields["source_topics"])
+    fields["source_topics"] = _known(fields, "source_topics", topics, "source topic")
     return InterestCategory(**fields)
 
 
 def _audience(fields, interests) -> AffinityAudience:
-    qualifying = fields["qualifying_interests"]
-    _expect_known(qualifying, interests, "qualifying interest", "qualifying_interests")
-    qualifying = fields["qualifying_interests"] = frozenset(qualifying)
+    qualifying = _known(fields, "qualifying_interests", interests, "qualifying interest")
+    fields["qualifying_interests"] = qualifying
     if fields.get("qualify_rule", 1) > len(qualifying):
-        raise ValidationError(
-            f"field 'qualify_rule' must be at most {len(qualifying)}, the number of "
-            "distinct qualifying interests",
-            "/qualify_rule",
-        )
+        message = f"must be at most {len(qualifying)}, the number of distinct qualifying interests"
+        raise ValidationError(f"field 'qualify_rule' {message}", "/qualify_rule")
     return AffinityAudience(**fields)
 
 
@@ -429,11 +437,9 @@ def _campaign(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> Campa
 def _ad_group(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> AdGroup:
     fields.setdefault("name", fields["id"])
     fields["ads"] = _each(fields, "ads", "ad", lambda ad: Ad(**{"landing_url": "", **ad}))
-    _expect_known(fields["target_audiences"], taxonomy.audiences, "audience", "target_audiences")
-    fields["target_audiences"] = frozenset(fields["target_audiences"])
+    fields["target_audiences"] = _known(fields, "target_audiences", taxonomy.audiences, "audience")
     if "placement" in fields:
-        _expect_known(fields["placement"], websites, "website", "placement")
-        fields["placement"] = frozenset(fields["placement"])
+        fields["placement"] = _known(fields, "placement", websites, "website")
     demo_node = fields.pop("demographics", None)
     if demo_node is not None:
         demo = _within("/demographics", _fields, demo_node, "demographics_filter")
@@ -447,14 +453,11 @@ def _ad_group(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> AdGro
 def _user(fields, websites: dict[str, Website], pages: set[str], horizon: float) -> UserAgentSpec:
     if fields.get("demographics") is not None:
         demo = _within("/demographics", _fields, fields["demographics"], "demographics")
-        if "languages" in demo:
-            demo["languages"] = tuple(demo["languages"])
+        demo["languages"] = tuple(demo.get("languages", ()))
         fields["demographics"] = Demographics(**demo)
     fields["warmup_plan"] = _each(fields, "warmup_plan", "warmup_visit", _warmup_visit, pages)
-    times: list[float] = []
-    fields["attack_visits"] = _each(
-        fields, "attack_visits", "attack_visit", _attack_visit, websites, horizon, times
-    )
+    visits = _each(fields, "attack_visits", "attack_visit", _attack_visit, websites, horizon, [])
+    fields["attack_visits"] = visits
     return UserAgentSpec(**fields)
 
 
@@ -484,18 +487,17 @@ def _attack_visit(fields, websites: dict[str, Website], horizon: float, times: l
 
 def _attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> AttackSpec:
     fields = _fields(node, "attack")
-    sites = fields["sites"] = tuple(fields["sites"])
-    _expect_known(sites, websites, "website", "sites")
-    for i, s in enumerate(sites):
-        if websites[s].owner != "attacker":
-            raise ValidationError(f"website {s!r} is not attacker-owned", f"/sites/{i}")
-        if not websites[s].logging:
-            raise ValidationError(f"website {s!r} does not log visits", f"/sites/{i}")
-    audiences = fields["audiences"] = tuple(fields["audiences"])
-    _expect_known(audiences, taxonomy.audiences, "audience", "audiences")
+    fields["sites"] = _known(fields, "sites", websites, "website", tuple)
+    try:
+        for i, site in enumerate(fields["sites"]):
+            check_probe_site(websites[site])
+    except ValidationError as exc:
+        exc.pointer = f"/sites/{i}"
+        raise
+    fields["audiences"] = _known(fields, "audiences", taxonomy.audiences, "audience", tuple)
     if "extra_placement_sites" in fields:
-        extra = fields["extra_placement_sites"] = tuple(fields["extra_placement_sites"])
-        _expect_known(extra, websites, "website", "extra_placement_sites")
+        extra = _known(fields, "extra_placement_sites", websites, "website", tuple)
+        fields["extra_placement_sites"] = extra
     return AttackSpec(**fields)
 
 
@@ -505,9 +507,8 @@ def load_scenario_document(document: dict) -> Scenario:
         raise ValidationError("scenario must be a JSON object", "")
     version = document.get("spec_version")
     if version != SPEC_VERSION:
-        raise ValidationError(
-            f"spec_version must be {SPEC_VERSION}, got {version!r}", "/spec_version"
-        )
+        message = f"spec_version must be {SPEC_VERSION}, got {version!r}"
+        raise ValidationError(message, "/spec_version")
     fields = _fields(document, "document")
     window_length = fields.get("window_length_s", 1800)
     # Reports are held and written sparse, so a run costs its events, not
@@ -525,8 +526,7 @@ def load_scenario_document(document: dict) -> Scenario:
     }
     campaigns = _each(fields, "campaigns", "campaign", _campaign, taxonomy, websites)
     pages = {pid for site in websites.values() for pid in site.pages}
-    horizon = fields["horizon_s"]
-    users = _each(fields, "users", "user", _user, websites, pages, horizon)
+    users = _each(fields, "users", "user", _user, websites, pages, fields["horizon_s"])
     overlap = sorted({u.cookie_id for u in users} & {u.network_id for u in users})
     if overlap:
         raise ValidationError(f"cookie ids and network ids must not overlap: {overlap}", "/users")
@@ -538,7 +538,7 @@ def load_scenario_document(document: dict) -> Scenario:
         users=users,
         attack=None if attack is None else _within("/attack", _attack, attack, taxonomy, websites),
         window_length=window_length,
-        horizon=horizon,
+        horizon=fields["horizon_s"],
         seed=fields.get("seed", 0),
         **configs,
     )

@@ -131,9 +131,20 @@ class AttributionResult:
         return tally
 
 
+PROBE_ID_PREFIX = "trap_"  # starts every probe campaign, group and ad id, and no other
+
+
 def probe_campaign_id(site_id: str) -> str:
     """Id of the probing campaign :func:`build_trap_campaign` builds for a site."""
-    return f"trap_{site_id}"
+    return f"{PROBE_ID_PREFIX}{site_id}"
+
+
+def check_probe_site(website: Website) -> None:
+    """Raise unless ``website`` may carry probe ads: attacker-owned and logging visits."""
+    if website.owner != "attacker":
+        raise ValidationError(f"website {website.id!r} is not attacker-owned")
+    if not website.logging:
+        raise ValidationError(f"website {website.id!r} does not log visits")
 
 
 def build_trap_campaign(attack: AttackSpec, website: Website) -> Campaign:
@@ -145,31 +156,18 @@ def build_trap_campaign(attack: AttackSpec, website: Website) -> Campaign:
     """
     if website.id not in attack.sites:
         raise ValidationError(f"website {website.id!r} is not one of the attack sites")
-    if website.owner != "attacker":
-        raise ValidationError(f"website {website.id!r} is not attacker-owned")
-    if not website.logging:
-        raise ValidationError(f"website {website.id!r} does not log visits")
+    check_probe_site(website)
+    campaign_id = probe_campaign_id(website.id)
     bid = Bid("CPM", attack.cpm)
     placement = frozenset({website.id, *attack.extra_placement_sites})
     groups = []
     for audience in attack.audiences:
-        ad = Ad(
-            id=f"trap_{website.id}_{audience}",
-            landing_url=f"https://{website.domain}/",
-            creative=f"probe:{audience}",
-        )
-        groups.append(
-            AdGroup(
-                id=f"trap_{website.id}_{audience}",
-                name=f"probe {audience}",
-                ads=(ad,),
-                target_audiences=frozenset({audience}),
-                bid=bid,
-                placement=placement,
-            )
-        )
+        probe_id = f"{campaign_id}_{audience}"
+        ad = Ad(probe_id, landing_url=f"https://{website.domain}/", creative=f"probe:{audience}")
+        targets = frozenset({audience})
+        groups.append(AdGroup(probe_id, f"probe {audience}", (ad,), targets, bid, placement))
     return Campaign(
-        id=probe_campaign_id(website.id),
+        id=campaign_id,
         name=f"probing campaign on {website.id}",
         ad_groups=tuple(groups),
         total_budget=attack.budget,

@@ -1,5 +1,8 @@
 """Seeded random generators shared by property and acceptance tests."""
 
+import copy
+import re
+
 import bruteforce
 
 from adtrap.errors import InconsistentObservationsError
@@ -312,3 +315,58 @@ def random_targeting_scenario_document(rng):
                 visits.append({"site": rng.choice(site_ids), "t": t})
         visits.sort(key=lambda visit: visit["t"])
     return document
+
+
+# Values a mutation may put in place of any node of a scenario document.
+MUTANT_VALUES = (None, 0, -1, "", [], {}, True, float("inf"), 10**400, "x", ["x"], "\ud800")
+# A key no schema row knows, spelt with both characters a JSON pointer escapes.
+MUTANT_KEY = "odd/key~"
+
+
+def mutate_document(doc, rng):
+    """Apply one drawn mutation, in place, to an object or list drawn from ``doc``.
+
+    The container is drawn by a random walk down from the root, so every
+    section gets its share whatever its size.  The mutation sets one of
+    the container's items to one of ``MUTANT_VALUES``, deletes a key, adds
+    ``MUTANT_KEY`` or duplicates a list item; one that does not fit the
+    container sets an item instead.
+    """
+    node = doc
+    while rng.random() < 0.75:
+        items = node.values() if isinstance(node, dict) else node
+        children = [child for child in items if isinstance(child, (dict, list))]
+        if not children:
+            break
+        node = rng.choice(children)
+    kind = rng.choice(("set", "delete", "add", "duplicate"))
+    if kind == "add" and isinstance(node, dict):
+        node[MUTANT_KEY] = 1
+    elif kind == "duplicate" and isinstance(node, list) and node:
+        node.insert(rng.randrange(len(node) + 1), copy.deepcopy(rng.choice(node)))
+    elif node:
+        key = rng.choice(list(node)) if isinstance(node, dict) else rng.randrange(len(node))
+        if kind == "delete" and isinstance(node, dict):
+            del node[key]
+        else:
+            node[key] = copy.deepcopy(rng.choice(MUTANT_VALUES))
+
+
+def resolve_pointer(doc, pointer):
+    """Raise AssertionError unless the JSON pointer leads into ``doc``.
+
+    Its last step may name a key absent from an existing object, as the
+    pointer of a missing required field does.
+    """
+    steps = pointer.split("/")[1:] if pointer else []
+    node = doc
+    for n, step in enumerate(steps):
+        step = step.replace("~1", "/").replace("~0", "~")
+        if isinstance(node, dict):
+            assert step in node or n == len(steps) - 1, (pointer, step)
+            node = node.get(step)
+        else:
+            assert isinstance(node, list), (pointer, step)
+            assert re.fullmatch("0|[1-9][0-9]*", step), (pointer, step)
+            assert int(step) < len(node), (pointer, step)
+            node = node[int(step)]

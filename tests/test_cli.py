@@ -116,15 +116,33 @@ def test_bad_input_is_reported_without_traceback(tmp_path, content, args, messag
 
 
 @pytest.mark.parametrize(
-    "site_id", ["mon/ads", "mon\0ads", "m" * 245], ids=["slash", "nul", "overlong"]
+    "site_id",
+    ["mon/ads", "mon\0ads", "m" * 245, "mon\ud800ads"],
+    ids=["slash", "nul", "overlong", "lone-surrogate"],
 )
 def test_run_rejects_a_site_id_that_cannot_be_a_file_name(tmp_path, capsys, site_id):
     doc = scenarios.path("two_visitor_ambiguity").read_text(encoding="utf-8")
     bad = tmp_path / "bad.json"
     bad.write_text(doc.replace('"monads"', json.dumps(site_id)), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: /websites/2/id:")
     out = tmp_path / "out"
     assert main(["run", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("error: /websites/2/id:")
+    assert not out.exists()
+
+
+def test_run_rejects_a_network_id_that_cannot_be_written(tmp_path, capsys):
+    doc = scenarios.load("two_visitor_ambiguity")
+    doc["users"][0]["network_id"] = "net\ud800x"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    error = "error: /users/0/network_id: field 'network_id' must encode as UTF-8"
+    assert capsys.readouterr().err.startswith(error)
+    out = tmp_path / "out"
+    assert main(["run", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(error)
     assert not out.exists()
 
 

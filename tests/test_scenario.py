@@ -9,6 +9,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adtrap import scenarios
 from adtrap.errors import ValidationError
@@ -28,7 +29,7 @@ from adtrap.simulation import run_scenario, trace_to_json
 from adtrap.trap import AttackSpec
 
 from conftest import SMALL_TAXONOMY_DOC
-from generators import random_scenario_document
+from generators import mutate_document, random_scenario_document, resolve_pointer
 
 
 def base_document():
@@ -730,6 +731,28 @@ def test_load_scenario_from_file(tmp_path):
     path.write_text(json.dumps(base_document()), encoding="utf-8")
     scenario = load_scenario(path)
     assert scenario.seed == 42
+
+
+# Documents the pointer property mutates: each bundled scenario, the
+# document holding every kind of object, and generated documents.
+MUTATION_SOURCES = [*scenarios.names(), "every_object", "generated"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(MUTATION_SOURCES), st.randoms(use_true_random=False))
+def test_an_error_in_a_mutated_document_points_into_it(source, rng):
+    if source == "every_object":
+        doc = document_with_every_object()
+    elif source == "generated":
+        doc = random_scenario_document(random.Random(rng.getrandbits(32)))
+    else:
+        doc = scenarios.load(source)
+    for _ in range(rng.randint(1, 3)):
+        mutate_document(doc, rng)
+    try:
+        load_scenario_document(copy.deepcopy(doc))
+    except ValidationError as error:
+        resolve_pointer(doc, error.pointer)
 
 
 def test_generated_documents_always_validate():
