@@ -492,7 +492,7 @@ def _attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> AttackSpe
         for i, site in enumerate(fields["sites"]):
             check_probe_site(websites[site])
     except ValidationError as exc:
-        exc.pointer = f"/sites/{i}"
+        exc.pointer = f"/sites/{i}{exc.pointer}"
         raise
     fields["audiences"] = _known(fields, "audiences", taxonomy.audiences, "audience", tuple)
     if "extra_placement_sites" in fields:

@@ -131,7 +131,8 @@ class AttributionResult:
         return tally
 
 
-PROBE_ID_PREFIX = "trap_"  # starts every probe campaign, group and ad id, and no other
+# Every probe campaign, group and ad id starts with this; no scenario campaign id may.
+PROBE_ID_PREFIX = "trap_"
 
 
 def probe_campaign_id(site_id: str) -> str:

@@ -358,7 +358,8 @@ def resolve_pointer(doc, pointer):
     Its last step may name a key absent from an existing object, as the
     pointer of a missing required field does.
     """
-    steps = pointer.split("/")[1:] if pointer else []
+    assert pointer == "" or pointer.startswith("/"), pointer
+    steps = pointer.split("/")[1:]
     node = doc
     for n, step in enumerate(steps):
         step = step.replace("~1", "/").replace("~0", "~")
