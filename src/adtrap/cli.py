@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
-from operator import attrgetter
 from pathlib import Path
 
 from .errors import AdtrapError, ValidationError
@@ -29,11 +28,11 @@ from .trap import AttributionResult, render_value, summary_counts, summary_line
 from . import scenarios as bundled
 
 
-@dataclass
 class RunOutput:
-    result: AttributionResult
-    artifacts: list[str]
-    out_dir: Path
+    __slots__ = ("result", "artifacts", "out_dir")
+
+    def __init__(self, result: AttributionResult, artifacts: list[str], out_dir: Path):
+        self.result, self.artifacts, self.out_dir = result, artifacts, out_dir
 
     @property
     def summary(self) -> dict:
@@ -62,17 +61,19 @@ def _resolve_scenario(arg: str) -> Path:
     raise FileNotFoundError(f"no such scenario file or bundled scenario: {arg}")
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+def _csv(header, rows) -> bytes:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()
 
 
-def _write_json(path: Path, document) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(document, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_all(out: Path, artifacts: dict[str, bytes]) -> None:
+    """Make ``out`` and write each artifact into it, under its name."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, data in artifacts.items():
+        (out / name).write_bytes(data)
 
 
 _ATTRIBUTION_COLUMNS = ("network_id", "status", "audience_or_set", "correct")
@@ -117,7 +118,11 @@ def cmd_run(args) -> int:
 
 
 def run_to_directory(scenario_arg: str, seed: int | None, out_dir: str) -> RunOutput:
-    """Load, run, infer and write every artifact; importable for tests."""
+    """Load, run, infer and write every artifact; importable for tests.
+
+    Every artifact is built before anything is written, so only I/O can
+    fail part-way through the output directory.
+    """
     path = _resolve_scenario(scenario_arg)
     document = read_scenario_file(path)
     if seed is not None:
@@ -126,33 +131,17 @@ def run_to_directory(scenario_arg: str, seed: int | None, out_dir: str) -> RunOu
     trace = run_scenario(scenario)
     result = run_attack(scenario, trace)
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    artifacts: list[str] = []
-
-    with open(out / "trace.json", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace_to_json(trace))
-    artifacts.append("trace.json")
-
-    _write_csv(out / "reports.csv", REPORT_COLUMNS, reports_to_rows(trace.reports))
-    artifacts.append("reports.csv")
-
-    visit_columns = [f.name for f in fields(VisitLogEntry)]
-    visit_row = attrgetter(*visit_columns)
+    artifacts = {
+        "trace.json": trace_to_json(trace).encode(),
+        "reports.csv": _csv(REPORT_COLUMNS, reports_to_rows(trace.reports)),
+    }
     for site_id in sorted(trace.logs):
-        name = f"visits_{site_id}.csv"
-        _write_csv(out / name, visit_columns, map(visit_row, trace.logs[site_id]))
-        artifacts.append(name)
-
-    _write_csv(out / "attribution.csv", _ATTRIBUTION_COLUMNS, _attribution_rows(result))
-    artifacts.append("attribution.csv")
-
-    artifacts.append("run_output.json")
-    output = RunOutput(result=result, artifacts=sorted(artifacts), out_dir=out)
-    _write_json(
-        out / "run_output.json",
-        {"seed": scenario.seed, "summary": output.summary, "artifacts": output.artifacts},
-    )
+        artifacts[f"visits_{site_id}.csv"] = _csv(VisitLogEntry._fields, trace.logs[site_id])
+    artifacts["attribution.csv"] = _csv(_ATTRIBUTION_COLUMNS, _attribution_rows(result))
+    output = RunOutput(result, sorted([*artifacts, "run_output.json"]), Path(out_dir))
+    run_output = {"seed": scenario.seed, "summary": output.summary, "artifacts": output.artifacts}
+    artifacts["run_output.json"] = f"{json.dumps(run_output, indent=2, sort_keys=True)}\n".encode()
+    _write_all(output.out_dir, artifacts)
     return output
 
 
@@ -204,9 +193,7 @@ def cmd_sweep(args) -> int:
     rows = sweep(template, grid, seeds)
     fieldnames = [*sorted(grid), *SWEEP_COLUMNS]
     table = [[row[k] for k in fieldnames] for row in rows]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "sweep.csv", fieldnames, table)
+    _write_all(Path(args.out), {"sweep.csv": _csv(fieldnames, table)})
     print("\t".join(fieldnames))
     for values in table:
         print("\t".join("" if v is None else str(v) for v in values))

@@ -1,4 +1,4 @@
-"""Shared exception types."""
+"""Shared exception types, and the hook that lets a record reject itself."""
 
 
 class AdtrapError(Exception):
@@ -44,3 +44,20 @@ class InconsistentObservationsError(AdtrapError):
     Usually means the modelling assumptions were broken, for example an ad
     that also ran on a site whose visitors do not appear in the analysed log.
     """
+
+
+def checked(cls):
+    """Make every record of the NamedTuple ``cls`` run its ``_check()``, which
+    raises to reject it, when built by calling ``cls``, ``_make`` or ``_replace``."""
+
+    def checking(build):
+        def built(klass, *args, **kwargs):
+            record = build(klass, *args, **kwargs)
+            record._check()
+            return record
+
+        return built
+
+    cls.__new__ = staticmethod(checking(cls.__new__))
+    cls._make = classmethod(checking(cls._make.__func__))
+    return cls

@@ -12,9 +12,9 @@ site's own log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import UnknownIdError, ValidationError
+from .errors import UnknownIdError, ValidationError, checked
 from .marketplace import ImpressionRecord, Marketplace
 from .profile import (
     AdUserProfile,
@@ -28,8 +28,7 @@ from .taxonomy import Taxonomy
 OWNERS = ("attacker", "third-party")
 
 
-@dataclass(frozen=True)
-class VisitLogEntry:
+class VisitLogEntry(NamedTuple):
     timestamp: float
     network_id: str
     page_id: str
@@ -37,8 +36,8 @@ class VisitLogEntry:
     tracking_arg: str | None = None
 
 
-@dataclass(frozen=True)
-class Website:
+@checked
+class Website(NamedTuple):
     """A site as its owner set it up; a run keeps its visit log."""
 
     id: str
@@ -47,7 +46,7 @@ class Website:
     owner: str = "third-party"
     logging: bool = False
 
-    def __post_init__(self):
+    def _check(self):
         if self.owner not in OWNERS:
             raise ValidationError(
                 f"website {self.id!r} owner must be one of {OWNERS}, got {self.owner!r}"
@@ -83,11 +82,5 @@ def serve_page(
     impression = marketplace.serve(website.id, page, profile, time, geo=geo)
     if not (website.logging and consent):
         return impression, None
-    return impression, VisitLogEntry(
-        timestamp=time,
-        network_id=network_id,
-        page_id=page_id,
-        referral=referral,
-        tracking_arg=tracking_arg,
-    )
+    return impression, VisitLogEntry(time, network_id, page_id, referral, tracking_arg)
 

@@ -17,11 +17,9 @@ from __future__ import annotations
 import copy
 import math
 import random
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetError, SimulationError, ValidationError
+from .errors import BudgetError, SimulationError, ValidationError, checked
 from .profile import AdUserProfile, PageProfile
 
 MICROS = 10**6
@@ -45,14 +43,14 @@ def finite_in_micros(amount: float) -> bool:
         return False
 
 
-@dataclass(frozen=True)
-class Bid:
+@checked
+class Bid(NamedTuple):
     """Price attached to an ad group: kind is one of CPC, CPM or CPA."""
 
     kind: str
     amount: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in BID_KINDS:
             message = f"bid kind must be one of {BID_KINDS}, got {self.kind!r}"
             raise ValidationError(message, "/kind")
@@ -61,15 +59,14 @@ class Bid:
             raise ValidationError(message, "/amount")
 
 
-@dataclass(frozen=True)
-class Ad:
+class Ad(NamedTuple):
     id: str
     landing_url: str
     creative: str = ""
 
 
-@dataclass(frozen=True)
-class AdGroup:
+@checked
+class AdGroup(NamedTuple):
     """A set of ads sharing targeting and one bid.
 
     Empty ``placement`` means the whole network; a non-empty set restricts
@@ -87,15 +84,15 @@ class AdGroup:
     demographics: tuple[tuple[str, tuple[str, ...]], ...] = ()
     geo: frozenset[str] | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if not self.ads:
             raise ValidationError(f"ad group {self.id!r} must contain at least one ad")
         if not self.target_audiences:
             raise ValidationError(f"ad group {self.id!r} must target at least one audience")
 
 
-@dataclass(frozen=True)
-class Campaign:
+@checked
+class Campaign(NamedTuple):
     """An advertiser's campaign; a run's spend is in ``Marketplace.spent_micros``."""
 
     id: str
@@ -103,17 +100,16 @@ class Campaign:
     ad_groups: tuple[AdGroup, ...]
     total_budget: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (self.total_budget >= 0 and finite_in_micros(self.total_budget)):
             raise ValidationError(f"campaign {self.id!r} budget must be finite and >= 0")
 
-    @cached_property
+    @property
     def total_budget_micros(self) -> int:
         return to_micros(self.total_budget)
 
 
-@dataclass(frozen=True)
-class ImpressionRecord:
+class ImpressionRecord(NamedTuple):
     """Ground-truth record of one served ad.
 
     ``cookie_id`` identifies the profile that saw the ad; it exists only on
@@ -131,8 +127,8 @@ class ImpressionRecord:
     clicked: bool = False
 
 
-@dataclass(frozen=True)
-class CounterReports:
+@checked
+class CounterReports(NamedTuple):
     """Per-audience impression counters of windows ``0 .. num_windows - 1``, held sparse.
 
     ``hits`` maps each window some counted impression hit, in ascending
@@ -149,7 +145,7 @@ class CounterReports:
     audience_ids: tuple[str, ...]
     hits: dict[int, dict[str, int]]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.window_length > 0:
             raise ValidationError(f"window length must be positive, got {self.window_length!r}")
         if list(self.audience_ids) != sorted(set(self.audience_ids)):
@@ -172,8 +168,8 @@ class CounterReports:
             previous = k
 
 
-@dataclass(frozen=True)
-class MarketConfig:
+@checked
+class MarketConfig(NamedTuple):
     """Marketplace-wide serving parameters.
 
     ``click_through_rate`` and ``acquisition_rate``, both in [0, 1], convert
@@ -186,7 +182,7 @@ class MarketConfig:
     click_through_rate: float = 0.05
     acquisition_rate: float = 0.01
 
-    def __post_init__(self):
+    def _check(self):
         if self.auction_mode not in ("first_price", "second_price"):
             raise ValidationError(
                 f"auction_mode must be 'first_price' or 'second_price', got {self.auction_mode!r}",
@@ -256,7 +252,8 @@ class Marketplace:
     there, its placed groups and the network-wide ones, in the same order,
     so equal-value ties come out as in the full table; any other website
     gets the network-wide entries.  A page view scans only its website's
-    entries.  The sorted union of targeted audiences is taken once, too.
+    entries.  Each campaign's budget in micros and the sorted union of
+    targeted audiences are taken once, too.
 
     Those tables never change.  What a run changes is its own:
     ``impressions``, ``spent_micros`` (what each campaign, by id, has
@@ -280,6 +277,7 @@ class Marketplace:
         self.rng = rng if rng is not None else random.Random(0)
         self.impressions: list[ImpressionRecord] = []
         self.spent_micros: dict[str, int] = dict.fromkeys(self.campaigns, 0)
+        self._budget_micros = {cid: c.total_budget_micros for cid, c in self.campaigns.items()}
         self._priced_groups = [
             Candidate(c, g, min(g.ads, key=lambda ad: ad.id), effective_value_micros(g.bid, config))
             for c in self.campaigns.values()
@@ -322,7 +320,7 @@ class Marketplace:
         impression.  It competes with its smallest-id ad.
         """
         candidates: list[Candidate] = []
-        spent = self.spent_micros
+        spent, budget = self.spent_micros, self._budget_micros
         for candidate in self._groups_by_site.get(website_id, self._network_wide):
             campaign, group, _, value = candidate
             if group.target_audiences.isdisjoint(profile.audiences):
@@ -331,7 +329,7 @@ class Marketplace:
                 continue
             if group.geo is not None and (geo is None or geo not in group.geo):
                 continue
-            if campaign.total_budget_micros - spent[campaign.id] < value:
+            if budget[campaign.id] - spent[campaign.id] < value:
                 continue
             candidates.append(candidate)
         return candidates
@@ -370,7 +368,7 @@ class Marketplace:
         candidate = outcome.candidate
         campaign = candidate.campaign
         spent = self.spent_micros[campaign.id] + outcome.price_micros
-        if spent > campaign.total_budget_micros:
+        if spent > self._budget_micros[campaign.id]:
             raise BudgetError(
                 f"campaign {campaign.id!r} cannot pay {outcome.price_micros} micros"
             )

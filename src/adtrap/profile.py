@@ -25,14 +25,14 @@ scoring at least the threshold, and ``audiences`` is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import NotEligibleError, SimulationError, ValidationError
+from .errors import NotEligibleError, SimulationError, ValidationError, checked
 from .taxonomy import Taxonomy
 
 
-@dataclass(frozen=True)
-class PageProfile:
+@checked
+class PageProfile(NamedTuple):
     """Topical classification of a single page.
 
     Admission to the display network requires at least one topic; pages with
@@ -42,22 +42,21 @@ class PageProfile:
     page_id: str
     topics: frozenset[str]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.topics:
             raise NotEligibleError(
                 f"page {self.page_id!r} has no topics: page not eligible for display network"
             )
 
 
-@dataclass(frozen=True)
-class Demographics:
+class Demographics(NamedTuple):
     gender: str | None = None
     age_band: str | None = None
     languages: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ProfileConfig:
+@checked
+class ProfileConfig(NamedTuple):
     """Knobs for profile building.
 
     ``score_mode`` is ``"count"`` (one point per visit per topic, the
@@ -70,7 +69,7 @@ class ProfileConfig:
     score_mode: str = "count"
     interest_threshold: float = 1.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.score_mode not in ("count", "dwell"):
             raise ValidationError(
                 f"score_mode must be 'count' or 'dwell', got {self.score_mode!r}", "/score_mode"
@@ -85,16 +84,24 @@ class ProfileConfig:
 DEFAULT_PROFILE_CONFIG = ProfileConfig()
 
 
-@dataclass
 class AdUserProfile:
     """Mutable per-cookie state owned by the ad network."""
 
-    cookie_id: str
-    demographics: Demographics | None = None
-    topic_scores: dict[str, float] = field(default_factory=dict)
-    interests: set[str] = field(default_factory=set)
-    audiences: set[str] = field(default_factory=set)
-    last_timestamp: float | None = None
+    __slots__ = ("cookie_id", "demographics", "topic_scores", "interests", "audiences",
+                 "last_timestamp")
+
+    def __init__(self, cookie_id: str, demographics: Demographics | None = None,
+                 topic_scores: dict[str, float] | None = None, interests: set[str] | None = None,
+                 audiences: set[str] | None = None, last_timestamp: float | None = None):
+        self.cookie_id, self.demographics = cookie_id, demographics
+        self.topic_scores = {} if topic_scores is None else topic_scores
+        self.interests = set() if interests is None else interests
+        self.audiences = set() if audiences is None else audiences
+        self.last_timestamp = last_timestamp
+
+    def __eq__(self, other):
+        same = type(other) is AdUserProfile
+        return same and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
     def copy(self) -> AdUserProfile:
         """An equal profile that later visits update apart from this one.
@@ -103,14 +110,8 @@ class AdUserProfile:
         are shared, since :func:`record_visit` replaces those sets rather
         than mutating them.
         """
-        return AdUserProfile(
-            self.cookie_id,
-            self.demographics,
-            dict(self.topic_scores),
-            self.interests,
-            self.audiences,
-            self.last_timestamp,
-        )
+        return AdUserProfile(self.cookie_id, self.demographics, dict(self.topic_scores),
+                             self.interests, self.audiences, self.last_timestamp)
 
 
 def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfile:

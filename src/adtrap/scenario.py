@@ -10,7 +10,7 @@ Validation errors carry JSON-pointer locations into the document, e.g.
 of object accepts and the rule its value must meet; any other key is
 rejected at its own pointer, so a misspelt field cannot silently fall
 back to its default.  Keys are the field names of the records built from
-them, so an absent optional key keeps its dataclass default.  The
+them, so an absent optional key keeps its record's default.  The
 builders add only the rules that relate objects to each other.
 
 Every check, the records' own included, raises with a pointer relative to
@@ -23,8 +23,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .gdn import OWNERS, Website
@@ -50,15 +50,13 @@ from .trap import PROBE_ID_PREFIX, AttackSpec, check_probe_site
 SPEC_VERSION = 1
 
 
-@dataclass(frozen=True)
-class WarmupVisit:
+class WarmupVisit(NamedTuple):
     page: str
     repeat: int = 1
     dwell: float = 0.0
 
 
-@dataclass(frozen=True)
-class AttackVisit:
+class AttackVisit(NamedTuple):
     """A scheduled page view; the loader resolves a null ``page`` to its site's first."""
 
     site: str
@@ -68,8 +66,7 @@ class AttackVisit:
     referral: str | None = None
 
 
-@dataclass(frozen=True)
-class UserAgentSpec:
+class UserAgentSpec(NamedTuple):
     id: str
     cookie_id: str
     network_id: str
@@ -80,8 +77,7 @@ class UserAgentSpec:
     attack_visits: tuple[AttackVisit, ...] = ()
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     taxonomy: Taxonomy
     websites: dict[str, Website]
     campaigns: tuple[Campaign, ...]
@@ -299,7 +295,7 @@ def _fields(node, kind: str) -> dict:
     """Check ``node`` against its ``_SCHEMA`` row and return a copy of it.
 
     An absent required key is checked, and copied, as None.  An absent
-    optional key stays absent, so ``Cls(**fields)`` keeps its dataclass
+    optional key stays absent, so ``Cls(**fields)`` keeps its record's
     default.  The builders convert the copy's values in place.
     """
     if not isinstance(node, dict):

@@ -1,33 +1,31 @@
-"""Bundled scenario files, addressable by bare name from the CLI and tests."""
+"""Bundled scenario files, addressable by bare name from the CLI and tests.
+
+They are package data beside this module, read as plain files: on Python
+3.12 ``importlib.resources`` alone would import ``inspect`` and
+``tempfile`` into every invocation.
+"""
 
 from __future__ import annotations
 
 import json
-from importlib.resources import files
 from pathlib import Path
 
-
-def _root():
-    return files(__package__)
+_ROOT = Path(__file__).parent
 
 
 def names() -> list[str]:
     """Bare names of every bundled scenario."""
-    return sorted(
-        entry.name[: -len(".json")]
-        for entry in _root().iterdir()
-        if entry.name.endswith(".json")
-    )
+    return sorted(entry.stem for entry in _ROOT.glob("*.json"))
 
 
 def path(name: str) -> Path:
     """Filesystem path of a bundled scenario."""
-    resource = _root() / f"{name}.json"
+    resource = _ROOT / f"{name}.json"
     if not resource.is_file():
         raise FileNotFoundError(f"no bundled scenario named {name!r}")
-    return Path(str(resource))
+    return resource
 
 
 def load(name: str) -> dict:
     """Parsed (but unvalidated) document of a bundled scenario."""
-    return json.loads((_root() / f"{name}.json").read_text(encoding="utf-8"))
+    return json.loads((_ROOT / f"{name}.json").read_text(encoding="utf-8"))

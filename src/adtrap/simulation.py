@@ -19,7 +19,6 @@ import itertools
 import json
 import logging
 import random
-from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
 from typing import Callable
 
@@ -53,7 +52,6 @@ TRACE_SCHEMA_VERSION = 3
 _SWEEPABLE_TOP_LEVEL = {"window_length_s", "horizon_s"}
 
 
-@dataclass
 class RunTrace:
     """Everything one run produced, ground truth included.
 
@@ -63,10 +61,11 @@ class RunTrace:
     nobody reads, as in a sweep, never builds them.
     """
 
-    impressions: list[ImpressionRecord]
-    publish_reports: Callable[[], CounterReports]
-    logs: dict[str, list[VisitLogEntry]]
-    ground_truth: dict[str, set[str]] = field(default_factory=dict)
+    def __init__(self, impressions: list[ImpressionRecord],
+                 publish_reports: Callable[[], CounterReports], logs: dict[str, list[VisitLogEntry]],
+                 ground_truth: dict[str, set[str]] | None = None):
+        self.impressions, self.publish_reports, self.logs = impressions, publish_reports, logs
+        self.ground_truth = {} if ground_truth is None else ground_truth
 
     @cached_property
     def reports(self) -> CounterReports:
@@ -177,7 +176,7 @@ class SimulationEngine:
         the reseeded scenario.  This engine is left as it was.
         """
         engine = copy.copy(self)
-        engine.scenario = replace(self.scenario, seed=seed)
+        engine.scenario = self.scenario._replace(seed=seed)
         engine.logs = {wid: [] for wid in self.logs}
         engine.marketplace = self.marketplace.fresh_run(random.Random(seed))
         engine.profiles = {cid: profile.copy() for cid, profile in self.profiles.items()}
@@ -279,14 +278,12 @@ def trace_to_json(trace: RunTrace) -> str:
     reports = trace.reports
     document = {
         "schema_version": TRACE_SCHEMA_VERSION,
-        "impressions": [vars(r) for r in trace.impressions],
+        "impressions": [r._asdict() for r in trace.impressions],
         "reports": {
-            "window_length": reports.window_length,
-            "num_windows": reports.num_windows,
-            "audience_ids": reports.audience_ids,
+            **reports._asdict(),
             "hits": [{"window_index": k, "deltas": d} for k, d in reports.hits.items()],
         },
-        "logs": {site_id: [vars(e) for e in entries] for site_id, entries in trace.logs.items()},
+        "logs": {site: [e._asdict() for e in entries] for site, entries in trace.logs.items()},
         "ground_truth": {
             user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
         },

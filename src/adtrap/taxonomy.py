@@ -24,34 +24,32 @@ interest; they are different objects).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
-from .errors import UnknownIdError, ValidationError
+from .errors import UnknownIdError, ValidationError, checked
 
 
-@dataclass(frozen=True)
-class Topic:
+class Topic(NamedTuple):
     id: str
     name: str
     parent: str | None = None
 
 
-@dataclass(frozen=True)
-class InterestCategory:
+class InterestCategory(NamedTuple):
     id: str
     name: str
     source_topics: frozenset[str]
 
 
-@dataclass(frozen=True)
-class AffinityAudience:
+@checked
+class AffinityAudience(NamedTuple):
     id: str
     name: str
     qualifying_interests: frozenset[str]
     qualify_rule: int = 1
 
-    def __post_init__(self):
+    def _check(self):
         # A rule below 1 would qualify an empty profile, which
         # adtrap.profile's incremental audiences assume never happens.
         if not self.qualify_rule >= 1:
@@ -64,35 +62,43 @@ class AffinityAudience:
         return len(self.qualifying_interests & interests) >= self.qualify_rule
 
 
-@dataclass(frozen=True)
-class Taxonomy:
-    """Immutable lookup tables keyed by id.
+class _Tables(NamedTuple):
+    topics: dict[str, Topic]
+    interests: dict[str, InterestCategory]
+    audiences: dict[str, AffinityAudience]
+    interests_by_topic: MappingProxyType[str, frozenset[str]]
+    audiences_by_interest: MappingProxyType[str, tuple[AffinityAudience, ...]]
 
-    Built through :func:`adtrap.scenario.load_taxonomy`; treat the
-    contained dicts as read-only.
+
+class Taxonomy(_Tables):
+    """Immutable lookup tables keyed by id, and two indexes derived from them.
+
+    Built through :func:`adtrap.scenario.load_taxonomy`; treat the three
+    id-keyed dicts as read-only.  Building, copying and ``_replace`` derive
+    the read-only indexes from them: the interest ids each topic feeds,
+    and the audiences each interest counts toward, in taxonomy order.
     """
 
-    topics: dict[str, Topic] = field(default_factory=dict)
-    interests: dict[str, InterestCategory] = field(default_factory=dict)
-    audiences: dict[str, AffinityAudience] = field(default_factory=dict)
+    __slots__ = ()
 
-    @cached_property
-    def interests_by_topic(self) -> dict[str, frozenset[str]]:
-        """Interest ids each topic feeds, built once per taxonomy."""
-        index: dict[str, set[str]] = {}
-        for interest in self.interests.values():
+    def __new__(cls, topics=None, interests=None, audiences=None):
+        topics, interests, audiences = topics or {}, interests or {}, audiences or {}
+        by_topic: dict[str, set[str]] = {}
+        for interest in interests.values():
             for topic in interest.source_topics:
-                index.setdefault(topic, set()).add(interest.id)
-        return {topic: frozenset(ids) for topic, ids in index.items()}
-
-    @cached_property
-    def audiences_by_interest(self) -> dict[str, tuple[AffinityAudience, ...]]:
-        """Audiences each interest counts toward, in taxonomy order, built once."""
-        index: dict[str, list[AffinityAudience]] = {}
-        for audience in self.audiences.values():
+                by_topic.setdefault(topic, set()).add(interest.id)
+        by_interest: dict[str, list[AffinityAudience]] = {}
+        for audience in audiences.values():
             for interest in audience.qualifying_interests:
-                index.setdefault(interest, []).append(audience)
-        return {interest: tuple(audiences) for interest, audiences in index.items()}
+                by_interest.setdefault(interest, []).append(audience)
+        by_topic = MappingProxyType({t: frozenset(ids) for t, ids in by_topic.items()})
+        by_interest = MappingProxyType({i: tuple(a) for i, a in by_interest.items()})
+        return super().__new__(cls, topics, interests, audiences, by_topic, by_interest)
+
+    def __getnewargs__(self):
+        return self[:3]
+
+    _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:3]))
 
     def interest_names(self, interest_ids) -> set[str]:
         return {self.interests[i].name for i in interest_ids}

@@ -44,9 +44,9 @@ site logs.  Profiles, cookies and impression records never enter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .errors import InconsistentObservationsError, UnknownIdError, ValidationError
+from .errors import InconsistentObservationsError, UnknownIdError, ValidationError, checked
 from .gdn import VisitLogEntry, Website
 from .marketplace import Ad, AdGroup, Bid, Campaign, CounterReports, window_index
 
@@ -60,8 +60,8 @@ NO_AUDIENCE = None
 _EXHAUSTIVE_LIMIT = 10**6
 
 
-@dataclass(frozen=True)
-class AttackSpec:
+@checked
+class AttackSpec(NamedTuple):
     """The probing side of a scenario.
 
     ``sites`` lists the attacker sites carrying probe ads (one campaign is
@@ -77,15 +77,15 @@ class AttackSpec:
     budget: float = 1_000_000.0
     extra_placement_sites: tuple[str, ...] = ()
 
-    def __post_init__(self):
+    def _check(self):
         if not self.audiences:
             raise ValidationError("audiences must not be empty")
         if len(set(self.audiences)) != len(self.audiences):
             raise ValidationError("audiences contains duplicates")
 
 
-@dataclass(frozen=True)
-class WindowObservation:
+@checked
+class WindowObservation(NamedTuple):
     """Attacker-side join of one reporting window with the matching log slice;
     an audience absent from ``deltas`` counted 0 in the window."""
 
@@ -93,7 +93,7 @@ class WindowObservation:
     deltas: dict[str, int]
     visits: tuple[VisitLogEntry, ...]
 
-    def __post_init__(self):
+    def _check(self):
         for audience, n in self.deltas.items():
             if n < 0:
                 raise ValidationError(
@@ -102,8 +102,7 @@ class WindowObservation:
                 )
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     """Outcome for one visitor.
 
     ``status`` is ``"exact"``, ``"ambiguous"`` or ``"unknown"``.  For exact,
@@ -117,12 +116,19 @@ class Assignment:
     candidates: frozenset = frozenset()
 
 
-@dataclass
 class AttributionResult:
-    assignments: dict[str, Assignment]
-    accuracy: float | None = None
-    correct: dict[str, bool] = field(default_factory=dict)
-    inconsistent: bool = False
+    """Every visitor's :class:`Assignment`, and once scored, which were correct."""
+
+    __slots__ = "assignments", "accuracy", "correct", "inconsistent"
+
+    def __init__(self, assignments: dict[str, Assignment], accuracy: float | None = None,
+                 correct: dict[str, bool] | None = None, inconsistent: bool = False):
+        self.assignments, self.accuracy, self.inconsistent = assignments, accuracy, inconsistent
+        self.correct = {} if correct is None else correct
+
+    def __eq__(self, other):
+        same = type(other) is AttributionResult
+        return same and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
     def counts(self) -> dict[str, int]:
         tally = {"exact": 0, "ambiguous": 0, "unknown": 0}
@@ -194,11 +200,7 @@ def collect_observations(
         if 0 <= k < num_windows:
             buckets.setdefault(k, []).append(entry)
     return [
-        WindowObservation(
-            window_index=k,
-            deltas=dict(reports.hits.get(k, ())),
-            visits=tuple(buckets.get(k, ())),
-        )
+        WindowObservation(k, dict(reports.hits.get(k, ())), tuple(buckets.get(k, ())))
         for k in sorted(buckets.keys() | reports.hits.keys())
     ]
 
@@ -444,8 +446,7 @@ def score_attribution(
     )
 
 
-@dataclass(frozen=True)
-class GroupStats:
+class GroupStats(NamedTuple):
     """Population split between two probed audiences.
 
     ``fraction`` is count_x / (count_x + count_y), or None when no

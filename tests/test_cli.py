@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from adtrap import scenarios
+from adtrap import cli, scenarios
 from adtrap.cli import main, run_to_directory
 from adtrap.marketplace import window_count
 
@@ -144,6 +144,36 @@ def test_run_rejects_a_network_id_that_cannot_be_written(tmp_path, capsys):
     assert main(["run", str(bad), "--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith(error)
     assert not out.exists()
+
+
+def test_a_failing_artifact_leaves_no_output_directory(tmp_path, monkeypatch):
+    # attribution.csv is built after trace.json, reports.csv and the visit
+    # logs; its failure must come before any of them is written.
+    def fail(result):
+        raise RuntimeError("attribution rows failed")
+
+    monkeypatch.setattr(cli, "_attribution_rows", fail)
+    out = tmp_path / "out"
+    with pytest.raises(RuntimeError, match="attribution rows failed"):
+        run_to_directory("two_visitor_ambiguity", seed=None, out_dir=str(out))
+    assert not out.exists()
+
+
+def test_importing_the_cli_imports_no_code_generation():
+    # dataclasses generates each record's methods as source text and pulls
+    # inspect, ast and dis into every invocation; -S keeps site hooks out.
+    root = Path(__file__).resolve().parent.parent
+    modules = "{'dataclasses', 'inspect', 'ast', 'dis'}"
+    code = f"import sys, adtrap.cli; print(sorted({modules} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_validate_rejects_broken_json(tmp_path, capsys):

@@ -2,7 +2,6 @@
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -182,7 +181,7 @@ def test_an_ad_group_bids_once_per_auction(ad_ids):
     high = make_campaign("high", 60.0)
     group = high.ad_groups[0]
     ads = tuple(Ad(id=ad_id, landing_url="") for ad_id in ad_ids)
-    high = replace(high, ad_groups=(replace(group, ads=ads),))
+    high = high._replace(ad_groups=(group._replace(ads=ads),))
     market = Marketplace(
         [high, make_campaign("low", 10.0)], config=MarketConfig(auction_mode="second_price")
     )

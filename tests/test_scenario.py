@@ -5,7 +5,7 @@ import json
 import math
 import random
 import re
-from dataclasses import fields, is_dataclass
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -322,30 +322,39 @@ def test_attack_visit_page_defaults_to_first_page_of_its_site(spelling):
     assert doc["users"][0]["attack_visits"][0] == {"site": "monads", "t": 100.0, **spelling}
 
 
+def is_record(node):
+    return isinstance(node, tuple) and hasattr(node, "_fields")
+
+
 def records(node):
-    """Every dataclass instance reachable from ``node`` through fields and containers."""
-    if is_dataclass(node):
+    """Every record reachable from ``node`` through fields and containers.
+
+    Anything else reachable must be a plain immutable value.
+    """
+    if is_record(node):
         yield node
-        for f in fields(node):
-            yield from records(getattr(node, f.name))
-    elif isinstance(node, dict):
+        for value in node:
+            yield from records(value)
+    elif isinstance(node, Mapping):
         for key, value in node.items():
             yield from records(key)
             yield from records(value)
     elif isinstance(node, (list, tuple, set, frozenset)):
         for item in node:
             yield from records(item)
+    else:
+        assert node is None or isinstance(node, (str, int, float)), type(node)
 
 
 def mutable_containers(node, owner=None):
     """``Class.field`` of every list, set or dict reachable from ``node``."""
-    if is_dataclass(node):
-        for f in fields(node):
-            yield from mutable_containers(getattr(node, f.name), f"{type(node).__name__}.{f.name}")
+    if is_record(node):
+        for name, value in zip(node._fields, node):
+            yield from mutable_containers(value, f"{type(node).__name__}.{name}")
         return
     if isinstance(node, (list, set, dict)):
         yield owner
-    if isinstance(node, dict):
+    if isinstance(node, Mapping):
         node = [*node.keys(), *node.values()]
     if isinstance(node, (list, tuple, set, frozenset)):
         for item in node:
@@ -359,9 +368,14 @@ def test_every_scenario_record_is_frozen():
     documents.append(base_document())
     documents[-1]["users"][0]["demographics"] = {"gender": "f"}
     loaded = [load_scenario_document(doc) for doc in documents]
-    kinds = {type(r) for scenario in loaded for r in records(scenario)}
+    found = {id(r): r for scenario in loaded for r in records(scenario)}.values()
+    kinds = {type(r) for r in found}
     assert {Scenario, Website, Campaign, UserAgentSpec, AttackSpec, Demographics} <= kinds
-    assert [k.__name__ for k in kinds if not k.__dataclass_params__.frozen] == []
+    # No field can be set, and no attribute added.
+    for record in found:
+        for name in (*record._fields, "added"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
     # Sequences are tuples.  The id-keyed mappings stay dicts, which
     # copy.deepcopy can copy and a MappingProxyType could not.
     assert {where for scenario in loaded for where in mutable_containers(scenario)} == {

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import random
-from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -192,7 +191,7 @@ def assert_reusable(scenario, seeds, order):
     """
     before = copy.deepcopy(scenario)
     first = trace_to_json(run_scenario(scenario))
-    fresh = [trace_to_json(run_scenario(replace(scenario, seed=s))) for s in seeds]
+    fresh = [trace_to_json(run_scenario(scenario._replace(seed=s))) for s in seeds]
     assert trace_to_json(run_scenario(scenario)) == first
     warm = SimulationEngine(scenario)
     warm.run_warmup()
@@ -266,11 +265,11 @@ def test_trace_document_shape():
         "ground_truth",
     }
     assert doc["impressions"] and doc["reports"]["hits"] and doc["logs"]
-    impression_keys = {f.name for f in fields(ImpressionRecord)}
-    entry_keys = {f.name for f in fields(VisitLogEntry)}
+    impression_keys = set(ImpressionRecord._fields)
+    entry_keys = set(VisitLogEntry._fields)
     assert all(set(imp) == impression_keys for imp in doc["impressions"])
     assert all("cookie_id" in imp for imp in doc["impressions"])
-    assert set(doc["reports"]) == {f.name for f in fields(CounterReports)}
+    assert set(doc["reports"]) == set(CounterReports._fields)
     assert all(set(hit) == {"window_index", "deltas"} for hit in doc["reports"]["hits"])
     for site_log in doc["logs"].values():
         for entry in site_log:
@@ -283,14 +282,14 @@ def reference_trace_document(trace):
     reports = trace.reports
     return {
         "schema_version": 3,
-        "impressions": [vars(r) for r in trace.impressions],
+        "impressions": [r._asdict() for r in trace.impressions],
         "reports": {
             "window_length": reports.window_length,
             "num_windows": reports.num_windows,
             "audience_ids": list(reports.audience_ids),
             "hits": [{"window_index": k, "deltas": d} for k, d in reports.hits.items()],
         },
-        "logs": {site_id: [vars(e) for e in entries] for site_id, entries in trace.logs.items()},
+        "logs": {site: [e._asdict() for e in entries] for site, entries in trace.logs.items()},
         "ground_truth": {
             user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
         },

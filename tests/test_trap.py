@@ -304,6 +304,15 @@ def test_visit_count_mismatch_is_inconsistent():
     check_oracle(observations)
 
 
+def test_lone_visitor_cannot_split_her_visits_between_audiences():
+    # Her visit count matches the total, but one profile gives every visit
+    # the same audience, so two audiences of 1 each cannot both be hers.
+    observations = [make_observation(0, {"a_sports": 1, "a_pets": 1}, {"n1": 2})]
+    with pytest.raises(InconsistentObservationsError, match="visitor 'n1' cannot produce"):
+        infer_audiences(observations)
+    check_oracle(observations)
+
+
 def test_deltas_without_visits_are_inconsistent():
     observations = [make_observation(0, {"a_sports": 1}, {})]
     with pytest.raises(InconsistentObservationsError):
