@@ -83,16 +83,16 @@ class Taxonomy(_Tables):
 
     def __new__(cls, topics=None, interests=None, audiences=None):
         topics, interests, audiences = topics or {}, interests or {}, audiences or {}
-        by_topic: dict[str, set[str]] = {}
+        fed: dict[str, set[str]] = {}
         for interest in interests.values():
             for topic in interest.source_topics:
-                by_topic.setdefault(topic, set()).add(interest.id)
-        by_interest: dict[str, list[AffinityAudience]] = {}
+                fed.setdefault(topic, set()).add(interest.id)
+        counted: dict[str, list[AffinityAudience]] = {}
         for audience in audiences.values():
             for interest in audience.qualifying_interests:
-                by_interest.setdefault(interest, []).append(audience)
-        by_topic = MappingProxyType({t: frozenset(ids) for t, ids in by_topic.items()})
-        by_interest = MappingProxyType({i: tuple(a) for i, a in by_interest.items()})
+                counted.setdefault(interest, []).append(audience)
+        by_topic = MappingProxyType({t: frozenset(ids) for t, ids in fed.items()})
+        by_interest = MappingProxyType({i: tuple(a) for i, a in counted.items()})
         return super().__new__(cls, topics, interests, audiences, by_topic, by_interest)
 
     def __getnewargs__(self):
