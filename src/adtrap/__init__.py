@@ -30,6 +30,7 @@ from .profile import (
     PageProfile,
     ProfileConfig,
     analyze_page,
+    fold_warmup,
     record_visit,
 )
 from .marketplace import (

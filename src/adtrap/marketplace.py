@@ -20,7 +20,7 @@ import random
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetError, SimulationError, ValidationError, checked
-from .profile import AdUserProfile, PageProfile
+from .profile import AdUserProfile, Demographics, PageProfile
 
 MICROS = 10**6
 
@@ -223,13 +223,12 @@ def effective_value_micros(bid: Bid, config: MarketConfig = DEFAULT_MARKET_CONFI
     return round(micros * config.acquisition_rate)
 
 
-def _demographics_match(ad_group: AdGroup, profile: AdUserProfile) -> bool:
-    if not ad_group.demographics:
-        return True
-    demo = profile.demographics
+def _demographics_match(filters: tuple[tuple[str, tuple[str, ...]], ...],
+                        demo: Demographics | None) -> bool:
+    """Whether ``demo`` passes every one of an ad group's non-empty ``filters``."""
     if demo is None:
         return False
-    for fieldname, accepted in ad_group.demographics:
+    for fieldname, accepted in filters:
         value = getattr(demo, fieldname, None)
         if value is None:
             return False
@@ -245,15 +244,18 @@ class Marketplace:
     """Holds campaigns and the impression stream for one simulated run.
 
     Campaigns and config are read once, at construction, which prices every
-    ad group into one table of candidates in campaign then group order.  An
-    ad group bids once per auction, with its smallest-id ad: auction ties
-    break on ad id, so no other ad of the group could win.  From the table
-    each website named in some placement gets the entries that can serve
-    there, its placed groups and the network-wide ones, in the same order,
-    so equal-value ties come out as in the full table; any other website
-    gets the network-wide entries.  A page view scans only its website's
-    entries.  Each campaign's budget in micros and the sorted union of
-    targeted audiences are taken once, too.
+    ad group into one row in campaign then group order.  An ad group bids
+    once per auction, with its smallest-id ad: auction ties break on ad id,
+    so no other ad of the group could win.  A row holds what eligibility
+    reads, unpacked once: the group's targeted audiences, its demographic
+    filters (empty when unset), its geo filter, its campaign id, its value
+    and the :class:`Candidate` it enters the auction as.  Each website
+    named in some placement gets the rows that can serve there, its placed
+    groups and the network-wide ones, in the same order, so equal-value
+    ties come out as in campaign order; any other website gets the
+    network-wide rows.  A page view scans only its website's rows.  Each
+    campaign's budget in micros and the sorted union of targeted audiences
+    are taken once, too.
 
     Those tables never change.  What a run changes is its own:
     ``impressions``, ``spent_micros`` (what each campaign, by id, has
@@ -278,24 +280,20 @@ class Marketplace:
         self.impressions: list[ImpressionRecord] = []
         self.spent_micros: dict[str, int] = dict.fromkeys(self.campaigns, 0)
         self._budget_micros = {cid: c.total_budget_micros for cid, c in self.campaigns.items()}
-        self._priced_groups = [
-            Candidate(c, g, min(g.ads, key=lambda ad: ad.id), effective_value_micros(g.bid, config))
-            for c in self.campaigns.values()
-            for g in c.ad_groups
-        ]
-        self._network_wide = [e for e in self._priced_groups if not e.ad_group.placement]
-        placed = {site for entry in self._priced_groups for site in entry.ad_group.placement}
-        self._groups_by_site = {
-            site: [
-                entry
-                for entry in self._priced_groups
-                if not entry.ad_group.placement or site in entry.ad_group.placement
-            ]
+        priced = []  # (placement, row) per ad group
+        for c in self.campaigns.values():
+            for g in c.ad_groups:
+                value = effective_value_micros(g.bid, config)
+                candidate = Candidate(c, g, min(g.ads, key=lambda ad: ad.id), value)
+                row = (g.target_audiences, g.demographics, g.geo, c.id, value, candidate)
+                priced.append((g.placement, row))
+        self._network_wide = [row for placement, row in priced if not placement]
+        placed = {site for placement, _ in priced for site in placement}
+        self._rows_by_site = {
+            site: [row for placement, row in priced if not placement or site in placement]
             for site in placed
         }
-        self._audience_universe = tuple(
-            sorted({a for entry in self._priced_groups for a in entry.ad_group.target_audiences})
-        )
+        self._audience_universe = tuple(sorted({a for _, row in priced for a in row[0]}))
 
     def fresh_run(self, rng: random.Random) -> Marketplace:
         """A marketplace for another run: the same campaigns, config and
@@ -320,16 +318,17 @@ class Marketplace:
         impression.  It competes with its smallest-id ad.
         """
         candidates: list[Candidate] = []
-        spent, budget = self.spent_micros, self._budget_micros
-        for candidate in self._groups_by_site.get(website_id, self._network_wide):
-            campaign, group, _, value = candidate
-            if group.target_audiences.isdisjoint(profile.audiences):
+        spent, budget, audiences = self.spent_micros, self._budget_micros, profile.audiences
+        for targets, demographics, geo_filter, campaign_id, value, candidate in (
+            self._rows_by_site.get(website_id, self._network_wide)
+        ):
+            if targets.isdisjoint(audiences):
                 continue
-            if not _demographics_match(group, profile):
+            if demographics and not _demographics_match(demographics, profile.demographics):
                 continue
-            if group.geo is not None and (geo is None or geo not in group.geo):
+            if geo_filter is not None and (geo is None or geo not in geo_filter):
                 continue
-            if budget[campaign.id] - spent[campaign.id] < value:
+            if budget[campaign_id] - spent[campaign_id] < value:
                 continue
             candidates.append(candidate)
         return candidates

@@ -21,6 +21,12 @@ grow with interests, every audience held still qualifies; and because
 invariant: ``interests`` is the set of interests with a source topic
 scoring at least the threshold, and ``audiences`` is
 :func:`~adtrap.taxonomy.audiences_for_interests` of ``interests``.
+
+Warm-up needs no per-visit step: nothing reads a profile between its
+warm-up visits, so :func:`fold_warmup` adds a whole plan's topic
+increments in plan order, the same float additions a visit-by-visit
+replay makes, and then works out interests and audiences once from the
+final scores.  By the invariant that is exactly where the replay ends.
 """
 
 from __future__ import annotations
@@ -127,6 +133,13 @@ def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfi
     return PageProfile(page_id, topics)
 
 
+def _increment(dwell: float, config: ProfileConfig) -> float:
+    """What one view adds to each of its page's topic scores."""
+    if not dwell >= 0:
+        raise ValidationError(f"dwell must be non-negative, got {dwell!r}")
+    return dwell / 60.0 if config.score_mode == "dwell" else 1.0
+
+
 def record_visit(
     profile: AdUserProfile,
     page: PageProfile,
@@ -143,24 +156,25 @@ def record_visit(
     change.  Timestamps must be non-decreasing per cookie and ``dwell``
     non-negative.
     """
-    if not dwell >= 0:
-        raise ValidationError(f"dwell must be non-negative, got {dwell!r}")
+    increment = _increment(dwell, config)
     if profile.last_timestamp is not None and time < profile.last_timestamp:
         raise SimulationError(
             f"navigation timestamps for {profile.cookie_id!r} went backwards "
             f"({time} after {profile.last_timestamp})"
         )
     profile.last_timestamp = time
-    increment = dwell / 60.0 if config.score_mode == "dwell" else 1.0
-    scores = profile.topic_scores
+    scores, held = profile.topic_scores, profile.interests
+    threshold, by_topic = config.interest_threshold, taxonomy.interests_by_topic
     gained: set[str] = set()
     for topic in page.topics:
-        scores[topic] = scores.get(topic, 0.0) + increment
-        if scores[topic] >= config.interest_threshold:
-            gained.update(taxonomy.interests_by_topic.get(topic, ()))
-    gained -= profile.interests
+        score = scores[topic] = scores.get(topic, 0.0) + increment
+        if score >= threshold:
+            fed = by_topic.get(topic, ())
+            if not held.issuperset(fed):
+                gained.update(fed)
     if gained:
-        interests = profile.interests | gained
+        gained -= held
+        interests = held | gained
         by_interest = taxonomy.audiences_by_interest
         profile.interests = interests
         profile.audiences = profile.audiences | {
@@ -169,4 +183,52 @@ def record_visit(
             for audience in by_interest.get(interest, ())
             if audience.qualifies(interests)
         }
+    return profile
+
+
+def fold_warmup(
+    profile: AdUserProfile,
+    plan,
+    pages: dict[str, PageProfile],
+    time: float,
+    taxonomy: Taxonomy,
+    config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
+) -> AdUserProfile:
+    """Fold a whole browsing plan into an empty profile, in one pass.
+
+    ``plan`` yields ``(page_id, repeat, dwell)`` items, as
+    :class:`adtrap.scenario.WarmupVisit` records unpack: ``repeat`` (at
+    least 1) views in a row of ``pages[page_id]``, each ``dwell`` seconds
+    long.  ``time`` becomes ``last_timestamp`` unless the plan is empty.
+    Mutates ``profile`` in place and returns it.
+
+    The result equals replaying every view through :func:`record_visit`
+    in plan order at times up to ``time``.  Each topic's increments are
+    added in the same order, so the scores are the same floats; interests
+    and audiences are then worked out once, from the final scores, and
+    the module invariant says that is exactly what the replay ends with.
+    """
+    scores = profile.topic_scores
+    for page_id, repeat, dwell in plan:
+        increment = _increment(dwell, config)
+        topics = pages[page_id].topics
+        for _ in range(repeat):
+            for topic in topics:
+                scores[topic] = scores.get(topic, 0.0) + increment
+        profile.last_timestamp = time
+    threshold, by_topic = config.interest_threshold, taxonomy.interests_by_topic
+    interests = {
+        interest
+        for topic, score in scores.items()
+        if score >= threshold
+        for interest in by_topic.get(topic, ())
+    }
+    by_interest = taxonomy.audiences_by_interest
+    profile.interests = interests
+    profile.audiences = {
+        audience.id
+        for interest in interests
+        for audience in by_interest.get(interest, ())
+        if audience.qualifies(interests)
+    }
     return profile

@@ -31,8 +31,9 @@ from .marketplace import (
     build_reports,
     window_count,
 )
-from .profile import AdUserProfile, PageProfile, record_visit
-from .scenario import Scenario, check_seed, load_scenario_document
+from .profile import AdUserProfile, PageProfile, fold_warmup
+from .profile import record_visit  # noqa: F401  unused here; bound so perfbench can wrap it
+from .scenario import AttackVisit, Scenario, UserAgentSpec, check_seed, load_scenario_document
 from .trap import (
     Assignment,
     AttributionResult,
@@ -81,8 +82,8 @@ class SimulationEngine:
     :class:`Scenario` can therefore back any number of runs.
 
     Some of that state is fixed by the scenario alone: the pages map, the
-    probe campaigns, the marketplace's tables and, since warm-up draws no
-    randomness, the warm profiles and ground truth.  :meth:`derive` turns
+    probe campaigns, the marketplace's tables, the attack schedule and,
+    since warm-up draws no randomness, the warm profiles and ground truth.  :meth:`derive` turns
     an engine whose warm-up has run into one run engine per seed, which
     shares all of it and owns its impressions, spend, visit logs, click
     rng and profile scores.
@@ -116,57 +117,70 @@ class SimulationEngine:
         self.ground_truth: dict[str, set[str]] = {}
 
     def run_warmup(self) -> None:
-        """Fill profiles by replaying warm-up plans at negative time."""
+        """Fill profiles by folding each warm-up plan, at negative time."""
         taxonomy = self.scenario.taxonomy
         config = self.scenario.profile_config
         for user in self.scenario.users:
             profile = self.profiles[user.cookie_id]
-            flat = [visit for visit in user.warmup_plan for _ in range(visit.repeat)]
-            for i, visit in enumerate(flat, -len(flat)):
-                page = self.pages[visit.page]
-                record_visit(profile, page, float(i), taxonomy, config, visit.dwell)
+            fold_warmup(profile, user.warmup_plan, self.pages, -1.0, taxonomy, config)
         self.ground_truth = {
             user.id: set(self.profiles[user.cookie_id].audiences)
             for user in self.scenario.users
         }
 
+    @cached_property
+    def attack_schedule(self) -> list[tuple[float, UserAgentSpec, AttackVisit]]:
+        """Every scheduled visit as ``(t, user, visit)``, in serving order.
+
+        Sorted by time, then user id, then the user's own order.  It is
+        built on first use, not at construction, and :meth:`derive` shares
+        it.
+        """
+        events = [
+            (visit.t, user.id, seq, user, visit)
+            for user in self.scenario.users
+            for seq, visit in enumerate(user.attack_visits)
+        ]
+        events.sort(key=lambda e: (e[0], e[1], e[2]))
+        return [(t, user, visit) for t, _, _, user, visit in events]
+
     def run_attack_phase(self) -> None:
         """Replay every scheduled visit through the serving path."""
-        events = []
-        for user in self.scenario.users:
-            for seq, visit in enumerate(user.attack_visits):
-                events.append((visit.t, user.id, seq, user, visit))
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        for t, _, _, user, visit in events:
+        websites, profiles, logs = self.scenario.websites, self.profiles, self.logs
+        marketplace, taxonomy = self.marketplace, self.scenario.taxonomy
+        profile_config = self.scenario.profile_config
+        debug = log.isEnabledFor(logging.DEBUG)
+        for t, user, visit in self.attack_schedule:
             impression, entry = serve_page(
-                self.scenario.websites[visit.site],
+                websites[visit.site],
                 visit.page,
-                self.profiles[user.cookie_id],
+                profiles[user.cookie_id],
                 network_id=user.network_id,
                 consent=user.consent,
                 time=t,
-                marketplace=self.marketplace,
-                taxonomy=self.scenario.taxonomy,
-                profile_config=self.scenario.profile_config,
+                marketplace=marketplace,
+                taxonomy=taxonomy,
+                profile_config=profile_config,
                 referral=visit.referral,
                 tracking_arg=visit.tracking_arg,
                 geo=user.geo,
             )
             if entry is not None:
-                site_log = self.logs[visit.site]
+                site_log = logs[visit.site]
                 if site_log and t < site_log[-1].timestamp:
                     raise SimulationError(
                         f"visit log for {visit.site!r} would go backwards in time"
                     )
                 site_log.append(entry)
-            log.debug(
-                "t=%s user=%s site=%s page=%s impression=%s",
-                t,
-                user.id,
-                visit.site,
-                visit.page,
-                impression.ad_id if impression else None,
-            )
+            if debug:
+                log.debug(
+                    "t=%s user=%s site=%s page=%s impression=%s",
+                    t,
+                    user.id,
+                    visit.site,
+                    visit.page,
+                    impression.ad_id if impression else None,
+                )
 
     def derive(self, seed: int) -> SimulationEngine:
         """A run engine for ``seed`` that starts where this one's warm-up ended.
@@ -176,6 +190,7 @@ class SimulationEngine:
         the reseeded scenario.  This engine is left as it was.
         """
         engine = copy.copy(self)
+        engine.attack_schedule = self.attack_schedule
         engine.scenario = self.scenario._replace(seed=seed)
         engine.logs = {wid: [] for wid in self.logs}
         engine.marketplace = self.marketplace.fresh_run(random.Random(seed))

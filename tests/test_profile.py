@@ -1,7 +1,7 @@
 """Profile building: page admission, scoring, interest derivation."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from adtrap.errors import NotEligibleError, SimulationError, ValidationError
 from adtrap.profile import (
@@ -9,6 +9,7 @@ from adtrap.profile import (
     PageProfile,
     ProfileConfig,
     analyze_page,
+    fold_warmup,
     record_visit,
 )
 from adtrap.taxonomy import (
@@ -201,3 +202,49 @@ def test_incremental_profile_matches_derivation_from_scratch(score_mode, thresho
         assert profile.interests == interests
         assert profile.audiences == audiences_for_interests(tax, interests)
         assert (held_interests, held_audiences) == before
+
+
+def test_fold_rejects_negative_dwell(small_taxonomy):
+    pages = {"pg": analyze_page("pg", ["t_soccer"], small_taxonomy)}
+    for dwell in (-1.0, float("nan")):
+        with pytest.raises(ValidationError):
+            fold_warmup(AdUserProfile(cookie_id="ck"), [("pg", 1, dwell)], pages, -1.0,
+                        small_taxonomy)
+
+
+# A dwell of 7 s, 13 s or 100/3 s gives an increment (dwell / 60) that a
+# binary float cannot hold exactly, so adding the increments in another
+# order, or as one product per repeat, can give other floats.
+@given(
+    score_mode=st.sampled_from(["count", "dwell"]),
+    threshold=st.sampled_from([0.25, 0.35, 0.5, 1.0, 1.5, 2.0, 2.75]),
+    plan=st.lists(
+        st.tuples(
+            page_strategy,
+            st.integers(1, 4),
+            st.sampled_from([0.0, 7.0, 13.0, 15.0, 100.0 / 3, 45.0, 90.0]),
+        ),
+        max_size=12,
+    ),
+)
+@example(score_mode="count", threshold=1.0, plan=[])
+@example(score_mode="dwell", threshold=0.35, plan=[(frozenset({"t_c"}), 3, 7.0)])
+def test_one_pass_warmup_matches_replaying_each_visit(score_mode, threshold, plan):
+    tax = MULTI_TOPIC_TAXONOMY
+    config = ProfileConfig(score_mode=score_mode, interest_threshold=threshold)
+    # A page is named by its topics, so equal topic sets revisit one page.
+    pages = {"+".join(sorted(topics)): PageProfile("+".join(sorted(topics)), topics)
+             for topics, _, _ in plan}
+    steps = [("+".join(sorted(topics)), repeat, dwell) for topics, repeat, dwell in plan]
+    views = [(page_id, dwell) for page_id, repeat, dwell in steps for _ in range(repeat)]
+    replayed = AdUserProfile(cookie_id="ck")
+    for t, (page_id, dwell) in enumerate(views, -len(views)):
+        record_visit(replayed, pages[page_id], float(t), tax, config, dwell)
+    folded = fold_warmup(AdUserProfile(cookie_id="ck"), steps, pages, -1.0, tax, config)
+
+    def state(profile):
+        return (profile.topic_scores, profile.interests, profile.audiences,
+                profile.last_timestamp)
+
+    assert state(folded) == state(replayed)
+    assert folded == replayed

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import logging
 import math
 import random
 from unittest import mock
@@ -20,7 +21,7 @@ from adtrap.marketplace import (
     window_count,
     window_index,
 )
-from adtrap.profile import record_visit
+from adtrap.profile import fold_warmup, record_visit
 from adtrap.scenario import load_scenario, load_scenario_document
 from adtrap.simulation import (
     SWEEP_COLUMNS,
@@ -100,6 +101,29 @@ def test_warmup_builds_profiles_without_serving():
     assert engine.ground_truth["u7"] == {"a_sports_fans"}
     # no clicks sampled yet either: the rng is untouched
     assert engine.marketplace.rng.getstate() == random.Random(scenario.seed).getstate()
+
+
+def test_attack_phase_logs_each_page_view_at_debug_only(caplog):
+    scenario = load_scenario(scenarios.path("two_visitor_ambiguity"))
+    views = sorted((v.t, user.id) for user in scenario.users for v in user.attack_visits)
+    with caplog.at_level(logging.DEBUG, logger="adtrap.simulation"):
+        run_scenario(scenario)
+    logged = [
+        record.args[:2]
+        for record in caplog.records
+        if record.name == "adtrap.simulation" and record.msg.startswith("t=%s user=%s ")
+    ]
+    assert len(views) == 3
+    assert logged == views
+    caplog.clear()
+    # At the CLI's default level nothing is logged, and no message is built.
+    with (
+        caplog.at_level(logging.WARNING, logger="adtrap.simulation"),
+        mock.patch.object(simulation.log, "debug") as debug,
+    ):
+        run_scenario(scenario)
+    assert debug.call_count == 0
+    assert [r for r in caplog.records if r.name == "adtrap.simulation"] == []
 
 
 def test_ground_truth_is_snapshotted_before_the_attack_phase():
@@ -847,14 +871,18 @@ def test_benchmark_sweep_grid_matches_the_per_seed_reference():
 
 def test_sweep_does_the_per_cell_work_once_per_cell():
     # 6 cells of 60 seeds over table2_experiment's 10 users: one probe
-    # campaign and one warm-up of 12 visits per cell, 10 attack-phase
-    # visits per run.
+    # campaign and one warm-up per cell, which folds each user's plan once
+    # (12 views per cell in all), and 10 attack-phase visits per run.
+    # Warm-up folds and attack-phase page views are counted apart, and
+    # record_visit is counted wherever the engine could call it.
+    folds = mock.Mock(wraps=fold_warmup)
     visits = mock.Mock(wraps=record_visit)
     with (
         mock.patch.object(simulation, "build_trap_campaign", wraps=build_trap_campaign) as build,
         mock.patch.object(
             SimulationEngine, "run_warmup", autospec=True, side_effect=SimulationEngine.run_warmup
         ) as warmup,
+        mock.patch.object(simulation, "fold_warmup", folds),
         mock.patch.object(simulation, "record_visit", visits),
         mock.patch.object(gdn, "record_visit", visits),
     ):
@@ -862,7 +890,10 @@ def test_sweep_does_the_per_cell_work_once_per_cell():
     assert len(rows) == 360
     assert build.call_count == 6
     assert warmup.call_count == 6
-    assert visits.call_count == 6 * 12 + 360 * 10
+    assert folds.call_count == 6 * 10
+    folded_views = sum(repeat for call in folds.call_args_list for _, repeat, _ in call.args[1])
+    assert folded_views == 6 * 12
+    assert visits.call_count == 360 * 10
 
 
 def test_sweep_never_builds_the_platform_reports():
