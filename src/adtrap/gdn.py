@@ -1,7 +1,8 @@
 """Publisher side of the network: websites, page serving and visit logs.
 
-A website owner who enables logging records one entry per page view with a
-pseudonymous network id (an IP-like tag), never the ad cookie.  The two id
+A website owner who enables logging records one entry per page view: its
+time, the visitor's pseudonymous network id (an IP-like tag, never the ad
+cookie) and the page, as an ordinary web-server log would.  The two id
 namespaces are kept disjoint on purpose; correlating them is exactly what
 the attack in :mod:`adtrap.trap` is about.
 
@@ -32,8 +33,6 @@ class VisitLogEntry(NamedTuple):
     timestamp: float
     network_id: str
     page_id: str
-    referral: str | None = None
-    tracking_arg: str | None = None
 
 
 @checked
@@ -64,16 +63,15 @@ def serve_page(
     marketplace: Marketplace,
     taxonomy: Taxonomy,
     profile_config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
-    referral: str | None = None,
-    tracking_arg: str | None = None,
     geo: str | None = None,
 ) -> tuple[ImpressionRecord | None, VisitLogEntry | None]:
     """One page view: update the profile, fill the ad slot, maybe log.
 
     The profile is updated before ad selection, so the page being viewed
     already counts toward targeting.  Returns the impression (None when no
-    ad qualified) and the log entry for the caller to keep (None when the
-    site does not log or the visitor withheld consent).
+    ad qualified) and the ``(time, network_id, page_id)`` log entry for the
+    caller to keep (None when the site does not log or the visitor withheld
+    consent).
     """
     if page_id not in website.pages:
         raise UnknownIdError(f"website {website.id!r} has no page {page_id!r}")
@@ -82,5 +80,5 @@ def serve_page(
     impression = marketplace.serve(website.id, page, profile, time, geo=geo)
     if not (website.logging and consent):
         return impression, None
-    return impression, VisitLogEntry(time, network_id, page_id, referral, tracking_arg)
+    return impression, VisitLogEntry(time, network_id, page_id)
 

@@ -62,8 +62,6 @@ class AttackVisit(NamedTuple):
     site: str
     t: float
     page: str
-    tracking_arg: str | None = None
-    referral: str | None = None
 
 
 class UserAgentSpec(NamedTuple):
@@ -265,7 +263,6 @@ _SCHEMA = {
     },
     "attack_visit": {
         "site": (_text, REQUIRED), "t": (_number, REQUIRED), "page": (_any, OPTIONAL),
-        "tracking_arg": (_text_or_null, OPTIONAL), "referral": (_text_or_null, OPTIONAL),
     },
     "attack": {
         "sites": (_distinct, REQUIRED), "audiences": (_distinct, REQUIRED),
@@ -484,12 +481,8 @@ def _attack_visit(fields, websites: dict[str, Website], horizon: float, times: l
 def _attack(node, taxonomy: Taxonomy, websites: dict[str, Website]) -> AttackSpec:
     fields = _fields(node, "attack")
     fields["sites"] = _known(fields, "sites", websites, "website", tuple)
-    try:
-        for i, site in enumerate(fields["sites"]):
-            check_probe_site(websites[site])
-    except ValidationError as exc:
-        exc.pointer = f"/sites/{i}{exc.pointer}"
-        raise
+    for i, site in enumerate(fields["sites"]):
+        _within(f"/sites/{i}", check_probe_site, websites[site])
     fields["audiences"] = _known(fields, "audiences", taxonomy.audiences, "audience", tuple)
     if "extra_placement_sites" in fields:
         extra = _known(fields, "extra_placement_sites", websites, "website", tuple)

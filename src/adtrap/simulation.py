@@ -42,6 +42,7 @@ from .trap import (
     infer_audiences,
     probe_campaign_id,
     score_attribution,
+    summary_counts,
 )
 
 log = logging.getLogger(__name__)
@@ -161,8 +162,6 @@ class SimulationEngine:
                 marketplace=marketplace,
                 taxonomy=taxonomy,
                 profile_config=profile_config,
-                referral=visit.referral,
-                tracking_arg=visit.tracking_arg,
                 geo=user.geo,
             )
             if entry is not None:
@@ -333,7 +332,8 @@ def apply_grid_value(document: dict, key: str, value) -> None:
             node = node[part]
 
 
-# What each sweep row holds after its grid keys, in ``sweep.csv`` order.
+# What each sweep row holds after its grid keys, in ``sweep.csv`` order:
+# the seed, the run's ``summary_counts`` and its impression count.
 SWEEP_COLUMNS = ("seed", "exact", "ambiguous", "unknown", "accuracy", "impressions")
 
 
@@ -387,13 +387,8 @@ def sweep(
             engine = warm.derive(seed)
             trace = engine.run_after_warmup()
             result = run_attack(engine.scenario, trace)
-            counts = result.counts()
-            row = dict(cell)
-            summary = (
-                seed, counts["exact"], counts["ambiguous"], counts["unknown"],
-                result.accuracy, len(trace.impressions),
-            )
-            row.update(zip(SWEEP_COLUMNS, summary))
+            row = {**cell, "seed": seed, **summary_counts(result)}
+            row["impressions"] = len(trace.impressions)
             rows.append(row)
             log.info("sweep cell %s seed %s: accuracy=%s", cell, seed, result.accuracy)
     return rows

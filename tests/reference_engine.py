@@ -150,8 +150,6 @@ def reference_run(scenario) -> RunTrace:
                     timestamp=t,
                     network_id=user.network_id,
                     page_id=visit.page,
-                    referral=visit.referral,
-                    tracking_arg=visit.tracking_arg,
                 )
             )
     universe = {

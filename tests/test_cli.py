@@ -256,18 +256,13 @@ def test_a_run_over_a_billion_windows_costs_its_events(tmp_path):
     assert len(rows) == 10
 
 
-def test_visits_csv_blanks_absent_optional_fields(tmp_path):
-    doc = json.loads(scenarios.path("table2_experiment").read_text(encoding="utf-8"))
-    doc["users"][0]["attack_visits"][0].update(referral="feed", tracking_arg="x2")
-    path = tmp_path / "tagged.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+def test_visits_csv_holds_time_network_id_and_page(tmp_path):
     out = tmp_path / "out"
-    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert main(["run", "table2_experiment", "--out", str(out)]) == 0
     lines = (out / "visits_monads.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "timestamp,network_id,page_id,referral,tracking_arg"
-    tagged = [line for line in lines[1:] if not line.endswith(",,")]
-    assert len(tagged) == 1 and tagged[0].endswith(",feed,x2")
-    assert tagged[0].startswith("300,203.0.113.11,")
+    assert lines[0] == "timestamp,network_id,page_id"
+    assert lines[1] == "300,203.0.113.11,monads_home"
+    assert all(line.count(",") == 2 for line in lines)
     assert len(lines) == 11
 
 

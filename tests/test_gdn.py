@@ -114,10 +114,10 @@ def test_unknown_page_rejected(site, market, small_taxonomy):
 def test_log_entries_carry_the_visit_fields(site, market, small_taxonomy):
     a = AdUserProfile(cookie_id="ck_a")
     b = AdUserProfile(cookie_id="ck_b")
-    _, first = serve(site, market, small_taxonomy, a, t=1.0, nid="203.0.113.1", tracking_arg="x1")
-    _, second = serve(site, market, small_taxonomy, b, t=2.0, nid="203.0.113.2", referral="news")
-    assert first == VisitLogEntry(1.0, "203.0.113.1", "landing", tracking_arg="x1")
-    assert second == VisitLogEntry(2.0, "203.0.113.2", "landing", referral="news")
+    _, first = serve(site, market, small_taxonomy, a, t=1.0, nid="203.0.113.1")
+    _, second = serve(site, market, small_taxonomy, b, t=2.0, nid="203.0.113.2")
+    assert first == VisitLogEntry(1.0, "203.0.113.1", "landing")
+    assert second == VisitLogEntry(2.0, "203.0.113.2", "landing")
 
 
 def test_website_owner_validation():

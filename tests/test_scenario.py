@@ -464,6 +464,8 @@ def document_with_every_object():
         ("/users/0/demographics", "surplus"),
         ("/users/0/warmup_plan/0", "surplus"),
         ("/users/0/attack_visits/0", "surplus"),
+        ("/users/0/attack_visits/0", "tracking_arg"),
+        ("/users/0/attack_visits/0", "referral"),
         ("/attack", "surplus"),
         ("/attack", "one_site_per_victim"),
         ("/attack", "tracking_args"),

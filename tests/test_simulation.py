@@ -177,8 +177,6 @@ def expected_logs(scenario):
                     timestamp=visit.t,
                     network_id=user.network_id,
                     page_id=visit.page,
-                    referral=visit.referral,
-                    tracking_arg=visit.tracking_arg,
                 )
             )
     return logs
@@ -399,8 +397,6 @@ entries = st.builds(
     timestamp=extreme_floats,
     network_id=adversarial_text,
     page_id=adversarial_text,
-    referral=st.none() | adversarial_text,
-    tracking_arg=st.none() | adversarial_text,
 )
 
 

@@ -109,8 +109,8 @@ def test_build_trap_campaign_refuses_wrong_sites():
 # --- joining reports with logs ---------------------------------------------
 
 
-def entry(t, nid="203.0.113.1", arg=None):
-    return VisitLogEntry(timestamp=t, network_id=nid, page_id="landing", tracking_arg=arg)
+def entry(t, nid="203.0.113.1"):
+    return VisitLogEntry(timestamp=t, network_id=nid, page_id="landing")
 
 
 def counters(hits, num_windows, window=100.0, audiences=("a",)):
