@@ -159,7 +159,7 @@ def _parse_grid(args_grid: list[str]) -> dict[str, list]:
         for token in raw.split(","):
             try:
                 values.append(json.loads(token))
-            except json.JSONDecodeError:
+            except (json.JSONDecodeError, RecursionError):  # too deep to decode
                 values.append(token)
         grid[key] = values
     return grid

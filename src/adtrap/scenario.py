@@ -448,10 +448,62 @@ def _user(fields, websites: dict[str, Website], pages: set[str], horizon: float)
         demo = _within("/demographics", _fields, fields["demographics"], "demographics")
         demo["languages"] = tuple(demo.get("languages", ()))
         fields["demographics"] = Demographics(**demo)
-    fields["warmup_plan"] = _each(fields, "warmup_plan", "warmup_visit", _warmup_visit, pages)
-    visits = _each(fields, "attack_visits", "attack_visit", _attack_visit, websites, horizon, [])
+    plan = _warmup_plan(fields.get("warmup_plan", ()), pages)
+    if plan is None:
+        plan = _each(fields, "warmup_plan", "warmup_visit", _warmup_visit, pages)
+    fields["warmup_plan"] = plan
+    visits = _attack_visits(fields.get("attack_visits", ()), websites, horizon)
+    if visits is None:
+        visits = _each(fields, "attack_visits", "attack_visit", _attack_visit, websites, horizon, [])
     fields["attack_visits"] = visits
     return UserAgentSpec(**fields)
+
+
+# Visits are most of a document's objects, so each visit list is first
+# built in one pass by checks that imply every rule of its kind: exact
+# types (no bool, subclass or NaN passes) and membership among ids that
+# were already validated.  At the first visit those checks cannot accept,
+# the loop returns None and the list goes through _each, which applies
+# the rules one by one and is the only code that explains a rejection.
+_WARMUP_KEYS, _ATTACK_KEYS = _RULES["warmup_visit"].keys(), _RULES["attack_visit"].keys()
+_REPEAT, _DWELL = WarmupVisit._field_defaults["repeat"], WarmupVisit._field_defaults["dwell"]
+_REAL = (int, float)
+# A dwell up to this bound is finite in micros; a larger one goes through _each.
+_DWELL_MAX = 1e300
+
+
+def _warmup_plan(nodes: list, pages: set[str]) -> tuple[WarmupVisit, ...] | None:
+    plan = []
+    for node in nodes:
+        if type(node) is not dict or not node.keys() <= _WARMUP_KEYS:
+            return None
+        page, repeat, dwell = node.get("page"), node.get("repeat", _REPEAT), node.get("dwell", _DWELL)
+        if not (type(page) is str and page in pages and type(repeat) is int and repeat >= 1
+                and type(dwell) in _REAL and 0 <= dwell <= _DWELL_MAX):
+            return None
+        plan.append(WarmupVisit(page, repeat, dwell))
+    return tuple(plan)
+
+
+def _attack_visits(nodes: list, websites: dict[str, Website],
+                   horizon: float) -> tuple[AttackVisit, ...] | None:
+    """Times must lie in [0, horizon), which implies finite in micros, and increase."""
+    visits, last = [], -1
+    for node in nodes:
+        if type(node) is not dict or not node.keys() <= _ATTACK_KEYS:
+            return None
+        site, t, page = node.get("site"), node.get("t"), node.get("page")
+        if not (type(site) is str and site in websites and type(t) in _REAL
+                and 0 <= t < horizon and t > last):
+            return None
+        site_pages = websites[site].pages
+        if page is None:
+            page = next(iter(site_pages))
+        elif not (type(page) is str and page in site_pages):
+            return None
+        visits.append(AttackVisit(site, t, page))
+        last = t
+    return tuple(visits)
 
 
 def _warmup_visit(fields, pages: set[str]) -> WarmupVisit:
@@ -542,9 +594,11 @@ def check_seed(seed) -> None:
 
 def read_scenario_file(path) -> dict:
     """Read and parse a scenario file, checking only that it holds an object."""
+    # The decoder recurses once per nesting level: a deep enough document
+    # raises RecursionError.
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"not valid JSON: {exc}", "") from exc
     if not isinstance(document, dict):
         raise ValidationError("scenario must be a JSON object", "")

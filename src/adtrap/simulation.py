@@ -311,7 +311,11 @@ def apply_grid_value(document: dict, key: str, value) -> None:
     ``key`` is a slash-separated path ("window_length_s",
     "campaigns/0/ad_groups/0/bid/amount").  A path that cannot be
     traversed raises, so typos do not silently sweep nothing; the only
-    keys that may be introduced are top-level fields with defaults.
+    keys that may be introduced are top-level fields with defaults.  Each
+    container along the path is replaced by a shallow copy before it is
+    changed, so only ``document`` itself is changed in place: what it
+    shares with another document stays as it was.  No nesting is
+    recursed into, so a document of any depth can be edited.
     """
     parts = key.split("/")
     node = document
@@ -329,7 +333,9 @@ def apply_grid_value(document: dict, key: str, value) -> None:
         if last:
             node[part] = value
         else:
-            node = node[part]
+            child = copy.copy(node[part])
+            node[part] = child
+            node = child
 
 
 # What each sweep row holds after its grid keys, in ``sweep.csv`` order:
@@ -371,9 +377,10 @@ def sweep(
         return []
     keys = sorted(grid)
     rows: list[dict] = []
-    # Every cell writes the same paths, and loading neither changes the
-    # document nor keeps a list or dict of it, so one copy serves every cell.
-    document = copy.deepcopy(template_document)
+    # apply_grid_value copies what it changes below the top level, and
+    # loading neither changes the document nor keeps a list or dict of it,
+    # so one copy of the top level serves every cell.
+    document = dict(template_document)
     for n, combo in enumerate(itertools.product(*(grid[k] for k in keys))):
         cell = dict(zip(keys, combo))
         for k, v in cell.items():

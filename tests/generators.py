@@ -259,7 +259,8 @@ def random_targeting_scenario_document(rng):
     filters, bidding from ``TIED_BIDS`` with ads from ``RIVAL_AD_IDS``, on
     budgets that may run out after an impression or two.  Users get a
     region, demographics and up to three more visits anywhere during the
-    attack phase; the auction mode and the profile scoring vary.
+    attack phase; the auction mode and the profile scoring vary.  The
+    document shares no object with this module, so it may be changed.
     """
     document = random_scenario_document(rng)
     site_ids = [site["id"] for site in document["websites"]]
@@ -314,7 +315,7 @@ def random_targeting_scenario_document(rng):
                 taken.add(t)
                 visits.append({"site": rng.choice(site_ids), "t": t})
         visits.sort(key=lambda visit: visit["t"])
-    return document
+    return copy.deepcopy(document)
 
 
 # Values a mutation may put in place of any node of a scenario document.
@@ -350,6 +351,42 @@ def mutate_document(doc, rng):
             del node[key]
         else:
             node[key] = copy.deepcopy(rng.choice(MUTANT_VALUES))
+
+
+def mutate_visits(doc, rng):
+    """Apply one drawn mutation, in place, inside a user's visit list.
+
+    Half the time it is a :func:`mutate_document` mutation made on a drawn
+    warm-up plan or attack-visit list.  Otherwise one field of a drawn
+    visit gets a value next to a visit rule's edge: a page, site or time
+    from any visit of the document, the previous visit's time, the
+    horizon, ``-0.0``, ``1e301``, a whole float as an int, or one of
+    ``MUTANT_VALUES``.  A document with no visit gets a
+    :func:`mutate_document` mutation instead.
+    """
+    users = doc.get("users")
+    lists = [
+        (key, user[key])
+        for user in (users if isinstance(users, list) else ())
+        if isinstance(user, dict)
+        for key in ("warmup_plan", "attack_visits")
+        if isinstance(user.get(key), list) and user[key]
+    ]
+    if not lists:
+        mutate_document(doc, rng)
+        return
+    key, visits = rng.choice(lists)
+    i = rng.randrange(len(visits))
+    if rng.random() < 0.5 or not isinstance(visits[i], dict):
+        mutate_document(visits, rng)
+        return
+    edges = [*MUTANT_VALUES, doc.get("horizon_s"), -0.0, 1e301]
+    edges += [v for _, nodes in lists for node in nodes if isinstance(node, dict) for v in node.values()]
+    if i and isinstance(visits[i - 1], dict):
+        edges.append(visits[i - 1].get("t"))
+    edges += [int(v) for v in edges if isinstance(v, float) and v.is_integer()]
+    field = rng.choice(("page", "repeat", "dwell") if key == "warmup_plan" else ("site", "t", "page"))
+    visits[i][field] = copy.deepcopy(rng.choice(edges))
 
 
 def resolve_pointer(doc, pointer):

@@ -73,6 +73,12 @@ def test_validate_reports_unhashable_list_item_without_traceback(tmp_path):
 SWEEP_OPTS = ["--seeds", "1", "--out", "{dir}/out"]
 # 18000 / 1e-305 overflows to infinity: no window count exists.
 INFINITE_WINDOWS = json.dumps({**scenarios.load("table2_experiment"), "window_length_s": 1e-305})
+# Deeper than the JSON decoder's recursion allows.
+TOO_DEEP = b"[" * 100000
+# Decodable, but copying it recursively would exhaust the stack.
+DEEP_MARKET_CONFIG = json.dumps(
+    {**scenarios.load("table2_experiment"), "market_config": "X"}
+).replace('"X"', "[" * 600 + "]" * 600)
 
 
 @pytest.mark.parametrize(
@@ -89,9 +95,20 @@ INFINITE_WINDOWS = json.dumps({**scenarios.load("table2_experiment"), "window_le
          "scenario must be a JSON object"),
         (INFINITE_WINDOWS.encode(), ["validate", "{dir}/bad.json"],
          "/window_length_s: horizon_s / window_length_s must be finite"),
+        (TOO_DEEP, ["validate", "{dir}/bad.json"], "not valid JSON: maximum recursion depth"),
+        (TOO_DEEP, ["run", "{dir}/bad.json", "--out", "{dir}/out"],
+         "not valid JSON: maximum recursion depth"),
+        (TOO_DEEP, ["sweep", "{dir}/bad.json", "--grid", "horizon_s=10", *SWEEP_OPTS],
+         "not valid JSON: maximum recursion depth"),
+        (DEEP_MARKET_CONFIG.encode(), ["sweep", "{dir}/bad.json", "--grid", "horizon_s=10",
+                                       *SWEEP_OPTS],
+         "error: /market_config: market_config must be an object"),
+        (None, ["sweep", "table2_experiment", "--grid", f"horizon_s={TOO_DEEP.decode()}",
+                *SWEEP_OPTS], "/horizon_s: field 'horizon_s' must be a number"),
     ],
     ids=["grid-double-minus", "grid-superscript", "not-utf8", "run-seed-list", "sweep-list",
-         "infinite-windows"],
+         "infinite-windows", "validate-too-deep", "run-too-deep", "sweep-too-deep",
+         "sweep-deep-template", "grid-value-too-deep"],
 )
 def test_bad_input_is_reported_without_traceback(tmp_path, content, args, message):
     if content is not None:
@@ -113,6 +130,7 @@ def test_bad_input_is_reported_without_traceback(tmp_path, content, args, messag
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

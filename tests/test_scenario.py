@@ -5,13 +5,15 @@ import json
 import math
 import random
 import re
+from collections import OrderedDict
 from collections.abc import Mapping
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adtrap import scenarios
+from adtrap import scenario as loader, scenarios
 from adtrap.errors import ValidationError
 from adtrap.gdn import Website
 from adtrap.marketplace import Campaign, reports_to_rows
@@ -29,7 +31,13 @@ from adtrap.simulation import run_scenario, trace_to_json
 from adtrap.trap import AttackSpec
 
 from conftest import SMALL_TAXONOMY_DOC
-from generators import mutate_document, random_scenario_document, resolve_pointer
+from generators import (
+    mutate_document,
+    mutate_visits,
+    random_scenario_document,
+    random_targeting_scenario_document,
+    resolve_pointer,
+)
 
 
 def base_document():
@@ -749,20 +757,25 @@ def test_load_scenario_from_file(tmp_path):
     assert scenario.seed == 42
 
 
-# Documents the pointer property mutates: each bundled scenario, the
-# document holding every kind of object, and generated documents.
-MUTATION_SOURCES = [*scenarios.names(), "every_object", "generated"]
+# Documents the mutation properties start from: each bundled scenario,
+# the document holding every kind of object, and generated documents.
+MUTATION_SOURCES = [*scenarios.names(), "every_object", "generated", "targeting"]
+
+
+def mutation_source(source, rng):
+    if source == "every_object":
+        return document_with_every_object()
+    if source == "generated":
+        return random_scenario_document(random.Random(rng.getrandbits(32)))
+    if source == "targeting":
+        return random_targeting_scenario_document(random.Random(rng.getrandbits(32)))
+    return scenarios.load(source)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.sampled_from(MUTATION_SOURCES), st.randoms(use_true_random=False))
 def test_an_error_in_a_mutated_document_points_into_it(source, rng):
-    if source == "every_object":
-        doc = document_with_every_object()
-    elif source == "generated":
-        doc = random_scenario_document(random.Random(rng.getrandbits(32)))
-    else:
-        doc = scenarios.load(source)
+    doc = mutation_source(source, rng)
     for _ in range(rng.randint(1, 3)):
         mutate_document(doc, rng)
     try:
@@ -777,3 +790,97 @@ def test_generated_documents_always_validate():
         doc = random_scenario_document(rng)
         scenario = load_scenario_document(doc)
         assert scenario.horizon > 0
+
+
+# --- visit lists, loaded in one pass --------------------------------------
+
+
+def typed(node):
+    """``node`` with each value beside its type's name, so that 1 and 1.0,
+    0.0 and -0.0, or two records with equal fields, compare unequal."""
+    if isinstance(node, (tuple, list)):
+        return type(node).__name__, tuple(map(typed, node))
+    if isinstance(node, Mapping):
+        return type(node).__name__, tuple((typed(k), typed(v)) for k, v in node.items())
+    if isinstance(node, (set, frozenset)):
+        return type(node).__name__, sorted(map(repr, map(typed, node)))
+    return type(node).__name__, repr(node)
+
+
+def load_outcome(document):
+    """The typed scenario ``document`` loads to, or its error's type, message and pointer."""
+    try:
+        return typed(load_scenario_document(document))
+    except ValidationError as error:
+        return type(error), error.message, error.pointer
+
+
+def rule_by_rule_outcome(document):
+    """:func:`load_outcome`, with every visit list handed to ``_each``."""
+    with (
+        mock.patch.object(loader, "_warmup_plan", return_value=None),
+        mock.patch.object(loader, "_attack_visits", return_value=None),
+    ):
+        return load_outcome(document)
+
+
+def test_valid_visit_lists_load_in_one_pass():
+    never = AssertionError("a visit list went through _each")
+    documents = [scenarios.load(name) for name in scenarios.names()]
+    rng = random.Random(24)
+    documents += [random_scenario_document(rng) for _ in range(20)]
+    documents += [random_targeting_scenario_document(rng) for _ in range(20)]
+    with (
+        mock.patch.object(loader, "_warmup_visit", side_effect=never),
+        mock.patch.object(loader, "_attack_visit", side_effect=never),
+    ):
+        for document in documents:
+            load_scenario_document(document)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(MUTATION_SOURCES), st.randoms(use_true_random=False))
+def test_visit_lists_load_as_they_do_rule_by_rule(source, rng):
+    doc = mutation_source(source, rng)
+    for _ in range(rng.randint(0, 3)):
+        rng.choice((mutate_visits, mutate_visits, mutate_document))(doc, rng)
+    assert load_outcome(doc) == rule_by_rule_outcome(doc)
+
+
+class Count(int):
+    """An int subclass, as a Python caller may pass; JSON never makes one."""
+
+
+# On base_document(), whose horizon is 3600 s, each case replaces user 0's
+# warm-up plan or attack visits.
+VISIT_EDGES = {
+    "repeat-true": ("warmup_plan", [{"page": "fixtures", "repeat": True}]),
+    "repeat-int-subclass": ("warmup_plan", [{"page": "fixtures", "repeat": Count(2)}]),
+    "dwell-int": ("warmup_plan", [{"page": "fixtures", "dwell": 7}]),
+    "dwell-1e301": ("warmup_plan", [{"page": "fixtures", "dwell": 1e301}]),
+    "dwell-10**400": ("warmup_plan", [{"page": "fixtures", "dwell": 10**400}]),
+    "warmup-page-null": ("warmup_plan", [{"page": None}]),
+    "warmup-unknown-key": ("warmup_plan", [{"page": "fixtures", "odd": 1}]),
+    "warmup-dict-subclass": ("warmup_plan", [OrderedDict(page="fixtures")]),
+    "t-int": ("attack_visits", [{"site": "monads", "t": 300}, {"site": "kickoff", "t": 300.5}]),
+    "t-int-subclass": ("attack_visits", [{"site": "monads", "t": Count(300)}]),
+    "t-at-horizon": ("attack_visits", [{"site": "monads", "t": 3600}]),
+    "t-just-below-horizon": ("attack_visits", [{"site": "monads", "t": math.nextafter(3600, 0)}]),
+    "t-repeated": ("attack_visits", [{"site": "monads", "t": 5.0}, {"site": "kickoff", "t": 5}]),
+    "t-decreasing": ("attack_visits", [{"site": "monads", "t": 5.0}, {"site": "monads", "t": 4}]),
+    "t-negative-zero": ("attack_visits", [{"site": "monads", "t": -0.0}]),
+    "t-nan": ("attack_visits", [{"site": "monads", "t": math.nan}]),
+    "attack-page-null": ("attack_visits", [{"site": "monads", "t": 1.0, "page": None}]),
+    "another-sites-page": ("attack_visits", [{"site": "monads", "t": 1.0, "page": "fixtures"}]),
+    "page-list": ("attack_visits", [{"site": "monads", "t": 1.0, "page": []}]),
+    "site-object": ("attack_visits", [{"site": {}, "t": 1.0}]),
+    "attack-unknown-key": ("attack_visits", [{"site": "monads", "t": 1.0, "odd": 1}]),
+    "later-visit-bad": ("attack_visits", [{"site": "monads", "t": 1.0}, {"site": "x", "t": 2.0}]),
+}
+
+
+@pytest.mark.parametrize("key, visits", VISIT_EDGES.values(), ids=VISIT_EDGES)
+def test_visit_edges_load_as_they_do_rule_by_rule(key, visits):
+    doc = base_document()
+    doc["users"][0][key] = visits
+    assert load_outcome(doc) == rule_by_rule_outcome(doc)

@@ -697,6 +697,30 @@ def test_runs_match_the_dense_reports_and_join(seed, window, windows, data):
     assert run_attack(scenario, trace) == expected
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    generate=st.sampled_from([random_scenario_document, random_targeting_scenario_document]),
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 1000),
+)
+def test_shifting_the_attack_by_whole_windows_keeps_the_attribution(generate, seed, k):
+    # Generated window lengths and times are whole numbers, so every
+    # shifted time is exact.  The attack only ever sees windows relative
+    # to each other; a join that dropped window 0 would fail here.
+    document = generate(random.Random(seed))
+    shifted = copy.deepcopy(document)
+    shift = k * document["window_length_s"]
+    shifted["horizon_s"] += shift
+    for user in shifted["users"]:
+        for visit in user["attack_visits"]:
+            visit["t"] += shift
+    results = []
+    for doc in (document, shifted):
+        scenario = load_scenario_document(doc)
+        results.append(run_attack(scenario, run_scenario(scenario)))
+    assert results[0] == results[1]
+
+
 # --- parameter sweeps -------------------------------------------------------
 
 
@@ -717,10 +741,14 @@ def test_apply_grid_value_traverses_paths():
             }
         ]
     )
+    campaigns, attack = doc["campaigns"], doc["attack"]
     apply_grid_value(doc, "campaigns/0/ad_groups/0/bid/amount", 77.0)
     assert doc["campaigns"][0]["ad_groups"][0]["bid"]["amount"] == 77.0
     apply_grid_value(doc, "attack/cpm", 60.0)
     assert doc["attack"]["cpm"] == 60.0
+    # Only the top level changes in place: each container on a path is copied first.
+    assert campaigns[0]["ad_groups"][0]["bid"]["amount"] == 10.0
+    assert attack["cpm"] == 50.0
 
 
 def test_apply_grid_value_may_introduce_defaulted_top_level_keys():
