@@ -22,6 +22,13 @@ class ValidationError(AdtrapError):
         return f"{self.pointer}: {self.message}" if self.pointer else self.message
 
 
+def quoted(value) -> str:
+    """``repr(value)``, cut to 100 characters ending in ``...`` when longer, so
+    that a message quoting a huge document value stays short."""
+    text = repr(value)
+    return text if len(text) <= 100 else text[:97] + "..."
+
+
 class UnknownIdError(AdtrapError):
     """A cross-reference named an id that does not exist."""
 

@@ -19,7 +19,7 @@ import math
 import random
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetError, SimulationError, ValidationError, checked
+from .errors import BudgetError, SimulationError, ValidationError, checked, quoted
 from .profile import AdUserProfile, Demographics, PageProfile
 
 MICROS = 10**6
@@ -52,7 +52,7 @@ class Bid(NamedTuple):
 
     def _check(self):
         if self.kind not in BID_KINDS:
-            message = f"bid kind must be one of {BID_KINDS}, got {self.kind!r}"
+            message = f"bid kind must be one of {BID_KINDS}, got {quoted(self.kind)}"
             raise ValidationError(message, "/kind")
         if not (self.amount > 0 and finite_in_micros(self.amount)):
             message = f"bid amount must be positive and finite, got {self.amount!r}"
@@ -184,9 +184,9 @@ class MarketConfig(NamedTuple):
 
     def _check(self):
         if self.auction_mode not in ("first_price", "second_price"):
+            mode = quoted(self.auction_mode)
             raise ValidationError(
-                f"auction_mode must be 'first_price' or 'second_price', got {self.auction_mode!r}",
-                "/auction_mode",
+                f"auction_mode must be 'first_price' or 'second_price', got {mode}", "/auction_mode"
             )
         for name in ("click_through_rate", "acquisition_rate"):
             rate = getattr(self, name)

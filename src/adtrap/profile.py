@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotEligibleError, SimulationError, ValidationError, checked
+from .errors import NotEligibleError, SimulationError, ValidationError, checked, quoted
 from .taxonomy import Taxonomy
 
 
@@ -78,7 +78,8 @@ class ProfileConfig(NamedTuple):
     def _check(self):
         if self.score_mode not in ("count", "dwell"):
             raise ValidationError(
-                f"score_mode must be 'count' or 'dwell', got {self.score_mode!r}", "/score_mode"
+                f"score_mode must be 'count' or 'dwell', got {quoted(self.score_mode)}",
+                "/score_mode",
             )
         if not self.interest_threshold > 0:
             raise ValidationError(
@@ -129,7 +130,7 @@ def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfi
     topics = frozenset(declared_topics)
     for t in topics:
         if t not in taxonomy.topics:
-            raise ValidationError(f"page {page_id!r} declares unknown topic {t!r}")
+            raise ValidationError(f"page {quoted(page_id)} declares unknown topic {quoted(t)}")
     return PageProfile(page_id, topics)
 
 

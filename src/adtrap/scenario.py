@@ -26,7 +26,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import ValidationError, quoted
 from .gdn import OWNERS, Website
 from .marketplace import (
     Ad,
@@ -301,7 +301,7 @@ def _fields(node, kind: str) -> dict:
     if not node.keys() <= rules.keys():
         key = next(k for k in node if k not in rules)
         escaped = key.replace("~", "~0").replace("/", "~1")
-        raise ValidationError(f"unknown field {key!r}", f"/{escaped}")
+        raise ValidationError(f"unknown field {quoted(key)}", f"/{escaped}")
     fields = {**_ABSENT[kind], **node}
     for key, value in fields.items():
         problem = rules[key](value)
@@ -336,7 +336,7 @@ def _each(parent: dict, key: str, kind: str, build, *context) -> tuple:
                 value = fields[k]
                 if value in values:
                     what = f"{_LABELS.get(kind, kind)} {k.replace('_', ' ')}"
-                    raise ValidationError(f"duplicate {what} {value!r}", f"/{k}")
+                    raise ValidationError(f"duplicate {what} {quoted(value)}", f"/{k}")
                 values.add(value)
             built.append(build(fields, *context))
     except ValidationError as exc:
@@ -354,7 +354,7 @@ def _known(fields: dict, key: str, known, what: str, container=frozenset):
     """Return the ids listed at ``fields[key]`` in ``container``; each must be in ``known``."""
     for i, x in enumerate(fields[key]):
         if x not in known:
-            raise ValidationError(f"unknown {what} {x!r}", f"/{key}/{i}")
+            raise ValidationError(f"unknown {what} {quoted(x)}", f"/{key}/{i}")
     return container(fields[key])
 
 
@@ -373,7 +373,7 @@ def _taxonomy(document) -> Taxonomy:
     topics = {t.id: t for t in _each(fields, "topics", "topic", lambda t: Topic(**t))}
     for tid, topic in topics.items():
         if topic.parent is not None and topic.parent not in topics:
-            message = f"topic {tid!r} references unknown parent {topic.parent!r}"
+            message = f"topic {quoted(tid)} references unknown parent {quoted(topic.parent)}"
             raise ValidationError(message, "/topics")
     # Parent links must form a forest: walk up from every node and make
     # sure we never revisit one.
@@ -381,7 +381,7 @@ def _taxonomy(document) -> Taxonomy:
         seen, node = {start}, topics[start].parent
         while node is not None:
             if node in seen:
-                message = f"topic parent links form a cycle through {node!r}"
+                message = f"topic parent links form a cycle through {quoted(node)}"
                 raise ValidationError(message, "/topics")
             seen.add(node)
             node = topics[node].parent
@@ -414,7 +414,7 @@ def _website(fields, taxonomy: Taxonomy, page_owner: dict[str, str]) -> Website:
 def _page(fields, taxonomy: Taxonomy, page_owner: dict[str, str], wid: str) -> PageProfile:
     pid = fields["id"]
     if pid in page_owner:
-        message = f"page id {pid!r} already used by website {page_owner[pid]!r}"
+        message = f"page id {quoted(pid)} already used by website {quoted(page_owner[pid])}"
         raise ValidationError(message, "/id")
     page = _within("/topics", analyze_page, pid, fields["topics"], taxonomy)
     page_owner[pid] = wid
@@ -508,7 +508,7 @@ def _attack_visits(nodes: list, websites: dict[str, Website],
 
 def _warmup_visit(fields, pages: set[str]) -> WarmupVisit:
     if fields["page"] not in pages:
-        raise ValidationError(f"unknown page {fields['page']!r}", "/page")
+        raise ValidationError(f"unknown page {quoted(fields['page'])}", "/page")
     return WarmupVisit(**fields)
 
 
@@ -516,7 +516,7 @@ def _attack_visit(fields, websites: dict[str, Website], horizon: float, times: l
     """``times`` holds the times of the user's earlier visits, and gets this one's."""
     site, t = fields["site"], fields["t"]
     if site not in websites:
-        raise ValidationError(f"unknown website {site!r}", "/site")
+        raise ValidationError(f"unknown website {quoted(site)}", "/site")
     page = fields.get("page")
     if page is None:
         page = fields["page"] = next(iter(websites[site].pages))
@@ -525,7 +525,7 @@ def _attack_visit(fields, websites: dict[str, Website], horizon: float, times: l
     if times and t <= times[-1]:
         raise ValidationError("attack visit times must be strictly increasing per user", "/t")
     if not (isinstance(page, str) and page in websites[site].pages):
-        raise ValidationError(f"website {site!r} has no page {page!r}", "/page")
+        raise ValidationError(f"website {quoted(site)} has no page {quoted(page)}", "/page")
     times.append(t)
     return AttackVisit(**fields)
 
@@ -548,7 +548,7 @@ def load_scenario_document(document: dict) -> Scenario:
         raise ValidationError("scenario must be a JSON object", "")
     version = document.get("spec_version")
     if version != SPEC_VERSION:
-        message = f"spec_version must be {SPEC_VERSION}, got {version!r}"
+        message = f"spec_version must be {SPEC_VERSION}, got {quoted(version)}"
         raise ValidationError(message, "/spec_version")
     fields = _fields(document, "document")
     window_length = fields.get("window_length_s", 1800)

@@ -47,7 +47,7 @@ from .trap import (
 
 log = logging.getLogger(__name__)
 
-TRACE_SCHEMA_VERSION = 3
+TRACE_SCHEMA_VERSION = 4
 
 # Top-level scenario fields a sweep may introduce even when the template
 # relies on their defaults.
@@ -280,27 +280,19 @@ def run_attack(scenario: Scenario, trace: RunTrace) -> AttributionResult:
 def trace_to_json(trace: RunTrace) -> str:
     """Plain-JSON form of a trace, stable across runs of the same seed.
 
-    The text is ``json.dumps(document, sort_keys=True) + "\\n"``, one line,
-    of the document with keys ``schema_version``, ``impressions``,
-    ``reports``, ``logs`` (site id to entries) and ``ground_truth`` (user
-    id to sorted audiences).  Every impression and log entry is written as
-    exactly its record's fields.  ``reports`` holds the sparse record's
-    fields: ``window_length``, ``num_windows``, ``audience_ids`` and
-    ``hits``, a list of ``{window_index, deltas}``, non-zero deltas only, in
+    The text is ``json.dumps(document, sort_keys=True) + "\\n"``, one line.
+    Each record kind's field names are written once, and its records as the
+    tuples they are; ``reports.hits`` as ``[window_index, deltas]`` pairs in
     window order (a list: sorted string keys would put window "10" before "9").
     """
-    reports = trace.reports
     document = {
         "schema_version": TRACE_SCHEMA_VERSION,
-        "impressions": [r._asdict() for r in trace.impressions],
-        "reports": {
-            **reports._asdict(),
-            "hits": [{"window_index": k, "deltas": d} for k, d in reports.hits.items()],
-        },
-        "logs": {site: [e._asdict() for e in entries] for site, entries in trace.logs.items()},
-        "ground_truth": {
-            user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
-        },
+        "impression_fields": ImpressionRecord._fields,
+        "impressions": trace.impressions,
+        "log_fields": VisitLogEntry._fields,
+        "logs": trace.logs,
+        "reports": {**trace.reports._asdict(), "hits": list(trace.reports.hits.items())},
+        "ground_truth": {user: sorted(audiences) for user, audiences in trace.ground_truth.items()},
     }
     return json.dumps(document, sort_keys=True) + "\n"
 

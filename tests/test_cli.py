@@ -48,6 +48,37 @@ def test_validate_rejects_bad_document(tmp_path, capsys):
     assert "/spec_version" in err
 
 
+HUGE = "x" * 100000
+
+
+@pytest.mark.parametrize(
+    "pointer, value, message",
+    [
+        ("/users/0/attack_visits/0/page", list(range(200000)), "website 'monads' has no page [0,"),
+        ("/users/0/warmup_plan/0/page", HUGE, "unknown page 'xxx"),
+        ("/campaigns/0/ad_groups/0/bid/kind", HUGE, "bid kind must be one of ('CPC', 'CPM'"),
+        ("/market_config/auction_mode", HUGE, "auction_mode must be 'first_price' or"),
+        ("/profile_config/score_mode", HUGE, "score_mode must be 'count' or 'dwell', got 'xxx"),
+        ("/spec_version", HUGE, "spec_version must be 1, got 'xxx"),
+    ],
+    ids=["attack-page", "warmup-page", "bid-kind", "auction-mode", "score-mode", "spec-version"],
+)
+def test_validate_quotes_a_huge_value_within_a_bound(tmp_path, capsys, pointer, value, message):
+    doc = json.loads(scenarios.path("table2_experiment").read_text(encoding="utf-8"))
+    *steps, key = pointer.split("/")[1:]
+    node = doc
+    for step in steps:
+        node = node[int(step)] if isinstance(node, list) else node.setdefault(step, {})
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pointer}: {message}")
+    assert err.endswith("...\n")
+    assert len(err) < 200
+
+
 def test_validate_reports_unhashable_list_item_without_traceback(tmp_path):
     doc = json.loads(scenarios.path("two_visitor_ambiguity").read_text(encoding="utf-8"))
     doc["attack"]["sites"] = [["monads"]]
@@ -265,9 +296,9 @@ def test_a_run_over_a_billion_windows_costs_its_events(tmp_path):
     assert reports["num_windows"] == window_count(doc["horizon_s"], doc["window_length_s"])
     assert reports["num_windows"] >= 10**9
     held = [
-        (hit["window_index"], audience, delta)
-        for hit in reports["hits"]
-        for audience, delta in sorted(hit["deltas"].items())
+        (window_index, audience, delta)
+        for window_index, deltas in reports["hits"]
+        for audience, delta in sorted(deltas.items())
     ]
     rows = read_csv(out / "reports.csv")
     assert [(int(r["window_index"]), r["audience_id"], int(r["delta"])) for r in rows] == held

@@ -393,6 +393,12 @@ def test_reports_conserve_impressions():
     assert reports[-1].cumulative["a_sports"] == len(impressions)
 
 
+def test_reports_reject_a_zero_window_length_before_counting():
+    # Counting divides by the window length, so an impression must not reach it.
+    with pytest.raises(ValidationError, match="window length must be positive, got 0$"):
+        build_reports([imp(10.0)], 0, 2, ["a_sports"])
+
+
 def test_reports_count_a_repeated_audience_id_once():
     reports = dense_reports([imp(10.0)], 100.0, 2, ["a_sports", "a_sports"])
     assert [r.deltas for r in reports] == [{"a_sports": 1}, {"a_sports": 0}]

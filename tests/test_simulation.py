@@ -278,40 +278,52 @@ def test_equal_seeds_give_byte_identical_traces():
 def test_trace_document_shape():
     scenario = load_scenario(scenarios.path("two_visitor_ambiguity"))
     doc = json.loads(trace_to_json(run_scenario(scenario)))
-    assert doc["schema_version"] == 3
+    assert doc["schema_version"] == 4
     assert set(doc) == {
         "schema_version",
+        "impression_fields",
         "impressions",
-        "reports",
+        "log_fields",
         "logs",
+        "reports",
         "ground_truth",
     }
     assert doc["impressions"] and doc["reports"]["hits"] and doc["logs"]
-    impression_keys = set(ImpressionRecord._fields)
-    entry_keys = set(VisitLogEntry._fields)
-    assert all(set(imp) == impression_keys for imp in doc["impressions"])
-    assert all("cookie_id" in imp for imp in doc["impressions"])
+    assert doc["impression_fields"] == list(ImpressionRecord._fields)
+    assert doc["log_fields"] == list(VisitLogEntry._fields)
+    assert "cookie_id" in doc["impression_fields"]
+    assert "cookie_id" not in doc["log_fields"]
+    assert all(len(row) == len(ImpressionRecord._fields) for row in doc["impressions"])
     assert set(doc["reports"]) == set(CounterReports._fields)
-    assert all(set(hit) == {"window_index", "deltas"} for hit in doc["reports"]["hits"])
+    assert all(len(hit) == 2 for hit in doc["reports"]["hits"])
+    cookie_ids = {user.cookie_id for user in scenario.users}
     for site_log in doc["logs"].values():
-        for entry in site_log:
-            assert set(entry) == entry_keys
-            assert "cookie_id" not in entry
+        for row in site_log:
+            assert len(row) == len(VisitLogEntry._fields)
+            assert cookie_ids.isdisjoint(row)
 
 
 def reference_trace_document(trace):
-    """The trace's document, built here independently of ``trace_to_json``."""
+    """The trace's document, built here independently of ``trace_to_json``:
+    each record as the values of its fields, named once per record kind."""
     reports = trace.reports
+    impression_fields = list(ImpressionRecord._fields)
+    log_fields = list(VisitLogEntry._fields)
     return {
-        "schema_version": 3,
-        "impressions": [r._asdict() for r in trace.impressions],
+        "schema_version": 4,
+        "impression_fields": impression_fields,
+        "impressions": [[getattr(r, f) for f in impression_fields] for r in trace.impressions],
+        "log_fields": log_fields,
+        "logs": {
+            site: [[getattr(e, f) for f in log_fields] for e in entries]
+            for site, entries in trace.logs.items()
+        },
         "reports": {
             "window_length": reports.window_length,
             "num_windows": reports.num_windows,
             "audience_ids": list(reports.audience_ids),
-            "hits": [{"window_index": k, "deltas": d} for k, d in reports.hits.items()],
+            "hits": [[k, d] for k, d in reports.hits.items()],
         },
-        "logs": {site: [e._asdict() for e in entries] for site, entries in trace.logs.items()},
         "ground_truth": {
             user_id: sorted(audiences) for user_id, audiences in trace.ground_truth.items()
         },
@@ -335,7 +347,7 @@ def check_trace_json(trace):
         reference_trace_json(trace)
     )
     assert parsed_reports(text) == trace.reports
-    assert all(0 not in hit["deltas"].values() for hit in json.loads(text)["reports"]["hits"])
+    assert all(0 not in deltas.values() for _, deltas in json.loads(text)["reports"]["hits"])
 
 
 def parsed_reports(text):
@@ -345,7 +357,40 @@ def parsed_reports(text):
         section["window_length"],
         section["num_windows"],
         tuple(section["audience_ids"]),
-        {hit["window_index"]: hit["deltas"] for hit in section["hits"]},
+        dict(section["hits"]),
+    )
+
+
+def check_round_trip(trace):
+    """The records rebuilt from the written ``trace.json`` text equal the run's
+    own, whether each row is read by position or by its kind's field names."""
+    text = trace_to_json(trace)
+    doc = json.loads(text)
+    impressions, logs = doc["impressions"], doc["logs"]
+    assert [ImpressionRecord(*row) for row in impressions] == trace.impressions
+    assert {site: [VisitLogEntry(*row) for row in rows] for site, rows in logs.items()} == (
+        trace.logs
+    )
+    assert [dict(zip(doc["impression_fields"], row)) for row in impressions] == [
+        r._asdict() for r in trace.impressions
+    ]
+    assert {
+        site: [dict(zip(doc["log_fields"], row)) for row in rows] for site, rows in logs.items()
+    } == {site: [e._asdict() for e in entries] for site, entries in trace.logs.items()}
+    assert parsed_reports(text) == trace.reports
+    assert {u: set(a) for u, a in doc["ground_truth"].items()} == trace.ground_truth
+
+
+@pytest.mark.parametrize("name", scenarios.names())
+def test_bundled_traces_read_back_as_their_records(name):
+    check_round_trip(run_scenario(load_scenario(scenarios.path(name))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_generated_traces_read_back_as_their_records(seed):
+    check_round_trip(
+        run_scenario(load_scenario_document(random_scenario_document(random.Random(seed))))
     )
 
 
