@@ -238,15 +238,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (AdtrapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AdtrapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 if __name__ == "__main__":

@@ -2,31 +2,11 @@
 
 The network watches navigation through its embedded ad slots and keeps one
 profile per tracking cookie: topic scores accumulated from visited pages,
-plus the interests and audiences those scores qualify for.
-
-Interests are extended, not re-derived: a visit can only raise the scores
-of the page's own topics, so only the interests those topics feed
-(:attr:`Taxonomy.interests_by_topic`) can join.  This is exact because
-scores never fall (increments are non-negative) and a profile's threshold
-is fixed and positive, so an empty profile holds no interest and every
-interest, once reached, stays.
-
-Audiences are extended the same way: only the audiences that count a
-newly gained interest (:attr:`Taxonomy.audiences_by_interest`) are
-checked, and those that qualify join.  This is exact because an audience
-that counts none of the new interests overlaps the interest set exactly
-as before, so it qualifies now iff it did before; because audiences only
-grow with interests, every audience held still qualifies; and because
-``qualify_rule`` is at least 1, an empty profile holds no audience.  The
-invariant: ``interests`` is the set of interests with a source topic
-scoring at least the threshold, and ``audiences`` is
-:func:`~adtrap.taxonomy.audiences_for_interests` of ``interests``.
-
-Warm-up needs no per-visit step: nothing reads a profile between its
-warm-up visits, so :func:`fold_warmup` adds a whole plan's topic
-increments in plan order, the same float additions a visit-by-visit
-replay makes, and then works out interests and audiences once from the
-final scores.  By the invariant that is exactly where the replay ends.
+plus the interests and audiences those scores qualify for.  A profile grows
+one view at a time (:func:`record_visit`) or a whole warm-up plan at once
+(:func:`fold_warmup`); both add topic increments, then pass the raised
+topics to one qualification step, :func:`_qualify`, which states the
+invariant every profile keeps.
 """
 
 from __future__ import annotations
@@ -114,8 +94,8 @@ class AdUserProfile:
         """An equal profile that later visits update apart from this one.
 
         It gets its own ``topic_scores``; ``interests`` and ``audiences``
-        are shared, since :func:`record_visit` replaces those sets rather
-        than mutating them.
+        are shared, since :func:`_qualify` replaces those sets rather than
+        mutating them.
         """
         return AdUserProfile(self.cookie_id, self.demographics, dict(self.topic_scores),
                              self.interests, self.audiences, self.last_timestamp)
@@ -141,35 +121,28 @@ def _increment(dwell: float, config: ProfileConfig) -> float:
     return dwell / 60.0 if config.score_mode == "dwell" else 1.0
 
 
-def record_visit(
-    profile: AdUserProfile,
-    page: PageProfile,
-    time: float,
-    taxonomy: Taxonomy,
-    config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
-    dwell: float = 0.0,
-) -> AdUserProfile:
-    """Fold one page view into the profile and extend interests/audiences.
+def _qualify(profile: AdUserProfile, topics, taxonomy: Taxonomy, threshold: float) -> None:
+    """Add the interests and audiences that raising ``topics`` qualified for.
 
-    Mutates ``profile`` in place and returns it.  ``interests`` and
-    ``audiences`` are replaced by new sets when the visit adds an
-    interest, never mutated, so a caller holding the old sets sees no
-    change.  Timestamps must be non-decreasing per cookie and ``dwell``
-    non-negative.
+    The invariant: ``interests`` is the set of interests with a source
+    topic scoring at least ``threshold``, and ``audiences`` is
+    :func:`~adtrap.taxonomy.audiences_for_interests` of ``interests``.  An
+    empty profile keeps it, since the threshold is positive and every
+    ``qualify_rule`` is at least 1.  If it held before the caller raised
+    the scores of ``topics`` (scores never fall: increments are
+    non-negative), it holds after this step.  Only the interests those
+    topics feed (:attr:`Taxonomy.interests_by_topic`) can join, and held
+    ones stay.  Only the audiences that count a newly gained interest
+    (:attr:`Taxonomy.audiences_by_interest`) can join: any other audience
+    overlaps the interest set exactly as before, and held ones stay.
+
+    ``interests`` and ``audiences`` are replaced by new sets, never
+    mutated, so a caller holding the old sets sees no change.
     """
-    increment = _increment(dwell, config)
-    if profile.last_timestamp is not None and time < profile.last_timestamp:
-        raise SimulationError(
-            f"navigation timestamps for {profile.cookie_id!r} went backwards "
-            f"({time} after {profile.last_timestamp})"
-        )
-    profile.last_timestamp = time
-    scores, held = profile.topic_scores, profile.interests
-    threshold, by_topic = config.interest_threshold, taxonomy.interests_by_topic
+    scores, held, by_topic = profile.topic_scores, profile.interests, taxonomy.interests_by_topic
     gained: set[str] = set()
-    for topic in page.topics:
-        score = scores[topic] = scores.get(topic, 0.0) + increment
-        if score >= threshold:
+    for topic in topics:
+        if scores[topic] >= threshold:
             fed = by_topic.get(topic, ())
             if not held.issuperset(fed):
                 gained.update(fed)
@@ -184,6 +157,33 @@ def record_visit(
             for audience in by_interest.get(interest, ())
             if audience.qualifies(interests)
         }
+
+
+def record_visit(
+    profile: AdUserProfile,
+    page: PageProfile,
+    time: float,
+    taxonomy: Taxonomy,
+    config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
+    dwell: float = 0.0,
+) -> AdUserProfile:
+    """Fold one page view into the profile and extend interests/audiences.
+
+    Mutates ``profile`` in place and returns it; see :func:`_qualify` for
+    ``interests`` and ``audiences``.  Timestamps must be non-decreasing per
+    cookie and ``dwell`` non-negative.
+    """
+    increment = _increment(dwell, config)
+    if profile.last_timestamp is not None and time < profile.last_timestamp:
+        raise SimulationError(
+            f"navigation timestamps for {profile.cookie_id!r} went backwards "
+            f"({time} after {profile.last_timestamp})"
+        )
+    profile.last_timestamp = time
+    scores = profile.topic_scores
+    for topic in page.topics:
+        scores[topic] = scores.get(topic, 0.0) + increment
+    _qualify(profile, page.topics, taxonomy, config.interest_threshold)
     return profile
 
 
@@ -195,7 +195,7 @@ def fold_warmup(
     taxonomy: Taxonomy,
     config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
 ) -> AdUserProfile:
-    """Fold a whole browsing plan into an empty profile, in one pass.
+    """Fold a whole browsing plan into the profile, in one pass.
 
     ``plan`` yields ``(page_id, repeat, dwell)`` items, as
     :class:`adtrap.scenario.WarmupVisit` records unpack: ``repeat`` (at
@@ -204,10 +204,10 @@ def fold_warmup(
     Mutates ``profile`` in place and returns it.
 
     The result equals replaying every view through :func:`record_visit`
-    in plan order at times up to ``time``.  Each topic's increments are
-    added in the same order, so the scores are the same floats; interests
-    and audiences are then worked out once, from the final scores, and
-    the module invariant says that is exactly what the replay ends with.
+    in plan order, at times from ``last_timestamp`` up to ``time``.  Each
+    topic's increments are added in the same order, so the scores are the
+    same floats, and one :func:`_qualify` over every scored topic keeps the
+    invariant the replay keeps view by view.
     """
     scores = profile.topic_scores
     for page_id, repeat, dwell in plan:
@@ -217,19 +217,5 @@ def fold_warmup(
             for topic in topics:
                 scores[topic] = scores.get(topic, 0.0) + increment
         profile.last_timestamp = time
-    threshold, by_topic = config.interest_threshold, taxonomy.interests_by_topic
-    interests = {
-        interest
-        for topic, score in scores.items()
-        if score >= threshold
-        for interest in by_topic.get(topic, ())
-    }
-    by_interest = taxonomy.audiences_by_interest
-    profile.interests = interests
-    profile.audiences = {
-        audience.id
-        for interest in interests
-        for audience in by_interest.get(interest, ())
-        if audience.qualifies(interests)
-    }
+    _qualify(profile, scores, taxonomy, config.interest_threshold)
     return profile

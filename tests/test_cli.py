@@ -13,6 +13,7 @@ import pytest
 
 from adtrap import cli, scenarios
 from adtrap.cli import main, run_to_directory
+from adtrap.errors import SimulationError
 from adtrap.marketplace import window_count
 
 
@@ -235,6 +236,15 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
 def test_missing_scenario_is_a_runtime_error(capsys):
     assert main(["validate", "no_such_scenario"]) == 2
     assert "no such scenario" in capsys.readouterr().err
+
+
+def test_a_simulation_error_is_a_runtime_error(monkeypatch, capsys):
+    def fail(args):
+        raise SimulationError("engine failed")
+
+    monkeypatch.setattr(cli, "cmd_validate", fail)
+    assert main(["validate", "table2_experiment"]) == 2
+    assert capsys.readouterr().err == "error: engine failed\n"
 
 
 def test_run_writes_all_artifacts(tmp_path, capsys):

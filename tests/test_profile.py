@@ -226,10 +226,14 @@ def test_fold_rejects_negative_dwell(small_taxonomy):
         ),
         max_size=12,
     ),
+    split=st.integers(0, 12),
 )
-@example(score_mode="count", threshold=1.0, plan=[])
-@example(score_mode="dwell", threshold=0.35, plan=[(frozenset({"t_c"}), 3, 7.0)])
-def test_one_pass_warmup_matches_replaying_each_visit(score_mode, threshold, plan):
+@example(score_mode="count", threshold=1.0, plan=[], split=0)
+@example(score_mode="dwell", threshold=0.35, plan=[(frozenset({"t_c"}), 3, 7.0)], split=0)
+# The fold gains i_d, which completes a_two with the replayed i_c.
+@example(score_mode="count", threshold=1.0,
+         plan=[(frozenset({"t_c"}), 1, 0.0), (frozenset({"t_d"}), 1, 0.0)], split=1)
+def test_one_pass_warmup_matches_replaying_each_visit(score_mode, threshold, plan, split):
     tax = MULTI_TOPIC_TAXONOMY
     config = ProfileConfig(score_mode=score_mode, interest_threshold=threshold)
     # A page is named by its topics, so equal topic sets revisit one page.
@@ -240,7 +244,14 @@ def test_one_pass_warmup_matches_replaying_each_visit(score_mode, threshold, pla
     replayed = AdUserProfile(cookie_id="ck")
     for t, (page_id, dwell) in enumerate(views, -len(views)):
         record_visit(replayed, pages[page_id], float(t), tax, config, dwell)
-    folded = fold_warmup(AdUserProfile(cookie_id="ck"), steps, pages, -1.0, tax, config)
+    # The steps before the split are replayed view by view, and the rest
+    # is folded into that same, no longer empty, profile.
+    split = min(split, len(steps))
+    folded = AdUserProfile(cookie_id="ck")
+    head = sum(repeat for _, repeat, _ in steps[:split])
+    for t, (page_id, dwell) in enumerate(views[:head], -len(views)):
+        record_visit(folded, pages[page_id], float(t), tax, config, dwell)
+    fold_warmup(folded, steps[split:], pages, -1.0, tax, config)
 
     def state(profile):
         return (profile.topic_scores, profile.interests, profile.audiences,

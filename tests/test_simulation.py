@@ -103,6 +103,32 @@ def test_warmup_builds_profiles_without_serving():
     assert engine.marketplace.rng.getstate() == random.Random(scenario.seed).getstate()
 
 
+def test_attack_views_add_nothing_under_dwell_scoring():
+    # Attack visits carry no dwell, so under dwell scoring they add zero to
+    # the attacker page's topic.  The threshold is low enough that any
+    # positive increment would make u_shy a soccer fan.
+    doc = small_attack_document(
+        profile_config={"score_mode": "dwell", "interest_threshold": 0.01}
+    )
+    for user in doc["users"]:
+        user["warmup_plan"][0]["dwell"] = 30.0
+    engine = SimulationEngine(load_scenario_document(doc))
+    engine.run_warmup()
+
+    def state():
+        return {
+            cid: ({t: s for t, s in p.topic_scores.items() if s},
+                  frozenset(p.interests), frozenset(p.audiences))
+            for cid, p in engine.profiles.items()
+        }
+
+    warm = state()
+    engine.run_attack_phase()
+    assert len(engine.logs["monads"]) == 1
+    assert state() == warm
+    assert warm["dc-shy"] == ({"t_dogs": 0.5}, {"i_dogs"}, {"a_pets"})
+
+
 def test_attack_phase_logs_each_page_view_at_debug_only(caplog):
     scenario = load_scenario(scenarios.path("two_visitor_ambiguity"))
     views = sorted((v.t, user.id) for user in scenario.users for v in user.attack_visits)
