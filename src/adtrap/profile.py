@@ -121,6 +121,15 @@ def _increment(dwell: float, config: ProfileConfig) -> float:
     return dwell / 60.0 if config.score_mode == "dwell" else 1.0
 
 
+def _check_clock(profile: AdUserProfile, time: float) -> None:
+    """Refuse a ``time`` earlier than the profile's ``last_timestamp``."""
+    if profile.last_timestamp is not None and time < profile.last_timestamp:
+        raise SimulationError(
+            f"navigation timestamps for {profile.cookie_id!r} went backwards "
+            f"({time} after {profile.last_timestamp})"
+        )
+
+
 def _qualify(profile: AdUserProfile, topics, taxonomy: Taxonomy, threshold: float) -> None:
     """Add the interests and audiences that raising ``topics`` qualified for.
 
@@ -174,11 +183,7 @@ def record_visit(
     cookie and ``dwell`` non-negative.
     """
     increment = _increment(dwell, config)
-    if profile.last_timestamp is not None and time < profile.last_timestamp:
-        raise SimulationError(
-            f"navigation timestamps for {profile.cookie_id!r} went backwards "
-            f"({time} after {profile.last_timestamp})"
-        )
+    _check_clock(profile, time)
     profile.last_timestamp = time
     scores = profile.topic_scores
     for topic in page.topics:
@@ -200,8 +205,9 @@ def fold_warmup(
     ``plan`` yields ``(page_id, repeat, dwell)`` items, as
     :class:`adtrap.scenario.WarmupVisit` records unpack: ``repeat`` (at
     least 1) views in a row of ``pages[page_id]``, each ``dwell`` seconds
-    long.  ``time`` becomes ``last_timestamp`` unless the plan is empty.
-    Mutates ``profile`` in place and returns it.
+    long.  ``time`` becomes ``last_timestamp`` unless the plan is empty; a
+    ``time`` earlier than ``last_timestamp`` raises before anything changes,
+    as in :func:`record_visit`.  Mutates ``profile`` in place and returns it.
 
     The result equals replaying every view through :func:`record_visit`
     in plan order, at times from ``last_timestamp`` up to ``time``.  Each
@@ -209,13 +215,16 @@ def fold_warmup(
     same floats, and one :func:`_qualify` over every scored topic keeps the
     invariant the replay keeps view by view.
     """
-    scores = profile.topic_scores
+    _check_clock(profile, time)
+    scores, stepped = profile.topic_scores, False
     for page_id, repeat, dwell in plan:
         increment = _increment(dwell, config)
         topics = pages[page_id].topics
         for _ in range(repeat):
             for topic in topics:
                 scores[topic] = scores.get(topic, 0.0) + increment
+        stepped = True
+    if stepped:
         profile.last_timestamp = time
     _qualify(profile, scores, taxonomy, config.interest_threshold)
     return profile

@@ -449,8 +449,9 @@ def test_sweep_rejects_seeds_that_are_not_ascii_integers(tmp_path, capsys, seeds
     assert not out.exists()
 
 
-def test_sweep_rejects_malformed_grid(capsys):
-    code = main(["sweep", "two_visitor_ambiguity", "--grid", "nonsense", "--seeds", "1"])
+@pytest.mark.parametrize("item", ["nonsense", "=1", "k="])
+def test_sweep_rejects_malformed_grid(item, capsys):
+    code = main(["sweep", "two_visitor_ambiguity", "--grid", item, "--seeds", "1"])
     assert code == 1
     assert "key=v1,v2" in capsys.readouterr().err
 

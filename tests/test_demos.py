@@ -1,5 +1,6 @@
 """Every script in demos/ runs to completion: exit status 0, empty stderr,
-and stdout byte-identical to its pinned sha256 digest.
+and stdout byte-identical to its pinned sha256 digest.  So does every
+fenced ``python`` block in README.md, printing what README says it prints.
 
 A change that alters what a demo prints says why and replaces
 ``STDOUT_SHA256`` below with what this prints:
@@ -9,9 +10,11 @@ A change that alters what a demo prints says why and replaces
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -54,6 +57,36 @@ def test_demo_runs_cleanly(demo, tmp_path):
     assert proc.stderr == b""
     assert proc.stdout
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.stem]
+
+
+# Each fenced python block of README.md, dedented (one sits in a list
+# item), with the output README quotes for it after "this prints", if any.
+README_BLOCKS = [
+    (textwrap.dedent(match["code"]), match["prints"] and " ".join(match["prints"].split()))
+    for match in re.finditer(
+        r"(?:this prints\s+`(?P<prints>[^`]*)`:\n\n)?^(?P<indent> *)```python\n"
+        r"(?P<code>.*?)^(?P=indent)```$",
+        (ROOT / "README.md").read_text(encoding="utf-8"),
+        re.M | re.S,
+    )
+]
+
+
+def test_readme_has_its_python_blocks():
+    assert len(README_BLOCKS) == 2
+    assert [prints is not None for _, prints in README_BLOCKS] == [True, False]
+
+
+@pytest.mark.parametrize("code, prints", README_BLOCKS, ids=["group_statistics", "library_use"])
+def test_readme_block_runs_cleanly(code, prints, tmp_path):
+    script = tmp_path / "block.py"
+    script.write_text(code, encoding="utf-8")
+    proc = run_demo(script, tmp_path)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stderr == b""
+    assert proc.stdout
+    if prints is not None:
+        assert proc.stdout.decode() == f"{prints}\n"
 
 
 if __name__ == "__main__":

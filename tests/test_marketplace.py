@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adtrap.errors import BudgetError, ValidationError
+from adtrap.errors import BudgetError, SimulationError, ValidationError
 from adtrap.marketplace import (
     MICROS,
     Ad,
@@ -210,6 +210,16 @@ def test_overspend_refused_outright():
     market.spent_micros["c"] = campaign.total_budget_micros - 1
     with pytest.raises(BudgetError):
         market.record_impression(outcome, sports_profile(), PAGE, "site", time=0.0)
+
+
+def test_impression_refused_for_a_profile_outside_every_target():
+    market = Marketplace([make_campaign("c", 50.0)])
+    outcome = market.run_auction(market.eligible_ads("site", sports_profile()))
+    with pytest.raises(SimulationError, match="left all audiences"):
+        market.record_impression(outcome, sports_profile(audiences=("a_pets",)), PAGE,
+                                 "site", time=0.0)
+    assert market.spent_micros["c"] == 0
+    assert market.impressions == []
 
 
 def test_placement_restricts_serving_to_listed_sites():

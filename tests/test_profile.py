@@ -102,6 +102,21 @@ def test_timestamps_must_not_go_backwards(small_taxonomy):
     visit(profile, page, small_taxonomy, t=10.0)
 
 
+def test_fold_refuses_to_move_the_clock_backwards(small_taxonomy):
+    pages = {"pg": analyze_page("pg", ["t_soccer"], small_taxonomy)}
+    profile = visit(AdUserProfile(cookie_id="ck"), pages["pg"], small_taxonomy, t=5.0)
+    before = profile.copy()
+    with pytest.raises(SimulationError, match="went backwards"):
+        fold_warmup(profile, [("pg", 2, 0.0)], pages, -1.0, small_taxonomy)
+    assert profile == before
+    with pytest.raises(SimulationError):
+        visit(profile, pages["pg"], small_taxonomy, t=0.0)
+    # An empty plan leaves the clock where it was; a later time advances it.
+    assert fold_warmup(profile, [], pages, 7.0, small_taxonomy).last_timestamp == 5.0
+    assert fold_warmup(profile, [("pg", 1, 0.0)], pages, 7.0,
+                       small_taxonomy).last_timestamp == 7.0
+
+
 def test_negative_dwell_rejected(small_taxonomy):
     page = analyze_page("pg", ["t_soccer"], small_taxonomy)
     profile = AdUserProfile(cookie_id="ck")

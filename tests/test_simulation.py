@@ -607,6 +607,8 @@ def test_attack_free_scenario_runs_and_scores_empty():
     result = run_attack(scenario, trace)
     assert result.assignments == {}
     assert result.accuracy is None
+    with pytest.raises(ValidationError, match="no attack section"):
+        attacker_view_reports(trace, scenario, "monads")
 
 
 def test_bundled_scenarios_all_load_and_run():
