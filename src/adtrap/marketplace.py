@@ -14,7 +14,6 @@ of non-zero deltas only, and written as they are held.
 
 from __future__ import annotations
 
-import copy
 import math
 import random
 from typing import Iterable, NamedTuple
@@ -259,9 +258,7 @@ class Marketplace:
 
     Those tables never change.  What a run changes is its own:
     ``impressions``, ``spent_micros`` (what each campaign, by id, has
-    spent) and the click-sampling ``rng``.  :meth:`fresh_run` gives
-    another run a marketplace that shares the tables and owns new ones of
-    those.
+    spent) and the click-sampling ``rng``.
     """
 
     def __init__(
@@ -294,15 +291,6 @@ class Marketplace:
             for site in placed
         }
         self._audience_universe = tuple(sorted({a for _, row in priced for a in row[0]}))
-
-    def fresh_run(self, rng: random.Random) -> Marketplace:
-        """A marketplace for another run: the same campaigns, config and
-        tables, shared, with no impressions, no spend and ``rng``."""
-        market = copy.copy(self)
-        market.rng = rng
-        market.impressions = []
-        market.spent_micros = dict.fromkeys(self.campaigns, 0)
-        return market
 
     def eligible_ads(
         self,

@@ -90,16 +90,6 @@ class AdUserProfile:
         same = type(other) is AdUserProfile
         return same and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
 
-    def copy(self) -> AdUserProfile:
-        """An equal profile that later visits update apart from this one.
-
-        It gets its own ``topic_scores``; ``interests`` and ``audiences``
-        are shared, since :func:`_qualify` replaces those sets rather than
-        mutating them.
-        """
-        return AdUserProfile(self.cookie_id, self.demographics, dict(self.topic_scores),
-                             self.interests, self.audiences, self.last_timestamp)
-
 
 def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfile:
     """Admit a page to the network, validating its declared topics.
@@ -205,9 +195,10 @@ def fold_warmup(
     ``plan`` yields ``(page_id, repeat, dwell)`` items, as
     :class:`adtrap.scenario.WarmupVisit` records unpack: ``repeat`` (at
     least 1) views in a row of ``pages[page_id]``, each ``dwell`` seconds
-    long.  ``time`` becomes ``last_timestamp`` unless the plan is empty; a
-    ``time`` earlier than ``last_timestamp`` raises before anything changes,
-    as in :func:`record_visit`.  Mutates ``profile`` in place and returns it.
+    long.  ``time`` becomes ``last_timestamp`` unless the plan is empty.  A
+    ``time`` earlier than ``last_timestamp`` or any negative ``dwell``
+    raises before anything changes.  Mutates ``profile`` in place and
+    returns it.
 
     The result equals replaying every view through :func:`record_visit`
     in plan order, at times from ``last_timestamp`` up to ``time``.  Each
@@ -216,15 +207,14 @@ def fold_warmup(
     invariant the replay keeps view by view.
     """
     _check_clock(profile, time)
-    scores, stepped = profile.topic_scores, False
-    for page_id, repeat, dwell in plan:
-        increment = _increment(dwell, config)
-        topics = pages[page_id].topics
+    steps = [(pages[page_id].topics, repeat, _increment(dwell, config))
+             for page_id, repeat, dwell in plan]
+    scores = profile.topic_scores
+    for topics, repeat, increment in steps:
         for _ in range(repeat):
             for topic in topics:
                 scores[topic] = scores.get(topic, 0.0) + increment
-        stepped = True
-    if stepped:
+    if steps:
         profile.last_timestamp = time
     _qualify(profile, scores, taxonomy, config.interest_threshold)
     return profile

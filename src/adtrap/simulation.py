@@ -19,8 +19,7 @@ import itertools
 import json
 import logging
 import random
-from functools import cached_property, partial
-from typing import Callable
+from typing import NamedTuple
 
 from .errors import InconsistentObservationsError, SimulationError, ValidationError
 from .gdn import VisitLogEntry, serve_page
@@ -33,7 +32,7 @@ from .marketplace import (
 )
 from .profile import AdUserProfile, PageProfile, fold_warmup
 from .profile import record_visit  # noqa: F401  unused here; bound so perfbench can wrap it
-from .scenario import AttackVisit, Scenario, UserAgentSpec, check_seed, load_scenario_document
+from .scenario import Scenario, check_seed, load_scenario_document
 from .trap import (
     Assignment,
     AttributionResult,
@@ -54,24 +53,17 @@ TRACE_SCHEMA_VERSION = 4
 _SWEEPABLE_TOP_LEVEL = {"window_length_s", "horizon_s"}
 
 
-class RunTrace:
+class RunTrace(NamedTuple):
     """Everything one run produced, ground truth included.
 
     ``reports`` are the platform's counters over every targeted audience,
-    sparse, as :func:`trace_to_json` and ``reports.csv`` write them.  They
-    are built by ``publish_reports`` on first read, so a run whose reports
-    nobody reads, as in a sweep, never builds them.
+    sparse, as :func:`trace_to_json` and ``reports.csv`` write them.
     """
 
-    def __init__(self, impressions: list[ImpressionRecord],
-                 publish_reports: Callable[[], CounterReports], logs: dict[str, list[VisitLogEntry]],
-                 ground_truth: dict[str, set[str]] | None = None):
-        self.impressions, self.publish_reports, self.logs = impressions, publish_reports, logs
-        self.ground_truth = {} if ground_truth is None else ground_truth
-
-    @cached_property
-    def reports(self) -> CounterReports:
-        return self.publish_reports()
+    impressions: list[ImpressionRecord]
+    reports: CounterReports
+    logs: dict[str, list[VisitLogEntry]]
+    ground_truth: dict[str, set[str]]
 
 
 class SimulationEngine:
@@ -81,13 +73,6 @@ class SimulationEngine:
     profiles, the marketplace (impressions and each campaign's spend) and
     ``logs``, the visit log of every logging site.  The same
     :class:`Scenario` can therefore back any number of runs.
-
-    Some of that state is fixed by the scenario alone: the pages map, the
-    probe campaigns, the marketplace's tables, the attack schedule and,
-    since warm-up draws no randomness, the warm profiles and ground truth.  :meth:`derive` turns
-    an engine whose warm-up has run into one run engine per seed, which
-    shares all of it and owns its impressions, spend, visit logs, click
-    rng and profile scores.
     """
 
     def __init__(self, scenario: Scenario):
@@ -129,13 +114,11 @@ class SimulationEngine:
             for user in self.scenario.users
         }
 
-    @cached_property
-    def attack_schedule(self) -> list[tuple[float, UserAgentSpec, AttackVisit]]:
-        """Every scheduled visit as ``(t, user, visit)``, in serving order.
+    def run_attack_phase(self) -> None:
+        """Replay every scheduled visit through the serving path.
 
-        Sorted by time, then user id, then the user's own order.  It is
-        built on first use, not at construction, and :meth:`derive` shares
-        it.
+        Visits are served in order of time, then user id, then the user's
+        own order.
         """
         events = [
             (visit.t, user.id, seq, user, visit)
@@ -143,15 +126,11 @@ class SimulationEngine:
             for seq, visit in enumerate(user.attack_visits)
         ]
         events.sort(key=lambda e: (e[0], e[1], e[2]))
-        return [(t, user, visit) for t, _, _, user, visit in events]
-
-    def run_attack_phase(self) -> None:
-        """Replay every scheduled visit through the serving path."""
         websites, profiles, logs = self.scenario.websites, self.profiles, self.logs
         marketplace, taxonomy = self.marketplace, self.scenario.taxonomy
         profile_config = self.scenario.profile_config
         debug = log.isEnabledFor(logging.DEBUG)
-        for t, user, visit in self.attack_schedule:
+        for t, _, _, user, visit in events:
             impression, entry = serve_page(
                 websites[visit.site],
                 visit.page,
@@ -181,34 +160,13 @@ class SimulationEngine:
                     impression.ad_id if impression else None,
                 )
 
-    def derive(self, seed: int) -> SimulationEngine:
-        """A run engine for ``seed`` that starts where this one's warm-up ended.
-
-        Call it after :meth:`run_warmup`; :meth:`run_after_warmup` on the
-        result gives the trace that :meth:`run` gives on a new engine for
-        the reseeded scenario.  This engine is left as it was.
-        """
-        engine = copy.copy(self)
-        engine.attack_schedule = self.attack_schedule
-        engine.scenario = self.scenario._replace(seed=seed)
-        engine.logs = {wid: [] for wid in self.logs}
-        engine.marketplace = self.marketplace.fresh_run(random.Random(seed))
-        engine.profiles = {cid: profile.copy() for cid, profile in self.profiles.items()}
-        return engine
-
     def run(self) -> RunTrace:
         self.run_warmup()
-        return self.run_after_warmup()
-
-    def run_after_warmup(self) -> RunTrace:
-        """The attack phase, on profiles already warmed up, and its trace."""
         self.run_attack_phase()
         return RunTrace(
             impressions=self.marketplace.impressions,
-            publish_reports=partial(
-                self.marketplace.publish_reports,
-                self.scenario.window_length,
-                self.scenario.horizon,
+            reports=self.marketplace.publish_reports(
+                self.scenario.window_length, self.scenario.horizon
             ),
             logs=self.logs,
             ground_truth=self.ground_truth,
@@ -340,7 +298,7 @@ def sweep(
     grid: dict[str, list],
     seeds: list[int],
 ) -> list[dict]:
-    """Run every grid cell under every seed; one summary row per run.
+    """Run every grid cell once; one summary row per cell and seed.
 
     Cells iterate in sorted-key order with values in the given order, then
     seeds in the given order, so the row sequence is reproducible.  Each
@@ -349,14 +307,13 @@ def sweep(
     run, after the first cell's document: a loop that built each run's
     document would meet that document's errors first.
 
-    Each cell gets one engine, whose warm-up runs once: the probe
-    campaigns, the marketplace's tables, the warm profiles and the ground
-    truth depend on the cell alone.  Each seed's run is derived from that
-    warm engine (:meth:`SimulationEngine.derive`) and owns its
-    impressions, spend, visit logs, click rng and profile scores, so it
-    gives the row a fresh run of the reseeded scenario gives.  An empty
-    grid yields no rows; an empty seed list is an error, and so is a
-    ``seed`` grid key, since ``seeds`` sets every run's seed.
+    Each cell is run once, as ``adtrap run`` runs a scenario, and its
+    result fills the row of every seed.  That holds only while a row reads
+    nothing the seed draws: the seed draws only ``ImpressionRecord.clicked``,
+    and no row column reads it, so the rows of one cell differ only in
+    ``seed``.  An empty grid yields no rows; an empty seed list is an
+    error, and so is a ``seed`` grid key, since ``seeds`` sets every run's
+    seed.
     """
     if not seeds:
         raise ValidationError("no seeds")
@@ -378,18 +335,14 @@ def sweep(
         for k, v in cell.items():
             apply_grid_value(document, k, v)
         document["seed"] = seeds[0]
-        warm = SimulationEngine(load_scenario_document(document))
+        scenario = load_scenario_document(document)
         if n == 0:
             _check_seeds(seeds)
-        warm.run_warmup()
-        for seed in seeds:
-            engine = warm.derive(seed)
-            trace = engine.run_after_warmup()
-            result = run_attack(engine.scenario, trace)
-            row = {**cell, "seed": seed, **summary_counts(result)}
-            row["impressions"] = len(trace.impressions)
-            rows.append(row)
-            log.info("sweep cell %s seed %s: accuracy=%s", cell, seed, result.accuracy)
+        trace = run_scenario(scenario)
+        result = run_attack(scenario, trace)
+        summary = {**summary_counts(result), "impressions": len(trace.impressions)}
+        rows.extend({**cell, "seed": seed, **summary} for seed in seeds)
+        log.info("sweep cell %s: accuracy=%s", cell, result.accuracy)
     return rows
 
 

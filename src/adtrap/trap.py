@@ -95,6 +95,11 @@ class WindowObservation(NamedTuple):
 
     def _check(self):
         for audience, n in self.deltas.items():
+            if type(n) is not int:
+                raise ValidationError(
+                    f"delta {n!r} for audience {audience!r} in window "
+                    f"{self.window_index} is not an integer"
+                )
             if n < 0:
                 raise ValidationError(
                     f"negative delta {n} for audience {audience!r} in window "
@@ -217,7 +222,7 @@ class _Window:
         for v in obs.visits:
             counts[v.network_id] = counts.get(v.network_id, 0) + 1
         self.counts = counts
-        self.resid = {a: int(n) for a, n in obs.deltas.items() if n > 0}
+        self.resid = {a: n for a, n in obs.deltas.items() if n > 0}
 
 
 def _inconsistent(window: _Window, why: str) -> InconsistentObservationsError:

@@ -164,4 +164,4 @@ def reference_run(scenario) -> RunTrace:
         window_count(scenario.horizon, scenario.window_length),
         sorted(universe),
     )
-    return RunTrace(impressions, lambda: reports, logs, ground_truth)
+    return RunTrace(impressions, reports=reports, logs=logs, ground_truth=ground_truth)

@@ -1,5 +1,7 @@
 """Profile building: page admission, scoring, interest derivation."""
 
+import copy
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -105,7 +107,7 @@ def test_timestamps_must_not_go_backwards(small_taxonomy):
 def test_fold_refuses_to_move_the_clock_backwards(small_taxonomy):
     pages = {"pg": analyze_page("pg", ["t_soccer"], small_taxonomy)}
     profile = visit(AdUserProfile(cookie_id="ck"), pages["pg"], small_taxonomy, t=5.0)
-    before = profile.copy()
+    before = copy.deepcopy(profile)
     with pytest.raises(SimulationError, match="went backwards"):
         fold_warmup(profile, [("pg", 2, 0.0)], pages, -1.0, small_taxonomy)
     assert profile == before
@@ -225,6 +227,16 @@ def test_fold_rejects_negative_dwell(small_taxonomy):
         with pytest.raises(ValidationError):
             fold_warmup(AdUserProfile(cookie_id="ck"), [("pg", 1, dwell)], pages, -1.0,
                         small_taxonomy)
+
+
+def test_fold_checks_every_dwell_before_changing_the_profile(small_taxonomy):
+    # The first step alone would raise t_soccer to the threshold.
+    pages = {"pg": analyze_page("pg", ["t_soccer"], small_taxonomy)}
+    profile = AdUserProfile(cookie_id="ck")
+    before = copy.deepcopy(profile)
+    with pytest.raises(ValidationError):
+        fold_warmup(profile, [("pg", 1, 0.0), ("pg", 1, -1.0)], pages, -1.0, small_taxonomy)
+    assert profile == before
 
 
 # A dwell of 7 s, 13 s or 100/3 s gives an increment (dwell / 60) that a

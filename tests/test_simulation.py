@@ -17,7 +17,6 @@ from adtrap.gdn import VisitLogEntry
 from adtrap.marketplace import (
     CounterReports,
     ImpressionRecord,
-    Marketplace,
     window_count,
     window_index,
 )
@@ -229,34 +228,19 @@ def test_visit_log_never_goes_backwards():
 
 def assert_reusable(scenario, seeds, order):
     """Runs of one Scenario object repeat exactly, also between runs of
-    reseeded copies, and so do the runs one warm engine derives.
+    reseeded copies.
 
-    An engine derived for each of ``seeds`` and run in the interleaved
-    ``order`` (a permutation of their indexes), and one more derived for
-    ``seeds[0]`` after all of them, each give the trace of a fresh run of
-    the reseeded scenario.  Afterwards the warm engine holds what its
-    warm-up left, and the whole scenario is as it was.
+    Runs of the copies reseeded with ``seeds``, repeated in the
+    interleaved ``order`` (a permutation of their indexes), give the
+    traces of their first runs, and the whole scenario is as it was.
     """
     before = copy.deepcopy(scenario)
     first = trace_to_json(run_scenario(scenario))
     fresh = [trace_to_json(run_scenario(scenario._replace(seed=s))) for s in seeds]
     assert trace_to_json(run_scenario(scenario)) == first
-    warm = SimulationEngine(scenario)
-    warm.run_warmup()
-
-    def warm_state():
-        market = warm.marketplace
-        return copy.deepcopy(
-            (warm.profiles, warm.ground_truth, warm.logs, market.impressions,
-             market.spent_micros, market.rng.getstate())
-        )
-
-    warmed = warm_state()
-    engines = [warm.derive(s) for s in seeds]
     for i in order:
-        assert trace_to_json(engines[i].run_after_warmup()) == fresh[i]
-    assert trace_to_json(warm.derive(seeds[0]).run_after_warmup()) == fresh[0]
-    assert warm_state() == warmed
+        assert trace_to_json(run_scenario(scenario._replace(seed=seeds[i]))) == fresh[i]
+    assert trace_to_json(run_scenario(scenario)) == first
     assert scenario == before
 
 
@@ -276,8 +260,6 @@ def test_scenario_object_survives_repeated_runs():
     data=st.data(),
 )
 def test_generated_scenario_objects_survive_repeated_runs(seed, generate, seeds, data):
-    # sweep loads each grid cell once and derives every seed's run from
-    # one warm engine.
     order = data.draw(st.permutations(range(len(seeds))))
     assert_reusable(load_scenario_document(generate(random.Random(seed))), seeds, order)
 
@@ -288,7 +270,7 @@ ATTACK_SCENARIOS = [name for name in scenarios.names() if scenarios.load(name).g
 @pytest.mark.parametrize("name", ATTACK_SCENARIOS)
 @settings(max_examples=5, deadline=None)
 @given(seeds=run_seeds, data=st.data())
-def test_bundled_runs_derived_from_a_warm_engine_match_fresh_runs(name, seeds, data):
+def test_bundled_scenario_objects_survive_repeated_runs(name, seeds, data):
     order = data.draw(st.permutations(range(len(seeds))))
     assert_reusable(load_scenario(scenarios.path(name)), seeds, order)
 
@@ -471,15 +453,10 @@ entries = st.builds(
 )
 
 
-def published(reports):
-    """A ``RunTrace.publish_reports`` that gives ``reports``."""
-    return lambda: reports
-
-
 traces = st.builds(
     RunTrace,
     impressions=st.lists(impressions, max_size=4),
-    publish_reports=counter_reports().map(published),
+    reports=counter_reports(),
     logs=st.dictionaries(adversarial_text, st.lists(entries, max_size=4), max_size=3),
     ground_truth=st.dictionaries(
         adversarial_text, st.sets(adversarial_text, max_size=3), max_size=4
@@ -490,12 +467,14 @@ traces = st.builds(
 @settings(max_examples=100, deadline=None)
 @given(trace=traces)
 @example(
-    trace=RunTrace(impressions=[], publish_reports=published(CounterReports(1.0, 0, (), {})), logs={})
+    trace=RunTrace(
+        impressions=[], reports=CounterReports(1.0, 0, (), {}), logs={}, ground_truth={}
+    )
 )
 @example(
     trace=RunTrace(
         impressions=[],
-        publish_reports=published(CounterReports(1.0, 0, (), {})),
+        reports=CounterReports(1.0, 0, (), {}),
         logs={"site": []},
         ground_truth={"u": set()},
     )
@@ -503,7 +482,7 @@ traces = st.builds(
 @example(
     trace=RunTrace(
         impressions=[],
-        publish_reports=published(CounterReports(5e-324, 2, (), {})),
+        reports=CounterReports(5e-324, 2, (), {}),
         logs={
             "a": [
                 VisitLogEntry(timestamp=1e16, network_id="}\né", page_id=""),
@@ -518,10 +497,9 @@ traces = st.builds(
 @example(
     trace=RunTrace(
         impressions=[],
-        publish_reports=published(
-            CounterReports(11.0, 12, ("a", "b"), {9: {"a": 1}, 10: {"a": -1, "b": 2}})
-        ),
+        reports=CounterReports(11.0, 12, ("a", "b"), {9: {"a": 1}, 10: {"a": -1, "b": 2}}),
         logs={},
+        ground_truth={},
     )
 )
 def test_trace_json_is_the_sorted_one_line_dump(trace):
@@ -967,11 +945,12 @@ def test_benchmark_sweep_grid_matches_the_per_seed_reference():
 
 
 def test_sweep_does_the_per_cell_work_once_per_cell():
-    # 6 cells of 60 seeds over table2_experiment's 10 users: one probe
-    # campaign and one warm-up per cell, which folds each user's plan once
-    # (12 views per cell in all), and 10 attack-phase visits per run.
-    # Warm-up folds and attack-phase page views are counted apart, and
-    # record_visit is counted wherever the engine could call it.
+    # 6 cells of 60 seeds over table2_experiment's 10 users: one run per
+    # cell, with one probe campaign and one warm-up, which folds each
+    # user's plan once (12 views per cell in all), 10 attack-phase visits
+    # and one inference.  Warm-up folds and attack-phase page views are
+    # counted apart, and record_visit is counted wherever the engine could
+    # call it.
     folds = mock.Mock(wraps=fold_warmup)
     visits = mock.Mock(wraps=record_visit)
     with (
@@ -982,6 +961,7 @@ def test_sweep_does_the_per_cell_work_once_per_cell():
         mock.patch.object(simulation, "fold_warmup", folds),
         mock.patch.object(simulation, "record_visit", visits),
         mock.patch.object(gdn, "record_visit", visits),
+        mock.patch.object(simulation, "run_attack", wraps=run_attack) as attack,
     ):
         rows = sweep(read_bundled("table2_experiment"), BENCHMARK_GRID, BENCHMARK_SEEDS)
     assert len(rows) == 360
@@ -990,20 +970,8 @@ def test_sweep_does_the_per_cell_work_once_per_cell():
     assert folds.call_count == 6 * 10
     folded_views = sum(repeat for call in folds.call_args_list for _, repeat, _ in call.args[1])
     assert folded_views == 6 * 12
-    assert visits.call_count == 360 * 10
-
-
-def test_sweep_never_builds_the_platform_reports():
-    # A sweep writes no trace.json and no reports.csv, and a row reads
-    # only the probe campaigns' own counters: with the platform-wide
-    # reports made to raise, it gives the same rows.
-    grid = {"window_length_s": [300, 1800]}
-    for template in (read_bundled("table2_experiment"), random_scenario_document(random.Random(3))):
-        expected = sweep(template, grid, [7, 8])
-        assert expected
-        built = AssertionError("platform reports built")
-        with mock.patch.object(Marketplace, "publish_reports", side_effect=built):
-            assert sweep(template, grid, [7, 8]) == expected
+    assert visits.call_count == 6 * 10
+    assert attack.call_count == 6
 
 
 def test_rival_bid_sweep_shows_takeover_threshold():

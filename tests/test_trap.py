@@ -203,6 +203,14 @@ def test_negative_delta_rejected():
         make_observation(0, {"a": -1}, {})
 
 
+def test_delta_that_is_not_an_integer_rejected():
+    # Truncating them would read 1.5 or True as one impression and 0.5
+    # as none.
+    for delta, visitors in ((1.5, {"n1": 1}), (True, {"n1": 1}), (0.5, {"n1": 1, "n2": 1})):
+        with pytest.raises(ValidationError, match="is not an integer"):
+            make_observation(0, {"a": delta}, visitors)
+
+
 # --- the solver, frozen small cases ----------------------------------------
 # Expected values below were derived by hand and are cross-checked against
 # the brute-force reference inside each test.
