@@ -18,6 +18,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import AdtrapError, ValidationError
 from .gdn import VisitLogEntry
@@ -28,11 +29,10 @@ from .trap import AttributionResult, render_value, summary_counts, summary_line
 from . import scenarios as bundled
 
 
-class RunOutput:
-    __slots__ = ("result", "artifacts", "out_dir")
-
-    def __init__(self, result: AttributionResult, artifacts: list[str], out_dir: Path):
-        self.result, self.artifacts, self.out_dir = result, artifacts, out_dir
+class RunOutput(NamedTuple):
+    result: AttributionResult
+    artifacts: list[str]
+    out_dir: Path
 
     @property
     def summary(self) -> dict:

@@ -29,18 +29,6 @@ def quoted(value) -> str:
     return text if len(text) <= 100 else text[:97] + "..."
 
 
-class UnknownIdError(AdtrapError):
-    """A cross-reference named an id that does not exist."""
-
-
-class NotEligibleError(AdtrapError):
-    """A page or ad failed an admission rule of the display network."""
-
-
-class BudgetError(AdtrapError):
-    """Internal invariant violation: an impression would overdraw a campaign."""
-
-
 class SimulationError(AdtrapError):
     """The simulated event stream violated an ordering or state rule."""
 

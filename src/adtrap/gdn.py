@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import UnknownIdError, ValidationError, checked, quoted
+from .errors import ValidationError, checked, quoted
 from .marketplace import ImpressionRecord, Marketplace
 from .profile import (
     AdUserProfile,
@@ -74,7 +74,7 @@ def serve_page(
     consent).
     """
     if page_id not in website.pages:
-        raise UnknownIdError(f"website {quoted(website.id)} has no page {quoted(page_id)}")
+        raise ValidationError(f"website {quoted(website.id)} has no page {quoted(page_id)}")
     page = website.pages[page_id]
     record_visit(profile, page, time, taxonomy, profile_config)
     impression = marketplace.serve(website.id, page, profile, time, geo=geo)

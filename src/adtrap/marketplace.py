@@ -18,7 +18,7 @@ import math
 import random
 from typing import Iterable, NamedTuple
 
-from .errors import BudgetError, SimulationError, ValidationError, checked, quoted
+from .errors import SimulationError, ValidationError, checked, quoted
 from .profile import AdUserProfile, Demographics, PageProfile
 
 MICROS = 10**6
@@ -131,8 +131,8 @@ class CounterReports(NamedTuple):
     """Per-audience impression counters of windows ``0 .. num_windows - 1``, held sparse.
 
     ``hits`` maps each window some counted impression hit, in ascending
-    order, to its non-zero deltas, keyed in ``audience_ids`` order; an
-    absent window or audience counted 0, and a negative delta is kept for
+    order, to its non-zero integer deltas, keyed in ``audience_ids`` order;
+    an absent window or audience counted 0, and a negative delta is kept for
     the join to reject.  Equal counters therefore give equal records.
     Window ``k`` has the nominal bounds ``k * W`` and ``(k + 1) * W``, which
     float rounding can put on the other side of a member timestamp (see
@@ -164,6 +164,11 @@ class CounterReports(NamedTuple):
                 raise ValidationError(
                     f"hit window {k} must hold non-zero deltas keyed by audience ids, in order"
                 )
+            for audience, n in deltas.items():
+                if type(n) is not int:
+                    raise ValidationError(
+                        f"delta {n!r} of audience {audience!r} in hit window {k} is not an integer"
+                    )
             previous = k
 
 
@@ -243,18 +248,19 @@ class Marketplace:
     """Holds campaigns and the impression stream for one simulated run.
 
     Campaigns and config are read once, at construction, which prices every
-    ad group into one row in campaign then group order.  An ad group bids
-    once per auction, with its smallest-id ad: auction ties break on ad id,
-    so no other ad of the group could win.  A row holds what eligibility
-    reads, unpacked once: the group's targeted audiences, its demographic
-    filters (empty when unset), its geo filter, its campaign id, its value
-    and the :class:`Candidate` it enters the auction as.  Each website
-    named in some placement gets the rows that can serve there, its placed
-    groups and the network-wide ones, in the same order, so equal-value
-    ties come out as in campaign order; any other website gets the
-    network-wide rows.  A page view scans only its website's rows.  Each
-    campaign's budget in micros and the sorted union of targeted audiences
-    are taken once, too.
+    ad group into one row in campaign then group order; a group whose bid is
+    worth 0 micros per impression gets no row, since it would serve for free
+    whatever its budget.  An ad group bids once per auction, with its
+    smallest-id ad: auction ties break on ad id, so no other ad of the group
+    could win.  A row holds what eligibility reads, unpacked once: the
+    group's targeted audiences, its demographic filters (empty when unset),
+    its geo filter, its campaign id, its value and the :class:`Candidate` it
+    enters the auction as.  Each website named in some placement gets the
+    rows that can serve there, its placed groups and the network-wide ones,
+    in the same order, so equal-value ties come out as in campaign order;
+    any other website gets the network-wide rows.  A page view scans only
+    its website's rows.  Each campaign's budget in micros and the sorted
+    union of every targeted audience, served or not, are taken once, too.
 
     Those tables never change.  What a run changes is its own:
     ``impressions``, ``spent_micros`` (what each campaign, by id, has
@@ -277,10 +283,14 @@ class Marketplace:
         self.impressions: list[ImpressionRecord] = []
         self.spent_micros: dict[str, int] = dict.fromkeys(self.campaigns, 0)
         self._budget_micros = {cid: c.total_budget_micros for cid, c in self.campaigns.items()}
-        priced = []  # (placement, row) per ad group
+        priced = []  # (placement, row) per ad group worth more than 0 micros
+        targeted = set()
         for c in self.campaigns.values():
             for g in c.ad_groups:
+                targeted |= g.target_audiences
                 value = effective_value_micros(g.bid, config)
+                if not value:
+                    continue
                 candidate = Candidate(c, g, min(g.ads, key=lambda ad: ad.id), value)
                 row = (g.target_audiences, g.demographics, g.geo, c.id, value, candidate)
                 priced.append((g.placement, row))
@@ -290,7 +300,7 @@ class Marketplace:
             site: [row for placement, row in priced if not placement or site in placement]
             for site in placed
         }
-        self._audience_universe = tuple(sorted({a for _, row in priced for a in row[0]}))
+        self._audience_universe = tuple(sorted(targeted))
 
     def eligible_ads(
         self,
@@ -302,8 +312,9 @@ class Marketplace:
 
         An ad group qualifies when its placement covers the website, the
         profile is in at least one targeted audience, optional demographic
-        and geo filters pass, and the campaign can still pay for the
-        impression.  It competes with its smallest-id ad.
+        and geo filters pass, its bid is worth more than 0 micros, and the
+        campaign can still pay for the impression.  It competes with its
+        smallest-id ad.
         """
         candidates: list[Candidate] = []
         spent, budget, audiences = self.spent_micros, self._budget_micros, profile.audiences
@@ -356,7 +367,7 @@ class Marketplace:
         campaign = candidate.campaign
         spent = self.spent_micros[campaign.id] + outcome.price_micros
         if spent > self._budget_micros[campaign.id]:
-            raise BudgetError(
+            raise SimulationError(
                 f"campaign {campaign.id!r} cannot pay {outcome.price_micros} micros"
             )
         matched = candidate.ad_group.target_audiences & profile.audiences

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import NotEligibleError, SimulationError, ValidationError, checked, quoted
+from .errors import SimulationError, ValidationError, checked, quoted
 from .taxonomy import Taxonomy
 
 
@@ -30,7 +30,7 @@ class PageProfile(NamedTuple):
 
     def _check(self):
         if not self.topics:
-            raise NotEligibleError(
+            raise ValidationError(
                 f"page {self.page_id!r} has no topics: page not eligible for display network"
             )
 
@@ -94,8 +94,8 @@ class AdUserProfile:
 def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfile:
     """Admit a page to the network, validating its declared topics.
 
-    Raises :class:`NotEligibleError` when no topics are declared and
-    :class:`ValidationError` when a topic is not in the taxonomy.
+    Raises :class:`ValidationError` when no topics are declared or a topic
+    is not in the taxonomy.
     """
     topics = frozenset(declared_topics)
     for t in topics:

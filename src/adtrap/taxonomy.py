@@ -27,7 +27,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import UnknownIdError, ValidationError, checked
+from .errors import ValidationError, checked
 
 
 class Topic(NamedTuple):
@@ -114,10 +114,10 @@ def audiences_for_interests(taxonomy: Taxonomy, interests) -> set[str]:
     ``qualify_rule``.  Growing the interest set can therefore only grow the
     result, never shrink it.
 
-    Raises :class:`UnknownIdError` for interest ids absent from the taxonomy.
+    Raises :class:`ValidationError` for interest ids absent from the taxonomy.
     """
     interest_set = set(interests)
     for i in interest_set:
         if i not in taxonomy.interests:
-            raise UnknownIdError(f"unknown interest id {i!r}")
+            raise ValidationError(f"unknown interest id {i!r}")
     return {a.id for a in taxonomy.audiences.values() if a.qualifies(interest_set)}

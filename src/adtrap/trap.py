@@ -44,9 +44,11 @@ site logs.  Profiles, cookies and impression records never enter.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import InconsistentObservationsError, UnknownIdError, ValidationError, checked
+from .errors import InconsistentObservationsError, ValidationError, checked
 from .gdn import VisitLogEntry, Website
 from .marketplace import Ad, AdGroup, Bid, Campaign, CounterReports, window_index
 
@@ -121,19 +123,17 @@ class Assignment(NamedTuple):
     candidates: frozenset = frozenset()
 
 
-class AttributionResult:
+class AttributionResult(NamedTuple):
     """Every visitor's :class:`Assignment`, and once scored, which were correct."""
 
-    __slots__ = "assignments", "accuracy", "correct", "inconsistent"
+    assignments: dict[str, Assignment]
+    accuracy: float | None = None
+    correct: Mapping[str, bool] = MappingProxyType({})
+    inconsistent: bool = False
 
-    def __init__(self, assignments: dict[str, Assignment], accuracy: float | None = None,
-                 correct: dict[str, bool] | None = None, inconsistent: bool = False):
-        self.assignments, self.accuracy, self.inconsistent = assignments, accuracy, inconsistent
-        self.correct = {} if correct is None else correct
-
-    def __eq__(self, other):
-        same = type(other) is AttributionResult
-        return same and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
+    # A read-only view cannot be copied or pickled, so a copy holds ``correct`` as a dict.
+    def __reduce__(self):
+        return AttributionResult, (*self[:2], dict(self.correct), self.inconsistent)
 
     def counts(self) -> dict[str, int]:
         tally = {"exact": 0, "ambiguous": 0, "unknown": 0}
@@ -443,12 +443,7 @@ def score_attribution(
     accuracy = None
     if correct:
         accuracy = sum(correct.values()) / len(correct)
-    return AttributionResult(
-        assignments=dict(result.assignments),
-        accuracy=accuracy,
-        correct=correct,
-        inconsistent=result.inconsistent,
-    )
+    return result._replace(accuracy=accuracy, correct=correct)
 
 
 class GroupStats(NamedTuple):
@@ -476,13 +471,13 @@ def group_statistics(
     reports' deltas is enough, which is what makes group-level profiling
     so much cheaper than individual attribution.  An audience outside
     ``reports.audience_ids`` was not probed and raises
-    :class:`UnknownIdError`, even when nothing was counted.
+    :class:`ValidationError`, even when nothing was counted.
     """
     if audience_x == audience_y:
         raise ValidationError("the two audiences must differ")
     for audience in (audience_x, audience_y):
         if audience not in reports.audience_ids:
-            raise UnknownIdError(f"audience {audience!r} was not probed")
+            raise ValidationError(f"audience {audience!r} was not probed")
     count_x = sum(deltas.get(audience_x, 0) for deltas in reports.hits.values())
     count_y = sum(deltas.get(audience_y, 0) for deltas in reports.hits.values())
     total = count_x + count_y

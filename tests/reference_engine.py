@@ -66,6 +66,8 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo)
             if group.geo is not None and geo not in group.geo:
                 continue
             value = effective_value_micros(group.bid, config)
+            if value == 0:
+                continue
             if to_micros(campaign.total_budget) - spent_micros[campaign.id] < value:
                 continue
             entrant = group.ads[0]

@@ -11,10 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from adtrap import cli, scenarios
-from adtrap.cli import main, run_to_directory
+from adtrap import cli, errors, scenarios
+from adtrap.cli import RunOutput, main, run_to_directory
 from adtrap.errors import SimulationError
 from adtrap.marketplace import window_count
+from adtrap.trap import summary_counts
 
 
 def read_csv(path):
@@ -247,6 +248,21 @@ def test_a_simulation_error_is_a_runtime_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "error: engine failed\n"
 
 
+def test_errors_are_one_base_and_the_three_kinds_the_program_tells_apart():
+    classes = {
+        name: value
+        for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert set(classes) == {
+        "AdtrapError",
+        "ValidationError",
+        "SimulationError",
+        "InconsistentObservationsError",
+    }
+    assert all(issubclass(kind, errors.AdtrapError) for kind in classes.values())
+
+
 def test_run_writes_all_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["run", "table2_experiment", "--out", str(out)]) == 0
@@ -288,6 +304,19 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     visits = read_csv(out / "visits_monads.csv")
     assert len(visits) == 10
     assert visits[0]["network_id"].startswith("203.0.113.")
+
+
+def test_run_to_directory_returns_a_record_of_the_run(tmp_path):
+    out = tmp_path / "out"
+    output = run_to_directory("two_visitor_ambiguity", seed=None, out_dir=str(out))
+    assert type(output) is RunOutput
+    assert RunOutput._fields == ("result", "artifacts", "out_dir")
+    result, artifacts, out_dir = output
+    assert out_dir == out
+    assert artifacts == sorted(p.name for p in out.iterdir())
+    written = json.loads((out / "run_output.json").read_text(encoding="utf-8"))
+    assert written["summary"] == output.summary
+    assert output.summary == {**summary_counts(result), "inconsistent": result.inconsistent}
 
 
 def test_a_run_over_a_billion_windows_costs_its_events(tmp_path):

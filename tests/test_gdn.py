@@ -2,7 +2,7 @@
 
 import pytest
 
-from adtrap.errors import UnknownIdError, ValidationError
+from adtrap.errors import ValidationError
 from adtrap.gdn import VisitLogEntry, Website, serve_page
 from adtrap.marketplace import Ad, AdGroup, Bid, Campaign, Marketplace
 from adtrap.profile import AdUserProfile, PageProfile
@@ -98,7 +98,7 @@ def test_non_logging_site_never_logs(market, small_taxonomy):
 
 
 def test_unknown_page_rejected(site, market, small_taxonomy):
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(ValidationError, match="has no page"):
         serve_page(
             site,
             "missing",

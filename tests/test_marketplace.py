@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from adtrap.errors import BudgetError, SimulationError, ValidationError
+from adtrap.errors import SimulationError, ValidationError
 from adtrap.marketplace import (
     MICROS,
     Ad,
@@ -208,7 +208,7 @@ def test_overspend_refused_outright():
         market.eligible_ads("site", sports_profile())
     )
     market.spent_micros["c"] = campaign.total_budget_micros - 1
-    with pytest.raises(BudgetError):
+    with pytest.raises(SimulationError, match="cannot pay"):
         market.record_impression(outcome, sports_profile(), PAGE, "site", time=0.0)
 
 
@@ -499,6 +499,9 @@ def test_report_rows_are_the_non_zero_rows_of_the_dense_reference(args):
         (1.0, 5, ("a",), {1: {"a": 1, "b": 1}}, "hit window 1 must hold non-zero deltas"),
         (1.0, 5, ("a",), {1: {}}, "hit window 1 must hold non-zero deltas"),
         (1.0, 5, ("a", "b"), {1: {"b": 1, "a": 1}}, "hit window 1 must hold non-zero deltas"),
+        (1.0, 2, ("a", "b"), {0: {"a": True}, 1: {"a": 1.5}}, "delta True .* window 0 is not an"),
+        (1.0, 2, ("a", "b"), {1: {"a": 1, "b": 1.5}}, "delta 1.5 .* window 1 is not an integer"),
+        (1.0, 2, ("a",), {1: {"a": 2.0}}, "delta 2.0 of audience 'a' in hit window 1 is not an"),
     ],
 )
 def test_counter_reports_reject_a_malformed_record(
@@ -515,6 +518,17 @@ def test_counter_reports_accept_negative_deltas_for_the_join_to_reject():
         {"a": 0, "b": -1},
     ]
     assert reports_to_rows(counters) == [(1, 1.0, 2.0, "b", -1, -1)]
+
+
+def test_a_cpc_group_never_serves_when_no_impression_is_clicked():
+    config = MarketConfig(click_through_rate=0.0)
+    market = Marketplace([make_campaign("c", 5.0, kind="CPC")], config=config)
+    assert effective_value_micros(Bid("CPC", 5.0), config) == 0
+    assert market.eligible_ads("site", sports_profile()) == []
+    assert market.serve("site", PAGE, sports_profile(), time=0.0) is None
+    assert market.spent_micros == {"c": 0}
+    # its audience is still counted, at zero
+    assert market.publish_reports(window_length=1.0, up_to_time=1.0).audience_ids == ("a_sports",)
 
 
 def test_publish_reports_covers_elapsed_windows():
@@ -605,7 +619,16 @@ def test_micros_conversion_rounds_half_up_at_micro_scale():
 
 SITES = ("s1", "s2", "s3")
 AUDIENCES = ("a1", "a2", "a3")
-BIDS = [("CPM", 0.5), ("CPM", 1.0), ("CPM", 2.0), ("CPC", 0.02), ("CPC", 0.04), ("CPA", 0.1)]
+# CPM 0.0004 is worth 0 micros, as is every CPC bid at a rate of 0.
+BIDS = [
+    ("CPM", 0.0004),
+    ("CPM", 0.5),
+    ("CPM", 1.0),
+    ("CPM", 2.0),
+    ("CPC", 0.02),
+    ("CPC", 0.04),
+    ("CPA", 0.1),
+]
 DEMOGRAPHIC_FILTERS = [(), (), (("gender", ("f",)),), (("languages", ("it", "fr")),)]
 
 
@@ -656,7 +679,7 @@ page_views = st.tuples(
 @given(
     drawn=campaign_lists(),
     mode=st.sampled_from(["first_price", "second_price"]),
-    ctr=st.sampled_from([0.05, 0.5]),
+    ctr=st.sampled_from([0.0, 0.05, 0.5]),
     views=st.lists(page_views, min_size=1, max_size=12),
 )
 def test_priced_table_matches_scan_from_scratch(drawn, mode, ctr, views):

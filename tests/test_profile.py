@@ -5,7 +5,7 @@ import copy
 import pytest
 from hypothesis import example, given, strategies as st
 
-from adtrap.errors import NotEligibleError, SimulationError, ValidationError
+from adtrap.errors import SimulationError, ValidationError
 from adtrap.profile import (
     AdUserProfile,
     PageProfile,
@@ -31,10 +31,9 @@ def visit(profile, page, tax, t, dwell=0.0, config=ProfileConfig()):
 
 
 def test_topicless_page_not_admitted(small_taxonomy):
-    with pytest.raises(NotEligibleError) as err:
+    with pytest.raises(ValidationError, match="not eligible for display network"):
         analyze_page("blank", [], small_taxonomy)
-    assert "not eligible" in str(err.value)
-    with pytest.raises(NotEligibleError):
+    with pytest.raises(ValidationError, match="not eligible for display network"):
         PageProfile("blank", frozenset())
 
 

@@ -130,6 +130,12 @@ def reject(doc, pointer):
     return err.value
 
 
+@pytest.mark.parametrize("document", [[], None, "scenario", 1])
+def test_a_document_that_is_not_an_object_is_rejected_at_the_root(document):
+    error = reject(document, "")
+    assert error.message == "scenario must be a JSON object"
+
+
 def test_spec_version_checked():
     doc = base_document()
     doc["spec_version"] = 2

@@ -589,6 +589,21 @@ def test_attack_free_scenario_runs_and_scores_empty():
         attacker_view_reports(trace, scenario, "monads")
 
 
+@pytest.mark.parametrize("cpm", [0.0004, 10.0])
+def test_a_campaign_without_budget_serves_nothing_even_at_a_bid_worth_nothing(cpm):
+    document = json.loads(scenarios.path("table2_experiment").read_text(encoding="utf-8"))
+    document["attack"] = None
+    document["campaigns"][0]["total_budget"] = 0
+    document["campaigns"][0]["ad_groups"][0]["bid"] = {"kind": "CPM", "amount": cpm}
+    engine = SimulationEngine(load_scenario_document(document))
+    trace = engine.run()
+    assert [i for i in trace.impressions if i.campaign_id == "rival_display"] == []
+    assert engine.marketplace.spent_micros == {"rival_display": 0}
+    # the platform report still counts every targeted audience
+    targets = document["campaigns"][0]["ad_groups"][0]["target_audiences"]
+    assert trace.reports.audience_ids == tuple(sorted(targets))
+
+
 def test_bundled_scenarios_all_load_and_run():
     for name in scenarios.names():
         scenario = load_scenario(scenarios.path(name))

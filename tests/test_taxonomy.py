@@ -5,7 +5,7 @@ import copy
 import pytest
 from hypothesis import given, strategies as st
 
-from adtrap.errors import UnknownIdError, ValidationError
+from adtrap.errors import ValidationError
 from adtrap.scenario import load_taxonomy
 from adtrap.taxonomy import AffinityAudience, audiences_for_interests
 
@@ -60,8 +60,17 @@ def test_empty_interest_set_yields_no_audiences(small_taxonomy):
     assert audiences_for_interests(small_taxonomy, set()) == set()
 
 
+def test_names_are_looked_up_by_id(small_taxonomy):
+    assert small_taxonomy.interest_names({"i_soccer", "i_dogs"}) == {"Soccer", "Dogs"}
+    assert small_taxonomy.audience_names({"a_sports", "a_cooks"}) == {
+        "Sports Fans",
+        "Cooking Enthusiasts",
+    }
+    assert small_taxonomy.audience_names(()) == set()
+
+
 def test_unknown_interest_id_rejected(small_taxonomy):
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(ValidationError, match="unknown interest id"):
         audiences_for_interests(small_taxonomy, {"i_soccer", "i_bogus"})
 
 

@@ -1,5 +1,7 @@
 """Inference from counters and logs: the heart of the attack."""
 
+import copy
+import pickle
 import random
 from unittest import mock
 
@@ -12,11 +14,7 @@ import reference_reports
 from conftest import make_observation
 from generators import oracle_agreement, random_observations
 
-from adtrap.errors import (
-    InconsistentObservationsError,
-    UnknownIdError,
-    ValidationError,
-)
+from adtrap.errors import InconsistentObservationsError, ValidationError
 from adtrap.gdn import VisitLogEntry, Website
 from adtrap.marketplace import Bid, CounterReports, window_index
 from adtrap.profile import PageProfile
@@ -534,6 +532,30 @@ def test_scoring_with_no_assignments_leaves_accuracy_undefined():
     assert scored.accuracy is None
 
 
+def test_scoring_replaces_accuracy_and_correct_and_leaves_its_argument_alone():
+    result = AttributionResult(
+        assignments={"n1": Assignment("exact", audience="a"), "n2": Assignment("unknown")},
+        inconsistent=True,
+    )
+    before = copy.deepcopy(result)
+    scored = score_attribution(result, {"n1": {"a"}, "n2": {"a"}}, ["a"])
+    assert result == before
+    assert type(scored) is AttributionResult
+    assert scored == result._replace(accuracy=0.5, correct={"n1": True, "n2": False})
+    assert scored.assignments is result.assignments
+
+
+def test_an_unscored_result_is_a_record_with_a_read_only_empty_correct_map():
+    result = AttributionResult({"n1": Assignment("unknown")})
+    assert AttributionResult._fields == ("assignments", "accuracy", "correct", "inconsistent")
+    assert result == ({"n1": Assignment("unknown")}, None, {}, False)
+    with pytest.raises(TypeError):
+        result.correct["n1"] = True
+    assert AttributionResult({}).correct == {}
+    assert copy.deepcopy(result) == result
+    assert pickle.loads(pickle.dumps(result)) == result
+
+
 def test_counts_tally_statuses():
     result = AttributionResult(
         assignments={
@@ -594,7 +616,7 @@ def test_group_statistics_without_hits_still_rejects_an_unprobed_audience():
     # An attack that logged no visit and got no probe impression still has
     # its probed audiences in the reports.
     reports = counters({}, 1, audiences=("a_family", "a_travel"))
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(ValidationError, match="was not probed"):
         group_statistics(reports, "a_family", "a_never_probed")
     stats = group_statistics(reports, "a_family", "a_travel")
     assert (stats.count_x, stats.count_y, stats.fraction) == (0, 0, None)
@@ -604,7 +626,7 @@ def test_group_statistics_rejects_unprobed_audience_of_sparse_reports():
     # a_travel counted nothing in window 1, so its delta is absent there.
     reports = counters({1: {"a_family": 1}}, 2, audiences=("a_family", "a_travel"))
     assert group_statistics(reports, "a_family", "a_travel").fraction == 1.0
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(ValidationError, match="was not probed"):
         group_statistics(reports, "a_family", "a_never_probed")
 
 
@@ -612,7 +634,7 @@ def test_group_statistics_input_checks():
     reports = counters({0: {"a_family": 1, "a_travel": 1}}, 1, audiences=("a_family", "a_travel"))
     with pytest.raises(ValidationError):
         group_statistics(reports, "a_family", "a_family")
-    with pytest.raises(UnknownIdError):
+    with pytest.raises(ValidationError, match="was not probed"):
         group_statistics(reports, "a_never_probed", "a_travel")
 
 
