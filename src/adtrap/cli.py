@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
 import logging
@@ -236,11 +237,20 @@ def main(argv=None) -> int:
     _setup_logging()
     parser = _parser()
     args = parser.parse_args(argv)
+    # A run makes no reference cycles (tests/test_simulation.py checks
+    # this), so reference counting frees what it allocates and the cyclic
+    # collector would only scan.  The collector's state is the process's:
+    # hand it back to an in-process caller as it was.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (AdtrapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, ValidationError) else 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

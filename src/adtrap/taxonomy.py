@@ -101,10 +101,19 @@ class Taxonomy(_Tables):
     _make = classmethod(lambda cls, fields: cls(*tuple(fields)[:3]))
 
     def interest_names(self, interest_ids) -> set[str]:
-        return {self.interests[i].name for i in interest_ids}
+        """Display names of ``interest_ids``; :class:`ValidationError` for an unknown id."""
+        return {_entry(self.interests, "interest", i).name for i in interest_ids}
 
     def audience_names(self, audience_ids) -> set[str]:
-        return {self.audiences[a].name for a in audience_ids}
+        """Display names of ``audience_ids``; :class:`ValidationError` for an unknown id."""
+        return {_entry(self.audiences, "audience", a).name for a in audience_ids}
+
+
+def _entry(table: dict, kind: str, entry_id):
+    """``table[entry_id]``, or a :class:`ValidationError` naming the unknown id."""
+    if entry_id not in table:
+        raise ValidationError(f"unknown {kind} id {entry_id!r}")
+    return table[entry_id]
 
 
 def audiences_for_interests(taxonomy: Taxonomy, interests) -> set[str]:
@@ -118,6 +127,5 @@ def audiences_for_interests(taxonomy: Taxonomy, interests) -> set[str]:
     """
     interest_set = set(interests)
     for i in interest_set:
-        if i not in taxonomy.interests:
-            raise ValidationError(f"unknown interest id {i!r}")
+        _entry(taxonomy.interests, "interest", i)
     return {a.id for a in taxonomy.audiences.values() if a.qualifies(interest_set)}

@@ -367,7 +367,7 @@ def _solve_component(
     # A visitor whose domain is "none" alone takes it up front, so the
     # search recurses only through the others: fewer than 20, as 2**20
     # exceeds the cap.
-    free = [i for i, dom in enumerate(domains) if len(dom) > 1]
+    free = [(i, dom, visits[i]) for i, dom in enumerate(domains) if len(dom) > 1]
     for i, dom in enumerate(domains):
         if len(dom) == 1:
             for j, k in visits[i]:
@@ -375,36 +375,10 @@ def _solve_component(
     chosen: list[str | None] = [NO_AUDIENCE] * len(members)
     survivors: list[set] = [set() for _ in members]
 
-    def search(depth: int) -> None:
-        if depth == len(free):
-            # Every visit is assigned and no residual is negative or left
-            # uncovered, so every window's deltas are reproduced exactly.
-            for seen, value in zip(survivors, chosen):
-                seen.add(value)
-            return
-        i = free[depth]
-        for value in domains[i]:
-            chosen[i] = value
-            fits = True
-            for j, k in visits[i]:
-                left[j] -= k
-                if value is not NO_AUDIENCE:
-                    resid[j][value] -= k
-                    need[j] -= k
-                    fits = fits and resid[j][value] >= 0
-                fits = fits and need[j] <= left[j]
-            if fits:
-                search(depth + 1)
-            for j, k in visits[i]:
-                left[j] += k
-                if value is not NO_AUDIENCE:
-                    resid[j][value] += k
-                    need[j] += k
-
     # Up-front visitors can leave a window unable to cover its residual,
     # which the search only checks for the windows it touches.
     if all(n <= m for n, m in zip(need, left)):
-        search(0)
+        _search(0, free, chosen, resid, need, left, survivors)
     if not survivors[0]:
         raise InconsistentObservationsError(
             "inconsistent observations: no audience assignment reproduces the "
@@ -415,6 +389,50 @@ def _solve_component(
             assignments[nid] = Assignment("exact", audience=next(iter(values)))
         else:
             assignments[nid] = Assignment("ambiguous", candidates=frozenset(values))
+
+
+def _search(
+    depth: int,
+    free: list[tuple[int, list[str | None], list[tuple[int, int]]]],
+    chosen: list[str | None],
+    resid: list[dict[str, int]],
+    need: list[int],
+    left: list[int],
+    survivors: list[set],
+) -> None:
+    """Try each value of ``free[depth]``'s visitor, then go one deeper.
+
+    ``free`` lists each searched visitor's index, domain and (window slot,
+    visit count) pairs; the other arguments are :func:`_solve_component`'s
+    search state, whose ``resid``, ``need`` and ``left`` are as they were
+    on return.  It is not a closure: a closure that calls itself is a
+    reference cycle, which the command line leaves for a collector it
+    pauses.
+    """
+    if depth == len(free):
+        # Every visit is assigned and no residual is negative or left
+        # uncovered, so every window's deltas are reproduced exactly.
+        for seen, value in zip(survivors, chosen):
+            seen.add(value)
+        return
+    i, domain, visits = free[depth]
+    for value in domain:
+        chosen[i] = value
+        fits = True
+        for j, k in visits:
+            left[j] -= k
+            if value is not NO_AUDIENCE:
+                resid[j][value] -= k
+                need[j] -= k
+                fits = fits and resid[j][value] >= 0
+            fits = fits and need[j] <= left[j]
+        if fits:
+            _search(depth + 1, free, chosen, resid, need, left, survivors)
+        for j, k in visits:
+            left[j] += k
+            if value is not NO_AUDIENCE:
+                resid[j][value] += k
+                need[j] += k
 
 
 def score_attribution(

@@ -1,6 +1,7 @@
 """The adtrap command-line interface."""
 
 import csv
+import gc
 import json
 import os
 import shutil
@@ -304,6 +305,44 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
     visits = read_csv(out / "visits_monads.csv")
     assert len(visits) == 10
     assert visits[0]["network_id"].startswith("203.0.113.")
+
+
+@pytest.fixture
+def collector_state():
+    """Put the cyclic collector back as it was, whatever a test leaves."""
+    collecting = gc.isenabled()
+    yield
+    if collecting:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+def test_main_pauses_an_enabled_collector_and_enables_it_again(
+    tmp_path, collector_state, monkeypatch, capsys
+):
+    collecting_during_run = []
+    run = cli.run_to_directory
+
+    def recording_run(*args, **kwargs):
+        collecting_during_run.append(gc.isenabled())
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_to_directory", recording_run)
+    gc.enable()
+    assert main(["run", "per_victim_shared", "--out", str(tmp_path / "out")]) == 0
+    assert collecting_during_run == [False]
+    assert gc.isenabled()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"spec_version": 99}), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert gc.isenabled()
+
+
+def test_main_leaves_a_disabled_collector_disabled(tmp_path, collector_state, capsys):
+    gc.disable()
+    assert main(["run", "per_victim_shared", "--out", str(tmp_path / "out")]) == 0
+    assert not gc.isenabled()
 
 
 def test_run_to_directory_returns_a_record_of_the_run(tmp_path):

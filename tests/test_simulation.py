@@ -1,6 +1,7 @@
 """End-to-end runs: phases, determinism, scoring, sweeps."""
 
 import copy
+import gc
 import itertools
 import json
 import logging
@@ -1027,3 +1028,26 @@ def read_bundled(name):
 
     with open(scenarios.path(name), encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def test_a_run_leaves_nothing_for_the_cyclic_collector():
+    # ``adtrap.cli.main`` pauses the cyclic collector, which is safe only
+    # while a run makes no reference cycles: each step here must leave
+    # nothing that reference counting cannot free.  per_victim_shared
+    # reaches the solver's component search.
+    document = read_bundled("per_victim_shared")
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        scenario = load_scenario_document(document)
+        assert gc.collect() == 0
+        trace = run_scenario(scenario)
+        assert gc.collect() == 0
+        result = run_attack(scenario, trace)
+        assert result.assignments and gc.collect() == 0
+        rows = sweep(document, {"attack/cpm": [40.0, 50.0, 60.0]}, [1])
+        assert len(rows) == 3 and gc.collect() == 0
+    finally:
+        if collecting:
+            gc.enable()

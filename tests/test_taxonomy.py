@@ -69,6 +69,18 @@ def test_names_are_looked_up_by_id(small_taxonomy):
     assert small_taxonomy.audience_names(()) == set()
 
 
+def test_names_of_an_unknown_id_are_a_validation_error(small_taxonomy):
+    with pytest.raises(ValidationError, match="unknown interest id 'i_bogus'"):
+        small_taxonomy.interest_names(["i_soccer", "i_bogus"])
+    with pytest.raises(ValidationError, match="unknown audience id 'a_bogus'"):
+        small_taxonomy.audience_names(["a_sports", "a_bogus"])
+    # An interest id is not an audience id, nor the reverse.
+    with pytest.raises(ValidationError, match="unknown audience id 'i_soccer'"):
+        small_taxonomy.audience_names(["i_soccer"])
+    with pytest.raises(ValidationError, match="unknown interest id 'a_sports'"):
+        small_taxonomy.interest_names(["a_sports"])
+
+
 def test_unknown_interest_id_rejected(small_taxonomy):
     with pytest.raises(ValidationError, match="unknown interest id"):
         audiences_for_interests(small_taxonomy, {"i_soccer", "i_bogus"})
