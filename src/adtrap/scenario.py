@@ -459,17 +459,49 @@ def _user(fields, websites: dict[str, Website], pages: set[str], horizon: float)
     return UserAgentSpec(**fields)
 
 
-# Visits are most of a document's objects, so each visit list is first
-# built in one pass by checks that imply every rule of its kind: exact
-# types (no bool, subclass or NaN passes) and membership among ids that
-# were already validated.  At the first visit those checks cannot accept,
-# the loop returns None and the list goes through _each, which applies
-# the rules one by one and is the only code that explains a rejection.
+# Users and their visits are most of a document's objects, so the user
+# list and each visit list are first built in one pass by checks that
+# imply every rule of their kind: exact types (no bool, subclass or NaN
+# passes) and membership among ids that were already validated.  At the
+# first object those checks cannot accept, the loop returns None and the
+# list goes through _each, which applies the rules one by one and is the
+# only code that explains a rejection.
+_USER_KEYS, _CONSENT = _RULES["user"].keys(), UserAgentSpec._field_defaults["consent"]
 _WARMUP_KEYS, _ATTACK_KEYS = _RULES["warmup_visit"].keys(), _RULES["attack_visit"].keys()
 _REPEAT, _DWELL = WarmupVisit._field_defaults["repeat"], WarmupVisit._field_defaults["dwell"]
 _REAL = (int, float)
 # A dwell up to this bound is finite in micros; a larger one goes through _each.
 _DWELL_MAX = 1e300
+
+
+def _users(nodes: list, websites: dict[str, Website], pages: set[str],
+           horizon: float) -> tuple[UserAgentSpec, ...] | None:
+    """Each id column must not repeat a value.
+
+    A user with a demographics object goes through _each.
+    """
+    users, ids, cookies, networks = [], set(), set(), set()
+    for node in nodes:
+        if type(node) is not dict or not node.keys() <= _USER_KEYS:
+            return None
+        uid, cookie, network = node.get("id"), node.get("cookie_id"), node.get("network_id")
+        consent, geo = node.get("consent", _CONSENT), node.get("geo")
+        plan, visits = node.get("warmup_plan", []), node.get("attack_visits", [])
+        if not (type(uid) is str and type(cookie) is str and type(network) is str
+                and (geo is None or type(geo) is str) and uid and cookie and network
+                and _utf8(uid + cookie + network + (geo or "")) is None
+                and uid not in ids and cookie not in cookies and network not in networks
+                and type(consent) is bool and type(plan) is list and type(visits) is list
+                and node.get("demographics") is None):
+            return None
+        plan, visits = _warmup_plan(plan, pages), _attack_visits(visits, websites, horizon)
+        if plan is None or visits is None:
+            return None
+        ids.add(uid)
+        cookies.add(cookie)
+        networks.add(network)
+        users.append(UserAgentSpec(uid, cookie, network, consent, None, geo, plan, visits))
+    return tuple(users)
 
 
 def _warmup_plan(nodes: list, pages: set[str]) -> tuple[WarmupVisit, ...] | None:
@@ -567,10 +599,13 @@ def load_scenario_document(document: dict) -> Scenario:
     }
     campaigns = _each(fields, "campaigns", "campaign", _campaign, taxonomy, websites)
     pages = {pid for site in websites.values() for pid in site.pages}
-    users = _each(fields, "users", "user", _user, websites, pages, fields["horizon_s"])
+    users = _users(fields.get("users", ()), websites, pages, fields["horizon_s"])
+    if users is None:
+        users = _each(fields, "users", "user", _user, websites, pages, fields["horizon_s"])
     overlap = sorted({u.cookie_id for u in users} & {u.network_id for u in users})
     if overlap:
-        raise ValidationError(f"cookie ids and network ids must not overlap: {overlap}", "/users")
+        both = f"{quoted(overlap[0])} is both (ids that are both: {len(overlap)})"
+        raise ValidationError(f"cookie ids and network ids must not overlap: {both}", "/users")
     attack = fields.get("attack")
     return Scenario(
         taxonomy=taxonomy,

@@ -242,6 +242,8 @@ def trace_to_json(trace: RunTrace) -> str:
     Each record kind's field names are written once, and its records as the
     tuples they are; ``reports.hits`` as ``[window_index, deltas]`` pairs in
     window order (a list: sorted string keys would put window "10" before "9").
+    The document is built fresh here and holds no cycle, so the encoder skips
+    its cycle check.
     """
     document = {
         "schema_version": TRACE_SCHEMA_VERSION,
@@ -252,7 +254,7 @@ def trace_to_json(trace: RunTrace) -> str:
         "reports": {**trace.reports._asdict(), "hits": list(trace.reports.hits.items())},
         "ground_truth": {user: sorted(audiences) for user, audiences in trace.ground_truth.items()},
     }
-    return json.dumps(document, sort_keys=True) + "\n"
+    return json.dumps(document, sort_keys=True, check_circular=False) + "\n"
 
 
 def apply_grid_value(document: dict, key: str, value) -> None:

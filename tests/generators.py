@@ -389,6 +389,26 @@ def mutate_visits(doc, rng):
     visits[i][field] = copy.deepcopy(rng.choice(edges))
 
 
+def mutate_users(doc, rng):
+    """Apply one drawn mutation, in place, to a field of a drawn user.
+
+    The field gets a value next to a user rule's edge: another user's id,
+    cookie id or network id, a non-ASCII id, 1 (with ``MUTANT_VALUES``' 0,
+    against ``consent``), a demographics object, or one of ``MUTANT_VALUES``,
+    which hold ``"\\ud800"`` and ``""`` (a valid ``geo``).  A document with no
+    user gets a :func:`mutate_document` mutation instead.
+    """
+    users = doc.get("users")
+    users = [user for user in users if isinstance(user, dict)] if isinstance(users, list) else []
+    if not users:
+        mutate_document(doc, rng)
+        return
+    edges = [*MUTANT_VALUES, "usér", 1, {"gender": "f"}, {"age_band": "25-34", "languages": ["it"]}]
+    edges += [user.get(key) for user in users for key in ("id", "cookie_id", "network_id")]
+    field = rng.choice(("id", "cookie_id", "network_id", "consent", "geo", "demographics"))
+    rng.choice(users)[field] = copy.deepcopy(rng.choice(edges))
+
+
 def resolve_pointer(doc, pointer):
     """Raise AssertionError unless the JSON pointer leads into ``doc``.
 

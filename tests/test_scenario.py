@@ -33,6 +33,7 @@ from adtrap.trap import AttackSpec
 from conftest import SMALL_TAXONOMY_DOC
 from generators import (
     mutate_document,
+    mutate_users,
     mutate_visits,
     random_scenario_document,
     random_targeting_scenario_document,
@@ -282,6 +283,14 @@ def test_cookie_and_network_namespaces_disjoint():
     doc = base_document()
     doc["users"][0]["network_id"] = "dc-u1"  # same string as their cookie id
     reject(doc, "/users")
+
+
+def test_an_overlap_error_stays_short_however_many_ids_overlap():
+    doc = base_document()
+    doc["users"] = [{"id": f"u{i}", "cookie_id": f"c{i}", "network_id": f"c{i}"} for i in range(2000)]
+    message = reject(doc, "/users").message
+    assert len(message) < 200
+    assert "'c0'" in message and "2000" in message
 
 
 def test_cookie_network_overlap_across_users():
@@ -822,34 +831,53 @@ def load_outcome(document):
 
 
 def rule_by_rule_outcome(document):
-    """:func:`load_outcome`, with every visit list handed to ``_each``."""
+    """:func:`load_outcome`, with the user list and every visit list handed to ``_each``."""
     with (
+        mock.patch.object(loader, "_users", return_value=None),
         mock.patch.object(loader, "_warmup_plan", return_value=None),
         mock.patch.object(loader, "_attack_visits", return_value=None),
     ):
         return load_outcome(document)
 
 
-def test_valid_visit_lists_load_in_one_pass():
-    never = AssertionError("a visit list went through _each")
+def valid_documents(seed):
+    """Every bundled scenario, then 20 generated and 20 targeting documents."""
     documents = [scenarios.load(name) for name in scenarios.names()]
-    rng = random.Random(24)
+    rng = random.Random(seed)
     documents += [random_scenario_document(rng) for _ in range(20)]
     documents += [random_targeting_scenario_document(rng) for _ in range(20)]
+    return documents
+
+
+def test_valid_visit_lists_load_in_one_pass():
+    never = AssertionError("a visit list went through _each")
     with (
         mock.patch.object(loader, "_warmup_visit", side_effect=never),
         mock.patch.object(loader, "_attack_visit", side_effect=never),
     ):
+        for document in valid_documents(24):
+            load_scenario_document(document)
+
+
+def test_valid_user_lists_load_in_one_pass():
+    """Users without a demographics object never go through ``_each``."""
+    documents = valid_documents(33)
+    for document in documents:
+        for user in document["users"]:
+            user["demographics"] = None
+    with mock.patch.object(loader, "_user", side_effect=AssertionError("a user went through _each")):
         for document in documents:
             load_scenario_document(document)
 
 
-@settings(max_examples=300, deadline=None)
+# Half the steps mutate visits; at 400 examples that is about 300 visit
+# mutations and 150 each of user and document mutations.
+@settings(max_examples=400, deadline=None)
 @given(st.sampled_from(MUTATION_SOURCES), st.randoms(use_true_random=False))
-def test_visit_lists_load_as_they_do_rule_by_rule(source, rng):
+def test_users_and_visit_lists_load_as_they_do_rule_by_rule(source, rng):
     doc = mutation_source(source, rng)
     for _ in range(rng.randint(0, 3)):
-        rng.choice((mutate_visits, mutate_visits, mutate_document))(doc, rng)
+        rng.choice((mutate_visits, mutate_visits, mutate_users, mutate_document))(doc, rng)
     assert load_outcome(doc) == rule_by_rule_outcome(doc)
 
 
@@ -889,4 +917,53 @@ VISIT_EDGES = {
 def test_visit_edges_load_as_they_do_rule_by_rule(key, visits):
     doc = base_document()
     doc["users"][0][key] = visits
+    assert load_outcome(doc) == rule_by_rule_outcome(doc)
+
+
+class Name(str):
+    """A str subclass, as a Python caller may pass; JSON never makes one."""
+
+
+def user_node(uid, **fields):
+    return {"id": uid, "cookie_id": f"dc-{uid}", "network_id": f"net-{uid}", **fields}
+
+
+# On base_document(), each case replaces the user list.
+USER_EDGES = {
+    "id-repeated": [user_node("u1"), {**user_node("u2"), "id": "u1"}],
+    "cookie-id-repeated": [user_node("u1"), {**user_node("u2"), "cookie_id": "dc-u1"}],
+    "network-id-repeated": [user_node("u1"), {**user_node("u2"), "network_id": "net-u1"}],
+    "id-empty": [user_node("")],
+    "id-non-ascii": [user_node("usér")],
+    "id-surrogate": [user_node("u\ud800")],
+    "id-str-subclass": [user_node(Name("u1"))],
+    "user-dict-subclass": [OrderedDict(user_node("u1"))],
+    "user-unknown-key": [user_node("u1", odd=1)],
+    "consent-false": [user_node("u1", consent=False)],
+    "consent-int": [user_node("u1", consent=1)],
+    "geo-empty": [user_node("u1", geo="")],
+    "geo-surrogate": [user_node("u1", geo="\ud800")],
+    "geo-null": [user_node("u1", geo=None)],
+    "demographics-null": [user_node("u1", demographics=None)],
+    "demographics-object": [user_node("u1", demographics={"gender": "f"})],
+    "demographics-empty": [user_node("u1", demographics={})],
+    "demographics-every-key": [
+        user_node("u1", demographics={"gender": "", "age_band": "25-34", "languages": ["it", "fr"]})
+    ],
+    "demographics-gender-int": [user_node("u1", demographics={"gender": 1})],
+    "demographics-unknown-key": [user_node("u1", demographics={"odd": 1})],
+    "demographics-dict-subclass": [user_node("u1", demographics=OrderedDict(gender="f"))],
+    "languages-tuple": [user_node("u1", demographics={"languages": ("it",)})],
+    "languages-null": [user_node("u1", demographics={"languages": None})],
+    "languages-surrogate": [user_node("u1", demographics={"languages": ["it", "\ud800"]})],
+    "age-band-surrogate": [user_node("u1", demographics={"age_band": "\ud800"})],
+    "warmup-plan-tuple": [user_node("u1", warmup_plan=())],
+    "later-user-bad": [user_node("u1"), user_node("u2", consent=0)],
+}
+
+
+@pytest.mark.parametrize("users", USER_EDGES.values(), ids=USER_EDGES)
+def test_user_edges_load_as_they_do_rule_by_rule(users):
+    doc = base_document()
+    doc["users"] = users
     assert load_outcome(doc) == rule_by_rule_outcome(doc)
