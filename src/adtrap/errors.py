@@ -1,4 +1,5 @@
-"""Shared exception types, and the hook that lets a record reject itself."""
+"""Shared exception types, the numeric type tests, and the hook that lets a
+record reject itself."""
 
 
 class AdtrapError(Exception):
@@ -27,6 +28,16 @@ def quoted(value) -> str:
     that a message quoting a huge document value stays short."""
     text = repr(value)
     return text if len(text) <= 100 else text[:97] + "..."
+
+
+def is_number(value) -> bool:
+    """Whether ``value`` is an ``int`` or a ``float``; a ``bool`` is neither here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an ``int`` other than a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class SimulationError(AdtrapError):

@@ -18,12 +18,16 @@ import math
 import random
 from typing import Iterable, NamedTuple
 
-from .errors import SimulationError, ValidationError, checked, quoted
+from .errors import SimulationError, ValidationError, checked, is_integer, is_number, quoted
 from .profile import AdUserProfile, Demographics, PageProfile
 
 MICROS = 10**6
 
 BID_KINDS = ("CPC", "CPM", "CPA")
+
+# The share of impressions that a CPA bid expects to turn into an
+# acquisition, which prices it per impression.
+ACQUISITION_RATE = 0.01
 
 
 def to_micros(amount: float) -> int:
@@ -53,8 +57,8 @@ class Bid(NamedTuple):
         if self.kind not in BID_KINDS:
             message = f"bid kind must be one of {BID_KINDS}, got {quoted(self.kind)}"
             raise ValidationError(message, "/kind")
-        if not (self.amount > 0 and finite_in_micros(self.amount)):
-            message = f"bid amount must be positive and finite, got {self.amount!r}"
+        if not (is_number(self.amount) and self.amount > 0 and finite_in_micros(self.amount)):
+            message = f"bid amount must be positive and finite, got {quoted(self.amount)}"
             raise ValidationError(message, "/amount")
 
 
@@ -100,7 +104,8 @@ class Campaign(NamedTuple):
     total_budget: float
 
     def _check(self):
-        if not (self.total_budget >= 0 and finite_in_micros(self.total_budget)):
+        budget = self.total_budget
+        if not (is_number(budget) and budget >= 0 and finite_in_micros(budget)):
             raise ValidationError(f"campaign {self.id!r} budget must be finite and >= 0")
 
     @property
@@ -145,8 +150,11 @@ class CounterReports(NamedTuple):
     hits: dict[int, dict[str, int]]
 
     def _check(self):
-        if not self.window_length > 0:
-            raise ValidationError(f"window length must be positive, got {self.window_length!r}")
+        if not (is_number(self.window_length) and self.window_length > 0):
+            length = quoted(self.window_length)
+            raise ValidationError(f"window length must be positive, got {length}")
+        if not is_integer(self.num_windows):
+            raise ValidationError(f"num_windows must be an integer, got {quoted(self.num_windows)}")
         if list(self.audience_ids) != sorted(set(self.audience_ids)):
             raise ValidationError(
                 f"audience ids must be sorted and distinct, got {self.audience_ids!r}"
@@ -176,26 +184,18 @@ class CounterReports(NamedTuple):
 class MarketConfig(NamedTuple):
     """Marketplace-wide serving parameters.
 
-    ``click_through_rate`` and ``acquisition_rate``, both in [0, 1], convert
-    CPC and CPA bids into expected per-impression values; ``auction_mode`` is
-    ``"first_price"`` (winner pays own value, the default) or
-    ``"second_price"`` (winner pays the runner-up value).
+    ``click_through_rate``, in [0, 1], converts CPC bids into expected
+    per-impression values and samples each impression's click.
     """
 
-    auction_mode: str = "first_price"
     click_through_rate: float = 0.05
-    acquisition_rate: float = 0.01
 
     def _check(self):
-        if self.auction_mode not in ("first_price", "second_price"):
-            mode = quoted(self.auction_mode)
+        rate = self.click_through_rate
+        if not (is_number(rate) and 0 <= rate <= 1):
             raise ValidationError(
-                f"auction_mode must be 'first_price' or 'second_price', got {mode}", "/auction_mode"
+                f"click_through_rate must lie in [0, 1], got {quoted(rate)}", "/click_through_rate"
             )
-        for name in ("click_through_rate", "acquisition_rate"):
-            rate = getattr(self, name)
-            if not 0 <= rate <= 1:
-                raise ValidationError(f"{name} must lie in [0, 1], got {rate!r}", f"/{name}")
 
 
 DEFAULT_MARKET_CONFIG = MarketConfig()
@@ -208,23 +208,18 @@ class Candidate(NamedTuple):
     value_micros: int
 
 
-class AuctionOutcome(NamedTuple):
-    candidate: Candidate
-    price_micros: int
-
-
 def effective_value_micros(bid: Bid, config: MarketConfig = DEFAULT_MARKET_CONFIG) -> int:
     """Expected value of one impression under the given bid, in micros.
 
-    CPM is amount per thousand impressions; CPC and CPA are scaled by the
-    configured click-through and acquisition rates.
+    CPM is amount per thousand impressions; CPC is scaled by the configured
+    click-through rate and CPA by ``ACQUISITION_RATE``.
     """
     micros = to_micros(bid.amount)
     if bid.kind == "CPM":
         return micros // 1000
     if bid.kind == "CPC":
         return round(micros * config.click_through_rate)
-    return round(micros * config.acquisition_rate)
+    return round(micros * ACQUISITION_RATE)
 
 
 def _demographics_match(filters: tuple[tuple[str, tuple[str, ...]], ...],
@@ -332,7 +327,7 @@ class Marketplace:
             candidates.append(candidate)
         return candidates
 
-    def run_auction(self, candidates: list[Candidate]) -> AuctionOutcome | None:
+    def run_auction(self, candidates: list[Candidate]) -> Candidate | None:
         """Pick the winner by the candidates' per-impression values.
 
         Ties break on lexicographic ad id, then on candidate order, so the
@@ -341,34 +336,28 @@ class Marketplace:
         """
         if not candidates:
             return None
-        winner = min(candidates, key=lambda c: (-c.value_micros, c.ad.id))
-        if self.config.auction_mode == "second_price" and len(candidates) > 1:
-            price = max(c.value_micros for c in candidates if c is not winner)
-        else:
-            price = winner.value_micros
-        return AuctionOutcome(winner, price)
+        return min(candidates, key=lambda c: (-c.value_micros, c.ad.id))
 
     def record_impression(
         self,
-        outcome: AuctionOutcome,
+        candidate: Candidate,
         profile: AdUserProfile,
         page: PageProfile,
         website_id: str,
         time: float,
     ) -> ImpressionRecord:
-        """Charge the winning campaign and append the impression record.
+        """Charge the winning campaign its own value and append the impression record.
 
         The impression is attributed to exactly one audience: the
         lexicographically smallest id among the winning group's targets the
         profile is currently in.  A click is sampled from the configured
         click-through rate using the marketplace rng.
         """
-        candidate = outcome.candidate
         campaign = candidate.campaign
-        spent = self.spent_micros[campaign.id] + outcome.price_micros
+        spent = self.spent_micros[campaign.id] + candidate.value_micros
         if spent > self._budget_micros[campaign.id]:
             raise SimulationError(
-                f"campaign {campaign.id!r} cannot pay {outcome.price_micros} micros"
+                f"campaign {campaign.id!r} cannot pay {candidate.value_micros} micros"
             )
         matched = candidate.ad_group.target_audiences & profile.audiences
         if not matched:
@@ -400,10 +389,10 @@ class Marketplace:
         geo: str | None = None,
     ) -> ImpressionRecord | None:
         """One page view, one slot: eligibility, auction, impression."""
-        outcome = self.run_auction(self.eligible_ads(website_id, profile, geo))
-        if outcome is None:
+        winner = self.run_auction(self.eligible_ads(website_id, profile, geo))
+        if winner is None:
             return None
-        return self.record_impression(outcome, profile, page, website_id, time)
+        return self.record_impression(winner, profile, page, website_id, time)
 
     def publish_reports(self, window_length: float, up_to_time: float) -> CounterReports:
         """Counters of every window elapsed by ``up_to_time``, over every targeted audience."""

@@ -16,6 +16,10 @@ from typing import NamedTuple
 from .errors import SimulationError, ValidationError, checked, quoted
 from .taxonomy import Taxonomy
 
+# The minimum topic score that activates an interest; the boundary is
+# inclusive.  It is positive, so no interest holds before any visit.
+INTEREST_THRESHOLD = 1.0
+
 
 @checked
 class PageProfile(NamedTuple):
@@ -47,24 +51,15 @@ class ProfileConfig(NamedTuple):
 
     ``score_mode`` is ``"count"`` (one point per visit per topic, the
     default) or ``"dwell"`` (dwell seconds / 60 per topic).
-    ``interest_threshold`` is the minimum topic score that activates an
-    interest; the boundary is inclusive and the threshold must be
-    positive, or every interest would hold before any visit.
     """
 
     score_mode: str = "count"
-    interest_threshold: float = 1.0
 
     def _check(self):
         if self.score_mode not in ("count", "dwell"):
             raise ValidationError(
                 f"score_mode must be 'count' or 'dwell', got {quoted(self.score_mode)}",
                 "/score_mode",
-            )
-        if not self.interest_threshold > 0:
-            raise ValidationError(
-                f"interest_threshold must be positive, got {self.interest_threshold!r}",
-                "/interest_threshold",
             )
 
 
@@ -120,11 +115,11 @@ def _check_clock(profile: AdUserProfile, time: float) -> None:
         )
 
 
-def _qualify(profile: AdUserProfile, topics, taxonomy: Taxonomy, threshold: float) -> None:
+def _qualify(profile: AdUserProfile, topics, taxonomy: Taxonomy) -> None:
     """Add the interests and audiences that raising ``topics`` qualified for.
 
     The invariant: ``interests`` is the set of interests with a source
-    topic scoring at least ``threshold``, and ``audiences`` is
+    topic scoring at least ``INTEREST_THRESHOLD``, and ``audiences`` is
     :func:`~adtrap.taxonomy.audiences_for_interests` of ``interests``.  An
     empty profile keeps it, since the threshold is positive and every
     ``qualify_rule`` is at least 1.  If it held before the caller raised
@@ -141,7 +136,7 @@ def _qualify(profile: AdUserProfile, topics, taxonomy: Taxonomy, threshold: floa
     scores, held, by_topic = profile.topic_scores, profile.interests, taxonomy.interests_by_topic
     gained: set[str] = set()
     for topic in topics:
-        if scores[topic] >= threshold:
+        if scores[topic] >= INTEREST_THRESHOLD:
             fed = by_topic.get(topic, ())
             if not held.issuperset(fed):
                 gained.update(fed)
@@ -178,7 +173,7 @@ def record_visit(
     scores = profile.topic_scores
     for topic in page.topics:
         scores[topic] = scores.get(topic, 0.0) + increment
-    _qualify(profile, page.topics, taxonomy, config.interest_threshold)
+    _qualify(profile, page.topics, taxonomy)
     return profile
 
 
@@ -216,5 +211,5 @@ def fold_warmup(
                 scores[topic] = scores.get(topic, 0.0) + increment
     if steps:
         profile.last_timestamp = time
-    _qualify(profile, scores, taxonomy, config.interest_threshold)
+    _qualify(profile, scores, taxonomy)
     return profile

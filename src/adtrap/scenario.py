@@ -26,7 +26,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ValidationError, quoted
+from .errors import ValidationError, is_integer, is_number, quoted
 from .gdn import OWNERS, Website
 from .marketplace import (
     Ad,
@@ -98,7 +98,7 @@ def _any(value):
 
 
 def _number(value):
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not is_number(value):
         return "must be a number"
     return None if finite_in_micros(value) else "must be finite, also in micros"
 
@@ -112,7 +112,7 @@ def _non_negative(value):
 
 
 def _integer(value):
-    return None if isinstance(value, int) and not isinstance(value, bool) else "must be an integer"
+    return None if is_integer(value) else "must be an integer"
 
 
 def _seed(value):
@@ -269,11 +269,8 @@ _SCHEMA = {
         "cpm": (_positive, REQUIRED), "budget": (_positive, OPTIONAL),
         "extra_placement_sites": (_strings, OPTIONAL),
     },
-    "profile_config": {"score_mode": (_text, OPTIONAL), "interest_threshold": (_number, OPTIONAL)},
-    "market_config": {
-        "auction_mode": (_text, OPTIONAL), "click_through_rate": (_number, OPTIONAL),
-        "acquisition_rate": (_number, OPTIONAL),
-    },
+    "profile_config": {"score_mode": (_text, OPTIONAL)},
+    "market_config": {"click_through_rate": (_number, OPTIONAL)},
 }
 # An ad group's demographics filter takes the user's demographic fields,
 # each as the non-empty list of accepted values.

@@ -27,7 +27,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import ValidationError, checked
+from .errors import ValidationError, checked, is_integer, quoted
 
 
 class Topic(NamedTuple):
@@ -52,9 +52,11 @@ class AffinityAudience(NamedTuple):
     def _check(self):
         # A rule below 1 would qualify an empty profile, which
         # adtrap.profile's incremental audiences assume never happens.
-        if not self.qualify_rule >= 1:
+        rule = self.qualify_rule
+        if not (is_integer(rule) and rule >= 1):
             raise ValidationError(
-                f"audience {self.id!r} qualify_rule must be at least 1, got {self.qualify_rule!r}"
+                f"audience {self.id!r} qualify_rule must be at least 1 and an integer, "
+                f"got {quoted(rule)}"
             )
 
     def qualifies(self, interests: set[str]) -> bool:

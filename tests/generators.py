@@ -295,12 +295,7 @@ def random_targeting_scenario_document(rng):
         )
     document["campaigns"] = campaigns
     dwell = rng.random() < 0.3
-    document["profile_config"] = (
-        {"score_mode": "dwell", "interest_threshold": 0.5}
-        if dwell
-        else {"interest_threshold": rng.choice([1, 2])}
-    )
-    document["market_config"] = {"auction_mode": rng.choice(["first_price", "second_price"])}
+    document["profile_config"] = {"score_mode": "dwell"} if dwell else {}
     for user in document["users"]:
         user["geo"] = rng.choice([None, "IT", "DE"])
         user["demographics"] = rng.choice(USER_DEMOGRAPHICS)

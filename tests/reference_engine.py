@@ -4,8 +4,8 @@ It keeps no priced table, no per-site table, no topic index and no
 audience index.  Every page view derives the visitor's interests and
 audiences again from the topic scores, prices every ad group of every
 campaign and auctions among all that qualify, straight from the scenario
-records.  Only the record types, bid pricing and report batching are
-shared with the engine.
+records.  Only the record types, the interest threshold, bid pricing and
+report batching are shared with the engine.
 """
 
 import random
@@ -18,16 +18,16 @@ from adtrap.marketplace import (
     to_micros,
     window_count,
 )
-from adtrap.profile import AdUserProfile
+from adtrap.profile import INTEREST_THRESHOLD, AdUserProfile
 from adtrap.simulation import RunTrace
 from adtrap.trap import build_trap_campaign
 
 
-def _audiences(scores, taxonomy, threshold):
+def _audiences(scores, taxonomy):
     interests = {
         interest.id
         for interest in taxonomy.interests.values()
-        if any(scores.get(topic, 0.0) >= threshold for topic in interest.source_topics)
+        if any(scores.get(topic, 0.0) >= INTEREST_THRESHOLD for topic in interest.source_topics)
     }
     return {
         audience.id
@@ -50,9 +50,10 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo)
     """Every campaign and group priced again for one page view.
 
     A group enters the auction once, with the ad whose id sorts first (the
-    earliest such ad if ids repeat).  Returns the winner as ``(campaign,
-    group, ad, price)``, or None, and every eligible ``(campaign, group,
-    ad, value)`` in campaign and group order.
+    earliest such ad if ids repeat).  Returns the winner, which pays its
+    own value, and every eligible entrant, each as ``(campaign, group, ad,
+    value)`` in campaign and group order; the winner is None when none is
+    eligible.
     """
     eligible = []
     for campaign in campaigns:
@@ -81,10 +82,7 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo)
     for i, (_, _, ad, value) in enumerate(eligible):
         if (-value, ad.id) < (-eligible[best][3], eligible[best][2].id):
             best = i
-    price = eligible[best][3]
-    if config.auction_mode == "second_price" and len(eligible) > 1:
-        price = max(e[3] for i, e in enumerate(eligible) if i != best)
-    return eligible[best][:3] + (price,), eligible
+    return eligible[best], eligible
 
 
 def reference_run(scenario) -> RunTrace:
@@ -105,7 +103,7 @@ def reference_run(scenario) -> RunTrace:
         increment = dwell / 60.0 if profile_config.score_mode == "dwell" else 1.0
         for topic in page.topics:
             scores[user.id][topic] = scores[user.id].get(topic, 0.0) + increment
-        return _audiences(scores[user.id], taxonomy, profile_config.interest_threshold)
+        return _audiences(scores[user.id], taxonomy)
 
     ground_truth = {}
     for user in scenario.users:

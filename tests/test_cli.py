@@ -60,11 +60,10 @@ HUGE = "x" * 100000
         ("/users/0/attack_visits/0/page", list(range(200000)), "website 'monads' has no page [0,"),
         ("/users/0/warmup_plan/0/page", HUGE, "unknown page 'xxx"),
         ("/campaigns/0/ad_groups/0/bid/kind", HUGE, "bid kind must be one of ('CPC', 'CPM'"),
-        ("/market_config/auction_mode", HUGE, "auction_mode must be 'first_price' or"),
         ("/profile_config/score_mode", HUGE, "score_mode must be 'count' or 'dwell', got 'xxx"),
         ("/spec_version", HUGE, "spec_version must be 1, got 'xxx"),
     ],
-    ids=["attack-page", "warmup-page", "bid-kind", "auction-mode", "score-mode", "spec-version"],
+    ids=["attack-page", "warmup-page", "bid-kind", "score-mode", "spec-version"],
 )
 def test_validate_quotes_a_huge_value_within_a_bound(tmp_path, capsys, pointer, value, message):
     doc = json.loads(scenarios.path("table2_experiment").read_text(encoding="utf-8"))

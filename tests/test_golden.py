@@ -9,6 +9,8 @@ purpose says why and regenerates the file:
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +42,21 @@ def test_every_bundled_scenario_is_pinned():
 @pytest.mark.parametrize("name", scenarios.names())
 def test_artifacts_match_golden_digests(name, tmp_path):
     assert artifact_digests(name, tmp_path) == golden()[name]
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_artifacts_do_not_depend_on_the_hash_seed(hash_seed, tmp_path):
+    # One pytest process has one string-hash seed, so the iteration order
+    # of a set of strings is checked under other seeds only in new processes.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    for name in scenarios.names():
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "adtrap.cli", "run", name, "--out", str(out)],
+                       check=True, stdout=subprocess.DEVNULL, env=env, timeout=120)
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == golden()[name], name
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ from adtrap.marketplace import (
     window_index,
 )
 from adtrap.profile import AdUserProfile, Demographics, PageProfile
+from adtrap.taxonomy import AffinityAudience
 
 import reference_reports
 from reference_engine import scan_from_scratch
@@ -113,11 +114,9 @@ def test_auction_prefers_higher_value():
     market = Marketplace(
         [make_campaign("low", 10.0), make_campaign("high", 60.0)]
     )
-    outcome = market.run_auction(
-        market.eligible_ads("site", sports_profile())
-    )
-    assert outcome.candidate.campaign.id == "high"
-    assert outcome.price_micros == 60_000
+    winner = market.run_auction(market.eligible_ads("site", sports_profile()))
+    assert winner.campaign.id == "high"
+    assert winner.value_micros == 60_000
 
 
 def test_equal_value_tie_breaks_on_ad_id():
@@ -127,68 +126,42 @@ def test_equal_value_tie_breaks_on_ad_id():
             make_campaign("alpha", 50.0, ad_id="aa_ad"),
         ]
     )
-    outcome = market.run_auction(
-        market.eligible_ads("site", sports_profile())
-    )
-    assert outcome.candidate.ad.id == "aa_ad"
+    winner = market.run_auction(market.eligible_ads("site", sports_profile()))
+    assert winner.ad.id == "aa_ad"
 
 
-@pytest.mark.parametrize("mode", ["first_price", "second_price"])
-def test_equal_value_and_ad_id_tie_goes_to_first_listed(mode):
+def test_equal_value_and_ad_id_tie_goes_to_first_listed():
     market = Marketplace(
         [
             make_campaign("zeta", 50.0, ad_id="same_ad"),
             make_campaign("alpha", 50.0, ad_id="same_ad"),
-        ],
-        config=MarketConfig(auction_mode=mode),
+        ]
     )
-    outcome = market.run_auction(market.eligible_ads("site", sports_profile()))
-    assert outcome.candidate.campaign.id == "zeta"
-    assert outcome.price_micros == 50_000
+    winner = market.run_auction(market.eligible_ads("site", sports_profile()))
+    assert winner.campaign.id == "zeta"
+    assert winner.value_micros == 50_000
 
 
 def test_cpc_and_cpm_compete_on_effective_value():
     # CPC 2.0 at ctr 0.05 is worth 100_000 micros, beating CPM 50 (50_000).
     market = Marketplace([make_campaign("m", 50.0), make_campaign("c", 2.0, kind="CPC")])
-    outcome = market.run_auction(
-        market.eligible_ads("site", sports_profile())
-    )
-    assert outcome.candidate.campaign.id == "c"
-
-
-def test_second_price_charges_runner_up():
-    market = Marketplace(
-        [make_campaign("low", 10.0), make_campaign("high", 60.0)],
-        config=MarketConfig(auction_mode="second_price"),
-    )
-    record = market.serve("site", PAGE, sports_profile(), time=0.0)
-    assert record.campaign_id == "high"
-    assert market.spent_micros == {"low": 0, "high": 10_000}
-
-
-def test_second_price_with_single_candidate_pays_own_value():
-    market = Marketplace(
-        [make_campaign("only", 40.0)], config=MarketConfig(auction_mode="second_price")
-    )
-    market.serve("site", PAGE, sports_profile(), time=0.0)
-    assert market.spent_micros["only"] == 40_000
+    winner = market.run_auction(market.eligible_ads("site", sports_profile()))
+    assert winner.campaign.id == "c"
 
 
 @pytest.mark.parametrize("ad_ids", [("h1",), ("h1", "h2"), ("h2", "h1")])
 def test_an_ad_group_bids_once_per_auction(ad_ids):
-    # A group with two ads is not its own runner-up: it pays the other
-    # campaign's value whatever its number of ads, with its smallest-id ad.
+    # A group with two ads enters the auction once, with its smallest-id
+    # ad, and pays its own value whatever its number of ads.
     high = make_campaign("high", 60.0)
     group = high.ad_groups[0]
     ads = tuple(Ad(id=ad_id, landing_url="") for ad_id in ad_ids)
     high = high._replace(ad_groups=(group._replace(ads=ads),))
-    market = Marketplace(
-        [high, make_campaign("low", 10.0)], config=MarketConfig(auction_mode="second_price")
-    )
+    market = Marketplace([high, make_campaign("low", 10.0)])
     assert len(market.eligible_ads("site", sports_profile())) == 2
     record = market.serve("site", PAGE, sports_profile(), time=0.0)
     assert record.ad_id == "h1"
-    assert market.spent_micros == {"high": 10_000, "low": 0}
+    assert market.spent_micros == {"high": 60_000, "low": 0}
 
 
 def test_exhausted_budget_drops_out_of_eligibility():
@@ -204,19 +177,17 @@ def test_exhausted_budget_drops_out_of_eligibility():
 def test_overspend_refused_outright():
     campaign = make_campaign("c", 50.0, budget=0.1)
     market = Marketplace([campaign])
-    outcome = market.run_auction(
-        market.eligible_ads("site", sports_profile())
-    )
+    winner = market.run_auction(market.eligible_ads("site", sports_profile()))
     market.spent_micros["c"] = campaign.total_budget_micros - 1
     with pytest.raises(SimulationError, match="cannot pay"):
-        market.record_impression(outcome, sports_profile(), PAGE, "site", time=0.0)
+        market.record_impression(winner, sports_profile(), PAGE, "site", time=0.0)
 
 
 def test_impression_refused_for_a_profile_outside_every_target():
     market = Marketplace([make_campaign("c", 50.0)])
-    outcome = market.run_auction(market.eligible_ads("site", sports_profile()))
+    winner = market.run_auction(market.eligible_ads("site", sports_profile()))
     with pytest.raises(SimulationError, match="left all audiences"):
-        market.record_impression(outcome, sports_profile(audiences=("a_pets",)), PAGE,
+        market.record_impression(winner, sports_profile(audiences=("a_pets",)), PAGE,
                                  "site", time=0.0)
     assert market.spent_micros["c"] == 0
     assert market.impressions == []
@@ -579,16 +550,43 @@ def test_negative_budget_rejected():
             make_campaign("c", 1.0, budget=budget)
 
 
-def test_bad_auction_mode_rejected():
+# Documents never reach these checks with a wrong type, since the schema
+# rejects it first; a record built in code must still get a
+# ValidationError, not a TypeError, and a bool is not a number.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Bid("CPM", "5"),
+        lambda: Bid("CPM", None),
+        lambda: Bid("CPM", True),
+        lambda: Campaign("c", "c", (), "5"),
+        lambda: Campaign("c", "c", (), True),
+        lambda: MarketConfig(click_through_rate="0.5"),
+        lambda: MarketConfig(click_through_rate=True),
+        lambda: AffinityAudience("a", "A", frozenset({"i"}), "2"),
+        lambda: AffinityAudience("a", "A", frozenset({"i"}), 1.5),
+        lambda: AffinityAudience("a", "A", frozenset({"i"}), True),
+        lambda: CounterReports("1", 2, (), {}),
+        lambda: CounterReports(True, 2, (), {}),
+        lambda: CounterReports(1.0, "2", ("a",), {0: {"a": 1}}),
+        lambda: CounterReports(1.0, 2.0, (), {}),
+        lambda: CounterReports(1.0, True, ("a",), {0: {"a": 1}}),
+    ],
+    ids=[
+        "bid-str", "bid-none", "bid-bool", "budget-str", "budget-bool", "ctr-str", "ctr-bool",
+        "rule-str", "rule-float", "rule-bool", "window-str", "window-bool", "windows-str",
+        "windows-float", "windows-bool",
+    ],
+)
+def test_records_reject_a_wrongly_typed_number(build):
     with pytest.raises(ValidationError):
-        MarketConfig(auction_mode="third_price")
+        build()
 
 
-@pytest.mark.parametrize("key", ["click_through_rate", "acquisition_rate"])
 @pytest.mark.parametrize("rate", [-0.05, 1.5, math.nan, math.inf])
-def test_rates_outside_unit_interval_rejected(key, rate):
+def test_rates_outside_unit_interval_rejected(rate):
     with pytest.raises(ValidationError):
-        MarketConfig(**{key: rate})
+        MarketConfig(click_through_rate=rate)
 
 
 @given(
@@ -678,13 +676,12 @@ page_views = st.tuples(
 
 @given(
     drawn=campaign_lists(),
-    mode=st.sampled_from(["first_price", "second_price"]),
     ctr=st.sampled_from([0.0, 0.05, 0.5]),
     views=st.lists(page_views, min_size=1, max_size=12),
 )
-def test_priced_table_matches_scan_from_scratch(drawn, mode, ctr, views):
+def test_priced_table_matches_scan_from_scratch(drawn, ctr, views):
     campaigns, prior_spend = drawn
-    config = MarketConfig(auction_mode=mode, click_through_rate=ctr)
+    config = MarketConfig(click_through_rate=ctr)
     market = Marketplace(campaigns, config=config)
     market.spent_micros.update(prior_spend)
     for t, (site, audiences, demographics, geo) in enumerate(views):
@@ -694,9 +691,9 @@ def test_priced_table_matches_scan_from_scratch(drawn, mode, ctr, views):
         )
         candidates = market.eligible_ads(site, profile, geo)
         assert [tuple(c) for c in candidates] == expected_eligible
-        outcome = market.run_auction(candidates)
+        winner = market.run_auction(candidates)
         if expected is None:
-            assert outcome is None
+            assert winner is None
             continue
-        assert (*outcome.candidate[:3], outcome.price_micros) == expected
-        market.record_impression(outcome, profile, PAGE, site, float(t))
+        assert tuple(winner) == expected
+        market.record_impression(winner, profile, PAGE, site, float(t))

@@ -105,11 +105,9 @@ def test_warmup_builds_profiles_without_serving():
 
 def test_attack_views_add_nothing_under_dwell_scoring():
     # Attack visits carry no dwell, so under dwell scoring they add zero to
-    # the attacker page's topic.  The threshold is low enough that any
-    # positive increment would make u_shy a soccer fan.
-    doc = small_attack_document(
-        profile_config={"score_mode": "dwell", "interest_threshold": 0.01}
-    )
+    # the attacker page's topic: the topic scores are compared exactly, so
+    # any positive increment would show.
+    doc = small_attack_document(profile_config={"score_mode": "dwell"})
     for user in doc["users"]:
         user["warmup_plan"][0]["dwell"] = 30.0
     engine = SimulationEngine(load_scenario_document(doc))
@@ -126,7 +124,7 @@ def test_attack_views_add_nothing_under_dwell_scoring():
     engine.run_attack_phase()
     assert len(engine.logs["monads"]) == 1
     assert state() == warm
-    assert warm["dc-shy"] == ({"t_dogs": 0.5}, {"i_dogs"}, {"a_pets"})
+    assert warm["dc-shy"] == ({"t_dogs": 0.5}, set(), set())
 
 
 def test_attack_phase_logs_each_page_view_at_debug_only(caplog):
