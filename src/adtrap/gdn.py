@@ -63,7 +63,6 @@ def serve_page(
     marketplace: Marketplace,
     taxonomy: Taxonomy,
     profile_config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
-    geo: str | None = None,
 ) -> tuple[ImpressionRecord | None, VisitLogEntry | None]:
     """One page view: update the profile, fill the ad slot, maybe log.
 
@@ -77,7 +76,7 @@ def serve_page(
         raise ValidationError(f"website {quoted(website.id)} has no page {quoted(page_id)}")
     page = website.pages[page_id]
     record_visit(profile, page, time, taxonomy, profile_config)
-    impression = marketplace.serve(website.id, page, profile, time, geo=geo)
+    impression = marketplace.serve(website.id, page, profile, time)
     if not (website.logging and consent):
         return impression, None
     return impression, VisitLogEntry(time, network_id, page_id)

@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from typing import Iterable, NamedTuple
 
 from .errors import SimulationError, ValidationError, checked, is_integer, is_number, quoted
-from .profile import AdUserProfile, Demographics, PageProfile
+from .profile import AdUserProfile, PageProfile
 
 MICROS = 10**6
 
@@ -73,9 +74,7 @@ class AdGroup(NamedTuple):
     """A set of ads sharing targeting and one bid.
 
     Empty ``placement`` means the whole network; a non-empty set restricts
-    serving to exactly those website ids.  ``demographics`` maps a profile
-    field to the list of accepted tags; ``geo`` is a set of accepted region
-    tags.  Absent filters do not constrain.
+    serving to exactly those website ids.
     """
 
     id: str
@@ -84,8 +83,6 @@ class AdGroup(NamedTuple):
     target_audiences: frozenset[str]
     bid: Bid
     placement: frozenset[str] = frozenset()
-    demographics: tuple[tuple[str, tuple[str, ...]], ...] = ()
-    geo: frozenset[str] | None = None
 
     def _check(self):
         if not self.ads:
@@ -153,8 +150,12 @@ class CounterReports(NamedTuple):
         if not (is_number(self.window_length) and self.window_length > 0):
             length = quoted(self.window_length)
             raise ValidationError(f"window length must be positive, got {length}")
-        if not is_integer(self.num_windows):
-            raise ValidationError(f"num_windows must be an integer, got {quoted(self.num_windows)}")
+        if self.window_length > sys.float_info.max:
+            length = quoted(self.window_length)
+            raise ValidationError(f"window length must be finite as a float, got {length}")
+        if not (is_integer(self.num_windows) and self.num_windows >= 0):
+            count = quoted(self.num_windows)
+            raise ValidationError(f"num_windows must be an integer >= 0, got {count}")
         if list(self.audience_ids) != sorted(set(self.audience_ids)):
             raise ValidationError(
                 f"audience ids must be sorted and distinct, got {self.audience_ids!r}"
@@ -222,23 +223,6 @@ def effective_value_micros(bid: Bid, config: MarketConfig = DEFAULT_MARKET_CONFI
     return round(micros * ACQUISITION_RATE)
 
 
-def _demographics_match(filters: tuple[tuple[str, tuple[str, ...]], ...],
-                        demo: Demographics | None) -> bool:
-    """Whether ``demo`` passes every one of an ad group's non-empty ``filters``."""
-    if demo is None:
-        return False
-    for fieldname, accepted in filters:
-        value = getattr(demo, fieldname, None)
-        if value is None:
-            return False
-        if isinstance(value, tuple):
-            if not set(value) & set(accepted):
-                return False
-        elif value not in accepted:
-            return False
-    return True
-
-
 class Marketplace:
     """Holds campaigns and the impression stream for one simulated run.
 
@@ -248,14 +232,14 @@ class Marketplace:
     whatever its budget.  An ad group bids once per auction, with its
     smallest-id ad: auction ties break on ad id, so no other ad of the group
     could win.  A row holds what eligibility reads, unpacked once: the
-    group's targeted audiences, its demographic filters (empty when unset),
-    its geo filter, its campaign id, its value and the :class:`Candidate` it
-    enters the auction as.  Each website named in some placement gets the
-    rows that can serve there, its placed groups and the network-wide ones,
-    in the same order, so equal-value ties come out as in campaign order;
-    any other website gets the network-wide rows.  A page view scans only
-    its website's rows.  Each campaign's budget in micros and the sorted
-    union of every targeted audience, served or not, are taken once, too.
+    group's targeted audiences, its campaign id, its value and the
+    :class:`Candidate` it enters the auction as.  Each website named in
+    some placement gets the rows that can serve there, its placed groups
+    and the network-wide ones, in the same order, so equal-value ties come
+    out as in campaign order; any other website gets the network-wide
+    rows.  A page view scans only its website's rows.  Each campaign's
+    budget in micros and the sorted union of every targeted audience,
+    served or not, are taken once, too.
 
     Those tables never change.  What a run changes is its own:
     ``impressions``, ``spent_micros`` (what each campaign, by id, has
@@ -287,7 +271,7 @@ class Marketplace:
                 if not value:
                     continue
                 candidate = Candidate(c, g, min(g.ads, key=lambda ad: ad.id), value)
-                row = (g.target_audiences, g.demographics, g.geo, c.id, value, candidate)
+                row = (g.target_audiences, c.id, value, candidate)
                 priced.append((g.placement, row))
         self._network_wide = [row for placement, row in priced if not placement]
         placed = {site for placement, _ in priced for site in placement}
@@ -297,30 +281,20 @@ class Marketplace:
         }
         self._audience_universe = tuple(sorted(targeted))
 
-    def eligible_ads(
-        self,
-        website_id: str,
-        profile: AdUserProfile,
-        geo: str | None = None,
-    ) -> list[Candidate]:
+    def eligible_ads(self, website_id: str, profile: AdUserProfile) -> list[Candidate]:
         """Candidates allowed to compete for one slot on one page view.
 
         An ad group qualifies when its placement covers the website, the
-        profile is in at least one targeted audience, optional demographic
-        and geo filters pass, its bid is worth more than 0 micros, and the
-        campaign can still pay for the impression.  It competes with its
-        smallest-id ad.
+        profile is in at least one targeted audience, its bid is worth more
+        than 0 micros, and the campaign can still pay for the impression.
+        It competes with its smallest-id ad.
         """
         candidates: list[Candidate] = []
         spent, budget, audiences = self.spent_micros, self._budget_micros, profile.audiences
-        for targets, demographics, geo_filter, campaign_id, value, candidate in (
+        for targets, campaign_id, value, candidate in (
             self._rows_by_site.get(website_id, self._network_wide)
         ):
             if targets.isdisjoint(audiences):
-                continue
-            if demographics and not _demographics_match(demographics, profile.demographics):
-                continue
-            if geo_filter is not None and (geo is None or geo not in geo_filter):
                 continue
             if budget[campaign_id] - spent[campaign_id] < value:
                 continue
@@ -386,10 +360,9 @@ class Marketplace:
         page: PageProfile,
         profile: AdUserProfile,
         time: float,
-        geo: str | None = None,
     ) -> ImpressionRecord | None:
         """One page view, one slot: eligibility, auction, impression."""
-        winner = self.run_auction(self.eligible_ads(website_id, profile, geo))
+        winner = self.run_auction(self.eligible_ads(website_id, profile))
         if winner is None:
             return None
         return self.record_impression(winner, profile, page, website_id, time)

@@ -39,12 +39,6 @@ class PageProfile(NamedTuple):
             )
 
 
-class Demographics(NamedTuple):
-    gender: str | None = None
-    age_band: str | None = None
-    languages: tuple[str, ...] = ()
-
-
 @checked
 class ProfileConfig(NamedTuple):
     """Knobs for profile building.
@@ -69,13 +63,12 @@ DEFAULT_PROFILE_CONFIG = ProfileConfig()
 class AdUserProfile:
     """Mutable per-cookie state owned by the ad network."""
 
-    __slots__ = ("cookie_id", "demographics", "topic_scores", "interests", "audiences",
-                 "last_timestamp")
+    __slots__ = ("cookie_id", "topic_scores", "interests", "audiences", "last_timestamp")
 
-    def __init__(self, cookie_id: str, demographics: Demographics | None = None,
-                 topic_scores: dict[str, float] | None = None, interests: set[str] | None = None,
-                 audiences: set[str] | None = None, last_timestamp: float | None = None):
-        self.cookie_id, self.demographics = cookie_id, demographics
+    def __init__(self, cookie_id: str, topic_scores: dict[str, float] | None = None,
+                 interests: set[str] | None = None, audiences: set[str] | None = None,
+                 last_timestamp: float | None = None):
+        self.cookie_id = cookie_id
         self.topic_scores = {} if topic_scores is None else topic_scores
         self.interests = set() if interests is None else interests
         self.audiences = set() if audiences is None else audiences

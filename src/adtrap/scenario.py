@@ -38,7 +38,6 @@ from .marketplace import (
     finite_in_micros,
 )
 from .profile import (
-    Demographics,
     ProfileConfig,
     DEFAULT_PROFILE_CONFIG,
     PageProfile,
@@ -69,8 +68,6 @@ class UserAgentSpec(NamedTuple):
     cookie_id: str
     network_id: str
     consent: bool = True
-    demographics: Demographics | None = None
-    geo: str | None = None
     warmup_plan: tuple[WarmupVisit, ...] = ()
     attack_visits: tuple[AttackVisit, ...] = ()
 
@@ -174,13 +171,6 @@ def _filter(value):
     return "must be a non-empty list of strings"
 
 
-def _filter_or_null(value):
-    if value is None:
-        return None
-    problem = _filter(value)
-    return problem if problem in (None, _NOT_UTF8) else f"{problem} or null"
-
-
 def _distinct(value):
     return _filter(value) or (None if len(set(value)) == len(value) else "must not repeat an item")
 
@@ -240,21 +230,15 @@ _SCHEMA = {
     "ad_group": {
         "id": (_text, REQUIRED), "name": (_text, OPTIONAL), "ads": (_items, REQUIRED),
         "target_audiences": (_filter, REQUIRED), "placement": (_strings, OPTIONAL),
-        "demographics": (_any, OPTIONAL), "geo": (_filter_or_null, OPTIONAL),
         "bid": (_any, REQUIRED),
     },
     "ad": {
         "id": (_text, UNIQUE), "landing_url": (_text, OPTIONAL), "creative": (_text, OPTIONAL),
     },
     "bid": {"kind": (_text, REQUIRED), "amount": (_number, REQUIRED)},
-    "demographics": {
-        "gender": (_text_or_null, OPTIONAL), "age_band": (_text_or_null, OPTIONAL),
-        "languages": (_strings, OPTIONAL),
-    },
     "user": {
         "id": (_text, UNIQUE), "cookie_id": (_text, UNIQUE), "network_id": (_text, UNIQUE),
-        "consent": (_flag, OPTIONAL), "demographics": (_any, OPTIONAL),
-        "geo": (_text_or_null, OPTIONAL), "warmup_plan": (_list, OPTIONAL),
+        "consent": (_flag, OPTIONAL), "warmup_plan": (_list, OPTIONAL),
         "attack_visits": (_list, OPTIONAL),
     },
     "warmup_visit": {
@@ -272,9 +256,6 @@ _SCHEMA = {
     "profile_config": {"score_mode": (_text, OPTIONAL)},
     "market_config": {"click_through_rate": (_number, OPTIONAL)},
 }
-# An ad group's demographics filter takes the user's demographic fields,
-# each as the non-empty list of accepted values.
-_SCHEMA["demographics_filter"] = dict.fromkeys(_SCHEMA["demographics"], (_filter, OPTIONAL))
 # For _fields: each kind's rules by key, and its required keys set to None.
 _RULES = {kind: {key: rule for key, (rule, _) in row.items()} for kind, row in _SCHEMA.items()}
 _ABSENT = {kind: {k: None for k, (_, req) in row.items() if req} for kind, row in _SCHEMA.items()}
@@ -282,7 +263,7 @@ _ABSENT = {kind: {k: None for k, (_, req) in row.items() if req} for kind, row i
 _UNIQUE = {kind: [k for k, (_, f) in row.items() if f == UNIQUE] for kind, row in _SCHEMA.items()}
 # How messages name each kind of object, where that is not the kind itself.
 _LABELS = {"document": "scenario", "ad_group": "ad group", "warmup_visit": "warm-up visit",
-           "attack_visit": "attack visit", "demographics_filter": "demographics filter"}
+           "attack_visit": "attack visit"}
 
 
 def _fields(node, kind: str) -> dict:
@@ -430,21 +411,11 @@ def _ad_group(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> AdGro
     fields["target_audiences"] = _known(fields, "target_audiences", taxonomy.audiences, "audience")
     if "placement" in fields:
         fields["placement"] = _known(fields, "placement", websites, "website")
-    demo_node = fields.pop("demographics", None)
-    if demo_node is not None:
-        demo = _within("/demographics", _fields, demo_node, "demographics_filter")
-        fields["demographics"] = tuple((name, tuple(demo[name])) for name in sorted(demo))
-    if fields.get("geo") is not None:
-        fields["geo"] = frozenset(fields["geo"])
     fields["bid"] = _within("/bid", _plain, fields.get("bid"), "bid", Bid)
     return AdGroup(**fields)
 
 
 def _user(fields, websites: dict[str, Website], pages: set[str], horizon: float) -> UserAgentSpec:
-    if fields.get("demographics") is not None:
-        demo = _within("/demographics", _fields, fields["demographics"], "demographics")
-        demo["languages"] = tuple(demo.get("languages", ()))
-        fields["demographics"] = Demographics(**demo)
     plan = _warmup_plan(fields.get("warmup_plan", ()), pages)
     if plan is None:
         plan = _each(fields, "warmup_plan", "warmup_visit", _warmup_visit, pages)
@@ -473,23 +444,18 @@ _DWELL_MAX = 1e300
 
 def _users(nodes: list, websites: dict[str, Website], pages: set[str],
            horizon: float) -> tuple[UserAgentSpec, ...] | None:
-    """Each id column must not repeat a value.
-
-    A user with a demographics object goes through _each.
-    """
+    """Each id column must not repeat a value."""
     users, ids, cookies, networks = [], set(), set(), set()
     for node in nodes:
         if type(node) is not dict or not node.keys() <= _USER_KEYS:
             return None
         uid, cookie, network = node.get("id"), node.get("cookie_id"), node.get("network_id")
-        consent, geo = node.get("consent", _CONSENT), node.get("geo")
+        consent = node.get("consent", _CONSENT)
         plan, visits = node.get("warmup_plan", []), node.get("attack_visits", [])
         if not (type(uid) is str and type(cookie) is str and type(network) is str
-                and (geo is None or type(geo) is str) and uid and cookie and network
-                and _utf8(uid + cookie + network + (geo or "")) is None
+                and uid and cookie and network and _utf8(uid + cookie + network) is None
                 and uid not in ids and cookie not in cookies and network not in networks
-                and type(consent) is bool and type(plan) is list and type(visits) is list
-                and node.get("demographics") is None):
+                and type(consent) is bool and type(plan) is list and type(visits) is list):
             return None
         plan, visits = _warmup_plan(plan, pages), _attack_visits(visits, websites, horizon)
         if plan is None or visits is None:
@@ -497,7 +463,7 @@ def _users(nodes: list, websites: dict[str, Website], pages: set[str],
         ids.add(uid)
         cookies.add(cookie)
         networks.add(network)
-        users.append(UserAgentSpec(uid, cookie, network, consent, None, geo, plan, visits))
+        users.append(UserAgentSpec(uid, cookie, network, consent, plan, visits))
     return tuple(users)
 
 

@@ -95,9 +95,7 @@ class SimulationEngine:
             rng=random.Random(scenario.seed),
         )
         self.profiles: dict[str, AdUserProfile] = {
-            user.cookie_id: AdUserProfile(
-                cookie_id=user.cookie_id, demographics=user.demographics
-            )
+            user.cookie_id: AdUserProfile(cookie_id=user.cookie_id)
             for user in scenario.users
         }
         self.ground_truth: dict[str, set[str]] = {}
@@ -141,7 +139,6 @@ class SimulationEngine:
                 marketplace=marketplace,
                 taxonomy=taxonomy,
                 profile_config=profile_config,
-                geo=user.geo,
             )
             if entry is not None:
                 site_log = logs[visit.site]

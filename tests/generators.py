@@ -241,26 +241,17 @@ TIED_BIDS = [("CPM", 10.0), ("CPM", 20.0), ("CPM", 95.0), ("CPC", 0.2), ("CPC", 
 # Shared by every rival, so equal ad ids tie across groups and campaigns;
 # one group draws distinct ids, as the schema requires.
 RIVAL_AD_IDS = ["ad_x", "ad_y"]
-GEO_FILTERS = [["IT"], ["DE"], ["IT", "DE"]]
-DEMOGRAPHIC_FILTERS = [{"gender": ["f"]}, {"languages": ["it", "fr"]}, {"age_band": ["25-34"]}]
-USER_DEMOGRAPHICS = [
-    None,
-    {"gender": "f"},
-    {"gender": "m", "age_band": "25-34", "languages": ["it"]},
-    {"languages": ["en", "fr"]},
-]
 
 
 def random_targeting_scenario_document(rng):
     """A :func:`random_scenario_document` whose serving uses every filter.
 
     Its rivals are replaced by 1–4 campaigns of 1–3 ad groups each, placed
-    on some of the sites or network-wide, some with geo and demographic
-    filters, bidding from ``TIED_BIDS`` with ads from ``RIVAL_AD_IDS``, on
-    budgets that may run out after an impression or two.  Users get a
-    region, demographics and up to three more visits anywhere during the
-    attack phase; the auction mode and the profile scoring vary.  The
-    document shares no object with this module, so it may be changed.
+    on some of the sites or network-wide, bidding from ``TIED_BIDS`` with
+    ads from ``RIVAL_AD_IDS``, on budgets that may run out after an
+    impression or two.  Users get up to three more visits anywhere during
+    the attack phase; the profile scoring varies.  The document shares no
+    object with this module, so it may be changed.
     """
     document = random_scenario_document(rng)
     site_ids = [site["id"] for site in document["websites"]]
@@ -281,10 +272,6 @@ def random_targeting_scenario_document(rng):
                     else []
                 ),
             }
-            if rng.random() < 0.3:
-                group["geo"] = rng.choice(GEO_FILTERS)
-            if rng.random() < 0.3:
-                group["demographics"] = rng.choice(DEMOGRAPHIC_FILTERS)
             groups.append(group)
         campaigns.append(
             {
@@ -297,8 +284,6 @@ def random_targeting_scenario_document(rng):
     dwell = rng.random() < 0.3
     document["profile_config"] = {"score_mode": "dwell"} if dwell else {}
     for user in document["users"]:
-        user["geo"] = rng.choice([None, "IT", "DE"])
-        user["demographics"] = rng.choice(USER_DEMOGRAPHICS)
         if dwell:
             for visit in user["warmup_plan"]:
                 visit["dwell"] = rng.choice([0.0, 15.0, 30.0, 60.0])
@@ -389,18 +374,18 @@ def mutate_users(doc, rng):
 
     The field gets a value next to a user rule's edge: another user's id,
     cookie id or network id, a non-ASCII id, 1 (with ``MUTANT_VALUES``' 0,
-    against ``consent``), a demographics object, or one of ``MUTANT_VALUES``,
-    which hold ``"\\ud800"`` and ``""`` (a valid ``geo``).  A document with no
-    user gets a :func:`mutate_document` mutation instead.
+    against ``consent``), or one of ``MUTANT_VALUES``, which hold
+    ``"\\ud800"`` and ``""``.  A document with no user gets a
+    :func:`mutate_document` mutation instead.
     """
     users = doc.get("users")
     users = [user for user in users if isinstance(user, dict)] if isinstance(users, list) else []
     if not users:
         mutate_document(doc, rng)
         return
-    edges = [*MUTANT_VALUES, "usér", 1, {"gender": "f"}, {"age_band": "25-34", "languages": ["it"]}]
+    edges = [*MUTANT_VALUES, "usér", 1]
     edges += [user.get(key) for user in users for key in ("id", "cookie_id", "network_id")]
-    field = rng.choice(("id", "cookie_id", "network_id", "consent", "geo", "demographics"))
+    field = rng.choice(("id", "cookie_id", "network_id", "consent"))
     rng.choice(users)[field] = copy.deepcopy(rng.choice(edges))
 
 

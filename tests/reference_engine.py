@@ -36,17 +36,7 @@ def _audiences(scores, taxonomy):
     }
 
 
-def demographics_pass(filters, demographics):
-    """Whether every filter accepts one of the profile's tags for its field."""
-    for name, accepted in filters:
-        value = getattr(demographics, name, None)
-        tags = value if isinstance(value, tuple) else (value,)
-        if not set(tags) & set(accepted):
-            return False
-    return True
-
-
-def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo):
+def scan_from_scratch(campaigns, spent_micros, config, website_id, profile):
     """Every campaign and group priced again for one page view.
 
     A group enters the auction once, with the ad whose id sorts first (the
@@ -61,10 +51,6 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile, geo)
             if group.placement and website_id not in group.placement:
                 continue
             if not group.target_audiences & profile.audiences:
-                continue
-            if not demographics_pass(group.demographics, profile.demographics):
-                continue
-            if group.geo is not None and geo not in group.geo:
                 continue
             value = effective_value_micros(group.bid, config)
             if value == 0:
@@ -126,8 +112,8 @@ def reference_run(scenario) -> RunTrace:
     for t, _, _, user, visit in events:
         site = scenario.websites[visit.site]
         held = view(user, site.pages[visit.page], 0.0)
-        profile = AdUserProfile(user.cookie_id, user.demographics, audiences=held)
-        winner, _ = scan_from_scratch(campaigns, spent, config, site.id, profile, user.geo)
+        profile = AdUserProfile(user.cookie_id, audiences=held)
+        winner, _ = scan_from_scratch(campaigns, spent, config, site.id, profile)
         if winner is not None:
             campaign, group, ad, price = winner
             spent[campaign.id] += price

@@ -25,7 +25,7 @@ from adtrap.marketplace import (
     window_count,
     window_index,
 )
-from adtrap.profile import AdUserProfile, Demographics, PageProfile
+from adtrap.profile import AdUserProfile, PageProfile
 from adtrap.taxonomy import AffinityAudience
 
 import reference_reports
@@ -42,8 +42,6 @@ def make_campaign(
     audiences=("a_sports",),
     placement=(),
     ad_id=None,
-    demographics=(),
-    geo=None,
 ):
     group = AdGroup(
         id=f"{cid}_g",
@@ -52,8 +50,6 @@ def make_campaign(
         target_audiences=frozenset(audiences),
         bid=Bid(kind, amount),
         placement=frozenset(placement),
-        demographics=demographics,
-        geo=geo,
     )
     return Campaign(id=cid, name=cid, ad_groups=(group,), total_budget=budget)
 
@@ -210,35 +206,6 @@ def test_audience_targeting_gates_eligibility():
     assert market.eligible_ads("site", sports_profile()) == []
     pets = sports_profile(audiences=("a_pets", "a_sports"))
     assert len(market.eligible_ads("site", pets)) == 1
-
-
-def test_demographic_filter():
-    demo_filter = (("gender", ("female",)),)
-    market = Marketplace([make_campaign("c", 50.0, demographics=demo_filter)])
-    anonymous = sports_profile()
-    assert market.eligible_ads("site", anonymous) == []
-    p = sports_profile()
-    p.demographics = Demographics(gender="female")
-    assert len(market.eligible_ads("site", p)) == 1
-    p.demographics = Demographics(gender="male")
-    assert market.eligible_ads("site", p) == []
-
-
-def test_language_filter_matches_any_overlap():
-    demo_filter = (("languages", ("it", "fr")),)
-    market = Marketplace([make_campaign("c", 50.0, demographics=demo_filter)])
-    p = sports_profile()
-    p.demographics = Demographics(languages=("en", "it"))
-    assert len(market.eligible_ads("site", p)) == 1
-    p.demographics = Demographics(languages=("de",))
-    assert market.eligible_ads("site", p) == []
-
-
-def test_geo_filter():
-    market = Marketplace([make_campaign("c", 50.0, geo=frozenset({"IT"}))])
-    assert market.eligible_ads("site", sports_profile(), geo="IT")
-    assert market.eligible_ads("site", sports_profile(), geo="DE") == []
-    assert market.eligible_ads("site", sports_profile(), geo=None) == []
 
 
 def test_impression_attributed_to_smallest_matched_audience():
@@ -473,6 +440,8 @@ def test_report_rows_are_the_non_zero_rows_of_the_dense_reference(args):
         (1.0, 2, ("a", "b"), {0: {"a": True}, 1: {"a": 1.5}}, "delta True .* window 0 is not an"),
         (1.0, 2, ("a", "b"), {1: {"a": 1, "b": 1.5}}, "delta 1.5 .* window 1 is not an integer"),
         (1.0, 2, ("a",), {1: {"a": 2.0}}, "delta 2.0 of audience 'a' in hit window 1 is not an"),
+        (math.inf, 2, ("a",), {0: {"a": 1}}, "window length must be finite as a float, got inf"),
+        (1.0, -3, (), {}, "num_windows must be an integer >= 0"),
     ],
 )
 def test_counter_reports_reject_a_malformed_record(
@@ -627,7 +596,6 @@ BIDS = [
     ("CPC", 0.04),
     ("CPA", 0.1),
 ]
-DEMOGRAPHIC_FILTERS = [(), (), (("gender", ("f",)),), (("languages", ("it", "fr")),)]
 
 
 def subsets(items, min_size=0):
@@ -645,8 +613,6 @@ def ad_groups(draw, cid, j):
         target_audiences=draw(subsets(AUDIENCES, min_size=1)),
         bid=Bid(kind, amount),
         placement=draw(st.just(frozenset()) | subsets(SITES, min_size=1)),
-        demographics=draw(st.sampled_from(DEMOGRAPHIC_FILTERS)),
-        geo=draw(st.none() | subsets(("IT", "DE"), min_size=1)),
     )
 
 
@@ -666,12 +632,7 @@ def campaign_lists(draw):
 
 
 # "s0" is in no placement: only network-wide groups serve there.
-page_views = st.tuples(
-    st.sampled_from(("s0",) + SITES),
-    subsets(AUDIENCES, min_size=1),
-    st.sampled_from([None, Demographics(gender="f"), Demographics(languages=("en", "it"))]),
-    st.sampled_from([None, "IT", "DE"]),
-)
+page_views = st.tuples(st.sampled_from(("s0",) + SITES), subsets(AUDIENCES, min_size=1))
 
 
 @given(
@@ -684,12 +645,12 @@ def test_priced_table_matches_scan_from_scratch(drawn, ctr, views):
     config = MarketConfig(click_through_rate=ctr)
     market = Marketplace(campaigns, config=config)
     market.spent_micros.update(prior_spend)
-    for t, (site, audiences, demographics, geo) in enumerate(views):
-        profile = AdUserProfile(cookie_id="ck", demographics=demographics, audiences=set(audiences))
+    for t, (site, audiences) in enumerate(views):
+        profile = AdUserProfile(cookie_id="ck", audiences=set(audiences))
         expected, expected_eligible = scan_from_scratch(
-            campaigns, market.spent_micros, config, site, profile, geo
+            campaigns, market.spent_micros, config, site, profile
         )
-        candidates = market.eligible_ads(site, profile, geo)
+        candidates = market.eligible_ads(site, profile)
         assert [tuple(c) for c in candidates] == expected_eligible
         winner = market.run_auction(candidates)
         if expected is None:

@@ -17,7 +17,6 @@ from adtrap import scenario as loader, scenarios
 from adtrap.errors import ValidationError
 from adtrap.gdn import Website
 from adtrap.marketplace import Campaign, reports_to_rows
-from adtrap.profile import Demographics
 from adtrap.scenario import (
     _SCHEMA,
     UNIQUE,
@@ -389,11 +388,10 @@ def test_every_scenario_record_is_frozen():
     rng = random.Random(5)
     documents += [random_scenario_document(rng) for _ in range(10)]
     documents.append(base_document())
-    documents[-1]["users"][0]["demographics"] = {"gender": "f"}
     loaded = [load_scenario_document(doc) for doc in documents]
     found = {id(r): r for scenario in loaded for r in records(scenario)}.values()
     kinds = {type(r) for r in found}
-    assert {Scenario, Website, Campaign, UserAgentSpec, AttackSpec, Demographics} <= kinds
+    assert {Scenario, Website, Campaign, UserAgentSpec, AttackSpec} <= kinds
     # No field can be set, and no attribute added.
     for record in found:
         for name in (*record._fields, "added"):
@@ -461,8 +459,6 @@ def test_attack_cpm_must_be_positive():
 
 def document_with_every_object():
     doc = base_document()
-    doc["users"][0]["demographics"] = {"gender": "f"}
-    doc["campaigns"][0]["ad_groups"][0]["demographics"] = {"gender": ["f"]}
     doc["profile_config"] = {}
     doc["market_config"] = {}
     return doc
@@ -482,9 +478,7 @@ def document_with_every_object():
         ("/campaigns/0/ad_groups/0", "surplus"),
         ("/campaigns/0/ad_groups/0/ads/0", "surplus"),
         ("/campaigns/0/ad_groups/0/bid", "surplus"),
-        ("/campaigns/0/ad_groups/0/demographics", "surplus"),
         ("/users/0", "surplus"),
-        ("/users/0/demographics", "surplus"),
         ("/users/0/warmup_plan/0", "surplus"),
         ("/users/0/attack_visits/0", "surplus"),
         ("/users/0/attack_visits/0", "tracking_arg"),
@@ -528,9 +522,7 @@ SCHEMA_POINTERS = {
     "ad_group": "/campaigns/0/ad_groups/0",
     "ad": "/campaigns/0/ad_groups/0/ads/0",
     "bid": "/campaigns/0/ad_groups/0/bid",
-    "demographics_filter": "/campaigns/0/ad_groups/0/demographics",
     "user": "/users/0",
-    "demographics": "/users/0/demographics",
     "warmup_visit": "/users/0/warmup_plan/0",
     "attack_visit": "/users/0/attack_visits/0",
     "attack": "/attack",
@@ -631,10 +623,6 @@ def test_missing_bid_is_reported_as_not_an_object():
     [
         ("/campaigns/0/ad_groups/0", "target_audiences"),
         ("/campaigns/0/ad_groups/0", "placement"),
-        ("/campaigns/0/ad_groups/0", "geo"),
-        ("/campaigns/0/ad_groups/0/demographics", "gender"),
-        ("/campaigns/0/ad_groups/0/demographics", "languages"),
-        ("/users/0/demographics", "languages"),
         ("/attack", "sites"),
         ("/attack", "audiences"),
         ("/attack", "extra_placement_sites"),
@@ -648,20 +636,14 @@ def test_id_lists_must_hold_strings(path, key, value):
     assert "list of strings" in error.message
 
 
-@pytest.mark.parametrize("key", ["gender", "age_band", "languages"])
-def test_demographic_filters_must_be_non_empty(key):
-    doc = document_with_every_object()
-    doc["campaigns"][0]["ad_groups"][0]["demographics"] = {key: []}
-    reject(doc, f"/campaigns/0/ad_groups/0/demographics/{key}")
-    doc["campaigns"][0]["ad_groups"][0]["demographics"] = {key: "en"}
-    reject(doc, f"/campaigns/0/ad_groups/0/demographics/{key}")
-
-
 def test_readme_field_reference_matches_schema():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Field reference\n", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert set(rows) <= set(_SCHEMA), f"README rows {set(rows) - set(_SCHEMA)} name no kind"
     for kind, row in _SCHEMA.items():
         line = next(
-            (line for line in readme.splitlines() if line.startswith(f"| `{kind}` |")), None
+            (line for line in section.splitlines() if line.startswith(f"| `{kind}` |")), None
         )
         assert line is not None, f"README has no field reference row for {kind!r}"
         keys = line.split("|")[3]
@@ -749,17 +731,21 @@ def test_profile_and_market_config_sections():
 
 
 @pytest.mark.parametrize(
-    "kind, key, value",
+    "parent, key, value",
     [
         ("profile_config", "interest_threshold", 1.0),
         ("market_config", "auction_mode", "first_price"),
         ("market_config", "acquisition_rate", 0.01),
+        ("users/0", "demographics", None),
+        ("users/0", "geo", "IT"),
+        ("campaigns/0/ad_groups/0", "demographics", None),
+        ("campaigns/0/ad_groups/0", "geo", None),
     ],
 )
-def test_deleted_config_options_are_unknown_fields(kind, key, value):
-    doc = base_document()
-    doc[kind] = {key: value}
-    error = reject(doc, f"/{kind}/{key}")
+def test_deleted_config_options_are_unknown_fields(parent, key, value):
+    doc = document_with_every_object()
+    node_at(doc, f"/{parent}")[key] = value
+    error = reject(doc, f"/{parent}/{key}")
     assert error.message == f"unknown field {key!r}"
 
 
@@ -866,11 +852,8 @@ def test_valid_visit_lists_load_in_one_pass():
 
 
 def test_valid_user_lists_load_in_one_pass():
-    """Users without a demographics object never go through ``_each``."""
+    """Valid users never go through ``_each``."""
     documents = valid_documents(33)
-    for document in documents:
-        for user in document["users"]:
-            user["demographics"] = None
     with mock.patch.object(loader, "_user", side_effect=AssertionError("a user went through _each")):
         for document in documents:
             load_scenario_document(document)
