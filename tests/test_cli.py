@@ -51,6 +51,31 @@ def test_validate_rejects_bad_document(tmp_path, capsys):
     assert "/spec_version" in err
 
 
+@pytest.mark.parametrize(
+    "pointer, value",
+    [
+        ("/users/0/demographics", None),
+        ("/users/0/geo", "IT"),
+        ("/campaigns/0/ad_groups/0/demographics", None),
+        ("/campaigns/0/ad_groups/0/geo", None),
+        ("/profile_config/interest_threshold", 1.0),
+        ("/market_config/auction_mode", "first_price"),
+        ("/market_config/acquisition_rate", 0.01),
+    ],
+)
+def test_validate_rejects_a_deleted_field_as_unknown(tmp_path, capsys, pointer, value):
+    doc = json.loads(scenarios.path("table2_experiment").read_text(encoding="utf-8"))
+    *steps, key = pointer.split("/")[1:]
+    node = doc
+    for step in steps:
+        node = node[int(step)] if isinstance(node, list) else node.setdefault(step, {})
+    node[key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: {pointer}: unknown field {key!r}\n"
+
+
 HUGE = "x" * 100000
 
 

@@ -442,6 +442,10 @@ def test_report_rows_are_the_non_zero_rows_of_the_dense_reference(args):
         (1.0, 2, ("a",), {1: {"a": 2.0}}, "delta 2.0 of audience 'a' in hit window 1 is not an"),
         (math.inf, 2, ("a",), {0: {"a": 1}}, "window length must be finite as a float, got inf"),
         (1.0, -3, (), {}, "num_windows must be an integer >= 0"),
+        (-math.inf, 1, ("a",), {}, "window length must be positive"),
+        (10**400, 1, ("a",), {}, "window length must be finite as a float"),
+        (1.0, True, ("a",), {}, "num_windows must be an integer >= 0, got True"),
+        (1.0, 2.0, ("a",), {}, "num_windows must be an integer >= 0, got 2.0"),
     ],
 )
 def test_counter_reports_reject_a_malformed_record(

@@ -627,6 +627,8 @@ def test_missing_bid_is_reported_as_not_an_object():
         ("/attack", "audiences"),
         ("/attack", "extra_placement_sites"),
         ("/websites/0/pages/0", "topics"),
+        ("/taxonomy/interests/0", "source_topics"),
+        ("/taxonomy/audiences/0", "qualifying_interests"),
     ],
 )
 def test_id_lists_must_hold_strings(path, key, value):
@@ -919,10 +921,18 @@ def user_node(uid, **fields):
 
 # On base_document(), each case replaces the user list.
 USER_EDGES = {
+    "user-list": [["u1"]],
+    "user-null": [None],
     "id-repeated": [user_node("u1"), {**user_node("u2"), "id": "u1"}],
     "cookie-id-repeated": [user_node("u1"), {**user_node("u2"), "cookie_id": "dc-u1"}],
     "network-id-repeated": [user_node("u1"), {**user_node("u2"), "network_id": "net-u1"}],
+    "id-shared-across-columns": [user_node("u1"), {**user_node("u2"), "cookie_id": "u1"}],
+    "id-missing": [{"cookie_id": "dc-u1", "network_id": "net-u1"}],
+    "cookie-id-missing": [{"id": "u1", "network_id": "net-u1"}],
     "id-empty": [user_node("")],
+    "network-id-empty": [user_node("u1", network_id="")],
+    "cookie-id-int": [user_node("u1", cookie_id=1)],
+    "network-id-surrogate": [user_node("u1", network_id="net-\ud800")],
     "id-non-ascii": [user_node("usér")],
     "id-surrogate": [user_node("u\ud800")],
     "id-str-subclass": [user_node(Name("u1"))],
@@ -930,6 +940,7 @@ USER_EDGES = {
     "user-unknown-key": [user_node("u1", odd=1)],
     "consent-false": [user_node("u1", consent=False)],
     "consent-int": [user_node("u1", consent=1)],
+    "consent-null": [user_node("u1", consent=None)],
     "geo-empty": [user_node("u1", geo="")],
     "geo-surrogate": [user_node("u1", geo="\ud800")],
     "geo-null": [user_node("u1", geo=None)],
@@ -947,6 +958,8 @@ USER_EDGES = {
     "languages-surrogate": [user_node("u1", demographics={"languages": ["it", "\ud800"]})],
     "age-band-surrogate": [user_node("u1", demographics={"age_band": "\ud800"})],
     "warmup-plan-tuple": [user_node("u1", warmup_plan=())],
+    "warmup-plan-null": [user_node("u1", warmup_plan=None)],
+    "attack-visits-tuple": [user_node("u1", attack_visits=())],
     "later-user-bad": [user_node("u1"), user_node("u2", consent=0)],
 }
 
