@@ -129,6 +129,7 @@ def run_to_directory(scenario_arg: str, seed: int | None, out_dir: str) -> RunOu
     if seed is not None:
         document["seed"] = seed
     scenario = load_scenario_document(document)
+    del document  # not held through the run and the artifact writing
     trace = run_scenario(scenario)
     result = run_attack(scenario, trace)
 
@@ -253,5 +254,19 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def console() -> int:
+    """The process entry: ``python -m adtrap.cli`` and the ``adtrap`` script.
+
+    Runs :func:`main`, then freezes every object the collector tracks:
+    finalizing the interpreter runs full collections over the modules,
+    classes and functions still alive, and they skip frozen objects.  A
+    run makes no cycles, so those scans would free nothing it made.
+    ``main`` itself leaves the collector as it found it.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

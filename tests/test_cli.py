@@ -19,6 +19,13 @@ from adtrap.marketplace import window_count
 from adtrap.trap import summary_counts
 
 
+def src_env():
+    """This environment with the checkout's ``src`` first on ``PYTHONPATH``."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def read_csv(path):
     with open(path, encoding="utf-8", newline="") as fh:
         return list(csv.DictReader(fh))
@@ -111,16 +118,11 @@ def test_validate_reports_unhashable_list_item_without_traceback(tmp_path):
     doc["attack"]["sites"] = [["monads"]]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "adtrap.cli", "validate", str(bad)],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=60,
     )
     assert proc.returncode == 1
@@ -172,16 +174,11 @@ def test_bad_input_is_reported_without_traceback(tmp_path, content, args, messag
     if content is not None:
         (tmp_path / "bad.json").write_bytes(content)
     args = [a.replace("{dir}", str(tmp_path)) for a in args]
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "adtrap.cli", *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=60,
     )
     assert proc.returncode == 1
@@ -335,11 +332,14 @@ def test_run_writes_all_artifacts(tmp_path, capsys):
 def collector_state():
     """Put the cyclic collector back as it was, whatever a test leaves."""
     collecting = gc.isenabled()
+    frozen = gc.get_freeze_count()
     yield
     if collecting:
         gc.enable()
     else:
         gc.disable()
+    if not frozen:
+        gc.unfreeze()
 
 
 def test_main_pauses_an_enabled_collector_and_enables_it_again(
@@ -354,19 +354,72 @@ def test_main_pauses_an_enabled_collector_and_enables_it_again(
 
     monkeypatch.setattr(cli, "run_to_directory", recording_run)
     gc.enable()
+    frozen = gc.get_freeze_count()
     assert main(["run", "per_victim_shared", "--out", str(tmp_path / "out")]) == 0
     assert collecting_during_run == [False]
     assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"spec_version": 99}), encoding="utf-8")
     assert main(["validate", str(bad)]) == 1
     assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
 
 
 def test_main_leaves_a_disabled_collector_disabled(tmp_path, collector_state, capsys):
     gc.disable()
+    frozen = gc.get_freeze_count()
     assert main(["run", "per_victim_shared", "--out", str(tmp_path / "out")]) == 0
     assert not gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_console_returns_the_exit_code_of_main_and_leaves_the_collector_frozen():
+    # The freeze is for the interpreter's exit, so it runs in a child.
+    code = (
+        "import gc, sys; from adtrap import cli; "
+        "sys.argv[1:] = ['validate', 'table2_experiment']; "
+        "code = cli.console(); "
+        "print(code, gc.isenabled(), gc.get_freeze_count() > 0)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("ok: ")
+    assert proc.stdout.endswith("\n0 True True\n")
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["run", "two_visitor_ambiguity", "--out", "{dir}/out"], 0),
+        (["validate", "{dir}/bad.json"], 1),
+        (["run", "two_visitor_ambiguity", "--out", "{dir}/bad.json/out"], 2),
+    ],
+    ids=["ok", "invalid", "io-error"],
+)
+def test_module_entry_behaves_as_main(tmp_path, capsys, args, code):
+    (tmp_path / "bad.json").write_text(json.dumps({"spec_version": 99}), encoding="utf-8")
+    args = [a.replace("{dir}", str(tmp_path)) for a in args]
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out if code == 0 else captured.err.startswith("error: ")
+    proc = subprocess.run(
+        [sys.executable, "-m", "adtrap.cli", *args],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+        timeout=60,
+    )
+    assert proc.returncode == code
+    assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+
+
+def test_console_script_is_the_process_entry():
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    lines = pyproject.read_text(encoding="utf-8").splitlines()
+    assert 'adtrap = "adtrap.cli:console"' in lines
 
 
 def test_run_to_directory_returns_a_record_of_the_run(tmp_path):

@@ -233,6 +233,16 @@ def test_click_sampling_is_seeded():
     assert 0 < sum(run(42)) < 40  # ctr 0.05 should land well inside this
 
 
+def test_a_marketplace_built_without_an_rng_draws_clicks_as_seed_0():
+    def clicks(rng):
+        market = Marketplace([make_campaign("c", 50.0)], rng=rng)
+        profile = sports_profile()
+        return [market.serve("site", PAGE, profile, time=float(i)).clicked for i in range(200)]
+
+    assert clicks(None) == clicks(random.Random(0))
+    assert clicks(None) != clicks(random.Random(1))
+
+
 def test_window_index_boundaries():
     assert window_index(0.0, 1800.0) == 0
     assert window_index(1799.999, 1800.0) == 0

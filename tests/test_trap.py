@@ -14,6 +14,7 @@ import reference_reports
 from conftest import make_observation
 from generators import oracle_agreement, random_observations
 
+from adtrap import trap
 from adtrap.errors import InconsistentObservationsError, ValidationError
 from adtrap.gdn import VisitLogEntry, Website
 from adtrap.marketplace import Bid, CounterReports, window_index
@@ -352,6 +353,19 @@ def test_oversized_component_reports_unknown():
     observations = [make_observation(0, {"a_sports": 1, "a_pets": 1}, visitors)]
     result = infer_audiences(observations)
     assert result.assignments == {nid: Assignment("unknown") for nid in visitors}
+
+
+@pytest.mark.parametrize(
+    "limit, status, candidates",
+    [(4, "ambiguous", frozenset({"a", None})), (3, "unknown", frozenset())],
+)
+def test_the_cap_admits_a_domain_product_equal_to_it(monkeypatch, limit, status, candidates):
+    # Two visitors of one window, each "a" or none: a product of 4.
+    monkeypatch.setattr(trap, "_EXHAUSTIVE_LIMIT", limit)
+    observations = [make_observation(0, {"a": 1}, {"n1": 1, "n2": 1})]
+    result = infer_audiences(observations)
+    for nid in ("n1", "n2"):
+        assert result.assignments[nid] == Assignment(status, candidates=candidates)
 
 
 def test_solver_ignores_observation_order():
