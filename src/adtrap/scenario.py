@@ -11,7 +11,9 @@ of object accepts and the rule its value must meet; any other key is
 rejected at its own pointer, so a misspelt field cannot silently fall
 back to its default.  Keys are the field names of the records built from
 them, so an absent optional key keeps its record's default.  The
-builders add only the rules that relate objects to each other.
+builders add only the rules that relate objects to each other.  Users
+and their visits, most of a document's objects, are first accepted
+column by column; if any check fails, the rules explain it one by one.
 
 Every check, the records' own included, raises with a pointer relative to
 the object it checks; ``_each`` and ``_within`` prefix the step that led
@@ -23,6 +25,8 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import ge
 from pathlib import Path
 from typing import NamedTuple
 
@@ -193,6 +197,30 @@ def _website_id(value):
     return _text(value)
 
 
+# Column tests: for each rule of a user or visit key, a test that every value
+# in a column meets it.  Types must be exact, so a bool, a subclass or a NaN
+# fails; refusing what the rule accepts only sends the list to _each.
+
+
+def _finite(column) -> bool:
+    """Whether every number is finite in micros, as their magnitudes' sum is; NaN is not."""
+    try:
+        return finite_in_micros(math.fsum(map(abs, column)))
+    except OverflowError:
+        return False
+
+
+_COLUMN_TESTS = {
+    _any: lambda c: True,
+    _text: lambda c: {*map(type, c)} <= {str} and all(c) and not _utf8("".join(c)),
+    _number: lambda c: {*map(type, c)} <= {int, float} and _finite(c),
+    _non_negative: lambda c: _COLUMN_TESTS[_number](c) and min(c, default=0) >= 0,
+    _count: lambda c: {*map(type, c)} <= {int} and min(c, default=1) >= 1,
+    _flag: lambda c: {*map(type, c)} <= {bool},
+    _list: lambda c: {*map(type, c)} <= {list},
+}
+
+
 # Row flags.  An OPTIONAL key may be left out; a REQUIRED or UNIQUE key
 # must be present, and a UNIQUE one must also differ between the objects
 # of one list.
@@ -303,9 +331,7 @@ def _each(parent: dict, key: str, kind: str, build, *context) -> tuple:
     A UNIQUE key's value repeated from an earlier object is rejected at
     the later one.  An error gets ``/key/i`` prefixed on its way out.
     """
-    unique = _UNIQUE[kind]
-    # Most kinds have no unique key: build nothing for them on each call.
-    seen = [(k, set()) for k in unique] if unique else ()
+    seen = [(k, set()) for k in _UNIQUE[kind]]
     built = []
     try:
         for node in parent.get(key, ()):
@@ -416,89 +442,62 @@ def _ad_group(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> AdGro
 
 
 def _user(fields, websites: dict[str, Website], pages: set[str], horizon: float) -> UserAgentSpec:
-    plan = _warmup_plan(fields.get("warmup_plan", ()), pages)
-    if plan is None:
-        plan = _each(fields, "warmup_plan", "warmup_visit", _warmup_visit, pages)
-    fields["warmup_plan"] = plan
-    visits = _attack_visits(fields.get("attack_visits", ()), websites, horizon)
-    if visits is None:
-        visits = _each(fields, "attack_visits", "attack_visit", _attack_visit, websites, horizon, [])
+    fields["warmup_plan"] = _each(fields, "warmup_plan", "warmup_visit", _warmup_visit, pages)
+    visits = _each(fields, "attack_visits", "attack_visit", _attack_visit, websites, horizon, [])
     fields["attack_visits"] = visits
     return UserAgentSpec(**fields)
 
 
-# Users and their visits are most of a document's objects, so the user
-# list and each visit list are first built in one pass by checks that
-# imply every rule of their kind: exact types (no bool, subclass or NaN
-# passes) and membership among ids that were already validated.  At the
-# first object those checks cannot accept, the loop returns None and the
-# list goes through _each, which applies the rules one by one and is the
-# only code that explains a rejection.
-_USER_KEYS, _CONSENT = _RULES["user"].keys(), UserAgentSpec._field_defaults["consent"]
-_WARMUP_KEYS, _ATTACK_KEYS = _RULES["warmup_visit"].keys(), _RULES["attack_visit"].keys()
-_REPEAT, _DWELL = WarmupVisit._field_defaults["repeat"], WarmupVisit._field_defaults["dwell"]
-_REAL = (int, float)
-# A dwell up to this bound is finite in micros; a larger one goes through _each.
-_DWELL_MAX = 1e300
+# The column pass: a list's values key by key in its record's field order,
+# or None unless they meet the kind's _SCHEMA row.  An absent key takes the
+# record's default, else None as in _fields, and an optional one is not
+# tested, as _fields leaves it absent: a list key's default, (), is no list.
+def _columns(nodes: list, kind: str, cls) -> list[list] | None:
+    row, defaults = _SCHEMA[kind], cls._field_defaults
+    if not ({*map(type, nodes)} <= {dict} and all(map(frozenset(row).issuperset, nodes))):
+        return None
+    columns = []
+    for key in cls._fields:
+        rule, flag = row[key]
+        test, absent = _COLUMN_TESTS[rule], defaults.get(key)
+        column = [*map(dict.get, nodes, repeat(key), repeat(absent))]
+        tested = column if flag or test((absent,)) else [n[key] for n in nodes if key in n]
+        if not test(tested) or flag == UNIQUE and len({*column}) < len(column):
+            return None
+        columns.append(column)
+    return columns
 
 
-def _users(nodes: list, websites: dict[str, Website], pages: set[str],
-           horizon: float) -> tuple[UserAgentSpec, ...] | None:
-    """Each id column must not repeat a value."""
-    users, ids, cookies, networks = [], set(), set(), set()
-    for node in nodes:
-        if type(node) is not dict or not node.keys() <= _USER_KEYS:
-            return None
-        uid, cookie, network = node.get("id"), node.get("cookie_id"), node.get("network_id")
-        consent = node.get("consent", _CONSENT)
-        plan, visits = node.get("warmup_plan", []), node.get("attack_visits", [])
-        if not (type(uid) is str and type(cookie) is str and type(network) is str
-                and uid and cookie and network and _utf8(uid + cookie + network) is None
-                and uid not in ids and cookie not in cookies and network not in networks
-                and type(consent) is bool and type(plan) is list and type(visits) is list):
-            return None
-        plan, visits = _warmup_plan(plan, pages), _attack_visits(visits, websites, horizon)
-        if plan is None or visits is None:
-            return None
-        ids.add(uid)
-        cookies.add(cookie)
-        networks.add(network)
-        users.append(UserAgentSpec(uid, cookie, network, consent, plan, visits))
-    return tuple(users)
-
-
-def _warmup_plan(nodes: list, pages: set[str]) -> tuple[WarmupVisit, ...] | None:
-    plan = []
-    for node in nodes:
-        if type(node) is not dict or not node.keys() <= _WARMUP_KEYS:
-            return None
-        page, repeat, dwell = node.get("page"), node.get("repeat", _REPEAT), node.get("dwell", _DWELL)
-        if not (type(page) is str and page in pages and type(repeat) is int and repeat >= 1
-                and type(dwell) in _REAL and 0 <= dwell <= _DWELL_MAX):
-            return None
-        plan.append(WarmupVisit(page, repeat, dwell))
-    return tuple(plan)
-
-
-def _attack_visits(nodes: list, websites: dict[str, Website],
-                   horizon: float) -> tuple[AttackVisit, ...] | None:
-    """Times must lie in [0, horizon), which implies finite in micros, and increase."""
-    visits, last = [], -1
-    for node in nodes:
-        if type(node) is not dict or not node.keys() <= _ATTACK_KEYS:
-            return None
-        site, t, page = node.get("site"), node.get("t"), node.get("page")
-        if not (type(site) is str and site in websites and type(t) in _REAL
-                and 0 <= t < horizon and t > last):
-            return None
-        site_pages = websites[site].pages
-        if page is None:
-            page = next(iter(site_pages))
-        elif not (type(page) is str and page in site_pages):
-            return None
-        visits.append(AttackVisit(site, t, page))
-        last = t
-    return tuple(visits)
+def _users_by_column(nodes: list, websites: dict[str, Website], pages: set[str],
+                     horizon: float) -> tuple[UserAgentSpec, ...] | None:
+    """The users, from their list, then every warm-up visit, then every attack visit."""
+    users = _columns(nodes, "user", UserAgentSpec)
+    if users is None:
+        return None
+    *head, plans, visit_lists = users
+    warmups = _columns([*chain.from_iterable(plans)], "warmup_visit", WarmupVisit)
+    visits = _columns([*chain.from_iterable(visit_lists)], "attack_visit", AttackVisit)
+    if not (warmups and visits and pages.issuperset(warmups[0])
+            and {*map(type, visits[2])} <= {str, type(None)}):
+        return None
+    # An existing (site, page) pair gives its page, a null page its site's first.
+    on = {(s, p): p for s, website in websites.items() for p in website.pages}
+    on |= {(s, None): next(iter(website.pages)) for s, website in websites.items()}
+    sites, times, site_pages = visits
+    site_pages = [*map(on.get, zip(sites, site_pages))]
+    # _number's test refused NaN, which min() and max() would skip.  A
+    # time not above the one before must start a user's visits.
+    starts = {*accumulate(map(len, visit_lists))}
+    if not (None not in site_pages and min(times, default=0) >= 0
+            and max(times, default=0) < horizon
+            and starts.issuperset(compress(count(1), map(ge, times, times[1:])))):
+        return None
+    # No record here is @checked, so tuple.__new__ builds each without a Python call.
+    warmups = map(tuple.__new__, repeat(WarmupVisit), zip(*warmups))
+    visits = map(tuple.__new__, repeat(AttackVisit), zip(sites, times, site_pages))
+    plans = map(tuple, map(islice, repeat(warmups), map(len, plans)))
+    visit_lists = map(tuple, map(islice, repeat(visits), map(len, visit_lists)))
+    return tuple(map(tuple.__new__, repeat(UserAgentSpec), zip(*head, plans, visit_lists)))
 
 
 def _warmup_visit(fields, pages: set[str]) -> WarmupVisit:
@@ -562,7 +561,7 @@ def load_scenario_document(document: dict) -> Scenario:
     }
     campaigns = _each(fields, "campaigns", "campaign", _campaign, taxonomy, websites)
     pages = {pid for site in websites.values() for pid in site.pages}
-    users = _users(fields.get("users", ()), websites, pages, fields["horizon_s"])
+    users = _users_by_column(fields.get("users", ()), websites, pages, fields["horizon_s"])
     if users is None:
         users = _each(fields, "users", "user", _user, websites, pages, fields["horizon_s"])
     overlap = sorted({u.cookie_id for u in users} & {u.network_id for u in users})

@@ -1,10 +1,13 @@
 """Scenario document validation and the typed scenario it produces."""
 
 import copy
+import functools
+import importlib.util
 import json
 import math
 import random
 import re
+import sys
 from collections import OrderedDict
 from collections.abc import Mapping
 from pathlib import Path
@@ -20,8 +23,10 @@ from adtrap.marketplace import Campaign, reports_to_rows
 from adtrap.scenario import (
     _SCHEMA,
     UNIQUE,
+    AttackVisit,
     Scenario,
     UserAgentSpec,
+    WarmupVisit,
     load_scenario,
     load_scenario_document,
     read_scenario_file,
@@ -826,21 +831,31 @@ def load_outcome(document):
 
 def rule_by_rule_outcome(document):
     """:func:`load_outcome`, with the user list and every visit list handed to ``_each``."""
-    with (
-        mock.patch.object(loader, "_users", return_value=None),
-        mock.patch.object(loader, "_warmup_plan", return_value=None),
-        mock.patch.object(loader, "_attack_visits", return_value=None),
-    ):
+    with mock.patch.object(loader, "_users_by_column", return_value=None):
         return load_outcome(document)
 
 
 def valid_documents(seed):
-    """Every bundled scenario, then 20 generated and 20 targeting documents."""
+    """Every bundled scenario, 20 generated and 20 targeting documents, then
+    two at the column pass's boundaries: a horizon under 1 s with no attack
+    visit, and columns that mix ints and floats."""
     documents = [scenarios.load(name) for name in scenarios.names()]
     rng = random.Random(seed)
     documents += [random_scenario_document(rng) for _ in range(20)]
     documents += [random_targeting_scenario_document(rng) for _ in range(20)]
-    return documents
+    short = base_document()
+    short["horizon_s"] = 0.5
+    del short["users"][0]["attack_visits"]
+    mixed = base_document()
+    mixed["users"][0]["warmup_plan"] = [{"page": "fixtures", "dwell": d} for d in (7, 7.5)]
+    mixed["users"][0]["attack_visits"] = [{"site": "monads", "t": t} for t in (300, 600.5)]
+    return documents + [short, mixed]
+
+
+def test_records_built_by_column_check_nothing_themselves():
+    """The column pass builds them with ``tuple.__new__``, which would skip a check."""
+    for cls in (UserAgentSpec, WarmupVisit, AttackVisit):
+        assert not hasattr(cls, "_check"), cls
 
 
 def test_valid_visit_lists_load_in_one_pass():
@@ -895,12 +910,20 @@ VISIT_EDGES = {
     "t-decreasing": ("attack_visits", [{"site": "monads", "t": 5.0}, {"site": "monads", "t": 4}]),
     "t-negative-zero": ("attack_visits", [{"site": "monads", "t": -0.0}]),
     "t-nan": ("attack_visits", [{"site": "monads", "t": math.nan}]),
+    "dwell-nan-second": (
+        "warmup_plan", [{"page": "fixtures"}, {"page": "fixtures", "dwell": math.nan}]
+    ),
     "attack-page-null": ("attack_visits", [{"site": "monads", "t": 1.0, "page": None}]),
     "another-sites-page": ("attack_visits", [{"site": "monads", "t": 1.0, "page": "fixtures"}]),
     "page-list": ("attack_visits", [{"site": "monads", "t": 1.0, "page": []}]),
     "site-object": ("attack_visits", [{"site": {}, "t": 1.0}]),
     "attack-unknown-key": ("attack_visits", [{"site": "monads", "t": 1.0, "odd": 1}]),
     "later-visit-bad": ("attack_visits", [{"site": "monads", "t": 1.0}, {"site": "x", "t": 2.0}]),
+}
+# min() and max() skip a NaN that is not first, so each bad time comes second.
+VISIT_EDGES |= {
+    f"t-{name}-second": ("attack_visits", [{"site": "monads", "t": 1}, {"site": "monads", "t": t}])
+    for name, t in (("nan", math.nan), ("inf", math.inf), ("10**400", 10**400), ("negative", -2.0))
 }
 
 
@@ -961,6 +984,24 @@ USER_EDGES = {
     "warmup-plan-null": [user_node("u1", warmup_plan=None)],
     "attack-visits-tuple": [user_node("u1", attack_visits=())],
     "later-user-bad": [user_node("u1"), user_node("u2", consent=0)],
+    # Times increase per user, not along every user's visits taken together.
+    "times-below-an-earlier-users": [
+        user_node("u1", attack_visits=[{"site": "monads", "t": 100}, {"site": "monads", "t": 200}]),
+        user_node("u2", attack_visits=[{"site": "monads", "t": 10}, {"site": "kickoff", "t": 20}]),
+    ],
+    "user-without-visits-between": [
+        user_node("u1", warmup_plan=[{"page": "fixtures"}],
+                  attack_visits=[{"site": "monads", "t": 5}]),
+        user_node("u2"),
+        user_node("u3", warmup_plan=[{"page": "landing"}],
+                  attack_visits=[{"site": "kickoff", "t": 1}]),
+    ],
+    "attack-page-null-beside-named": [
+        user_node("u1", attack_visits=[
+            {"site": "monads", "t": 1.0, "page": None},
+            {"site": "kickoff", "t": 2.0, "page": "fixtures"},
+        ]),
+    ],
 }
 
 
@@ -969,3 +1010,33 @@ def test_user_edges_load_as_they_do_rule_by_rule(users):
     doc = base_document()
     doc["users"] = users
     assert load_outcome(doc) == rule_by_rule_outcome(doc)
+
+
+@functools.cache
+def benchmark_inputs():
+    """perfbench's ``generate`` and ``WORKLOADS``, imported by path, as the
+    benchmark runs them; ``sys.modules`` is left as it was."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    with mock.patch.dict(sys.modules):
+        for name in ("scenario_gen", "workloads"):
+            spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+        return sys.modules["scenario_gen"].generate, sys.modules["workloads"].WORKLOADS
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+@pytest.mark.parametrize("workload", ["ecosystem", "crowded"])
+def test_benchmark_inputs_load_in_one_pass(workload, seed):
+    """A benchmark input that fell back to the rule-by-rule path would only
+    show as a slower ``setup_s``; here it fails."""
+    generate, workloads = benchmark_inputs()
+    document = generate(workloads[workload]["params"], seed)
+    never = AssertionError("a benchmark input went through _each")
+    with (
+        mock.patch.object(loader, "_user", side_effect=never),
+        mock.patch.object(loader, "_warmup_visit", side_effect=never),
+        mock.patch.object(loader, "_attack_visit", side_effect=never),
+    ):
+        scenario = load_scenario_document(document)
+    assert len(scenario.users) == len(document["users"])
