@@ -227,19 +227,20 @@ class Marketplace:
     """Holds campaigns and the impression stream for one simulated run.
 
     Campaigns and config are read once, at construction, which prices every
-    ad group into one row in campaign then group order; a group whose bid is
-    worth 0 micros per impression gets no row, since it would serve for free
-    whatever its budget.  An ad group bids once per auction, with its
-    smallest-id ad: auction ties break on ad id, so no other ad of the group
-    could win.  A row holds what eligibility reads, unpacked once: the
-    group's targeted audiences, its campaign id, its value and the
-    :class:`Candidate` it enters the auction as.  Each website named in
-    some placement gets the rows that can serve there, its placed groups
-    and the network-wide ones, in the same order, so equal-value ties come
-    out as in campaign order; any other website gets the network-wide
-    rows.  A page view scans only its website's rows.  Each campaign's
-    budget in micros and the sorted union of every targeted audience,
-    served or not, are taken once, too.
+    ad group into one row; a group whose bid is worth 0 micros per
+    impression gets no row, since it would serve for free whatever its
+    budget.  An ad group bids once per auction, with its smallest-id ad:
+    auction ties break on ad id, so no other ad of the group could win.  A
+    row holds what eligibility reads, unpacked once: the group's targeted
+    audiences, its campaign id, its value and the :class:`Candidate` it
+    enters the auction as.  The rows are sorted once, stably, by highest
+    value then smallest ad id, rows still tied keeping campaign then group
+    order: this is the one definition of auction order.  Each website named
+    in some placement gets the rows that can serve there, its placed groups
+    and the network-wide ones, in that order; any other website gets the
+    network-wide rows.  A page view scans only its website's rows.  Each
+    campaign's budget in micros and the sorted union of every targeted
+    audience, served or not, are taken once, too.
 
     Those tables never change.  What a run changes is its own:
     ``impressions``, ``spent_micros`` (what each campaign, by id, has
@@ -271,8 +272,8 @@ class Marketplace:
                 if not value:
                     continue
                 candidate = Candidate(c, g, min(g.ads, key=lambda ad: ad.id), value)
-                row = (g.target_audiences, c.id, value, candidate)
-                priced.append((g.placement, row))
+                priced.append((g.placement, (g.target_audiences, c.id, value, candidate)))
+        priced.sort(key=lambda p: (-p[1][2], p[1][3].ad.id))
         self._network_wide = [row for placement, row in priced if not placement]
         placed = {site for placement, _ in priced for site in placement}
         self._rows_by_site = {
@@ -287,7 +288,8 @@ class Marketplace:
         An ad group qualifies when its placement covers the website, the
         profile is in at least one targeted audience, its bid is worth more
         than 0 micros, and the campaign can still pay for the impression.
-        It competes with its smallest-id ad.
+        It competes with its smallest-id ad.  Candidates come in auction
+        order, so the first one wins.
         """
         candidates: list[Candidate] = []
         spent, budget, audiences = self.spent_micros, self._budget_micros, profile.audiences
@@ -302,15 +304,12 @@ class Marketplace:
         return candidates
 
     def run_auction(self, candidates: list[Candidate]) -> Candidate | None:
-        """Pick the winner by the candidates' per-impression values.
+        """The first of ``candidates``, listed in auction order as
+        :meth:`eligible_ads` lists them, or None if there is none.
 
-        Ties break on lexicographic ad id, then on candidate order, so the
-        outcome is reproducible without consuming randomness.  Returns None
-        iff there are no candidates.
+        The order needs no randomness, so the outcome is reproducible.
         """
-        if not candidates:
-            return None
-        return min(candidates, key=lambda c: (-c.value_micros, c.ad.id))
+        return candidates[0] if candidates else None
 
     def record_impression(
         self,
@@ -341,15 +340,9 @@ class Marketplace:
             )
         self.spent_micros[campaign.id] = spent
         record = ImpressionRecord(
-            ad_id=candidate.ad.id,
-            campaign_id=campaign.id,
-            ad_group_id=candidate.ad_group.id,
-            website_id=website_id,
-            page_id=page.page_id,
-            audience_id=min(matched),
-            cookie_id=profile.cookie_id,
-            timestamp=time,
-            clicked=self.rng.random() < self.config.click_through_rate,
+            candidate.ad.id, campaign.id, candidate.ad_group.id, website_id, page.page_id,
+            min(matched), profile.cookie_id, time,
+            self.rng.random() < self.config.click_through_rate,
         )
         self.impressions.append(record)
         return record

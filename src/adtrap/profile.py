@@ -121,7 +121,9 @@ def _qualify(profile: AdUserProfile, topics, taxonomy: Taxonomy) -> None:
     topics feed (:attr:`Taxonomy.interests_by_topic`) can join, and held
     ones stay.  Only the audiences that count a newly gained interest
     (:attr:`Taxonomy.audiences_by_interest`) can join: any other audience
-    overlaps the interest set exactly as before, and held ones stay.
+    overlaps the interest set exactly as before, and held ones stay.  One
+    with a ``qualify_rule`` of 1 joins without a count, since the gained
+    interest it counts meets the rule.
 
     ``interests`` and ``audiences`` are replaced by new sets, never
     mutated, so a caller holding the old sets sees no change.
@@ -142,7 +144,7 @@ def _qualify(profile: AdUserProfile, topics, taxonomy: Taxonomy) -> None:
             audience.id
             for interest in gained
             for audience in by_interest.get(interest, ())
-            if audience.qualifies(interests)
+            if audience.qualify_rule == 1 or audience.qualifies(interests)
         }
 
 

@@ -1,12 +1,31 @@
 """Shared fixtures for the test suite."""
 
+import functools
+import importlib.util
 import random
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from adtrap.gdn import VisitLogEntry
 from adtrap.scenario import load_taxonomy
 from adtrap.trap import WindowObservation
+
+
+@functools.cache
+def benchmark_inputs():
+    """perfbench's ``generate`` and ``WORKLOADS``, imported by path, as the
+    benchmark runs them; ``sys.modules`` is left as it was."""
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    with mock.patch.dict(sys.modules):
+        for name in ("scenario_gen", "workloads"):
+            spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
+            sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(sys.modules[name])
+        return sys.modules["scenario_gen"].generate, sys.modules["workloads"].WORKLOADS
+
 
 SMALL_TAXONOMY_DOC = {
     "topics": [

@@ -649,6 +649,12 @@ def campaign_lists(draw):
 page_views = st.tuples(st.sampled_from(("s0",) + SITES), subsets(AUDIENCES, min_size=1))
 
 
+def auction_order(entrants):
+    """``(campaign, group, ad, value)`` entrants sorted stably by highest
+    value, then smallest ad id."""
+    return sorted(entrants, key=lambda entrant: (-entrant[3], entrant[2].id))
+
+
 @given(
     drawn=campaign_lists(),
     ctr=st.sampled_from([0.0, 0.05, 0.5]),
@@ -665,10 +671,30 @@ def test_priced_table_matches_scan_from_scratch(drawn, ctr, views):
             campaigns, market.spent_micros, config, site, profile
         )
         candidates = market.eligible_ads(site, profile)
-        assert [tuple(c) for c in candidates] == expected_eligible
+        assert [tuple(c) for c in candidates] == auction_order(expected_eligible)
         winner = market.run_auction(candidates)
         if expected is None:
             assert winner is None
             continue
         assert tuple(winner) == expected
         market.record_impression(winner, profile, PAGE, site, float(t))
+
+
+@given(
+    drawn=campaign_lists(),
+    ctr=st.sampled_from([0.0, 0.05, 0.5]),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_every_site_lists_its_rows_in_auction_order_and_the_first_wins(drawn, ctr, rnd):
+    # Every campaign can pay and the profile is in every audience, so each
+    # site's candidates are all the rows that may serve there.
+    campaigns = [campaign._replace(total_budget=1.0) for campaign in drawn[0]]
+    config = MarketConfig(click_through_rate=ctr)
+    market = Marketplace(campaigns, config=config)
+    everyone = AdUserProfile(cookie_id="ck", audiences=set(AUDIENCES))
+    for site in ("s0",) + SITES:
+        _, entrants = scan_from_scratch(campaigns, market.spent_micros, config, site, everyone)
+        candidates = market.eligible_ads(site, everyone)
+        assert [tuple(c) for c in candidates] == auction_order(entrants)
+        shuffled = rnd.sample(candidates, len(candidates))
+        assert market.run_auction(shuffled) is (shuffled[0] if shuffled else None)

@@ -1,13 +1,10 @@
 """Scenario document validation and the typed scenario it produces."""
 
 import copy
-import functools
-import importlib.util
 import json
 import math
 import random
 import re
-import sys
 from collections import OrderedDict
 from collections.abc import Mapping
 from pathlib import Path
@@ -34,7 +31,7 @@ from adtrap.scenario import (
 from adtrap.simulation import run_scenario, trace_to_json
 from adtrap.trap import AttackSpec
 
-from conftest import SMALL_TAXONOMY_DOC
+from conftest import SMALL_TAXONOMY_DOC, benchmark_inputs
 from generators import (
     mutate_document,
     mutate_users,
@@ -1010,19 +1007,6 @@ def test_user_edges_load_as_they_do_rule_by_rule(users):
     doc = base_document()
     doc["users"] = users
     assert load_outcome(doc) == rule_by_rule_outcome(doc)
-
-
-@functools.cache
-def benchmark_inputs():
-    """perfbench's ``generate`` and ``WORKLOADS``, imported by path, as the
-    benchmark runs them; ``sys.modules`` is left as it was."""
-    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
-    with mock.patch.dict(sys.modules):
-        for name in ("scenario_gen", "workloads"):
-            spec = importlib.util.spec_from_file_location(name, perfbench / f"{name}.py")
-            sys.modules[name] = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(sys.modules[name])
-        return sys.modules["scenario_gen"].generate, sys.modules["workloads"].WORKLOADS
 
 
 @pytest.mark.parametrize("seed", [101, 202])

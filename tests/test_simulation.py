@@ -36,7 +36,7 @@ from adtrap.simulation import (
 )
 from adtrap.trap import build_trap_campaign, collect_observations, probe_campaign_id
 
-from conftest import SMALL_TAXONOMY_DOC
+from conftest import SMALL_TAXONOMY_DOC, benchmark_inputs
 from generators import random_scenario_document, random_targeting_scenario_document
 import reference_reports
 from reference_engine import reference_run
@@ -523,6 +523,16 @@ def test_bundled_runs_match_the_reference_engine(name):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_generated_runs_match_the_reference_engine(seed):
     scenario = load_scenario_document(random_targeting_scenario_document(random.Random(seed)))
+    assert trace_to_json(run_scenario(scenario)) == trace_to_json(reference_run(scenario))
+
+
+@pytest.mark.parametrize("seed", [101, 202])
+@pytest.mark.parametrize("workload", ["ecosystem", "crowded"])
+def test_benchmark_runs_match_the_reference_engine(workload, seed):
+    """The benchmark inputs hold ties the bundled scenarios lack: a dozen
+    equal-value rows on one site, and campaigns that run out of budget."""
+    generate, workloads = benchmark_inputs()
+    scenario = load_scenario_document(generate(workloads[workload]["params"], seed))
     assert trace_to_json(run_scenario(scenario)) == trace_to_json(reference_run(scenario))
 
 
