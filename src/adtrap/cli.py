@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import AdtrapError, ValidationError
+from .errors import AdtrapError, ValidationError, digits_to_int
 from .gdn import VisitLogEntry
 from .marketplace import REPORT_COLUMNS, reports_to_rows
 from .scenario import load_scenario_document, read_scenario_file
@@ -112,7 +112,7 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         if not _is_seed_token(args.seed):
             raise ValidationError(f"seed must be an integer: {args.seed!r}")
-        seed = int(args.seed)
+        seed = digits_to_int(args.seed)
     output = run_to_directory(args.scenario, seed=seed, out_dir=args.out)
     print(summary_line(output.result))
     return 0
@@ -159,9 +159,10 @@ def _parse_grid(args_grid: list[str]) -> dict[str, list]:
             raise ValidationError(f"grid key {key!r} is repeated; give all its values in one item")
         values = []
         for token in raw.split(","):
+            # Too deep to decode, or an integer too long for int, is a string too.
             try:
                 values.append(json.loads(token))
-            except (json.JSONDecodeError, RecursionError):  # too deep to decode
+            except (ValueError, RecursionError):
                 values.append(token)
         grid[key] = values
     return grid
@@ -184,7 +185,7 @@ def _parse_seeds(raw: str) -> list[int]:
         raise ValidationError("no seeds")
     if not all(map(_is_seed_token, tokens)):
         raise ValidationError(f"seeds must be integers: {raw!r}")
-    return [int(t) for t in tokens]
+    return [digits_to_int(t) for t in tokens]
 
 
 def cmd_sweep(args) -> int:

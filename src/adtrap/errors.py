@@ -1,5 +1,5 @@
-"""Shared exception types, the numeric type tests, and the hook that lets a
-record reject itself."""
+"""Shared exception types, the numeric type tests and parsing, and the hook
+that lets a record reject itself."""
 
 
 class AdtrapError(Exception):
@@ -38,6 +38,18 @@ def is_number(value) -> bool:
 def is_integer(value) -> bool:
     """Whether ``value`` is an ``int`` other than a ``bool``."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def digits_to_int(token: str) -> int:
+    """The ``int`` an optional ``-`` and ASCII digits spell, cut after 21
+    significant digits.
+
+    ``int`` refuses more digits than ``sys.get_int_max_str_digits()``.  A
+    cut value is still at least 10**20 in size, beyond any 64-bit integer
+    or list index, as the whole one is.
+    """
+    sign, digits = ("-", token[1:]) if token.startswith("-") else ("", token)
+    return int(sign + (digits.lstrip("0")[:21] or "0"))
 
 
 class SimulationError(AdtrapError):

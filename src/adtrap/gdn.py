@@ -17,13 +17,7 @@ from typing import NamedTuple
 
 from .errors import ValidationError, checked, quoted
 from .marketplace import ImpressionRecord, Marketplace
-from .profile import (
-    AdUserProfile,
-    PageProfile,
-    ProfileConfig,
-    DEFAULT_PROFILE_CONFIG,
-    record_visit,
-)
+from .profile import AdUserProfile, PageProfile, record_visit
 from .taxonomy import Taxonomy
 
 OWNERS = ("attacker", "third-party")
@@ -62,7 +56,6 @@ def serve_page(
     time: float,
     marketplace: Marketplace,
     taxonomy: Taxonomy,
-    profile_config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
 ) -> tuple[ImpressionRecord | None, VisitLogEntry | None]:
     """One page view: update the profile, fill the ad slot, maybe log.
 
@@ -75,7 +68,7 @@ def serve_page(
     if page_id not in website.pages:
         raise ValidationError(f"website {quoted(website.id)} has no page {quoted(page_id)}")
     page = website.pages[page_id]
-    record_visit(profile, page, time, taxonomy, profile_config)
+    record_visit(profile, page, time, taxonomy)
     impression = marketplace.serve(website.id, page, profile, time)
     if not (website.logging and consent):
         return impression, None

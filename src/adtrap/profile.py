@@ -4,9 +4,9 @@ The network watches navigation through its embedded ad slots and keeps one
 profile per tracking cookie: topic scores accumulated from visited pages,
 plus the interests and audiences those scores qualify for.  A profile grows
 one view at a time (:func:`record_visit`) or a whole warm-up plan at once
-(:func:`fold_warmup`); both add topic increments, then pass the raised
-topics to one qualification step, :func:`_qualify`, which states the
-invariant every profile keeps.
+(:func:`fold_warmup`).  A view adds 1.0 to each of its page's topic
+scores; both then pass the raised topics to one qualification step,
+:func:`_qualify`, which states the invariant every profile keeps.
 """
 
 from __future__ import annotations
@@ -39,27 +39,6 @@ class PageProfile(NamedTuple):
             )
 
 
-@checked
-class ProfileConfig(NamedTuple):
-    """Knobs for profile building.
-
-    ``score_mode`` is ``"count"`` (one point per visit per topic, the
-    default) or ``"dwell"`` (dwell seconds / 60 per topic).
-    """
-
-    score_mode: str = "count"
-
-    def _check(self):
-        if self.score_mode not in ("count", "dwell"):
-            raise ValidationError(
-                f"score_mode must be 'count' or 'dwell', got {quoted(self.score_mode)}",
-                "/score_mode",
-            )
-
-
-DEFAULT_PROFILE_CONFIG = ProfileConfig()
-
-
 class AdUserProfile:
     """Mutable per-cookie state owned by the ad network."""
 
@@ -90,13 +69,6 @@ def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfi
         if t not in taxonomy.topics:
             raise ValidationError(f"page {quoted(page_id)} declares unknown topic {quoted(t)}")
     return PageProfile(page_id, topics)
-
-
-def _increment(dwell: float, config: ProfileConfig) -> float:
-    """What one view adds to each of its page's topic scores."""
-    if not dwell >= 0:
-        raise ValidationError(f"dwell must be non-negative, got {dwell!r}")
-    return dwell / 60.0 if config.score_mode == "dwell" else 1.0
 
 
 def _check_clock(profile: AdUserProfile, time: float) -> None:
@@ -153,21 +125,18 @@ def record_visit(
     page: PageProfile,
     time: float,
     taxonomy: Taxonomy,
-    config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
-    dwell: float = 0.0,
 ) -> AdUserProfile:
     """Fold one page view into the profile and extend interests/audiences.
 
     Mutates ``profile`` in place and returns it; see :func:`_qualify` for
     ``interests`` and ``audiences``.  Timestamps must be non-decreasing per
-    cookie and ``dwell`` non-negative.
+    cookie.
     """
-    increment = _increment(dwell, config)
     _check_clock(profile, time)
     profile.last_timestamp = time
     scores = profile.topic_scores
     for topic in page.topics:
-        scores[topic] = scores.get(topic, 0.0) + increment
+        scores[topic] = scores.get(topic, 0.0) + 1.0
     _qualify(profile, page.topics, taxonomy)
     return profile
 
@@ -178,33 +147,28 @@ def fold_warmup(
     pages: dict[str, PageProfile],
     time: float,
     taxonomy: Taxonomy,
-    config: ProfileConfig = DEFAULT_PROFILE_CONFIG,
 ) -> AdUserProfile:
     """Fold a whole browsing plan into the profile, in one pass.
 
     ``plan`` yields ``(page_id, repeat, dwell)`` items, as
     :class:`adtrap.scenario.WarmupVisit` records unpack: ``repeat`` (at
-    least 1) views in a row of ``pages[page_id]``, each ``dwell`` seconds
-    long.  ``time`` becomes ``last_timestamp`` unless the plan is empty.  A
-    ``time`` earlier than ``last_timestamp`` or any negative ``dwell``
-    raises before anything changes.  Mutates ``profile`` in place and
-    returns it.
+    least 1) views in a row of ``pages[page_id]``.  No score reads
+    ``dwell``.  ``time`` becomes ``last_timestamp`` unless the plan is
+    empty; a ``time`` earlier than ``last_timestamp`` raises before
+    anything changes.  Mutates ``profile`` in place and returns it.
 
     The result equals replaying every view through :func:`record_visit`
-    in plan order, at times from ``last_timestamp`` up to ``time``.  Each
-    topic's increments are added in the same order, so the scores are the
-    same floats, and one :func:`_qualify` over every scored topic keeps the
-    invariant the replay keeps view by view.
+    in plan order, at times from ``last_timestamp`` up to ``time``.  A
+    step adds ``repeat`` to each of its topics at once: every partial sum
+    is a whole number, exact as a float below 2**53, so the scores are
+    the same floats, and one :func:`_qualify` over every scored topic
+    keeps the invariant the replay keeps view by view.
     """
     _check_clock(profile, time)
-    steps = [(pages[page_id].topics, repeat, _increment(dwell, config))
-             for page_id, repeat, dwell in plan]
     scores = profile.topic_scores
-    for topics, repeat, increment in steps:
-        for _ in range(repeat):
-            for topic in topics:
-                scores[topic] = scores.get(topic, 0.0) + increment
-    if steps:
+    for page_id, repeat, _ in plan:
+        for topic in pages[page_id].topics:
+            scores[topic] = scores.get(topic, 0.0) + repeat
         profile.last_timestamp = time
     _qualify(profile, scores, taxonomy)
     return profile

@@ -41,12 +41,7 @@ from .marketplace import (
     DEFAULT_MARKET_CONFIG,
     finite_in_micros,
 )
-from .profile import (
-    ProfileConfig,
-    DEFAULT_PROFILE_CONFIG,
-    PageProfile,
-    analyze_page,
-)
+from .profile import PageProfile, analyze_page
 from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
 from .trap import PROBE_ID_PREFIX, AttackSpec, check_probe_site
 
@@ -85,7 +80,6 @@ class Scenario(NamedTuple):
     window_length: float
     horizon: float
     seed: int
-    profile_config: ProfileConfig = DEFAULT_PROFILE_CONFIG
     market_config: MarketConfig = DEFAULT_MARKET_CONFIG
 
 
@@ -233,7 +227,7 @@ _SCHEMA = {
         "window_length_s": (_positive, OPTIONAL), "seed": (_seed, OPTIONAL),
         "taxonomy": (_any, OPTIONAL), "websites": (_list, OPTIONAL),
         "campaigns": (_list, OPTIONAL), "users": (_list, OPTIONAL), "attack": (_any, OPTIONAL),
-        "profile_config": (_any, OPTIONAL), "market_config": (_any, OPTIONAL),
+        "market_config": (_any, OPTIONAL),
     },
     "taxonomy": dict.fromkeys(("topics", "interests", "audiences"), (_list, OPTIONAL)),
     "topic": {
@@ -281,7 +275,6 @@ _SCHEMA = {
         "cpm": (_positive, REQUIRED), "budget": (_positive, OPTIONAL),
         "extra_placement_sites": (_strings, OPTIONAL),
     },
-    "profile_config": {"score_mode": (_text, OPTIONAL)},
     "market_config": {"click_through_rate": (_number, OPTIONAL)},
 }
 # For _fields: each kind's rules by key, and its required keys set to None.
@@ -554,11 +547,9 @@ def load_scenario_document(document: dict) -> Scenario:
         raise ValidationError(message, "/window_length_s")
     taxonomy = load_taxonomy(fields.get("taxonomy", {}), "/taxonomy")
     websites = {w.id: w for w in _each(fields, "websites", "website", _website, taxonomy, {})}
-    configs = {
-        kind: _within(f"/{kind}", _plain, fields[kind], kind, cls)
-        for kind, cls in (("profile_config", ProfileConfig), ("market_config", MarketConfig))
-        if fields.get(kind) is not None
-    }
+    market = fields.get("market_config")
+    if market is not None:
+        market = _within("/market_config", _plain, market, "market_config", MarketConfig)
     campaigns = _each(fields, "campaigns", "campaign", _campaign, taxonomy, websites)
     pages = {pid for site in websites.values() for pid in site.pages}
     users = _users_by_column(fields.get("users", ()), websites, pages, fields["horizon_s"])
@@ -578,7 +569,7 @@ def load_scenario_document(document: dict) -> Scenario:
         window_length=window_length,
         horizon=fields["horizon_s"],
         seed=fields.get("seed", 0),
-        **configs,
+        market_config=DEFAULT_MARKET_CONFIG if market is None else market,
     )
 
 
@@ -592,10 +583,11 @@ def check_seed(seed) -> None:
 def read_scenario_file(path) -> dict:
     """Read and parse a scenario file, checking only that it holds an object."""
     # The decoder recurses once per nesting level: a deep enough document
-    # raises RecursionError.
+    # raises RecursionError.  ValueError covers bad UTF-8, bad JSON and an
+    # integer longer than int's digit limit.
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValidationError(f"not valid JSON: {exc}", "") from exc
     if not isinstance(document, dict):
         raise ValidationError("scenario must be a JSON object", "")

@@ -21,7 +21,7 @@ import logging
 import random
 from typing import NamedTuple
 
-from .errors import InconsistentObservationsError, SimulationError, ValidationError
+from .errors import InconsistentObservationsError, SimulationError, ValidationError, digits_to_int
 from .gdn import VisitLogEntry, serve_page
 from .marketplace import (
     CounterReports,
@@ -103,10 +103,9 @@ class SimulationEngine:
     def run_warmup(self) -> None:
         """Fill profiles by folding each warm-up plan, at negative time."""
         taxonomy = self.scenario.taxonomy
-        config = self.scenario.profile_config
         for user in self.scenario.users:
             profile = self.profiles[user.cookie_id]
-            fold_warmup(profile, user.warmup_plan, self.pages, -1.0, taxonomy, config)
+            fold_warmup(profile, user.warmup_plan, self.pages, -1.0, taxonomy)
         self.ground_truth = {
             user.id: set(self.profiles[user.cookie_id].audiences)
             for user in self.scenario.users
@@ -126,7 +125,6 @@ class SimulationEngine:
         events.sort(key=lambda e: (e[0], e[1], e[2]))
         websites, profiles, logs = self.scenario.websites, self.profiles, self.logs
         marketplace, taxonomy = self.marketplace, self.scenario.taxonomy
-        profile_config = self.scenario.profile_config
         debug = log.isEnabledFor(logging.DEBUG)
         for t, _, _, user, visit in events:
             impression, entry = serve_page(
@@ -138,7 +136,6 @@ class SimulationEngine:
                 time=t,
                 marketplace=marketplace,
                 taxonomy=taxonomy,
-                profile_config=profile_config,
             )
             if entry is not None:
                 site_log = logs[visit.site]
@@ -272,9 +269,10 @@ def apply_grid_value(document: dict, key: str, value) -> None:
         last = depth == len(parts) - 1
         if isinstance(node, list):
             index = part.removeprefix("-")
-            if not (index.isascii() and index.isdigit() and -len(node) <= int(part) < len(node)):
+            if not (index.isascii() and index.isdigit()
+                    and -len(node) <= digits_to_int(part) < len(node)):
                 raise ValidationError(f"unknown grid key {key!r}")
-            part = int(part)
+            part = digits_to_int(part)
         elif not isinstance(node, dict) or not (
             part in node or (last and node is document and part in _SWEEPABLE_TOP_LEVEL)
         ):

@@ -282,7 +282,6 @@ def random_targeting_scenario_document(rng):
         )
     document["campaigns"] = campaigns
     dwell = rng.random() < 0.3
-    document["profile_config"] = {"score_mode": "dwell"} if dwell else {}
     for user in document["users"]:
         if dwell:
             for visit in user["warmup_plan"]:

@@ -74,7 +74,6 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile):
 def reference_run(scenario) -> RunTrace:
     """What :func:`adtrap.simulation.run_scenario` should return for ``scenario``."""
     taxonomy = scenario.taxonomy
-    profile_config = scenario.profile_config
     config = scenario.market_config
     campaigns = list(scenario.campaigns)
     if scenario.attack is not None:
@@ -85,10 +84,9 @@ def reference_run(scenario) -> RunTrace:
     pages = {pid: page for site in scenario.websites.values() for pid, page in site.pages.items()}
     scores = {user.id: {} for user in scenario.users}
 
-    def view(user, page, dwell):
-        increment = dwell / 60.0 if profile_config.score_mode == "dwell" else 1.0
+    def view(user, page):
         for topic in page.topics:
-            scores[user.id][topic] = scores[user.id].get(topic, 0.0) + increment
+            scores[user.id][topic] = scores[user.id].get(topic, 0.0) + 1.0
         return _audiences(scores[user.id], taxonomy)
 
     ground_truth = {}
@@ -96,7 +94,7 @@ def reference_run(scenario) -> RunTrace:
         held = set()
         for visit in user.warmup_plan:
             for _ in range(visit.repeat):
-                held = view(user, pages[visit.page], visit.dwell)
+                held = view(user, pages[visit.page])
         ground_truth[user.id] = held
 
     rng = random.Random(scenario.seed)
@@ -111,7 +109,7 @@ def reference_run(scenario) -> RunTrace:
     )
     for t, _, _, user, visit in events:
         site = scenario.websites[visit.site]
-        held = view(user, site.pages[visit.page], 0.0)
+        held = view(user, site.pages[visit.page])
         profile = AdUserProfile(user.cookie_id, audiences=held)
         winner, _ = scan_from_scratch(campaigns, spent, config, site.id, profile)
         if winner is not None:

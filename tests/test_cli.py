@@ -14,7 +14,7 @@ import pytest
 
 from adtrap import cli, errors, scenarios
 from adtrap.cli import RunOutput, main, run_to_directory
-from adtrap.errors import SimulationError
+from adtrap.errors import SimulationError, digits_to_int
 from adtrap.marketplace import window_count
 from adtrap.trap import summary_counts
 
@@ -65,7 +65,9 @@ def test_validate_rejects_bad_document(tmp_path, capsys):
         ("/users/0/geo", "IT"),
         ("/campaigns/0/ad_groups/0/demographics", None),
         ("/campaigns/0/ad_groups/0/geo", None),
-        ("/profile_config/interest_threshold", 1.0),
+        # The whole section is deleted, so the error names the section.
+        pytest.param("/profile_config", {"interest_threshold": 1.0},
+                     id="/profile_config/interest_threshold-1.0"),
         ("/market_config/auction_mode", "first_price"),
         ("/market_config/acquisition_rate", 0.01),
     ],
@@ -92,10 +94,9 @@ HUGE = "x" * 100000
         ("/users/0/attack_visits/0/page", list(range(200000)), "website 'monads' has no page [0,"),
         ("/users/0/warmup_plan/0/page", HUGE, "unknown page 'xxx"),
         ("/campaigns/0/ad_groups/0/bid/kind", HUGE, "bid kind must be one of ('CPC', 'CPM'"),
-        ("/profile_config/score_mode", HUGE, "score_mode must be 'count' or 'dwell', got 'xxx"),
         ("/spec_version", HUGE, "spec_version must be 1, got 'xxx"),
     ],
-    ids=["attack-page", "warmup-page", "bid-kind", "score-mode", "spec-version"],
+    ids=["attack-page", "warmup-page", "bid-kind", "spec-version"],
 )
 def test_validate_quotes_a_huge_value_within_a_bound(tmp_path, capsys, pointer, value, message):
     doc = json.loads(scenarios.path("table2_experiment").read_text(encoding="utf-8"))
@@ -139,6 +140,10 @@ TOO_DEEP = b"[" * 100000
 DEEP_MARKET_CONFIG = json.dumps(
     {**scenarios.load("table2_experiment"), "market_config": "X"}
 ).replace('"X"', "[" * 600 + "]" * 600)
+# More digits than int reads from text, where it has a limit (0 is none).
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+HUGE_INT = "9" * ((INT_DIGITS or 4300) + 1)
+NEEDS_INT_LIMIT = pytest.mark.skipif(not INT_DIGITS, reason="int reads text of any length")
 
 
 @pytest.mark.parametrize(
@@ -165,10 +170,23 @@ DEEP_MARKET_CONFIG = json.dumps(
          "error: /market_config: market_config must be an object"),
         (None, ["sweep", "table2_experiment", "--grid", f"horizon_s={TOO_DEEP.decode()}",
                 *SWEEP_OPTS], "/horizon_s: field 'horizon_s' must be a number"),
+        pytest.param(f'{{"spec_version": 1, "horizon_s": {HUGE_INT}}}'.encode(),
+                     ["validate", "{dir}/bad.json"], "not valid JSON: Exceeds the limit",
+                     marks=NEEDS_INT_LIMIT),
+        pytest.param(None, ["sweep", "table2_experiment", "--grid", f"horizon_s={HUGE_INT}",
+                            *SWEEP_OPTS], "/horizon_s: field 'horizon_s' must be a number",
+                     marks=NEEDS_INT_LIMIT),
+        (None, ["run", "table2_experiment", "--seed", HUGE_INT, "--out", "{dir}/out"],
+         "/seed: field 'seed' must fit in 64 bits"),
+        (None, ["sweep", "table2_experiment", "--seeds", f"1,-{HUGE_INT}", "--out", "{dir}/out"],
+         "/seed: field 'seed' must fit in 64 bits"),
+        (None, ["sweep", "table2_experiment", "--grid", f"users/{HUGE_INT}/id=x", *SWEEP_OPTS],
+         "unknown grid key"),
     ],
     ids=["grid-double-minus", "grid-superscript", "not-utf8", "run-seed-list", "sweep-list",
          "infinite-windows", "validate-too-deep", "run-too-deep", "sweep-too-deep",
-         "sweep-deep-template", "grid-value-too-deep"],
+         "sweep-deep-template", "grid-value-too-deep", "validate-huge-int", "grid-value-huge-int",
+         "run-huge-seed", "sweep-huge-seed", "grid-key-huge-index"],
 )
 def test_bad_input_is_reported_without_traceback(tmp_path, content, args, message):
     if content is not None:
@@ -484,6 +502,17 @@ def test_run_seed_override_lands_in_output(tmp_path):
     assert main(["run", "two_visitor_ambiguity", "--seed", "123", "--out", str(out)]) == 0
     output = json.loads((out / "run_output.json").read_text(encoding="utf-8"))
     assert output["seed"] == 123
+
+
+def test_a_seed_of_any_length_is_read(tmp_path):
+    # Leading zeros count toward int's digit limit but not toward 64 bits.
+    out = tmp_path / "out"
+    seed = "-" + "0" * (INT_DIGITS or 4300) + "123"
+    assert main(["run", "two_visitor_ambiguity", "--seed", seed, "--out", str(out)]) == 0
+    output = json.loads((out / "run_output.json").read_text(encoding="utf-8"))
+    assert output["seed"] == -123
+    assert digits_to_int(str(2**64 - 1)) == 2**64 - 1
+    assert digits_to_int(HUGE_INT) >= 10**20 and digits_to_int("-" + HUGE_INT) <= -(10**20)
 
 
 @pytest.mark.parametrize(

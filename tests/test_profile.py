@@ -10,7 +10,6 @@ from adtrap.profile import (
     INTEREST_THRESHOLD,
     AdUserProfile,
     PageProfile,
-    ProfileConfig,
     analyze_page,
     fold_warmup,
     record_visit,
@@ -27,8 +26,8 @@ from adtrap.scenario import load_taxonomy
 from conftest import SMALL_TAXONOMY_DOC
 
 
-def visit(profile, page, tax, t, dwell=0.0, config=ProfileConfig()):
-    return record_visit(profile, page, t, tax, config, dwell)
+def visit(profile, page, tax, t):
+    return record_visit(profile, page, t, tax)
 
 
 def test_topicless_page_not_admitted(small_taxonomy):
@@ -61,24 +60,11 @@ def test_count_mode_scores_one_per_visit_per_topic(small_taxonomy):
     assert profile.audiences == {"a_sports", "a_pets"}
 
 
-def test_dwell_mode_scores_minutes(small_taxonomy):
-    config = ProfileConfig(score_mode="dwell")
-    page = analyze_page("pg", ["t_recipes"], small_taxonomy)
-    profile = AdUserProfile(cookie_id="ck")
-    visit(profile, page, small_taxonomy, t=0.0, dwell=30.0, config=config)
-    assert profile.topic_scores == {"t_recipes": 0.5}
-    assert profile.interests == set()
-    visit(profile, page, small_taxonomy, t=60.0, dwell=30.0, config=config)
-    assert profile.topic_scores == {"t_recipes": 1.0}
-    assert profile.interests == {"i_cooking"}
-
-
 def test_threshold_boundary_is_inclusive(small_taxonomy):
-    config = ProfileConfig(score_mode="dwell")
+    # One view scores exactly the threshold.
     page = analyze_page("pg", ["t_dogs"], small_taxonomy)
-    profile = AdUserProfile(cookie_id="ck")
-    visit(profile, page, small_taxonomy, t=0.0, dwell=60.0, config=config)
-    assert profile.topic_scores["t_dogs"] == pytest.approx(1.0)
+    profile = visit(AdUserProfile(cookie_id="ck"), page, small_taxonomy, t=0.0)
+    assert profile.topic_scores == {"t_dogs": INTEREST_THRESHOLD}
     assert profile.interests == {"i_dogs"}
 
 
@@ -105,21 +91,6 @@ def test_fold_refuses_to_move_the_clock_backwards(small_taxonomy):
     assert fold_warmup(profile, [], pages, 7.0, small_taxonomy).last_timestamp == 5.0
     assert fold_warmup(profile, [("pg", 1, 0.0)], pages, 7.0,
                        small_taxonomy).last_timestamp == 7.0
-
-
-def test_negative_dwell_rejected(small_taxonomy):
-    page = analyze_page("pg", ["t_soccer"], small_taxonomy)
-    profile = AdUserProfile(cookie_id="ck")
-    for dwell in (-1.0, float("nan")):
-        with pytest.raises(ValidationError):
-            visit(profile, page, small_taxonomy, t=0.0, dwell=dwell)
-    assert profile.topic_scores == {}
-    assert profile.last_timestamp is None
-
-
-def test_bad_score_mode_rejected():
-    with pytest.raises(ValidationError):
-        ProfileConfig(score_mode="weird")
 
 
 page_ids = ["pg_soccer", "pg_tennis", "pg_dogs", "pg_recipes"]
@@ -171,26 +142,17 @@ page_strategy = st.frozensets(
 )
 
 
-@given(
-    score_mode=st.sampled_from(["count", "dwell"]),
-    visits=st.lists(
-        st.tuples(page_strategy, st.sampled_from([0.0, 15.0, 30.0, 45.0, 90.0])),
-        max_size=15,
-    ),
-)
-def test_incremental_profile_matches_derivation_from_scratch(score_mode, visits):
+@given(visits=st.lists(page_strategy, max_size=15))
+def test_incremental_profile_matches_derivation_from_scratch(visits):
     tax = MULTI_TOPIC_TAXONOMY
-    config = ProfileConfig(score_mode=score_mode)
     profile = AdUserProfile(cookie_id="ck")
     scores: dict[str, float] = {}
-    for t, (topics, dwell) in enumerate(visits):
+    for t, topics in enumerate(visits):
         held_interests, held_audiences = profile.interests, profile.audiences
         before = (set(held_interests), set(held_audiences))
-        visit(profile, PageProfile(f"pg{t}", topics), tax, float(t), dwell, config)
+        visit(profile, PageProfile(f"pg{t}", topics), tax, float(t))
         for topic in topics:
-            scores[topic] = scores.get(topic, 0.0) + (
-                dwell / 60.0 if score_mode == "dwell" else 1.0
-            )
+            scores[topic] = scores.get(topic, 0.0) + 1.0
         interests = {
             interest.id
             for interest in tax.interests.values()
@@ -202,68 +164,35 @@ def test_incremental_profile_matches_derivation_from_scratch(score_mode, visits)
         assert (held_interests, held_audiences) == before
 
 
-def test_fold_rejects_negative_dwell(small_taxonomy):
-    pages = {"pg": analyze_page("pg", ["t_soccer"], small_taxonomy)}
-    for dwell in (-1.0, float("nan")):
-        with pytest.raises(ValidationError):
-            fold_warmup(AdUserProfile(cookie_id="ck"), [("pg", 1, dwell)], pages, -1.0,
-                        small_taxonomy)
-
-
-def test_fold_checks_every_dwell_before_changing_the_profile(small_taxonomy):
-    # The first step alone would raise t_soccer to the threshold.
-    pages = {"pg": analyze_page("pg", ["t_soccer"], small_taxonomy)}
-    profile = AdUserProfile(cookie_id="ck")
-    before = copy.deepcopy(profile)
-    with pytest.raises(ValidationError):
-        fold_warmup(profile, [("pg", 1, 0.0), ("pg", 1, -1.0)], pages, -1.0, small_taxonomy)
-    assert profile == before
-
-
-# A dwell of 6 s, 7 s, 13 s or 100/3 s gives an increment (dwell / 60)
-# that a binary float cannot hold exactly, so adding the increments in
-# another order, or as one product per repeat, can give other floats.
+# The fold ignores each item's dwell, so any non-negative dwell will do.
 @given(
-    score_mode=st.sampled_from(["count", "dwell"]),
     plan=st.lists(
-        st.tuples(
-            page_strategy,
-            st.integers(1, 4),
-            st.sampled_from([0.0, 6.0, 7.0, 13.0, 15.0, 100.0 / 3, 45.0, 90.0]),
-        ),
+        st.tuples(page_strategy, st.integers(1, 4), st.sampled_from([0.0, 7.0, 100.0 / 3])),
         max_size=12,
     ),
     split=st.integers(0, 12),
 )
-@example(score_mode="count", plan=[], split=0)
-# Ten views of 6 s add up to 0.9999999999999999, one view at a time, so
-# t_c stays below the threshold; one product per plan item (0.4 + 0.4 +
-# 0.2) would reach 1.0 and gain i_c.
-@example(score_mode="dwell",
-         plan=[(frozenset({"t_c"}), 4, 6.0), (frozenset({"t_c"}), 4, 6.0),
-               (frozenset({"t_c"}), 2, 6.0)], split=0)
+@example(plan=[], split=0)
 # The fold gains i_d, which completes a_two with the replayed i_c.
-@example(score_mode="count",
-         plan=[(frozenset({"t_c"}), 1, 0.0), (frozenset({"t_d"}), 1, 0.0)], split=1)
-def test_one_pass_warmup_matches_replaying_each_visit(score_mode, plan, split):
+@example(plan=[(frozenset({"t_c"}), 1, 0.0), (frozenset({"t_d"}), 1, 0.0)], split=1)
+def test_one_pass_warmup_matches_replaying_each_visit(plan, split):
     tax = MULTI_TOPIC_TAXONOMY
-    config = ProfileConfig(score_mode=score_mode)
     # A page is named by its topics, so equal topic sets revisit one page.
     pages = {"+".join(sorted(topics)): PageProfile("+".join(sorted(topics)), topics)
              for topics, _, _ in plan}
     steps = [("+".join(sorted(topics)), repeat, dwell) for topics, repeat, dwell in plan]
-    views = [(page_id, dwell) for page_id, repeat, dwell in steps for _ in range(repeat)]
+    views = [page_id for page_id, repeat, _ in steps for _ in range(repeat)]
     replayed = AdUserProfile(cookie_id="ck")
-    for t, (page_id, dwell) in enumerate(views, -len(views)):
-        record_visit(replayed, pages[page_id], float(t), tax, config, dwell)
+    for t, page_id in enumerate(views, -len(views)):
+        record_visit(replayed, pages[page_id], float(t), tax)
     # The steps before the split are replayed view by view, and the rest
     # is folded into that same, no longer empty, profile.
     split = min(split, len(steps))
     folded = AdUserProfile(cookie_id="ck")
     head = sum(repeat for _, repeat, _ in steps[:split])
-    for t, (page_id, dwell) in enumerate(views[:head], -len(views)):
-        record_visit(folded, pages[page_id], float(t), tax, config, dwell)
-    fold_warmup(folded, steps[split:], pages, -1.0, tax, config)
+    for t, page_id in enumerate(views[:head], -len(views)):
+        record_visit(folded, pages[page_id], float(t), tax)
+    fold_warmup(folded, steps[split:], pages, -1.0, tax)
 
     def state(profile):
         return (profile.topic_scores, profile.interests, profile.audiences,

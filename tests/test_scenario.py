@@ -108,7 +108,6 @@ def test_valid_document_loads():
     assert scenario.users[0].warmup_plan[0].repeat == 2
     assert scenario.attack.audiences == ("a_sports", "a_pets")
     assert scenario.attack.budget == 1_000_000.0  # default
-    assert scenario.profile_config.score_mode == "count"
 
 
 def test_window_length_defaults_to_thirty_minutes():
@@ -420,6 +419,16 @@ def test_warmup_page_must_exist():
     reject(doc, "/users/0/warmup_plan/0/page")
 
 
+def test_negative_dwell_rejected():
+    # No score reads dwell, but the loader still checks it.
+    doc = base_document()
+    for dwell, problem in ((-1.0, "must be >= 0"), (math.nan, "must be finite, also in micros")):
+        visits = [{"page": "fixtures"}, {"page": "fixtures", "dwell": dwell}]
+        doc["users"][0]["warmup_plan"] = visits
+        error = reject(doc, "/users/0/warmup_plan/1/dwell")
+        assert error.message == f"field 'dwell' {problem}"
+
+
 def test_attack_site_must_be_attacker_owned_and_logging():
     doc = base_document()
     doc["attack"]["sites"] = ["kickoff"]
@@ -461,7 +470,6 @@ def test_attack_cpm_must_be_positive():
 
 def document_with_every_object():
     doc = base_document()
-    doc["profile_config"] = {}
     doc["market_config"] = {}
     return doc
 
@@ -489,7 +497,6 @@ def document_with_every_object():
         ("/attack", "one_site_per_victim"),
         ("/attack", "tracking_args"),
         ("/attack", "total_budget"),
-        ("/profile_config", "surplus"),
         ("/market_config", "surplus"),
     ],
 )
@@ -528,7 +535,6 @@ SCHEMA_POINTERS = {
     "warmup_visit": "/users/0/warmup_plan/0",
     "attack_visit": "/users/0/attack_visits/0",
     "attack": "/attack",
-    "profile_config": "/profile_config",
     "market_config": "/market_config",
 }
 
@@ -721,14 +727,11 @@ def test_attack_extra_placement_sites_must_exist():
 
 def test_profile_and_market_config_sections():
     doc = base_document()
-    doc["profile_config"] = {"score_mode": "dwell"}
     doc["market_config"] = {"click_through_rate": 0.1}
-    scenario = load_scenario_document(doc)
-    assert scenario.profile_config.score_mode == "dwell"
-    assert scenario.market_config.click_through_rate == 0.1
-    doc["profile_config"] = {"score_mode": "nonsense"}
-    reject(doc, "/profile_config/score_mode")
+    assert load_scenario_document(doc).market_config.click_through_rate == 0.1
     doc["profile_config"] = {}
+    reject(doc, "/profile_config")
+    del doc["profile_config"]
     for rate in (math.nan, math.inf, -math.inf, -0.05, 1.5):
         doc["market_config"] = {"click_through_rate": rate}
         reject(doc, "/market_config/click_through_rate")
@@ -737,7 +740,9 @@ def test_profile_and_market_config_sections():
 @pytest.mark.parametrize(
     "parent, key, value",
     [
-        ("profile_config", "interest_threshold", 1.0),
+        # The whole section is deleted, so the error names the section.
+        pytest.param("", "profile_config", {"interest_threshold": 1.0},
+                     id="profile_config-interest_threshold-1.0"),
         ("market_config", "auction_mode", "first_price"),
         ("market_config", "acquisition_rate", 0.01),
         ("users/0", "demographics", None),
@@ -748,8 +753,9 @@ def test_profile_and_market_config_sections():
 )
 def test_deleted_config_options_are_unknown_fields(parent, key, value):
     doc = document_with_every_object()
-    node_at(doc, f"/{parent}")[key] = value
-    error = reject(doc, f"/{parent}/{key}")
+    pointer = f"/{parent}" if parent else ""
+    node_at(doc, pointer)[key] = value
+    error = reject(doc, f"{pointer}/{key}")
     assert error.message == f"unknown field {key!r}"
 
 

@@ -103,28 +103,18 @@ def test_warmup_builds_profiles_without_serving():
     assert engine.marketplace.rng.getstate() == random.Random(scenario.seed).getstate()
 
 
-def test_attack_views_add_nothing_under_dwell_scoring():
-    # Attack visits carry no dwell, so under dwell scoring they add zero to
-    # the attacker page's topic: the topic scores are compared exactly, so
-    # any positive increment would show.
-    doc = small_attack_document(profile_config={"score_mode": "dwell"})
+@pytest.mark.parametrize("dwells", [None, [0.0], [1e300], [7.5, 0, 3600]],
+                         ids=["absent", "zero", "huge", "mixed"])
+def test_warmup_dwell_changes_no_trace_byte(dwells):
+    # A view adds 1.0 to each of its page's topics, whatever its dwell.
+    doc = scenarios.load("table2_experiment")
+    expected = trace_to_json(run_scenario(load_scenario_document(doc)))
     for user in doc["users"]:
-        user["warmup_plan"][0]["dwell"] = 30.0
-    engine = SimulationEngine(load_scenario_document(doc))
-    engine.run_warmup()
-
-    def state():
-        return {
-            cid: ({t: s for t, s in p.topic_scores.items() if s},
-                  frozenset(p.interests), frozenset(p.audiences))
-            for cid, p in engine.profiles.items()
-        }
-
-    warm = state()
-    engine.run_attack_phase()
-    assert len(engine.logs["monads"]) == 1
-    assert state() == warm
-    assert warm["dc-shy"] == ({"t_dogs": 0.5}, set(), set())
+        for i, visit in enumerate(user["warmup_plan"]):
+            visit.pop("dwell", None)
+            if dwells:
+                visit["dwell"] = dwells[i % len(dwells)]
+    assert trace_to_json(run_scenario(load_scenario_document(doc))) == expected
 
 
 def test_attack_phase_logs_each_page_view_at_debug_only(caplog):
