@@ -10,7 +10,7 @@ import random
 
 from adtrap.scenario import load_taxonomy
 from adtrap.profile import AdUserProfile, analyze_page, record_visit
-from adtrap.marketplace import MICROS, Ad, AdGroup, Bid, Campaign, Marketplace
+from adtrap.marketplace import MICROS, AdGroup, Bid, Campaign, Marketplace
 
 TAXONOMY = {
     "topics": [
@@ -47,7 +47,6 @@ def banner(text):
 
 
 def show_profile(profile, tax):
-    print(f"  topic scores : {dict(sorted(profile.topic_scores.items()))}")
     print(f"  interests    : {sorted(tax.interest_names(profile.interests))}")
     print(f"  audiences    : {sorted(tax.audience_names(profile.audiences))}")
 
@@ -72,12 +71,10 @@ def main():
     banner("2. Two advertisers, one slot: the higher effective bid wins")
     sporty = Campaign(
         id="sporty_gear",
-        name="sporty gear",
         ad_groups=(
             AdGroup(
                 id="sporty_gear_g",
-                name="sporty gear",
-                ads=(Ad(id="gear_ad", landing_url="https://gear.example"),),
+                ads=("gear_ad",),
                 target_audiences=frozenset({"a_sporty"}),
                 bid=Bid("CPM", 40.0),
             ),
@@ -86,12 +83,10 @@ def main():
     )
     protein = Campaign(
         id="protein_shop",
-        name="protein shop",
         ad_groups=(
             AdGroup(
                 id="protein_shop_g",
-                name="protein shop",
-                ads=(Ad(id="shake_ad", landing_url="https://shake.example"),),
+                ads=("shake_ad",),
                 target_audiences=frozenset({"a_sporty"}),
                 # CPC 2.0 at the default 5% click-through rate is worth
                 # 0.10 per view, beating CPM 40's 0.04 per view.

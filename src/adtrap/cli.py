@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import AdtrapError, ValidationError, digits_to_int
+from .errors import AdtrapError, ValidationError, digits_to_int, quoted
 from .gdn import VisitLogEntry
 from .marketplace import REPORT_COLUMNS, reports_to_rows
 from .scenario import load_scenario_document, read_scenario_file
@@ -111,7 +111,7 @@ def cmd_run(args) -> int:
     seed = None
     if args.seed is not None:
         if not _is_seed_token(args.seed):
-            raise ValidationError(f"seed must be an integer: {args.seed!r}")
+            raise ValidationError(f"seed must be an integer: {quoted(args.seed)}")
         seed = digits_to_int(args.seed)
     output = run_to_directory(args.scenario, seed=seed, out_dir=args.out)
     print(summary_line(output.result))
@@ -151,12 +151,13 @@ def _parse_grid(args_grid: list[str]) -> dict[str, list]:
     grid: dict[str, list] = {}
     for item in args_grid or []:
         if "=" not in item:
-            raise ValidationError(f"grid item {item!r} must look like key=v1,v2,...")
+            raise ValidationError(f"grid item {quoted(item)} must look like key=v1,v2,...")
         key, _, raw = item.partition("=")
         if not key or not raw:
-            raise ValidationError(f"grid item {item!r} must look like key=v1,v2,...")
+            raise ValidationError(f"grid item {quoted(item)} must look like key=v1,v2,...")
         if key in grid:
-            raise ValidationError(f"grid key {key!r} is repeated; give all its values in one item")
+            message = "is repeated; give all its values in one item"
+            raise ValidationError(f"grid key {quoted(key)} {message}")
         values = []
         for token in raw.split(","):
             # Too deep to decode, or an integer too long for int, is a string too.
@@ -184,7 +185,7 @@ def _parse_seeds(raw: str) -> list[int]:
     if not tokens:
         raise ValidationError("no seeds")
     if not all(map(_is_seed_token, tokens)):
-        raise ValidationError(f"seeds must be integers: {raw!r}")
+        raise ValidationError(f"seeds must be integers: {quoted(raw)}")
     return [digits_to_int(t) for t in tokens]
 
 

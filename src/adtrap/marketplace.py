@@ -63,23 +63,16 @@ class Bid(NamedTuple):
             raise ValidationError(message, "/amount")
 
 
-class Ad(NamedTuple):
-    id: str
-    landing_url: str
-    creative: str = ""
-
-
 @checked
 class AdGroup(NamedTuple):
-    """A set of ads sharing targeting and one bid.
+    """A set of ads, by id, sharing targeting and one bid.
 
     Empty ``placement`` means the whole network; a non-empty set restricts
     serving to exactly those website ids.
     """
 
     id: str
-    name: str
-    ads: tuple[Ad, ...]
+    ads: tuple[str, ...]
     target_audiences: frozenset[str]
     bid: Bid
     placement: frozenset[str] = frozenset()
@@ -96,7 +89,6 @@ class Campaign(NamedTuple):
     """An advertiser's campaign; a run's spend is in ``Marketplace.spent_micros``."""
 
     id: str
-    name: str
     ad_groups: tuple[AdGroup, ...]
     total_budget: float
 
@@ -205,7 +197,7 @@ DEFAULT_MARKET_CONFIG = MarketConfig()
 class Candidate(NamedTuple):
     campaign: Campaign
     ad_group: AdGroup
-    ad: Ad
+    ad_id: str
     value_micros: int
 
 
@@ -271,9 +263,9 @@ class Marketplace:
                 value = effective_value_micros(g.bid, config)
                 if not value:
                     continue
-                candidate = Candidate(c, g, min(g.ads, key=lambda ad: ad.id), value)
+                candidate = Candidate(c, g, min(g.ads), value)
                 priced.append((g.placement, (g.target_audiences, c.id, value, candidate)))
-        priced.sort(key=lambda p: (-p[1][2], p[1][3].ad.id))
+        priced.sort(key=lambda p: (-p[1][2], p[1][3].ad_id))
         self._network_wide = [row for placement, row in priced if not placement]
         placed = {site for placement, _ in priced for site in placement}
         self._rows_by_site = {
@@ -340,7 +332,7 @@ class Marketplace:
             )
         self.spent_micros[campaign.id] = spent
         record = ImpressionRecord(
-            candidate.ad.id, campaign.id, candidate.ad_group.id, website_id, page.page_id,
+            candidate.ad_id, campaign.id, candidate.ad_group.id, website_id, page.page_id,
             min(matched), profile.cookie_id, time,
             self.rng.random() < self.config.click_through_rate,
         )

@@ -1,12 +1,11 @@
 """Per-cookie profiles built from page visits.
 
 The network watches navigation through its embedded ad slots and keeps one
-profile per tracking cookie: topic scores accumulated from visited pages,
-plus the interests and audiences those scores qualify for.  A profile grows
-one view at a time (:func:`record_visit`) or a whole warm-up plan at once
-(:func:`fold_warmup`).  A view adds 1.0 to each of its page's topic
-scores; both then pass the raised topics to one qualification step,
-:func:`_qualify`, which states the invariant every profile keeps.
+profile per tracking cookie: the interests its viewed pages' topics feed,
+plus the audiences those interests qualify for.  A profile grows one view
+at a time (:func:`record_visit`) or a whole warm-up plan at once
+(:func:`fold_warmup`); both pass the viewed topics to one qualification
+step, :func:`_qualify`, which states the invariant every profile keeps.
 """
 
 from __future__ import annotations
@@ -15,10 +14,6 @@ from typing import NamedTuple
 
 from .errors import SimulationError, ValidationError, checked, quoted
 from .taxonomy import Taxonomy
-
-# The minimum topic score that activates an interest; the boundary is
-# inclusive.  It is positive, so no interest holds before any visit.
-INTEREST_THRESHOLD = 1.0
 
 
 @checked
@@ -42,13 +37,11 @@ class PageProfile(NamedTuple):
 class AdUserProfile:
     """Mutable per-cookie state owned by the ad network."""
 
-    __slots__ = ("cookie_id", "topic_scores", "interests", "audiences", "last_timestamp")
+    __slots__ = ("cookie_id", "interests", "audiences", "last_timestamp")
 
-    def __init__(self, cookie_id: str, topic_scores: dict[str, float] | None = None,
-                 interests: set[str] | None = None, audiences: set[str] | None = None,
-                 last_timestamp: float | None = None):
+    def __init__(self, cookie_id: str, interests: set[str] | None = None,
+                 audiences: set[str] | None = None, last_timestamp: float | None = None):
         self.cookie_id = cookie_id
-        self.topic_scores = {} if topic_scores is None else topic_scores
         self.interests = set() if interests is None else interests
         self.audiences = set() if audiences is None else audiences
         self.last_timestamp = last_timestamp
@@ -81,32 +74,29 @@ def _check_clock(profile: AdUserProfile, time: float) -> None:
 
 
 def _qualify(profile: AdUserProfile, topics, taxonomy: Taxonomy) -> None:
-    """Add the interests and audiences that raising ``topics`` qualified for.
+    """Add the interests and audiences that viewing ``topics`` qualified for.
 
-    The invariant: ``interests`` is the set of interests with a source
-    topic scoring at least ``INTEREST_THRESHOLD``, and ``audiences`` is
-    :func:`~adtrap.taxonomy.audiences_for_interests` of ``interests``.  An
-    empty profile keeps it, since the threshold is positive and every
-    ``qualify_rule`` is at least 1.  If it held before the caller raised
-    the scores of ``topics`` (scores never fall: increments are
-    non-negative), it holds after this step.  Only the interests those
-    topics feed (:attr:`Taxonomy.interests_by_topic`) can join, and held
-    ones stay.  Only the audiences that count a newly gained interest
-    (:attr:`Taxonomy.audiences_by_interest`) can join: any other audience
-    overlaps the interest set exactly as before, and held ones stay.  One
-    with a ``qualify_rule`` of 1 joins without a count, since the gained
-    interest it counts meets the rule.
+    The invariant: ``interests`` is every interest fed by a topic the
+    profile has viewed (:attr:`Taxonomy.interests_by_topic`), and
+    ``audiences`` is :func:`~adtrap.taxonomy.audiences_for_interests` of
+    ``interests``.  An empty profile keeps it, since every
+    ``qualify_rule`` is at least 1.  If it held before the caller's views
+    of ``topics``, it holds after this step.  Only the interests those
+    topics feed can join, and held ones stay.  Only the audiences that
+    count a newly gained interest (:attr:`Taxonomy.audiences_by_interest`)
+    can join: any other audience overlaps the interest set exactly as
+    before, and held ones stay.  One with a ``qualify_rule`` of 1 joins
+    without a count, since the gained interest it counts meets the rule.
 
     ``interests`` and ``audiences`` are replaced by new sets, never
     mutated, so a caller holding the old sets sees no change.
     """
-    scores, held, by_topic = profile.topic_scores, profile.interests, taxonomy.interests_by_topic
+    held, by_topic = profile.interests, taxonomy.interests_by_topic
     gained: set[str] = set()
     for topic in topics:
-        if scores[topic] >= INTEREST_THRESHOLD:
-            fed = by_topic.get(topic, ())
-            if not held.issuperset(fed):
-                gained.update(fed)
+        fed = by_topic.get(topic, ())
+        if not held.issuperset(fed):
+            gained.update(fed)
     if gained:
         gained -= held
         interests = held | gained
@@ -134,9 +124,6 @@ def record_visit(
     """
     _check_clock(profile, time)
     profile.last_timestamp = time
-    scores = profile.topic_scores
-    for topic in page.topics:
-        scores[topic] = scores.get(topic, 0.0) + 1.0
     _qualify(profile, page.topics, taxonomy)
     return profile
 
@@ -150,25 +137,23 @@ def fold_warmup(
 ) -> AdUserProfile:
     """Fold a whole browsing plan into the profile, in one pass.
 
-    ``plan`` yields ``(page_id, repeat, dwell)`` items, as
-    :class:`adtrap.scenario.WarmupVisit` records unpack: ``repeat`` (at
-    least 1) views in a row of ``pages[page_id]``.  No score reads
-    ``dwell``.  ``time`` becomes ``last_timestamp`` unless the plan is
-    empty; a ``time`` earlier than ``last_timestamp`` raises before
-    anything changes.  Mutates ``profile`` in place and returns it.
+    ``plan`` yields ``(page_id, dwell)`` items, as
+    :class:`adtrap.scenario.WarmupVisit` records unpack: one view of
+    ``pages[page_id]`` each.  Nothing reads ``dwell``.  ``time`` becomes
+    ``last_timestamp`` unless the plan is empty; a ``time`` earlier than
+    ``last_timestamp`` raises before anything changes.  Mutates
+    ``profile`` in place and returns it.
 
     The result equals replaying every view through :func:`record_visit`
-    in plan order, at times from ``last_timestamp`` up to ``time``.  A
-    step adds ``repeat`` to each of its topics at once: every partial sum
-    is a whole number, exact as a float below 2**53, so the scores are
-    the same floats, and one :func:`_qualify` over every scored topic
-    keeps the invariant the replay keeps view by view.
+    in plan order, at times from ``last_timestamp`` up to ``time``: the
+    invariant of :func:`_qualify` depends only on which topics were
+    viewed, so one :func:`_qualify` over the union of the plan's topics
+    keeps what the replay keeps view by view.
     """
     _check_clock(profile, time)
-    scores = profile.topic_scores
-    for page_id, repeat, _ in plan:
-        for topic in pages[page_id].topics:
-            scores[topic] = scores.get(topic, 0.0) + repeat
+    topics: set[str] = set()
+    for page_id, _ in plan:
+        topics |= pages[page_id].topics
         profile.last_timestamp = time
-    _qualify(profile, scores, taxonomy)
+    _qualify(profile, topics, taxonomy)
     return profile

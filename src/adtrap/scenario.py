@@ -33,7 +33,6 @@ from typing import NamedTuple
 from .errors import ValidationError, is_integer, is_number, quoted
 from .gdn import OWNERS, Website
 from .marketplace import (
-    Ad,
     AdGroup,
     Bid,
     Campaign,
@@ -50,7 +49,6 @@ SPEC_VERSION = 1
 
 class WarmupVisit(NamedTuple):
     page: str
-    repeat: int = 1
     dwell: float = 0.0
 
 
@@ -209,7 +207,6 @@ _COLUMN_TESTS = {
     _text: lambda c: {*map(type, c)} <= {str} and all(c) and not _utf8("".join(c)),
     _number: lambda c: {*map(type, c)} <= {int, float} and _finite(c),
     _non_negative: lambda c: _COLUMN_TESTS[_number](c) and min(c, default=0) >= 0,
-    _count: lambda c: {*map(type, c)} <= {int} and min(c, default=1) >= 1,
     _flag: lambda c: {*map(type, c)} <= {bool},
     _list: lambda c: {*map(type, c)} <= {list},
 }
@@ -246,27 +243,22 @@ _SCHEMA = {
     },
     "page": {"id": (_text, REQUIRED), "topics": (_filter, REQUIRED)},
     "campaign": {
-        "id": (_campaign_id, UNIQUE), "name": (_text, OPTIONAL),
-        "total_budget": (_non_negative, REQUIRED), "ad_groups": (_items, REQUIRED),
+        "id": (_campaign_id, UNIQUE), "total_budget": (_non_negative, REQUIRED),
+        "ad_groups": (_items, REQUIRED),
     },
     "ad_group": {
-        "id": (_text, REQUIRED), "name": (_text, OPTIONAL), "ads": (_items, REQUIRED),
+        "id": (_text, REQUIRED), "ads": (_items, REQUIRED),
         "target_audiences": (_filter, REQUIRED), "placement": (_strings, OPTIONAL),
         "bid": (_any, REQUIRED),
     },
-    "ad": {
-        "id": (_text, UNIQUE), "landing_url": (_text, OPTIONAL), "creative": (_text, OPTIONAL),
-    },
+    "ad": {"id": (_text, UNIQUE)},
     "bid": {"kind": (_text, REQUIRED), "amount": (_number, REQUIRED)},
     "user": {
         "id": (_text, UNIQUE), "cookie_id": (_text, UNIQUE), "network_id": (_text, UNIQUE),
         "consent": (_flag, OPTIONAL), "warmup_plan": (_list, OPTIONAL),
         "attack_visits": (_list, OPTIONAL),
     },
-    "warmup_visit": {
-        "page": (_text, REQUIRED),
-        "repeat": (_count, OPTIONAL), "dwell": (_non_negative, OPTIONAL),
-    },
+    "warmup_visit": {"page": (_text, REQUIRED), "dwell": (_non_negative, OPTIONAL)},
     "attack_visit": {
         "site": (_text, REQUIRED), "t": (_number, REQUIRED), "page": (_any, OPTIONAL),
     },
@@ -419,14 +411,12 @@ def _page(fields, taxonomy: Taxonomy, page_owner: dict[str, str], wid: str) -> P
 
 
 def _campaign(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> Campaign:
-    fields.setdefault("name", fields["id"])
     fields["ad_groups"] = _each(fields, "ad_groups", "ad_group", _ad_group, taxonomy, websites)
     return Campaign(**fields)
 
 
 def _ad_group(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> AdGroup:
-    fields.setdefault("name", fields["id"])
-    fields["ads"] = _each(fields, "ads", "ad", lambda ad: Ad(**{"landing_url": "", **ad}))
+    fields["ads"] = _each(fields, "ads", "ad", lambda ad: ad["id"])
     fields["target_audiences"] = _known(fields, "target_audiences", taxonomy.audiences, "audience")
     if "placement" in fields:
         fields["placement"] = _known(fields, "placement", websites, "website")

@@ -21,7 +21,8 @@ import logging
 import random
 from typing import NamedTuple
 
-from .errors import InconsistentObservationsError, SimulationError, ValidationError, digits_to_int
+from .errors import InconsistentObservationsError, SimulationError, ValidationError
+from .errors import digits_to_int, quoted
 from .gdn import VisitLogEntry, serve_page
 from .marketplace import (
     CounterReports,
@@ -271,12 +272,12 @@ def apply_grid_value(document: dict, key: str, value) -> None:
             index = part.removeprefix("-")
             if not (index.isascii() and index.isdigit()
                     and -len(node) <= digits_to_int(part) < len(node)):
-                raise ValidationError(f"unknown grid key {key!r}")
+                raise ValidationError(f"unknown grid key {quoted(key)}")
             part = digits_to_int(part)
         elif not isinstance(node, dict) or not (
             part in node or (last and node is document and part in _SWEEPABLE_TOP_LEVEL)
         ):
-            raise ValidationError(f"unknown grid key {key!r}")
+            raise ValidationError(f"unknown grid key {quoted(key)}")
         if last:
             node[part] = value
         else:

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from .errors import InconsistentObservationsError, ValidationError, checked
 from .gdn import VisitLogEntry, Website
-from .marketplace import Ad, AdGroup, Bid, Campaign, CounterReports, window_index
+from .marketplace import AdGroup, Bid, Campaign, CounterReports, window_index
 
 # Sentinel meaning "this visitor matched no probed audience".  Kept as
 # Python None internally; rendered as the string "none" at the edges.
@@ -175,15 +175,8 @@ def build_trap_campaign(attack: AttackSpec, website: Website) -> Campaign:
     groups = []
     for audience in attack.audiences:
         probe_id = f"{campaign_id}_{audience}"
-        ad = Ad(probe_id, landing_url=f"https://{website.domain}/", creative=f"probe:{audience}")
-        targets = frozenset({audience})
-        groups.append(AdGroup(probe_id, f"probe {audience}", (ad,), targets, bid, placement))
-    return Campaign(
-        id=campaign_id,
-        name=f"probing campaign on {website.id}",
-        ad_groups=tuple(groups),
-        total_budget=attack.budget,
-    )
+        groups.append(AdGroup(probe_id, (probe_id,), frozenset({audience}), bid, placement))
+    return Campaign(id=campaign_id, ad_groups=tuple(groups), total_budget=attack.budget)
 
 
 def collect_observations(

@@ -172,7 +172,7 @@ def random_scenario_document(rng):
                 "ad_groups": [
                     {
                         "id": f"rival{i}_g0",
-                        "ads": [{"id": f"rival{i}_ad0", "creative": "x"}],
+                        "ads": [{"id": f"rival{i}_ad0"}],
                         "target_audiences": rng.sample(
                             [a["id"] for a in audiences],
                             rng.randint(1, n_audiences),
@@ -195,7 +195,7 @@ def random_scenario_document(rng):
             chosen = rng.choice(third_party)
             site_doc = next(w for w in websites if w["id"] == chosen)
             page = rng.choice(site_doc["pages"])["id"]
-            warmup.append({"page": page, "repeat": rng.randint(1, 3)})
+            warmup += [{"page": page} for _ in range(rng.randint(1, 3))]
         times = sorted(rng.sample(range(horizon), rng.randint(1, 3)))
         attack_visits = [
             {"site": "atk" if rng.random() < 0.8 else rng.choice(third_party), "t": float(t)}
@@ -364,7 +364,7 @@ def mutate_visits(doc, rng):
     if i and isinstance(visits[i - 1], dict):
         edges.append(visits[i - 1].get("t"))
     edges += [int(v) for v in edges if isinstance(v, float) and v.is_integer()]
-    field = rng.choice(("page", "repeat", "dwell") if key == "warmup_plan" else ("site", "t", "page"))
+    field = rng.choice(("page", "dwell") if key == "warmup_plan" else ("site", "t", "page"))
     visits[i][field] = copy.deepcopy(rng.choice(edges))
 
 

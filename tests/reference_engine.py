@@ -4,8 +4,10 @@ It keeps no priced table, no per-site table, no topic index and no
 audience index.  Every page view derives the visitor's interests and
 audiences again from the topic scores, prices every ad group of every
 campaign and auctions among all that qualify, straight from the scenario
-records.  Only the record types, the interest threshold, bid pricing and
-report batching are shared with the engine.
+records.  Only the record types, bid pricing and report batching are
+shared with the engine.  It keeps its own topic scores: one point per
+view to each topic of the page, with an interest held once a source topic
+scores 1.0.
 """
 
 import random
@@ -18,16 +20,20 @@ from adtrap.marketplace import (
     to_micros,
     window_count,
 )
-from adtrap.profile import INTEREST_THRESHOLD, AdUserProfile
+from adtrap.profile import AdUserProfile
 from adtrap.simulation import RunTrace
 from adtrap.trap import build_trap_campaign
+
+
+# The topic score that activates an interest.
+_THRESHOLD = 1.0
 
 
 def _audiences(scores, taxonomy):
     interests = {
         interest.id
         for interest in taxonomy.interests.values()
-        if any(scores.get(topic, 0.0) >= INTEREST_THRESHOLD for topic in interest.source_topics)
+        if any(scores.get(topic, 0.0) >= _THRESHOLD for topic in interest.source_topics)
     }
     return {
         audience.id
@@ -39,11 +45,10 @@ def _audiences(scores, taxonomy):
 def scan_from_scratch(campaigns, spent_micros, config, website_id, profile):
     """Every campaign and group priced again for one page view.
 
-    A group enters the auction once, with the ad whose id sorts first (the
-    earliest such ad if ids repeat).  Returns the winner, which pays its
-    own value, and every eligible entrant, each as ``(campaign, group, ad,
-    value)`` in campaign and group order; the winner is None when none is
-    eligible.
+    A group enters the auction once, with the ad id that sorts first.
+    Returns the winner, which pays its own value, and every eligible
+    entrant, each as ``(campaign, group, ad_id, value)`` in campaign and
+    group order; the winner is None when none is eligible.
     """
     eligible = []
     for campaign in campaigns:
@@ -59,14 +64,14 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile):
                 continue
             entrant = group.ads[0]
             for ad in group.ads[1:]:
-                if ad.id < entrant.id:
+                if ad < entrant:
                     entrant = ad
             eligible.append((campaign, group, entrant, value))
     if not eligible:
         return None, eligible
     best = 0
     for i, (_, _, ad, value) in enumerate(eligible):
-        if (-value, ad.id) < (-eligible[best][3], eligible[best][2].id):
+        if (-value, ad) < (-eligible[best][3], eligible[best][2]):
             best = i
     return eligible[best], eligible
 
@@ -93,8 +98,7 @@ def reference_run(scenario) -> RunTrace:
     for user in scenario.users:
         held = set()
         for visit in user.warmup_plan:
-            for _ in range(visit.repeat):
-                held = view(user, pages[visit.page])
+            held = view(user, pages[visit.page])
         ground_truth[user.id] = held
 
     rng = random.Random(scenario.seed)
@@ -117,7 +121,7 @@ def reference_run(scenario) -> RunTrace:
             spent[campaign.id] += price
             impressions.append(
                 ImpressionRecord(
-                    ad_id=ad.id,
+                    ad_id=ad,
                     campaign_id=campaign.id,
                     ad_group_id=group.id,
                     website_id=site.id,

@@ -14,7 +14,7 @@ import pytest
 
 from adtrap import cli, errors, scenarios
 from adtrap.cli import RunOutput, main, run_to_directory
-from adtrap.errors import SimulationError, digits_to_int
+from adtrap.errors import SimulationError, digits_to_int, quoted
 from adtrap.marketplace import window_count
 from adtrap.trap import summary_counts
 
@@ -70,6 +70,13 @@ def test_validate_rejects_bad_document(tmp_path, capsys):
                      id="/profile_config/interest_threshold-1.0"),
         ("/market_config/auction_mode", "first_price"),
         ("/market_config/acquisition_rate", 0.01),
+        # Too large for a float: once read, it crashed the warm-up fold.
+        pytest.param("/users/0/warmup_plan/0/repeat", 10**400,
+                     id="/users/0/warmup_plan/0/repeat-10**400"),
+        ("/campaigns/0/name", "rival"),
+        ("/campaigns/0/ad_groups/0/name", "rival"),
+        ("/campaigns/0/ad_groups/0/ads/0/landing_url", "https://brandhub.example/"),
+        ("/campaigns/0/ad_groups/0/ads/0/creative", "brand banner"),
     ],
 )
 def test_validate_rejects_a_deleted_field_as_unknown(tmp_path, capsys, pointer, value):
@@ -203,6 +210,37 @@ def test_bad_input_is_reported_without_traceback(tmp_path, content, args, messag
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+LONG_ARG = "x" * 5000
+CUT = quoted(LONG_ARG)
+
+
+@pytest.mark.parametrize(
+    "args, line",
+    [
+        (["sweep", "table2_experiment", "--grid", f"{LONG_ARG}=1", *SWEEP_OPTS],
+         f"unknown grid key {CUT}"),
+        (["sweep", "table2_experiment", "--grid", LONG_ARG, *SWEEP_OPTS],
+         f"grid item {CUT} must look like key=v1,v2,..."),
+        (["sweep", "table2_experiment", "--grid", f"{LONG_ARG}=1", "--grid", f"{LONG_ARG}=2",
+          *SWEEP_OPTS], f"grid key {CUT} is repeated; give all its values in one item"),
+        (["sweep", "table2_experiment", "--seeds", LONG_ARG, "--out", "{dir}/out"],
+         f"seeds must be integers: {CUT}"),
+        (["run", "table2_experiment", "--seed", LONG_ARG, "--out", "{dir}/out"],
+         f"seed must be an integer: {CUT}"),
+    ],
+    ids=["unknown-grid-key", "grid-item", "repeated-grid-key", "seeds", "seed"],
+)
+def test_an_argument_is_quoted_within_a_bound(tmp_path, capsys, args, line):
+    # An argument can be as long as the command line allows, so each
+    # message cuts the value it quotes, as it does a document value.
+    assert main([a.replace("{dir}", str(tmp_path)) for a in args]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {line}\n"
+    assert CUT.endswith("...")
+    assert len(err) < 200
     assert not (tmp_path / "out").exists()
 
 

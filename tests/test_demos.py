@@ -26,7 +26,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 STDOUT_SHA256 = {
     "ambiguity_and_elimination": "492f3b0182542bd7b2bf1efc908eeb2b8c1ea4fd8d6139e5cc3a09a2498bed6d",
     "countermeasure_knobs": "e837ccdc110f589ca97968e71337c9452c1dd281b809de0720f4a7b81222cdb5",
-    "ecosystem_tour": "6820a63867053d7543095e6f7c51e8b6a78530fd20717d091b6d94f5a1e0bc18",
+    "ecosystem_tour": "5baf2d88e763e0362803a4b2c5ad3f04fa078a66a5e8edad17dfc4920510354f",
     "victim_roundup": "c09b5aca03b7f63853b91651694713e149d9918d52da24897a801e1fd7745800",
 }
 

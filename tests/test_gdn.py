@@ -4,7 +4,7 @@ import pytest
 
 from adtrap.errors import ValidationError
 from adtrap.gdn import VisitLogEntry, Website, serve_page
-from adtrap.marketplace import Ad, AdGroup, Bid, Campaign, Marketplace
+from adtrap.marketplace import AdGroup, Bid, Campaign, Marketplace
 from adtrap.profile import AdUserProfile, PageProfile
 
 
@@ -23,12 +23,11 @@ def site():
 def market():
     group = AdGroup(
         id="g",
-        name="g",
-        ads=(Ad("ad", "https://x.example"),),
+        ads=("ad",),
         target_audiences=frozenset({"a_sports"}),
         bid=Bid("CPM", 50.0),
     )
-    campaign = Campaign(id="c", name="c", ad_groups=(group,), total_budget=100.0)
+    campaign = Campaign(id="c", ad_groups=(group,), total_budget=100.0)
     return Marketplace([campaign])
 
 

@@ -9,7 +9,6 @@ from hypothesis import example, given, settings, strategies as st
 from adtrap.errors import SimulationError, ValidationError
 from adtrap.marketplace import (
     MICROS,
-    Ad,
     AdGroup,
     Bid,
     Campaign,
@@ -45,13 +44,12 @@ def make_campaign(
 ):
     group = AdGroup(
         id=f"{cid}_g",
-        name=f"{cid} group",
-        ads=(Ad(id=ad_id or f"{cid}_ad", landing_url=f"https://{cid}.example"),),
+        ads=(ad_id or f"{cid}_ad",),
         target_audiences=frozenset(audiences),
         bid=Bid(kind, amount),
         placement=frozenset(placement),
     )
-    return Campaign(id=cid, name=cid, ad_groups=(group,), total_budget=budget)
+    return Campaign(id=cid, ad_groups=(group,), total_budget=budget)
 
 
 def sports_profile(cookie="ck", audiences=("a_sports",)):
@@ -75,15 +73,9 @@ def test_bid_validation():
 def test_ad_group_needs_ads_and_targets():
     bid = Bid("CPM", 1.0)
     with pytest.raises(ValidationError):
-        AdGroup(id="g", name="g", ads=(), target_audiences=frozenset({"a"}), bid=bid)
+        AdGroup(id="g", ads=(), target_audiences=frozenset({"a"}), bid=bid)
     with pytest.raises(ValidationError):
-        AdGroup(
-            id="g",
-            name="g",
-            ads=(Ad("ad", "https://x"),),
-            target_audiences=frozenset(),
-            bid=bid,
-        )
+        AdGroup(id="g", ads=("ad",), target_audiences=frozenset(), bid=bid)
 
 
 def test_effective_values_in_micros():
@@ -123,7 +115,7 @@ def test_equal_value_tie_breaks_on_ad_id():
         ]
     )
     winner = market.run_auction(market.eligible_ads("site", sports_profile()))
-    assert winner.ad.id == "aa_ad"
+    assert winner.ad_id == "aa_ad"
 
 
 def test_equal_value_and_ad_id_tie_goes_to_first_listed():
@@ -151,8 +143,7 @@ def test_an_ad_group_bids_once_per_auction(ad_ids):
     # ad, and pays its own value whatever its number of ads.
     high = make_campaign("high", 60.0)
     group = high.ad_groups[0]
-    ads = tuple(Ad(id=ad_id, landing_url="") for ad_id in ad_ids)
-    high = high._replace(ad_groups=(group._replace(ads=ads),))
+    high = high._replace(ad_groups=(group._replace(ads=ad_ids),))
     market = Marketplace([high, make_campaign("low", 10.0)])
     assert len(market.eligible_ads("site", sports_profile())) == 2
     record = market.serve("site", PAGE, sports_profile(), time=0.0)
@@ -542,8 +533,8 @@ def test_negative_budget_rejected():
         lambda: Bid("CPM", "5"),
         lambda: Bid("CPM", None),
         lambda: Bid("CPM", True),
-        lambda: Campaign("c", "c", (), "5"),
-        lambda: Campaign("c", "c", (), True),
+        lambda: Campaign("c", (), "5"),
+        lambda: Campaign("c", (), True),
         lambda: MarketConfig(click_through_rate="0.5"),
         lambda: MarketConfig(click_through_rate=True),
         lambda: AffinityAudience("a", "A", frozenset({"i"}), "2"),
@@ -622,8 +613,7 @@ def ad_groups(draw, cid, j):
     ad_ids = draw(st.lists(st.sampled_from(["ad_a", "ad_b"]), min_size=1, max_size=2))
     return AdGroup(
         id=f"{cid}_g{j}",
-        name=f"{cid}_g{j}",
-        ads=tuple(Ad(id=ad_id, landing_url="") for ad_id in ad_ids),
+        ads=tuple(ad_ids),
         target_audiences=draw(subsets(AUDIENCES, min_size=1)),
         bid=Bid(kind, amount),
         placement=draw(st.just(frozenset()) | subsets(SITES, min_size=1)),
@@ -639,7 +629,7 @@ def campaign_lists(draw):
         cid = f"c{i}"
         groups = tuple(draw(ad_groups(cid, j)) for j in range(draw(st.integers(1, 3))))
         budget = draw(st.sampled_from([0.0, 0.0005, 0.001, 0.0025, 0.005, 1.0, 1.0]))
-        campaign = Campaign(id=cid, name=cid, ad_groups=groups, total_budget=budget)
+        campaign = Campaign(id=cid, ad_groups=groups, total_budget=budget)
         prior_spend[cid] = draw(st.integers(0, campaign.total_budget_micros))
         campaigns.append(campaign)
     return campaigns, prior_spend
@@ -652,7 +642,7 @@ page_views = st.tuples(st.sampled_from(("s0",) + SITES), subsets(AUDIENCES, min_
 def auction_order(entrants):
     """``(campaign, group, ad, value)`` entrants sorted stably by highest
     value, then smallest ad id."""
-    return sorted(entrants, key=lambda entrant: (-entrant[3], entrant[2].id))
+    return sorted(entrants, key=lambda entrant: (-entrant[3], entrant[2]))
 
 
 @given(

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 
 from adtrap.errors import SimulationError, ValidationError
 from adtrap.profile import (
-    INTEREST_THRESHOLD,
     AdUserProfile,
     PageProfile,
     analyze_page,
@@ -46,26 +45,19 @@ def test_one_visit_activates_interest_and_audience(small_taxonomy):
     page = analyze_page("pg", ["t_soccer"], small_taxonomy)
     profile = AdUserProfile(cookie_id="ck")
     visit(profile, page, small_taxonomy, t=0.0)
-    assert profile.topic_scores == {"t_soccer": 1.0}
     assert profile.interests == {"i_soccer"}
     assert profile.audiences == {"a_sports"}
 
 
 def test_count_mode_scores_one_per_visit_per_topic(small_taxonomy):
+    # Every topic of the page counts from its first view, and a second
+    # view of the same page adds nothing.
     page = analyze_page("pg", ["t_soccer", "t_dogs"], small_taxonomy)
     profile = AdUserProfile(cookie_id="ck")
     for i in range(3):
         visit(profile, page, small_taxonomy, t=float(i))
-    assert profile.topic_scores == {"t_soccer": 3.0, "t_dogs": 3.0}
-    assert profile.audiences == {"a_sports", "a_pets"}
-
-
-def test_threshold_boundary_is_inclusive(small_taxonomy):
-    # One view scores exactly the threshold.
-    page = analyze_page("pg", ["t_dogs"], small_taxonomy)
-    profile = visit(AdUserProfile(cookie_id="ck"), page, small_taxonomy, t=0.0)
-    assert profile.topic_scores == {"t_dogs": INTEREST_THRESHOLD}
-    assert profile.interests == {"i_dogs"}
+        assert profile.interests == {"i_soccer", "i_dogs"}
+        assert profile.audiences == {"a_sports", "a_pets"}
 
 
 def test_timestamps_must_not_go_backwards(small_taxonomy):
@@ -83,14 +75,13 @@ def test_fold_refuses_to_move_the_clock_backwards(small_taxonomy):
     profile = visit(AdUserProfile(cookie_id="ck"), pages["pg"], small_taxonomy, t=5.0)
     before = copy.deepcopy(profile)
     with pytest.raises(SimulationError, match="went backwards"):
-        fold_warmup(profile, [("pg", 2, 0.0)], pages, -1.0, small_taxonomy)
+        fold_warmup(profile, [("pg", 0.0), ("pg", 0.0)], pages, -1.0, small_taxonomy)
     assert profile == before
     with pytest.raises(SimulationError):
         visit(profile, pages["pg"], small_taxonomy, t=0.0)
     # An empty plan leaves the clock where it was; a later time advances it.
     assert fold_warmup(profile, [], pages, 7.0, small_taxonomy).last_timestamp == 5.0
-    assert fold_warmup(profile, [("pg", 1, 0.0)], pages, 7.0,
-                       small_taxonomy).last_timestamp == 7.0
+    assert fold_warmup(profile, [("pg", 0.0)], pages, 7.0, small_taxonomy).last_timestamp == 7.0
 
 
 page_ids = ["pg_soccer", "pg_tennis", "pg_dogs", "pg_recipes"]
@@ -156,9 +147,8 @@ def test_incremental_profile_matches_derivation_from_scratch(visits):
         interests = {
             interest.id
             for interest in tax.interests.values()
-            if any(scores.get(s, 0.0) >= INTEREST_THRESHOLD for s in interest.source_topics)
+            if any(scores.get(s, 0.0) >= 1.0 for s in interest.source_topics)
         }
-        assert profile.topic_scores == scores
         assert profile.interests == interests
         assert profile.audiences == audiences_for_interests(tax, interests)
         assert (held_interests, held_audiences) == before
@@ -170,33 +160,32 @@ def test_incremental_profile_matches_derivation_from_scratch(visits):
         st.tuples(page_strategy, st.integers(1, 4), st.sampled_from([0.0, 7.0, 100.0 / 3])),
         max_size=12,
     ),
-    split=st.integers(0, 12),
+    split=st.integers(0, 48),
 )
 @example(plan=[], split=0)
 # The fold gains i_d, which completes a_two with the replayed i_c.
 @example(plan=[(frozenset({"t_c"}), 1, 0.0), (frozenset({"t_d"}), 1, 0.0)], split=1)
 def test_one_pass_warmup_matches_replaying_each_visit(plan, split):
     tax = MULTI_TOPIC_TAXONOMY
-    # A page is named by its topics, so equal topic sets revisit one page.
+    # A page is named by its topics, so equal topic sets revisit one page,
+    # and each drawn item is that many plan items in a row.
     pages = {"+".join(sorted(topics)): PageProfile("+".join(sorted(topics)), topics)
              for topics, _, _ in plan}
-    steps = [("+".join(sorted(topics)), repeat, dwell) for topics, repeat, dwell in plan]
-    views = [page_id for page_id, repeat, _ in steps for _ in range(repeat)]
+    steps = [("+".join(sorted(topics)), dwell)
+             for topics, repeat, dwell in plan for _ in range(repeat)]
     replayed = AdUserProfile(cookie_id="ck")
-    for t, page_id in enumerate(views, -len(views)):
+    for t, (page_id, _) in enumerate(steps, -len(steps)):
         record_visit(replayed, pages[page_id], float(t), tax)
     # The steps before the split are replayed view by view, and the rest
     # is folded into that same, no longer empty, profile.
     split = min(split, len(steps))
     folded = AdUserProfile(cookie_id="ck")
-    head = sum(repeat for _, repeat, _ in steps[:split])
-    for t, page_id in enumerate(views[:head], -len(views)):
+    for t, (page_id, _) in enumerate(steps[:split], -len(steps)):
         record_visit(folded, pages[page_id], float(t), tax)
     fold_warmup(folded, steps[split:], pages, -1.0, tax)
 
     def state(profile):
-        return (profile.topic_scores, profile.interests, profile.audiences,
-                profile.last_timestamp)
+        return (profile.interests, profile.audiences, profile.last_timestamp)
 
     assert state(folded) == state(replayed)
     assert folded == replayed

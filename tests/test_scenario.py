@@ -85,7 +85,7 @@ def base_document():
                 "id": "u1",
                 "cookie_id": "dc-u1",
                 "network_id": "203.0.113.1",
-                "warmup_plan": [{"page": "fixtures", "repeat": 2}],
+                "warmup_plan": [{"page": "fixtures"}, {"page": "fixtures"}],
                 "attack_visits": [{"site": "monads", "t": 300.0}],
             }
         ],
@@ -105,7 +105,7 @@ def test_valid_document_loads():
     assert set(scenario.websites) == {"monads", "kickoff"}
     assert scenario.websites["monads"].owner == "attacker"
     assert scenario.campaigns[0].id == "rival"
-    assert scenario.users[0].warmup_plan[0].repeat == 2
+    assert scenario.users[0].warmup_plan == (WarmupVisit("fixtures"),) * 2
     assert scenario.attack.audiences == ("a_sports", "a_pets")
     assert scenario.attack.budget == 1_000_000.0  # default
 
@@ -897,8 +897,11 @@ class Count(int):
 # On base_document(), whose horizon is 3600 s, each case replaces user 0's
 # warm-up plan or attack visits.
 VISIT_EDGES = {
+    # A warm-up visit has no "repeat" field: both paths reject it as unknown.
     "repeat-true": ("warmup_plan", [{"page": "fixtures", "repeat": True}]),
     "repeat-int-subclass": ("warmup_plan", [{"page": "fixtures", "repeat": Count(2)}]),
+    "dwell-true": ("warmup_plan", [{"page": "fixtures", "dwell": True}]),
+    "dwell-int-subclass": ("warmup_plan", [{"page": "fixtures", "dwell": Count(2)}]),
     "dwell-int": ("warmup_plan", [{"page": "fixtures", "dwell": 7}]),
     "dwell-1e301": ("warmup_plan", [{"page": "fixtures", "dwell": 1e301}]),
     "dwell-10**400": ("warmup_plan", [{"page": "fixtures", "dwell": 10**400}]),

@@ -982,7 +982,7 @@ def test_sweep_does_the_per_cell_work_once_per_cell():
     assert build.call_count == 6
     assert warmup.call_count == 6
     assert folds.call_count == 6 * 10
-    folded_views = sum(repeat for call in folds.call_args_list for _, repeat, _ in call.args[1])
+    folded_views = sum(len(call.args[1]) for call in folds.call_args_list)
     assert folded_views == 6 * 12
     assert visits.call_count == 6 * 10
     assert attack.call_count == 6
