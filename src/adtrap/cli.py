@@ -59,7 +59,7 @@ def _resolve_scenario(arg: str) -> Path:
     name = arg[:-5] if arg.endswith(".json") else arg
     if name in bundled.names():
         return bundled.path(name)
-    raise FileNotFoundError(f"no such scenario file or bundled scenario: {arg}")
+    raise FileNotFoundError(f"no such scenario file or bundled scenario: {quoted(arg)}")
 
 
 def _csv(header, rows) -> bytes:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ValidationError, checked, quoted
+from .errors import ValidationError, quoted
 from .marketplace import ImpressionRecord, Marketplace
 from .profile import AdUserProfile, PageProfile, record_visit
 from .taxonomy import Taxonomy
@@ -29,7 +29,6 @@ class VisitLogEntry(NamedTuple):
     page_id: str
 
 
-@checked
 class Website(NamedTuple):
     """A site as its owner set it up; a run keeps its visit log."""
 
@@ -38,12 +37,6 @@ class Website(NamedTuple):
     pages: dict[str, PageProfile]
     owner: str = "third-party"
     logging: bool = False
-
-    def _check(self):
-        if self.owner not in OWNERS:
-            raise ValidationError(
-                f"website {self.id!r} owner must be one of {OWNERS}, got {self.owner!r}"
-            )
 
 
 def serve_page(

@@ -47,23 +47,13 @@ def finite_in_micros(amount: float) -> bool:
         return False
 
 
-@checked
 class Bid(NamedTuple):
     """Price attached to an ad group: kind is one of CPC, CPM or CPA."""
 
     kind: str
     amount: float
 
-    def _check(self):
-        if self.kind not in BID_KINDS:
-            message = f"bid kind must be one of {BID_KINDS}, got {quoted(self.kind)}"
-            raise ValidationError(message, "/kind")
-        if not (is_number(self.amount) and self.amount > 0 and finite_in_micros(self.amount)):
-            message = f"bid amount must be positive and finite, got {quoted(self.amount)}"
-            raise ValidationError(message, "/amount")
 
-
-@checked
 class AdGroup(NamedTuple):
     """A set of ads, by id, sharing targeting and one bid.
 
@@ -77,25 +67,13 @@ class AdGroup(NamedTuple):
     bid: Bid
     placement: frozenset[str] = frozenset()
 
-    def _check(self):
-        if not self.ads:
-            raise ValidationError(f"ad group {self.id!r} must contain at least one ad")
-        if not self.target_audiences:
-            raise ValidationError(f"ad group {self.id!r} must target at least one audience")
 
-
-@checked
 class Campaign(NamedTuple):
     """An advertiser's campaign; a run's spend is in ``Marketplace.spent_micros``."""
 
     id: str
     ad_groups: tuple[AdGroup, ...]
     total_budget: float
-
-    def _check(self):
-        budget = self.total_budget
-        if not (is_number(budget) and budget >= 0 and finite_in_micros(budget)):
-            raise ValidationError(f"campaign {self.id!r} budget must be finite and >= 0")
 
     @property
     def total_budget_micros(self) -> int:
@@ -173,7 +151,6 @@ class CounterReports(NamedTuple):
             previous = k
 
 
-@checked
 class MarketConfig(NamedTuple):
     """Marketplace-wide serving parameters.
 
@@ -182,13 +159,6 @@ class MarketConfig(NamedTuple):
     """
 
     click_through_rate: float = 0.05
-
-    def _check(self):
-        rate = self.click_through_rate
-        if not (is_number(rate) and 0 <= rate <= 1):
-            raise ValidationError(
-                f"click_through_rate must lie in [0, 1], got {quoted(rate)}", "/click_through_rate"
-            )
 
 
 DEFAULT_MARKET_CONFIG = MarketConfig()

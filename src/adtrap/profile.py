@@ -12,26 +12,15 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import SimulationError, ValidationError, checked, quoted
+from .errors import SimulationError, ValidationError, quoted
 from .taxonomy import Taxonomy
 
 
-@checked
 class PageProfile(NamedTuple):
-    """Topical classification of a single page.
-
-    Admission to the display network requires at least one topic; pages with
-    no recognisable topic are rejected outright.
-    """
+    """Topical classification of a single page."""
 
     page_id: str
     topics: frozenset[str]
-
-    def _check(self):
-        if not self.topics:
-            raise ValidationError(
-                f"page {self.page_id!r} has no topics: page not eligible for display network"
-            )
 
 
 class AdUserProfile:
@@ -54,8 +43,7 @@ class AdUserProfile:
 def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfile:
     """Admit a page to the network, validating its declared topics.
 
-    Raises :class:`ValidationError` when no topics are declared or a topic
-    is not in the taxonomy.
+    Raises :class:`ValidationError` when a topic is not in the taxonomy.
     """
     topics = frozenset(declared_topics)
     for t in topics:

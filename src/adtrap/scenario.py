@@ -15,9 +15,11 @@ builders add only the rules that relate objects to each other.  Users
 and their visits, most of a document's objects, are first accepted
 column by column; if any check fails, the rules explain it one by one.
 
-Every check, the records' own included, raises with a pointer relative to
-the object it checks; ``_each`` and ``_within`` prefix the step that led
-there as the error passes back out, so pointers are built only on failure.
+Records check nothing themselves, so this module is the one home of
+every rule on a document value.  Every check raises with a pointer
+relative to the object it checks; ``_each`` and ``_within`` prefix the
+step that led there as the error passes back out, so pointers are built
+only on failure.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from typing import NamedTuple
 from .errors import ValidationError, is_integer, is_number, quoted
 from .gdn import OWNERS, Website
 from .marketplace import (
+    BID_KINDS,
     AdGroup,
     Bid,
     Campaign,
@@ -113,7 +116,13 @@ def _seed(value):
     return _integer(value) or (None if -(2**63) <= value < 2**64 else "must fit in 64 bits")
 
 
+def _rate(value):
+    return _number(value) or (None if 0 <= value <= 1 else "must lie in [0, 1]")
+
+
 def _count(value):
+    """The ``qualify_rule`` rule.  A rule below 1 would qualify an empty profile,
+    which :mod:`adtrap.profile`'s incremental audiences assume never happens."""
     return None if _integer(value) is None and value >= 1 else "must be an integer >= 1"
 
 
@@ -142,6 +151,10 @@ def _text_or_null(value):
 
 def _owner(value):
     return None if value in OWNERS else f"must be {' or '.join(map(repr, OWNERS))}"
+
+
+def _bid_kind(value):
+    return None if value in BID_KINDS else f"must be one of {BID_KINDS}, got {quoted(value)}"
 
 
 def _list(value):
@@ -252,7 +265,7 @@ _SCHEMA = {
         "bid": (_any, REQUIRED),
     },
     "ad": {"id": (_text, UNIQUE)},
-    "bid": {"kind": (_text, REQUIRED), "amount": (_number, REQUIRED)},
+    "bid": {"kind": (_bid_kind, REQUIRED), "amount": (_positive, REQUIRED)},
     "user": {
         "id": (_text, UNIQUE), "cookie_id": (_text, UNIQUE), "network_id": (_text, UNIQUE),
         "consent": (_flag, OPTIONAL), "warmup_plan": (_list, OPTIONAL),
@@ -267,7 +280,7 @@ _SCHEMA = {
         "cpm": (_positive, REQUIRED), "budget": (_positive, OPTIONAL),
         "extra_placement_sites": (_strings, OPTIONAL),
     },
-    "market_config": {"click_through_rate": (_number, OPTIONAL)},
+    "market_config": {"click_through_rate": (_rate, OPTIONAL)},
 }
 # For _fields: each kind's rules by key, and its required keys set to None.
 _RULES = {kind: {key: rule for key, (rule, _) in row.items()} for kind, row in _SCHEMA.items()}
@@ -475,7 +488,7 @@ def _users_by_column(nodes: list, websites: dict[str, Website], pages: set[str],
             and max(times, default=0) < horizon
             and starts.issuperset(compress(count(1), map(ge, times, times[1:])))):
         return None
-    # No record here is @checked, so tuple.__new__ builds each without a Python call.
+    # No record checks itself, so tuple.__new__ builds each without a Python call.
     warmups = map(tuple.__new__, repeat(WarmupVisit), zip(*warmups))
     visits = map(tuple.__new__, repeat(AttackVisit), zip(sites, times, site_pages))
     plans = map(tuple, map(islice, repeat(warmups), map(len, plans)))

@@ -27,7 +27,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .errors import ValidationError, checked, is_integer, quoted
+from .errors import ValidationError
 
 
 class Topic(NamedTuple):
@@ -42,22 +42,11 @@ class InterestCategory(NamedTuple):
     source_topics: frozenset[str]
 
 
-@checked
 class AffinityAudience(NamedTuple):
     id: str
     name: str
     qualifying_interests: frozenset[str]
     qualify_rule: int = 1
-
-    def _check(self):
-        # A rule below 1 would qualify an empty profile, which
-        # adtrap.profile's incremental audiences assume never happens.
-        rule = self.qualify_rule
-        if not (is_integer(rule) and rule >= 1):
-            raise ValidationError(
-                f"audience {self.id!r} qualify_rule must be at least 1 and an integer, "
-                f"got {quoted(rule)}"
-            )
 
     def qualifies(self, interests: set[str]) -> bool:
         """Whether ``interests`` hold at least ``qualify_rule`` of the qualifying ones."""

@@ -62,7 +62,6 @@ NO_AUDIENCE = None
 _EXHAUSTIVE_LIMIT = 10**6
 
 
-@checked
 class AttackSpec(NamedTuple):
     """The probing side of a scenario.
 
@@ -78,12 +77,6 @@ class AttackSpec(NamedTuple):
     cpm: float
     budget: float = 1_000_000.0
     extra_placement_sites: tuple[str, ...] = ()
-
-    def _check(self):
-        if not self.audiences:
-            raise ValidationError("audiences must not be empty")
-        if len(set(self.audiences)) != len(self.audiences):
-            raise ValidationError("audiences contains duplicates")
 
 
 @checked

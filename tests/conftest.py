@@ -1,5 +1,6 @@
 """Shared fixtures for the test suite."""
 
+import copy
 import functools
 import importlib.util
 import random
@@ -9,8 +10,9 @@ from unittest import mock
 
 import pytest
 
+from adtrap.errors import ValidationError
 from adtrap.gdn import VisitLogEntry
-from adtrap.scenario import load_taxonomy
+from adtrap.scenario import load_scenario_document, load_taxonomy
 from adtrap.trap import WindowObservation
 
 
@@ -66,6 +68,82 @@ SMALL_TAXONOMY_DOC = {
 @pytest.fixture
 def small_taxonomy():
     return load_taxonomy(SMALL_TAXONOMY_DOC)
+
+
+def base_document():
+    """A valid scenario: two websites, a rival campaign, one user and an attack."""
+    return {
+        "spec_version": 1,
+        "seed": 42,
+        "window_length_s": 1800,
+        "horizon_s": 3600,
+        "taxonomy": copy.deepcopy(SMALL_TAXONOMY_DOC),
+        "websites": [
+            {
+                "id": "monads",
+                "domain": "monads.example",
+                "owner": "attacker",
+                "logging": True,
+                "pages": [{"id": "landing", "topics": ["t_soccer"]}],
+            },
+            {
+                "id": "kickoff",
+                "domain": "kickoff.example",
+                "owner": "third-party",
+                "logging": False,
+                "pages": [{"id": "fixtures", "topics": ["t_soccer", "t_tennis"]}],
+            },
+        ],
+        "campaigns": [
+            {
+                "id": "rival",
+                "total_budget": 100.0,
+                "ad_groups": [
+                    {
+                        "id": "rival_g",
+                        "ads": [{"id": "rival_ad"}],
+                        "target_audiences": ["a_sports"],
+                        "bid": {"kind": "CPM", "amount": 10.0},
+                        "placement": [],
+                    }
+                ],
+            }
+        ],
+        "users": [
+            {
+                "id": "u1",
+                "cookie_id": "dc-u1",
+                "network_id": "203.0.113.1",
+                "warmup_plan": [{"page": "fixtures"}, {"page": "fixtures"}],
+                "attack_visits": [{"site": "monads", "t": 300.0}],
+            }
+        ],
+        "attack": {
+            "sites": ["monads"],
+            "audiences": ["a_sports", "a_pets"],
+            "cpm": 50.0,
+        },
+    }
+
+
+def reject(doc, pointer):
+    """The loader's error for ``doc``, which must point at ``pointer``."""
+    with pytest.raises(ValidationError) as err:
+        load_scenario_document(doc)
+    assert err.value.pointer == pointer, str(err.value)
+    return err.value
+
+
+def reject_value(pointer, value):
+    """The loader's error for :func:`base_document` with ``value`` set at
+    ``pointer``, making any object missing on the way; it must point there."""
+    doc = base_document()
+    *steps, key = pointer.split("/")[1:]
+    node = doc
+    for step in steps:
+        node = node[int(step)] if isinstance(node, list) else node.setdefault(step, {})
+    node[key] = value
+    return reject(doc, pointer)
 
 
 @pytest.fixture

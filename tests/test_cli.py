@@ -122,7 +122,7 @@ HUGE = "x" * 100000
     [
         ("/users/0/attack_visits/0/page", list(range(200000)), "website 'monads' has no page [0,"),
         ("/users/0/warmup_plan/0/page", HUGE, "unknown page 'xxx"),
-        ("/campaigns/0/ad_groups/0/bid/kind", HUGE, "bid kind must be one of ('CPC', 'CPM'"),
+        ("/campaigns/0/ad_groups/0/bid/kind", HUGE, "field 'kind' must be one of ('CPC', 'CPM'"),
         ("/spec_version", HUGE, "spec_version must be 1, got 'xxx"),
     ],
     ids=["attack-page", "warmup-page", "bid-kind", "spec-version"],
@@ -337,6 +337,12 @@ def test_validate_rejects_broken_json(tmp_path, capsys):
 def test_missing_scenario_is_a_runtime_error(capsys):
     assert main(["validate", "no_such_scenario"]) == 2
     assert "no such scenario" in capsys.readouterr().err
+    # 19 components of 200 characters, within the OS's name limits, are
+    # quoted cut to a short line.
+    assert main(["validate", "/".join(["x" * 200] * 19)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no such scenario file or bundled scenario: 'xxx")
+    assert len(err.encode()) < 200
 
 
 def test_a_simulation_error_is_a_runtime_error(monkeypatch, capsys):
@@ -483,11 +489,14 @@ def test_module_entry_behaves_as_main(tmp_path, capsys, args, code):
     assert main(args) == code
     captured = capsys.readouterr()
     assert captured.out if code == 0 else captured.err.startswith("error: ")
+    # Under pytest, main() logs to pytest's handlers, not to the captured
+    # stderr, so the child runs without the caller's ADTRAP_LOG.
+    env = {k: v for k, v in os.environ.items() if k != "ADTRAP_LOG"}
     proc = subprocess.run(
         [sys.executable, "-m", "adtrap.cli", *args],
         capture_output=True,
         text=True,
-        env=src_env(),
+        env=src_env(env),
         timeout=60,
     )
     assert proc.returncode == code

@@ -7,6 +7,8 @@ from adtrap.gdn import VisitLogEntry, Website, serve_page
 from adtrap.marketplace import AdGroup, Bid, Campaign, Marketplace
 from adtrap.profile import AdUserProfile, PageProfile
 
+from conftest import reject_value
+
 
 @pytest.fixture
 def site():
@@ -120,5 +122,5 @@ def test_log_entries_carry_the_visit_fields(site, market, small_taxonomy):
 
 
 def test_website_owner_validation():
-    with pytest.raises(ValidationError):
-        Website(id="w", domain="w.example", pages={}, owner="fourth-party")
+    error = reject_value("/websites/0/owner", "fourth-party")
+    assert error.message == "field 'owner' must be 'attacker' or 'third-party'"

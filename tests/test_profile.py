@@ -22,18 +22,16 @@ from adtrap.taxonomy import (
 )
 from adtrap.scenario import load_taxonomy
 
-from conftest import SMALL_TAXONOMY_DOC
+from conftest import SMALL_TAXONOMY_DOC, reject_value
 
 
 def visit(profile, page, tax, t):
     return record_visit(profile, page, t, tax)
 
 
-def test_topicless_page_not_admitted(small_taxonomy):
-    with pytest.raises(ValidationError, match="not eligible for display network"):
-        analyze_page("blank", [], small_taxonomy)
-    with pytest.raises(ValidationError, match="not eligible for display network"):
-        PageProfile("blank", frozenset())
+def test_topicless_page_not_admitted():
+    error = reject_value("/websites/0/pages/0/topics", [])
+    assert error.message == "field 'topics' must be a non-empty list of strings"
 
 
 def test_unknown_declared_topic_rejected(small_taxonomy):

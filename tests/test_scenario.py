@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from adtrap import scenario as loader, scenarios
 from adtrap.errors import ValidationError
 from adtrap.gdn import Website
-from adtrap.marketplace import Campaign, reports_to_rows
+from adtrap.marketplace import AdGroup, Bid, Campaign, CounterReports, MarketConfig, reports_to_rows
+from adtrap.profile import PageProfile
 from adtrap.scenario import (
     _SCHEMA,
     UNIQUE,
@@ -29,9 +30,10 @@ from adtrap.scenario import (
     read_scenario_file,
 )
 from adtrap.simulation import run_scenario, trace_to_json
-from adtrap.trap import AttackSpec
+from adtrap.taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
+from adtrap.trap import AttackSpec, WindowObservation
 
-from conftest import SMALL_TAXONOMY_DOC, benchmark_inputs
+from conftest import base_document, benchmark_inputs, reject
 from generators import (
     mutate_document,
     mutate_users,
@@ -40,61 +42,6 @@ from generators import (
     random_targeting_scenario_document,
     resolve_pointer,
 )
-
-
-def base_document():
-    return {
-        "spec_version": 1,
-        "seed": 42,
-        "window_length_s": 1800,
-        "horizon_s": 3600,
-        "taxonomy": copy.deepcopy(SMALL_TAXONOMY_DOC),
-        "websites": [
-            {
-                "id": "monads",
-                "domain": "monads.example",
-                "owner": "attacker",
-                "logging": True,
-                "pages": [{"id": "landing", "topics": ["t_soccer"]}],
-            },
-            {
-                "id": "kickoff",
-                "domain": "kickoff.example",
-                "owner": "third-party",
-                "logging": False,
-                "pages": [{"id": "fixtures", "topics": ["t_soccer", "t_tennis"]}],
-            },
-        ],
-        "campaigns": [
-            {
-                "id": "rival",
-                "total_budget": 100.0,
-                "ad_groups": [
-                    {
-                        "id": "rival_g",
-                        "ads": [{"id": "rival_ad"}],
-                        "target_audiences": ["a_sports"],
-                        "bid": {"kind": "CPM", "amount": 10.0},
-                        "placement": [],
-                    }
-                ],
-            }
-        ],
-        "users": [
-            {
-                "id": "u1",
-                "cookie_id": "dc-u1",
-                "network_id": "203.0.113.1",
-                "warmup_plan": [{"page": "fixtures"}, {"page": "fixtures"}],
-                "attack_visits": [{"site": "monads", "t": 300.0}],
-            }
-        ],
-        "attack": {
-            "sites": ["monads"],
-            "audiences": ["a_sports", "a_pets"],
-            "cpm": 50.0,
-        },
-    }
 
 
 def test_valid_document_loads():
@@ -122,13 +69,6 @@ def test_attack_is_optional():
     doc["users"][0]["attack_visits"] = []
     scenario = load_scenario_document(doc)
     assert scenario.attack is None
-
-
-def reject(doc, pointer):
-    with pytest.raises(ValidationError) as err:
-        load_scenario_document(doc)
-    assert err.value.pointer == pointer, str(err.value)
-    return err.value
 
 
 @pytest.mark.parametrize("document", [[], None, "scenario", 1])
@@ -856,9 +796,18 @@ def valid_documents(seed):
 
 
 def test_records_built_by_column_check_nothing_themselves():
-    """The column pass builds them with ``tuple.__new__``, which would skip a check."""
-    for cls in (UserAgentSpec, WarmupVisit, AttackVisit):
+    """The loader holds every rule on a document value, so no record it
+    builds checks itself; the column pass builds users and visits with
+    ``tuple.__new__``, which would skip a check.  Counter reports and window
+    observations, which code builds from outside data, do."""
+    kinds = {type(r) for r in records(load_scenario_document(document_with_every_object()))}
+    assert kinds == {
+        Scenario, Taxonomy, Topic, InterestCategory, AffinityAudience, Website, PageProfile,
+        Campaign, AdGroup, Bid, MarketConfig, UserAgentSpec, WarmupVisit, AttackVisit, AttackSpec,
+    }
+    for cls in kinds:
         assert not hasattr(cls, "_check"), cls
+    assert hasattr(CounterReports, "_check") and hasattr(WindowObservation, "_check")
 
 
 def test_valid_visit_lists_load_in_one_pass():

@@ -7,9 +7,9 @@ from hypothesis import given, strategies as st
 
 from adtrap.errors import ValidationError
 from adtrap.scenario import load_taxonomy
-from adtrap.taxonomy import AffinityAudience, audiences_for_interests
+from adtrap.taxonomy import audiences_for_interests
 
-from conftest import SMALL_TAXONOMY_DOC
+from conftest import SMALL_TAXONOMY_DOC, reject_value
 
 
 def test_load_builds_lookup_tables(small_taxonomy):
@@ -213,5 +213,5 @@ def test_qualification_is_monotone_in_interests(smaller, extra):
 
 @pytest.mark.parametrize("rule", [0, -1])
 def test_audience_rule_below_one_rejected(rule):
-    with pytest.raises(ValidationError, match="qualify_rule must be at least 1"):
-        AffinityAudience("a", "A", frozenset({"i"}), rule)
+    error = reject_value("/taxonomy/audiences/0/qualify_rule", rule)
+    assert error.message == "field 'qualify_rule' must be an integer >= 1"

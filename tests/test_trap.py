@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import bruteforce
 import reference_enumerator
 import reference_reports
-from conftest import make_observation
+from conftest import make_observation, reject_value
 from generators import oracle_agreement, random_observations
 
 from adtrap import trap
@@ -51,10 +51,10 @@ def attacker_site(site_id="monads"):
 
 
 def test_attack_spec_validation():
-    with pytest.raises(ValidationError):
-        AttackSpec(sites=("s",), audiences=(), cpm=50.0)
-    with pytest.raises(ValidationError):
-        AttackSpec(sites=("s",), audiences=("a", "a"), cpm=50.0)
+    error = reject_value("/attack/audiences", [])
+    assert error.message == "field 'audiences' must be a non-empty list of strings"
+    error = reject_value("/attack/audiences", ["a_sports", "a_sports"])
+    assert error.message == "field 'audiences' must not repeat an item"
 
 
 def test_build_trap_campaign_structure():
