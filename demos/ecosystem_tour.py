@@ -9,7 +9,7 @@ slot, and the winning campaign's counters tick in windowed reports.
 import random
 
 from adtrap.scenario import load_taxonomy
-from adtrap.profile import AdUserProfile, analyze_page, record_visit
+from adtrap.profile import AdUserProfile, PageProfile, record_visit
 from adtrap.marketplace import MICROS, AdGroup, Bid, Campaign, Marketplace
 
 TAXONOMY = {
@@ -56,9 +56,9 @@ def main():
 
     banner("1. A user browses; the network watches through its ad slots")
     pages = {
-        "match_report": analyze_page("match_report", ["t_soccer"], tax),
-        "gym_plans": analyze_page("gym_plans", ["t_fitness"], tax),
-        "drop_calendar": analyze_page("drop_calendar", ["t_sneakers"], tax),
+        "match_report": PageProfile("match_report", frozenset({"t_soccer"})),
+        "gym_plans": PageProfile("gym_plans", frozenset({"t_fitness"})),
+        "drop_calendar": PageProfile("drop_calendar", frozenset({"t_sneakers"})),
     }
     user = AdUserProfile(cookie_id="dc-tour")
     for t, pid in enumerate(["match_report", "gym_plans", "match_report"]):
@@ -88,8 +88,8 @@ def main():
                 id="protein_shop_g",
                 ads=("shake_ad",),
                 target_audiences=frozenset({"a_sporty"}),
-                # CPC 2.0 at the default 5% click-through rate is worth
-                # 0.10 per view, beating CPM 40's 0.04 per view.
+                # CPC 2.0 at CLICK_THROUGH_RATE (5%) is worth 0.10 per
+                # view, beating CPM 40's 0.04 per view.
                 bid=Bid("CPC", 2.0),
             ),
         ),

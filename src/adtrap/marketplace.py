@@ -30,6 +30,10 @@ BID_KINDS = ("CPC", "CPM", "CPA")
 # acquisition, which prices it per impression.
 ACQUISITION_RATE = 0.01
 
+# The share of impressions that are clicked: it prices a CPC bid per
+# impression, and each impression's click is sampled at it.
+CLICK_THROUGH_RATE = 0.05
+
 
 def to_micros(amount: float) -> int:
     return round(amount * MICROS)
@@ -151,19 +155,6 @@ class CounterReports(NamedTuple):
             previous = k
 
 
-class MarketConfig(NamedTuple):
-    """Marketplace-wide serving parameters.
-
-    ``click_through_rate``, in [0, 1], converts CPC bids into expected
-    per-impression values and samples each impression's click.
-    """
-
-    click_through_rate: float = 0.05
-
-
-DEFAULT_MARKET_CONFIG = MarketConfig()
-
-
 class Candidate(NamedTuple):
     campaign: Campaign
     ad_group: AdGroup
@@ -171,38 +162,37 @@ class Candidate(NamedTuple):
     value_micros: int
 
 
-def effective_value_micros(bid: Bid, config: MarketConfig = DEFAULT_MARKET_CONFIG) -> int:
+def effective_value_micros(bid: Bid) -> int:
     """Expected value of one impression under the given bid, in micros.
 
-    CPM is amount per thousand impressions; CPC is scaled by the configured
-    click-through rate and CPA by ``ACQUISITION_RATE``.
+    CPM is amount per thousand impressions; CPC is scaled by
+    ``CLICK_THROUGH_RATE`` and CPA by ``ACQUISITION_RATE``.
     """
     micros = to_micros(bid.amount)
     if bid.kind == "CPM":
         return micros // 1000
     if bid.kind == "CPC":
-        return round(micros * config.click_through_rate)
+        return round(micros * CLICK_THROUGH_RATE)
     return round(micros * ACQUISITION_RATE)
 
 
 class Marketplace:
     """Holds campaigns and the impression stream for one simulated run.
 
-    Campaigns and config are read once, at construction, which prices every
-    ad group into one row; a group whose bid is worth 0 micros per
-    impression gets no row, since it would serve for free whatever its
-    budget.  An ad group bids once per auction, with its smallest-id ad:
-    auction ties break on ad id, so no other ad of the group could win.  A
-    row holds what eligibility reads, unpacked once: the group's targeted
-    audiences, its campaign id, its value and the :class:`Candidate` it
-    enters the auction as.  The rows are sorted once, stably, by highest
-    value then smallest ad id, rows still tied keeping campaign then group
-    order: this is the one definition of auction order.  Each website named
-    in some placement gets the rows that can serve there, its placed groups
-    and the network-wide ones, in that order; any other website gets the
-    network-wide rows.  A page view scans only its website's rows.  Each
-    campaign's budget in micros and the sorted union of every targeted
-    audience, served or not, are taken once, too.
+    Campaigns are read once, at construction, which prices every ad group into
+    one row; a group whose bid is worth 0 micros per impression gets no row,
+    since it would serve for free whatever its budget.  An ad group bids once
+    per auction, with its smallest-id ad: auction ties break on ad id, so no
+    other ad of the group could win.  A row holds what eligibility reads,
+    unpacked once: the group's targeted audiences, its campaign id, its value
+    and the :class:`Candidate` it enters the auction as.  The rows are sorted
+    once, stably, by highest value then smallest ad id, rows still tied keeping
+    campaign then group order: this is the one definition of auction order.
+    Each website named in some placement gets the rows that can serve there,
+    its placed groups and the network-wide ones, in that order; any other
+    website gets the network-wide rows.  A page view scans only its website's
+    rows.  Each campaign's budget in micros and the sorted union of every
+    targeted audience, served or not, are taken once, too.
 
     Those tables never change.  What a run changes is its own:
     ``impressions``, ``spent_micros`` (what each campaign, by id, has
@@ -212,7 +202,6 @@ class Marketplace:
     def __init__(
         self,
         campaigns: Iterable[Campaign],
-        config: MarketConfig = DEFAULT_MARKET_CONFIG,
         rng: random.Random | None = None,
     ):
         self.campaigns: dict[str, Campaign] = {}
@@ -220,7 +209,6 @@ class Marketplace:
             if c.id in self.campaigns:
                 raise ValidationError(f"duplicate campaign id {c.id!r}")
             self.campaigns[c.id] = c
-        self.config = config
         self.rng = rng if rng is not None else random.Random(0)
         self.impressions: list[ImpressionRecord] = []
         self.spent_micros: dict[str, int] = dict.fromkeys(self.campaigns, 0)
@@ -230,7 +218,7 @@ class Marketplace:
         for c in self.campaigns.values():
             for g in c.ad_groups:
                 targeted |= g.target_audiences
-                value = effective_value_micros(g.bid, config)
+                value = effective_value_micros(g.bid)
                 if not value:
                     continue
                 candidate = Candidate(c, g, min(g.ads), value)
@@ -285,8 +273,8 @@ class Marketplace:
 
         The impression is attributed to exactly one audience: the
         lexicographically smallest id among the winning group's targets the
-        profile is currently in.  A click is sampled from the configured
-        click-through rate using the marketplace rng.
+        profile is currently in.  A click is sampled at
+        ``CLICK_THROUGH_RATE`` using the marketplace rng.
         """
         campaign = candidate.campaign
         spent = self.spent_micros[campaign.id] + candidate.value_micros
@@ -304,7 +292,7 @@ class Marketplace:
         record = ImpressionRecord(
             candidate.ad_id, campaign.id, candidate.ad_group.id, website_id, page.page_id,
             min(matched), profile.cookie_id, time,
-            self.rng.random() < self.config.click_through_rate,
+            self.rng.random() < CLICK_THROUGH_RATE,
         )
         self.impressions.append(record)
         return record

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import SimulationError, ValidationError, quoted
+from .errors import SimulationError
 from .taxonomy import Taxonomy
 
 
@@ -38,18 +38,6 @@ class AdUserProfile:
     def __eq__(self, other):
         same = type(other) is AdUserProfile
         return same and all(getattr(self, n) == getattr(other, n) for n in self.__slots__)
-
-
-def analyze_page(page_id: str, declared_topics, taxonomy: Taxonomy) -> PageProfile:
-    """Admit a page to the network, validating its declared topics.
-
-    Raises :class:`ValidationError` when a topic is not in the taxonomy.
-    """
-    topics = frozenset(declared_topics)
-    for t in topics:
-        if t not in taxonomy.topics:
-            raise ValidationError(f"page {quoted(page_id)} declares unknown topic {quoted(t)}")
-    return PageProfile(page_id, topics)
 
 
 def _check_clock(profile: AdUserProfile, time: float) -> None:

@@ -39,11 +39,9 @@ from .marketplace import (
     AdGroup,
     Bid,
     Campaign,
-    MarketConfig,
-    DEFAULT_MARKET_CONFIG,
     finite_in_micros,
 )
-from .profile import PageProfile, analyze_page
+from .profile import PageProfile
 from .taxonomy import AffinityAudience, InterestCategory, Taxonomy, Topic
 from .trap import PROBE_ID_PREFIX, AttackSpec, check_probe_site
 
@@ -81,7 +79,6 @@ class Scenario(NamedTuple):
     window_length: float
     horizon: float
     seed: int
-    market_config: MarketConfig = DEFAULT_MARKET_CONFIG
 
 
 # Value rules.  Each returns None for an acceptable value, or the rest of
@@ -114,10 +111,6 @@ def _integer(value):
 def _seed(value):
     """The seed rule: an integer that fits in 64 bits, signed or unsigned."""
     return _integer(value) or (None if -(2**63) <= value < 2**64 else "must fit in 64 bits")
-
-
-def _rate(value):
-    return _number(value) or (None if 0 <= value <= 1 else "must lie in [0, 1]")
 
 
 def _count(value):
@@ -237,7 +230,6 @@ _SCHEMA = {
         "window_length_s": (_positive, OPTIONAL), "seed": (_seed, OPTIONAL),
         "taxonomy": (_any, OPTIONAL), "websites": (_list, OPTIONAL),
         "campaigns": (_list, OPTIONAL), "users": (_list, OPTIONAL), "attack": (_any, OPTIONAL),
-        "market_config": (_any, OPTIONAL),
     },
     "taxonomy": dict.fromkeys(("topics", "interests", "audiences"), (_list, OPTIONAL)),
     "topic": {
@@ -280,7 +272,6 @@ _SCHEMA = {
         "cpm": (_positive, REQUIRED), "budget": (_positive, OPTIONAL),
         "extra_placement_sites": (_strings, OPTIONAL),
     },
-    "market_config": {"click_through_rate": (_rate, OPTIONAL)},
 }
 # For _fields: each kind's rules by key, and its required keys set to None.
 _RULES = {kind: {key: rule for key, (rule, _) in row.items()} for kind, row in _SCHEMA.items()}
@@ -345,11 +336,6 @@ def _each(parent: dict, key: str, kind: str, build, *context) -> tuple:
         exc.pointer = f"/{key}/{len(built)}{exc.pointer}"
         raise
     return tuple(built)
-
-
-def _plain(node, kind: str, cls):
-    """Build ``cls`` from ``node``'s checked fields, for a kind that nests no object."""
-    return cls(**_fields(node, kind))
 
 
 def _known(fields: dict, key: str, known, what: str, container=frozenset):
@@ -418,9 +404,9 @@ def _page(fields, taxonomy: Taxonomy, page_owner: dict[str, str], wid: str) -> P
     if pid in page_owner:
         message = f"page id {quoted(pid)} already used by website {quoted(page_owner[pid])}"
         raise ValidationError(message, "/id")
-    page = _within("/topics", analyze_page, pid, fields["topics"], taxonomy)
+    topics = _known(fields, "topics", taxonomy.topics, "topic")
     page_owner[pid] = wid
-    return page
+    return PageProfile(pid, topics)
 
 
 def _campaign(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> Campaign:
@@ -433,7 +419,7 @@ def _ad_group(fields, taxonomy: Taxonomy, websites: dict[str, Website]) -> AdGro
     fields["target_audiences"] = _known(fields, "target_audiences", taxonomy.audiences, "audience")
     if "placement" in fields:
         fields["placement"] = _known(fields, "placement", websites, "website")
-    fields["bid"] = _within("/bid", _plain, fields.get("bid"), "bid", Bid)
+    fields["bid"] = Bid(**_within("/bid", _fields, fields.get("bid"), "bid"))
     return AdGroup(**fields)
 
 
@@ -550,9 +536,6 @@ def load_scenario_document(document: dict) -> Scenario:
         raise ValidationError(message, "/window_length_s")
     taxonomy = load_taxonomy(fields.get("taxonomy", {}), "/taxonomy")
     websites = {w.id: w for w in _each(fields, "websites", "website", _website, taxonomy, {})}
-    market = fields.get("market_config")
-    if market is not None:
-        market = _within("/market_config", _plain, market, "market_config", MarketConfig)
     campaigns = _each(fields, "campaigns", "campaign", _campaign, taxonomy, websites)
     pages = {pid for site in websites.values() for pid in site.pages}
     users = _users_by_column(fields.get("users", ()), websites, pages, fields["horizon_s"])
@@ -572,7 +555,6 @@ def load_scenario_document(document: dict) -> Scenario:
         window_length=window_length,
         horizon=fields["horizon_s"],
         seed=fields.get("seed", 0),
-        market_config=DEFAULT_MARKET_CONFIG if market is None else market,
     )
 
 

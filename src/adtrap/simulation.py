@@ -90,11 +90,7 @@ class SimulationEngine:
                 build_trap_campaign(scenario.attack, scenario.websites[site_id])
                 for site_id in scenario.attack.sites
             )
-        self.marketplace = Marketplace(
-            campaigns,
-            config=scenario.market_config,
-            rng=random.Random(scenario.seed),
-        )
+        self.marketplace = Marketplace(campaigns, rng=random.Random(scenario.seed))
         self.profiles: dict[str, AdUserProfile] = {
             user.cookie_id: AdUserProfile(cookie_id=user.cookie_id)
             for user in scenario.users

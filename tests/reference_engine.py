@@ -14,6 +14,7 @@ import random
 
 from adtrap.gdn import VisitLogEntry
 from adtrap.marketplace import (
+    CLICK_THROUGH_RATE,
     ImpressionRecord,
     build_reports,
     effective_value_micros,
@@ -42,7 +43,7 @@ def _audiences(scores, taxonomy):
     }
 
 
-def scan_from_scratch(campaigns, spent_micros, config, website_id, profile):
+def scan_from_scratch(campaigns, spent_micros, website_id, profile):
     """Every campaign and group priced again for one page view.
 
     A group enters the auction once, with the ad id that sorts first.
@@ -57,7 +58,7 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile):
                 continue
             if not group.target_audiences & profile.audiences:
                 continue
-            value = effective_value_micros(group.bid, config)
+            value = effective_value_micros(group.bid)
             if value == 0:
                 continue
             if to_micros(campaign.total_budget) - spent_micros[campaign.id] < value:
@@ -79,7 +80,6 @@ def scan_from_scratch(campaigns, spent_micros, config, website_id, profile):
 def reference_run(scenario) -> RunTrace:
     """What :func:`adtrap.simulation.run_scenario` should return for ``scenario``."""
     taxonomy = scenario.taxonomy
-    config = scenario.market_config
     campaigns = list(scenario.campaigns)
     if scenario.attack is not None:
         campaigns += [
@@ -115,7 +115,7 @@ def reference_run(scenario) -> RunTrace:
         site = scenario.websites[visit.site]
         held = view(user, site.pages[visit.page])
         profile = AdUserProfile(user.cookie_id, audiences=held)
-        winner, _ = scan_from_scratch(campaigns, spent, config, site.id, profile)
+        winner, _ = scan_from_scratch(campaigns, spent, site.id, profile)
         if winner is not None:
             campaign, group, ad, price = winner
             spent[campaign.id] += price
@@ -129,7 +129,7 @@ def reference_run(scenario) -> RunTrace:
                     audience_id=min(group.target_audiences & held),
                     cookie_id=user.cookie_id,
                     timestamp=t,
-                    clicked=rng.random() < config.click_through_rate,
+                    clicked=rng.random() < CLICK_THROUGH_RATE,
                 )
             )
         if site.logging and user.consent:

@@ -87,11 +87,13 @@ def test_validate_rejects_bad_document(tmp_path, capsys):
         ("/users/0/geo", "IT"),
         ("/campaigns/0/ad_groups/0/demographics", None),
         ("/campaigns/0/ad_groups/0/geo", None),
-        # The whole section is deleted, so the error names the section.
+        # A whole section is deleted, so the error names the section.
         pytest.param("/profile_config", {"interest_threshold": 1.0},
                      id="/profile_config/interest_threshold-1.0"),
-        ("/market_config/auction_mode", "first_price"),
-        ("/market_config/acquisition_rate", 0.01),
+        pytest.param("/market_config", {"auction_mode": "first_price"},
+                     id="/market_config/auction_mode-first_price"),
+        pytest.param("/market_config", {"acquisition_rate": 0.01},
+                     id="/market_config/acquisition_rate-0.01"),
         # Too large for a float: once read, it crashed the warm-up fold.
         pytest.param("/users/0/warmup_plan/0/repeat", 10**400,
                      id="/users/0/warmup_plan/0/repeat-10**400"),
@@ -160,14 +162,33 @@ def test_validate_reports_unhashable_list_item_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def test_an_unknown_page_topic_is_reported_alike_under_every_hash_seed(tmp_path):
+    """The first unknown topic in document order is named, at its item."""
+    doc = scenarios.load("table2_experiment")
+    doc["websites"][0]["pages"][0]["topics"] = ["t_ghost_a", "t_ghost_b"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    env = {k: v for k, v in os.environ.items() if k != "ADTRAP_LOG"}
+    for hash_seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "adtrap.cli", "validate", str(bad)],
+            capture_output=True,
+            text=True,
+            env=src_env(dict(env, PYTHONHASHSEED=hash_seed)),
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: /websites/0/pages/0/topics/0: unknown topic 't_ghost_a'\n"
+
+
 SWEEP_OPTS = ["--seeds", "1", "--out", "{dir}/out"]
 # 18000 / 1e-305 overflows to infinity: no window count exists.
 INFINITE_WINDOWS = json.dumps({**scenarios.load("table2_experiment"), "window_length_s": 1e-305})
 # Deeper than the JSON decoder's recursion allows.
 TOO_DEEP = b"[" * 100000
 # Decodable, but copying it recursively would exhaust the stack.
-DEEP_MARKET_CONFIG = json.dumps(
-    {**scenarios.load("table2_experiment"), "market_config": "X"}
+DEEP_TAXONOMY = json.dumps(
+    {**scenarios.load("table2_experiment"), "taxonomy": "X"}
 ).replace('"X"', "[" * 600 + "]" * 600)
 # More digits than int reads from text, where it has a limit (0 is none).
 INT_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
@@ -194,9 +215,9 @@ NEEDS_INT_LIMIT = pytest.mark.skipif(not INT_DIGITS, reason="int reads text of a
          "not valid JSON: maximum recursion depth"),
         (TOO_DEEP, ["sweep", "{dir}/bad.json", "--grid", "horizon_s=10", *SWEEP_OPTS],
          "not valid JSON: maximum recursion depth"),
-        (DEEP_MARKET_CONFIG.encode(), ["sweep", "{dir}/bad.json", "--grid", "horizon_s=10",
-                                       *SWEEP_OPTS],
-         "error: /market_config: market_config must be an object"),
+        (DEEP_TAXONOMY.encode(), ["sweep", "{dir}/bad.json", "--grid", "horizon_s=10",
+                                  *SWEEP_OPTS],
+         "error: /taxonomy: taxonomy must be an object"),
         (None, ["sweep", "table2_experiment", "--grid", f"horizon_s={TOO_DEEP.decode()}",
                 *SWEEP_OPTS], "/horizon_s: field 'horizon_s' must be a number"),
         pytest.param(f'{{"spec_version": 1, "horizon_s": {HUGE_INT}}}'.encode(),

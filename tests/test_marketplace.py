@@ -14,7 +14,6 @@ from adtrap.marketplace import (
     Campaign,
     CounterReports,
     ImpressionRecord,
-    MarketConfig,
     Marketplace,
     REPORT_COLUMNS,
     build_reports,
@@ -78,13 +77,10 @@ def test_ad_group_needs_ads_and_targets():
 
 
 def test_effective_values_in_micros():
-    config = MarketConfig()
-    assert effective_value_micros(Bid("CPM", 50.0), config) == 50_000
-    assert effective_value_micros(Bid("CPM", 0.001), config) == 1
-    assert effective_value_micros(Bid("CPC", 2.0), config) == 100_000
-    assert effective_value_micros(Bid("CPA", 10.0), config) == 100_000
-    aggressive = MarketConfig(click_through_rate=0.5)
-    assert effective_value_micros(Bid("CPC", 2.0), aggressive) == 1_000_000
+    assert effective_value_micros(Bid("CPM", 50.0)) == 50_000
+    assert effective_value_micros(Bid("CPM", 0.001)) == 1
+    assert effective_value_micros(Bid("CPC", 2.0)) == 100_000
+    assert effective_value_micros(Bid("CPA", 10.0)) == 100_000
 
 
 def test_thousand_cpm_impressions_spend_exactly_the_rate():
@@ -130,7 +126,7 @@ def test_equal_value_and_ad_id_tie_goes_to_first_listed():
 
 
 def test_cpc_and_cpm_compete_on_effective_value():
-    # CPC 2.0 at ctr 0.05 is worth 100_000 micros, beating CPM 50 (50_000).
+    # CPC 2.0 at CLICK_THROUGH_RATE 0.05 is worth 100_000 micros, beating CPM 50 (50_000).
     market = Marketplace([make_campaign("m", 50.0), make_campaign("c", 2.0, kind="CPC")])
     winner = market.run_auction(market.eligible_ads("site", sports_profile()))
     assert winner.campaign.id == "c"
@@ -220,7 +216,7 @@ def test_click_sampling_is_seeded():
 
     assert run(42) == run(42)
     assert run(42) != run(43)
-    assert 0 < sum(run(42)) < 40  # ctr 0.05 should land well inside this
+    assert 0 < sum(run(42)) < 40  # a rate of 0.05 should land well inside this
 
 
 def test_a_marketplace_built_without_an_rng_draws_clicks_as_seed_0():
@@ -465,9 +461,9 @@ def test_counter_reports_accept_negative_deltas_for_the_join_to_reject():
 
 
 def test_a_cpc_group_never_serves_when_no_impression_is_clicked():
-    config = MarketConfig(click_through_rate=0.0)
-    market = Marketplace([make_campaign("c", 5.0, kind="CPC")], config=config)
-    assert effective_value_micros(Bid("CPC", 5.0), config) == 0
+    # 9 micros a click, at 5 % of clicks, rounds to 0 micros an impression.
+    market = Marketplace([make_campaign("c", 0.000009, kind="CPC")])
+    assert effective_value_micros(Bid("CPC", 0.000009)) == 0
     assert market.eligible_ads("site", sports_profile()) == []
     assert market.serve("site", PAGE, sports_profile(), time=0.0) is None
     assert market.spent_micros == {"c": 0}
@@ -534,8 +530,6 @@ def test_negative_budget_rejected():
         (f"{BID}/amount", True),
         ("/campaigns/0/total_budget", "5"),
         ("/campaigns/0/total_budget", True),
-        ("/market_config/click_through_rate", "0.5"),
-        ("/market_config/click_through_rate", True),
         ("/taxonomy/audiences/0/qualify_rule", "2"),
         ("/taxonomy/audiences/0/qualify_rule", 1.5),
         ("/taxonomy/audiences/0/qualify_rule", True),
@@ -546,7 +540,7 @@ def test_negative_budget_rejected():
         (None, (1.0, True, ("a",), {0: {"a": 1}})),
     ],
     ids=[
-        "bid-str", "bid-none", "bid-bool", "budget-str", "budget-bool", "ctr-str", "ctr-bool",
+        "bid-str", "bid-none", "bid-bool", "budget-str", "budget-bool",
         "rule-str", "rule-float", "rule-bool", "window-str", "window-bool", "windows-str",
         "windows-float", "windows-bool",
     ],
@@ -559,9 +553,10 @@ def test_records_reject_a_wrongly_typed_number(pointer, value):
         reject_value(pointer, value)
 
 
-@pytest.mark.parametrize("rate", [-0.05, 1.5, math.nan, math.inf])
-def test_rates_outside_unit_interval_rejected(rate):
-    reject_value("/market_config/click_through_rate", rate)
+@pytest.mark.parametrize("value", [{}, {"click_through_rate": 0.05}, "X"])
+def test_market_config_is_an_unknown_field(value):
+    # The click-through rate is CLICK_THROUGH_RATE; no document sets it.
+    assert reject_value("/market_config", value).message == "unknown field 'market_config'"
 
 
 @given(
@@ -592,14 +587,17 @@ def test_micros_conversion_rounds_half_up_at_micro_scale():
 
 SITES = ("s1", "s2", "s3")
 AUDIENCES = ("a1", "a2", "a3")
-# CPM 0.0004 is worth 0 micros, as is every CPC bid at a rate of 0.
+# CPM 0.0004 and CPC 0.000009 are worth 0 micros; CPC 0.2 (10_000 micros)
+# is worth more than every CPM bid.
 BIDS = [
     ("CPM", 0.0004),
     ("CPM", 0.5),
     ("CPM", 1.0),
     ("CPM", 2.0),
+    ("CPC", 0.000009),
     ("CPC", 0.02),
     ("CPC", 0.04),
+    ("CPC", 0.2),
     ("CPA", 0.1),
 ]
 
@@ -646,20 +644,15 @@ def auction_order(entrants):
     return sorted(entrants, key=lambda entrant: (-entrant[3], entrant[2]))
 
 
-@given(
-    drawn=campaign_lists(),
-    ctr=st.sampled_from([0.0, 0.05, 0.5]),
-    views=st.lists(page_views, min_size=1, max_size=12),
-)
-def test_priced_table_matches_scan_from_scratch(drawn, ctr, views):
+@given(drawn=campaign_lists(), views=st.lists(page_views, min_size=1, max_size=12))
+def test_priced_table_matches_scan_from_scratch(drawn, views):
     campaigns, prior_spend = drawn
-    config = MarketConfig(click_through_rate=ctr)
-    market = Marketplace(campaigns, config=config)
+    market = Marketplace(campaigns)
     market.spent_micros.update(prior_spend)
     for t, (site, audiences) in enumerate(views):
         profile = AdUserProfile(cookie_id="ck", audiences=set(audiences))
         expected, expected_eligible = scan_from_scratch(
-            campaigns, market.spent_micros, config, site, profile
+            campaigns, market.spent_micros, site, profile
         )
         candidates = market.eligible_ads(site, profile)
         assert [tuple(c) for c in candidates] == auction_order(expected_eligible)
@@ -671,20 +664,15 @@ def test_priced_table_matches_scan_from_scratch(drawn, ctr, views):
         market.record_impression(winner, profile, PAGE, site, float(t))
 
 
-@given(
-    drawn=campaign_lists(),
-    ctr=st.sampled_from([0.0, 0.05, 0.5]),
-    rnd=st.randoms(use_true_random=False),
-)
-def test_every_site_lists_its_rows_in_auction_order_and_the_first_wins(drawn, ctr, rnd):
+@given(drawn=campaign_lists(), rnd=st.randoms(use_true_random=False))
+def test_every_site_lists_its_rows_in_auction_order_and_the_first_wins(drawn, rnd):
     # Every campaign can pay and the profile is in every audience, so each
     # site's candidates are all the rows that may serve there.
     campaigns = [campaign._replace(total_budget=1.0) for campaign in drawn[0]]
-    config = MarketConfig(click_through_rate=ctr)
-    market = Marketplace(campaigns, config=config)
+    market = Marketplace(campaigns)
     everyone = AdUserProfile(cookie_id="ck", audiences=set(AUDIENCES))
     for site in ("s0",) + SITES:
-        _, entrants = scan_from_scratch(campaigns, market.spent_micros, config, site, everyone)
+        _, entrants = scan_from_scratch(campaigns, market.spent_micros, site, everyone)
         candidates = market.eligible_ads(site, everyone)
         assert [tuple(c) for c in candidates] == auction_order(entrants)
         shuffled = rnd.sample(candidates, len(candidates))

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from adtrap import scenario as loader, scenarios
 from adtrap.errors import ValidationError
 from adtrap.gdn import Website
-from adtrap.marketplace import AdGroup, Bid, Campaign, CounterReports, MarketConfig, reports_to_rows
+from adtrap.marketplace import AdGroup, Bid, Campaign, CounterReports, reports_to_rows
 from adtrap.profile import PageProfile
 from adtrap.scenario import (
     _SCHEMA,
@@ -126,7 +126,7 @@ def test_page_ids_unique_across_websites():
 def test_page_with_unknown_topic():
     doc = base_document()
     doc["websites"][0]["pages"][0]["topics"] = ["t_ghost"]
-    reject(doc, "/websites/0/pages/0/topics")
+    reject(doc, "/websites/0/pages/0/topics/0")
 
 
 def test_page_without_topics():
@@ -408,12 +408,6 @@ def test_attack_cpm_must_be_positive():
         reject(doc, "/attack/budget")
 
 
-def document_with_every_object():
-    doc = base_document()
-    doc["market_config"] = {}
-    return doc
-
-
 @pytest.mark.parametrize(
     "path, key",
     [
@@ -437,11 +431,10 @@ def document_with_every_object():
         ("/attack", "one_site_per_victim"),
         ("/attack", "tracking_args"),
         ("/attack", "total_budget"),
-        ("/market_config", "surplus"),
     ],
 )
 def test_unknown_keys_rejected_at_their_pointer(path, key):
-    doc = document_with_every_object()
+    doc = base_document()
     load_scenario_document(copy.deepcopy(doc))
     node = doc
     for part in path.split("/")[1:]:
@@ -458,7 +451,7 @@ def node_at(doc, path):
     return node
 
 
-# Where each kind of object sits in document_with_every_object().
+# Where each kind of object sits in base_document().
 SCHEMA_POINTERS = {
     "document": "",
     "taxonomy": "/taxonomy",
@@ -475,7 +468,6 @@ SCHEMA_POINTERS = {
     "warmup_visit": "/users/0/warmup_plan/0",
     "attack_visit": "/users/0/attack_visits/0",
     "attack": "/attack",
-    "market_config": "/market_config",
 }
 
 SCHEMA_FIELDS = [(kind, key) for kind, row in _SCHEMA.items() for key in row]
@@ -487,7 +479,7 @@ def test_schema_pointers_cover_every_kind():
 
 @pytest.mark.parametrize("kind, key", SCHEMA_FIELDS)
 def test_every_schema_field_rejects_a_wrong_type(kind, key):
-    doc = document_with_every_object()
+    doc = base_document()
     node = node_at(doc, SCHEMA_POINTERS[kind])
     current = node.get(key)
     # A list of objects is wrong as a string; anything else is wrong as a
@@ -503,7 +495,7 @@ def test_every_schema_field_rejects_a_wrong_type(kind, key):
     [(kind, key) for kind, key in SCHEMA_FIELDS if _SCHEMA[kind][key][1]],
 )
 def test_every_required_schema_field_is_reported_missing(kind, key):
-    doc = document_with_every_object()
+    doc = base_document()
     del node_at(doc, SCHEMA_POINTERS[kind])[key]
     reject(doc, f"{SCHEMA_POINTERS[kind]}/{key}")
 
@@ -521,7 +513,7 @@ def test_unique_fields_are_the_ids():
 
 @pytest.mark.parametrize("kind, key", UNIQUE_FIELDS)
 def test_every_unique_schema_field_rejects_a_repeated_value(kind, key):
-    doc = document_with_every_object()
+    doc = base_document()
     listed, index = SCHEMA_POINTERS[kind].rsplit("/", 1)
     items = node_at(doc, listed)
     again = copy.deepcopy(items[int(index)])
@@ -534,7 +526,7 @@ def test_every_unique_schema_field_rejects_a_repeated_value(kind, key):
 
 
 def required_lists():
-    doc = document_with_every_object()
+    doc = base_document()
     return [
         (kind, key)
         for kind, key in SCHEMA_FIELDS
@@ -552,7 +544,7 @@ def test_required_lists_include_the_containers_and_probe_lists():
 
 @pytest.mark.parametrize("kind, key", required_lists())
 def test_every_required_list_rejects_an_empty_list(kind, key):
-    doc = document_with_every_object()
+    doc = base_document()
     node_at(doc, SCHEMA_POINTERS[kind])[key] = []
     error = reject(doc, f"{SCHEMA_POINTERS[kind]}/{key}")
     assert "non-empty list" in error.message
@@ -580,7 +572,7 @@ def test_missing_bid_is_reported_as_not_an_object():
     ],
 )
 def test_id_lists_must_hold_strings(path, key, value):
-    doc = document_with_every_object()
+    doc = base_document()
     node_at(doc, path)[key] = value
     error = reject(doc, f"{path}/{key}")
     assert "list of strings" in error.message
@@ -666,25 +658,22 @@ def test_attack_extra_placement_sites_must_exist():
 
 
 def test_profile_and_market_config_sections():
-    doc = base_document()
-    doc["market_config"] = {"click_through_rate": 0.1}
-    assert load_scenario_document(doc).market_config.click_through_rate == 0.1
-    doc["profile_config"] = {}
-    reject(doc, "/profile_config")
-    del doc["profile_config"]
-    for rate in (math.nan, math.inf, -math.inf, -0.05, 1.5):
-        doc["market_config"] = {"click_through_rate": rate}
-        reject(doc, "/market_config/click_through_rate")
+    for section in ("profile_config", "market_config"):
+        doc = base_document()
+        doc[section] = {}
+        assert reject(doc, f"/{section}").message == f"unknown field {section!r}"
 
 
 @pytest.mark.parametrize(
     "parent, key, value",
     [
-        # The whole section is deleted, so the error names the section.
+        # A whole section is deleted, so the error names the section.
         pytest.param("", "profile_config", {"interest_threshold": 1.0},
                      id="profile_config-interest_threshold-1.0"),
-        ("market_config", "auction_mode", "first_price"),
-        ("market_config", "acquisition_rate", 0.01),
+        pytest.param("", "market_config", {"auction_mode": "first_price"},
+                     id="market_config-auction_mode-first_price"),
+        pytest.param("", "market_config", {"acquisition_rate": 0.01},
+                     id="market_config-acquisition_rate-0.01"),
         ("users/0", "demographics", None),
         ("users/0", "geo", "IT"),
         ("campaigns/0/ad_groups/0", "demographics", None),
@@ -692,7 +681,7 @@ def test_profile_and_market_config_sections():
     ],
 )
 def test_deleted_config_options_are_unknown_fields(parent, key, value):
-    doc = document_with_every_object()
+    doc = base_document()
     pointer = f"/{parent}" if parent else ""
     node_at(doc, pointer)[key] = value
     error = reject(doc, f"{pointer}/{key}")
@@ -715,13 +704,13 @@ def test_load_scenario_from_file(tmp_path):
 
 
 # Documents the mutation properties start from: each bundled scenario,
-# the document holding every kind of object, and generated documents.
+# the base document, which holds every kind of object, and generated documents.
 MUTATION_SOURCES = [*scenarios.names(), "every_object", "generated", "targeting"]
 
 
 def mutation_source(source, rng):
     if source == "every_object":
-        return document_with_every_object()
+        return base_document()
     if source == "generated":
         return random_scenario_document(random.Random(rng.getrandbits(32)))
     if source == "targeting":
@@ -800,10 +789,10 @@ def test_records_built_by_column_check_nothing_themselves():
     builds checks itself; the column pass builds users and visits with
     ``tuple.__new__``, which would skip a check.  Counter reports and window
     observations, which code builds from outside data, do."""
-    kinds = {type(r) for r in records(load_scenario_document(document_with_every_object()))}
+    kinds = {type(r) for r in records(load_scenario_document(base_document()))}
     assert kinds == {
         Scenario, Taxonomy, Topic, InterestCategory, AffinityAudience, Website, PageProfile,
-        Campaign, AdGroup, Bid, MarketConfig, UserAgentSpec, WarmupVisit, AttackVisit, AttackSpec,
+        Campaign, AdGroup, Bid, UserAgentSpec, WarmupVisit, AttackVisit, AttackSpec,
     }
     for cls in kinds:
         assert not hasattr(cls, "_check"), cls
